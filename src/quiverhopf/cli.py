@@ -4,7 +4,9 @@ Verbs: group-info, chartab, rsr-count, rsr-enumerate, rsr-iso,
 bimodule-verify, yd-verify, nichols-dims, hopf-verify, hopf-dims, selftest.
 Output is JSON (sorted keys; byte-identical for identical argv + seed);
 CSV is available for the tabular census verbs.  Exit codes: 0 ok,
-1 verification failure, 2 input error.
+1 verification failure, 2 input error or exceeded budget (a module or
+tensor power over the Nichols dimension caps); errors are one
+`error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .rsr import (
     rsr_type,
 )
 from .typeone import skew_primitive_report, tensor_hopf, type_one_dims, verify_hopf
-from .yd import nichols_dims_multiprime, verify_yd, yd_from_rsr
+from .yd import BudgetError, nichols_dims_multiprime, verify_yd, yd_from_rsr
 
 
 def _meta(args, field=None, primes=None) -> dict:
@@ -164,7 +166,7 @@ def cmd_rsr_enumerate(args) -> tuple[dict, int]:
 def cmd_rsr_iso(args) -> tuple[dict, int]:
     a = load_rsr(args.rsr_a)
     doc_b = read_rsr_doc(args.rsr_b)
-    if parse_group(doc_b["group"]).elements != a.group.elements:
+    if parse_group(doc_b.get("group")).elements != a.group.elements:
         raise InputError("the two RSR files use different groups")
     b = rsr_from_json(doc_b, group=a.group)
     if a.field.p != b.field.p:
@@ -211,7 +213,13 @@ def cmd_yd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_nichols_dims(args) -> tuple[dict, int]:
-    nprimes = args.nprimes or int(os.environ.get("NPRIMES", "3"))
+    nprimes = args.nprimes
+    if nprimes is None:
+        try:
+            nprimes = int(os.environ.get("NPRIMES", "3"))
+        except ValueError:
+            raise InputError("NPRIMES must be an integer") from None
+        _at_least_one("NPRIMES", nprimes)
     results = []
     primes = None
     for rsr in _rsrs_for(args):
@@ -375,12 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise InputError(f"{name} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("samples", "nprimes"):
+            value = getattr(args, flag, None)
+            if value is not None:
+                _at_least_one(f"--{flag}", value)
         payload, code = args.func(args)
-    except InputError as exc:
+    except (InputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args)

@@ -6,10 +6,9 @@ fallback.  The backend is selected once at import; set QUIVERHOPF_PURE=1
 to force the fallback.  Both use the same pivoting rule, so all results
 are bit-identical.
 
-On dense random input numpy's blocked int64 matmul beats the scalar loop,
-but the braid-lift operators that dominate the symmetrizer assembly are
-monomial (one nonzero per row) and the compiled kernel skips zero entries,
-running in O(n^2) there; benchmarks/bench_modp.py shows both regimes.
+On dense random input numpy's blocked int64 matmul beats the scalar loop;
+the compiled kernel skips zero entries, so it wins on sparse operands;
+benchmarks/bench_modp.py shows both regimes.
 
 Matrices are numpy int64 arrays with entries reduced mod p.
 """

@@ -412,9 +412,13 @@ def rsr_from_json(doc: dict, group: Optional[Group] = None) -> RSR:
 def read_rsr_doc(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read RSR file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"RSR file {path} must hold a JSON object, "
+                         f"not {type(doc).__name__}")
+    return doc
 
 
 def load_rsr(path: str, group: Optional[Group] = None) -> RSR:

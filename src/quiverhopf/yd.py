@@ -11,9 +11,17 @@ Yetter-Drinfeld modules over a group algebra,
 and the degree-n component of the Nichols algebra has dimension equal to
 the rank over F_p of the quantum symmetrizer S_n = sum_{sigma} T_sigma,
 where T_sigma lifts sigma through the braiding along a reduced word
-(well-defined by the braid relation).  Ranks are computed mod p; the
-multi-prime driver reports the maximum over several valid primes and
-flags disagreement.
+(well-defined by the braid relation).
+
+Production ranks never form S_n.  They come from the coset recursion
+S_n = B_n (S_{n-1} (x) id), B_n = sum_j c_j c_{j+1} ... c_{n-2}, the sum
+over minimal coset representatives of Sym(n-1) in Sym(n) (Schauenburg;
+Rosso's quantum shuffles): Im S_n = B_n (Im S_{n-1} (x) V), with B_n
+applied by braiding two tensor slots at a time.  The braiding preserves
+the G-degree of a tensor word, so each image is ranked one G-degree block
+at a time.  The dense sum over Sym(n) (`quantum_symmetrizer`) is kept as
+the test oracle.  Ranks are computed mod p; `nichols_dims_multiprime`
+reports the maximum over several valid primes and flags disagreement.
 """
 
 from __future__ import annotations
@@ -225,10 +233,30 @@ def quantum_symmetrizer(c: Braiding, n: int,
     return s
 
 
+def _braid_slots(c: Braiding, x: np.ndarray, j: int) -> np.ndarray:
+    """c applied to tensor slots j, j+1 of every column of x (d^n rows): one
+    product of c.matrix with x viewed as (d^j, d^2, rest), no kron'd operator.
+    The caller checks once that int64 sums of d^2 products stay exact."""
+    y = c.matrix @ x.reshape(c.dim ** j, c.dim * c.dim, -1)
+    y %= c.p
+    return y.reshape(x.shape)
+
+
+def _word_degrees(g: Group, prev: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """G-degree of each word w.a (index w*d + a), the product deg(w) deg(a)."""
+    hs, where = np.unique(prev, return_inverse=True)
+    table = np.array([[g.mul(int(h), int(a)) for a in letters] for h in hs],
+                     dtype=np.int64)
+    return table[where].reshape(-1)
+
+
 def nichols_dims(v: YDModule, max_deg: int,
                  space_cap: int = DEFAULT_SPACE_CAP,
                  dim_cap: int = DEFAULT_DIM_CAP) -> list[int]:
-    """Graded dimensions of the Nichols algebra of v up to degree max_deg."""
+    """Graded dimensions of the Nichols algebra of v up to degree max_deg.
+
+    Im S_n is kept as one basis per G-degree h, stored on the rows of the
+    degree-h tensor words only; see the module docstring."""
     if max_deg < 0:
         raise InputError("max_deg must be non-negative")
     if v.dim > dim_cap:
@@ -240,12 +268,47 @@ def nichols_dims(v: YDModule, max_deg: int,
     if v.dim == 0:
         return dims + [0] * (max_deg - 1)
     c = braiding(v)
+    d, p = v.dim, v.p
+    linalg._check_mul(d * d, p)
+    letters = np.asarray(v.grading, dtype=np.int64)
+    word_deg = letters
+    # Im S_1 = V: (G-degree, its rows, basis as rows over those rows)
+    blocks = []
+    for h in np.unique(letters):
+        rows = np.flatnonzero(letters == h)
+        blocks.append((int(h), rows, linalg.identity(len(rows))))
     for n in range(2, max_deg + 1):
-        if v.dim ** n > space_cap:
+        if d ** n > space_cap:
             raise BudgetError(
-                f"dim^{n} = {v.dim ** n} exceeds space cap {space_cap}")
-        s = quantum_symmetrizer(c, n)
-        dims.append(linalg.rank(s, v.p))
+                f"dim^{n} = {d ** n} exceeds space cap {space_cap}")
+        if not blocks:
+            dims.append(0)
+            continue
+        word_deg = _word_degrees(v.group, word_deg, letters)
+        # Im S_{n-1} (x) V on the d^n words, each column tagged by G-degree
+        width = sum(len(basis) for _, _, basis in blocks) * d
+        x = np.zeros((d ** n, width), dtype=np.int64)
+        col_deg = np.empty(width, dtype=np.int64)
+        at = 0
+        for h, rows, basis in blocks:
+            k = len(basis)
+            for a in range(d):
+                x[rows * d + a, at:at + k] = basis.T
+                col_deg[at:at + k] = v.group.mul(h, int(letters[a]))
+                at += k
+        # B_n x = sum_j c_j ... c_{n-2} x, by braiding slots n-2, ..., 0
+        image, y = x, x
+        for j in range(n - 2, -1, -1):
+            y = _braid_slots(c, y, j)
+            image += y
+            image %= p
+        blocks = []
+        for h in np.unique(col_deg):
+            rows = np.flatnonzero(word_deg == h)
+            basis = linalg.row_space(image[np.ix_(rows, col_deg == h)].T, p)
+            if len(basis):
+                blocks.append((int(h), rows, basis))
+        dims.append(sum(len(basis) for _, _, basis in blocks))
     return dims
 
 

@@ -226,3 +226,46 @@ def test_explicit_exhaustive_flag(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"][0]["report"]["mode"] == "exhaustive"
+
+
+def test_budget_error_exit_code(capsys):
+    # the 12-dimensional module exceeds the default Nichols dimension cap
+    for verb in ("hopf-dims", "nichols-dims"):
+        code, out, err = run_cli(capsys, verb, "--group", "S4",
+                                 "--ram", "(0 1):2", "--max-degree", "3",
+                                 "--type-index", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_nprimes_must_be_positive(capsys, monkeypatch):
+    base = ("nichols-dims", "--group", "C2", "--ram", "(0 1):1",
+            "--max-degree", "2")
+    code, out, err = run_cli(capsys, *base, "--nprimes", "0")
+    assert code == 2 and out == "" and "--nprimes" in err
+    monkeypatch.setenv("NPRIMES", "0")
+    code, out, err = run_cli(capsys, *base)
+    assert code == 2 and out == "" and "NPRIMES" in err
+
+
+def test_samples_must_be_positive(capsys):
+    for argv in (("hopf-verify", "--group", "S3", "--ram", "e:1",
+                  "--max-degree", "1"),
+                 ("bimodule-verify", "--group", "S3", "--ram", "e:1"),
+                 ("selftest", "--group", "C2")):
+        code, out, err = run_cli(capsys, *argv, "--samples", "0")
+        assert code == 2 and out == "" and "--samples" in err
+
+
+def test_rsr_iso_rejects_non_object_files(capsys, tmp_path):
+    g = parse_group("S3")
+    a = make_rsr(g, parse_ramification(g, "e:2"), None, {0: (0, 1)})
+    good, bad = tmp_path / "a.json", tmp_path / "list.json"
+    good.write_text(json.dumps(a.to_json()))
+    bad.write_text(json.dumps([a.to_json()]))
+    for pair in ((bad, good), (good, bad)):
+        code, out, err = run_cli(capsys, "rsr-iso", *map(str, pair))
+        assert code == 2 and out == "" and "JSON object" in err
+    bad.write_text("{}")            # an object without a group
+    code, out, err = run_cli(capsys, "rsr-iso", str(good), str(bad))
+    assert code == 2 and out == "" and err.startswith("error: ")

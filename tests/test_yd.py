@@ -8,12 +8,15 @@ from quiverhopf import (
     YDModule,
     braiding,
     build_bimodule,
+    choose_prime,
     coinvariant_yd,
+    enumerate_types,
     make_rsr,
     nichols_dims,
     nichols_dims_multiprime,
     parse_group,
     parse_ramification,
+    rsr_from_type,
     verify_yd,
     yd_from_rsr,
 )
@@ -276,3 +279,52 @@ def test_trivially_braided_module_gives_symmetric_algebra(s4):
     assert all(d == 0 for d in v.grading)
     dims = nichols_dims(v, 4)
     assert dims == [comb(n + 1, 1) for n in range(5)]
+
+
+def _types(spec, ram):
+    g = parse_group(spec)
+    field = choose_prime(g)
+    r = parse_ramification(g, ram)
+    return [(t, yd_from_rsr(rsr_from_type(g, r, t, field)))
+            for t in enumerate_types(g, r, field)]
+
+
+def dense_dims(v, max_deg):
+    """Ranks of the dense sum over Sym(n), lifted along insertion words."""
+    c = braiding(v)
+    return [1, v.dim] + [linalg.rank(quantum_symmetrizer(c, n, insertion_word),
+                                     v.p)
+                         for n in range(2, max_deg + 1)]
+
+
+@pytest.mark.parametrize("spec,ram,max_deg,ntypes", [
+    ("S3", "(0 1):1", 4, 2),
+    ("S3", "(0 1 2):1", 4, 3),
+    ("S3", "e:2", 4, 4),
+    ("S4", "(0 1):1", 3, 4),
+    ("S4", "(0 1)(2 3):2", 3, 11),
+])
+def test_recursion_matches_dense_symmetrizer(spec, ram, max_deg, ntypes):
+    types = _types(spec, ram)
+    assert len(types) == ntypes
+    for _, v in types:
+        assert nichols_dims(v, max_deg) == dense_dims(v, max_deg)
+
+
+def test_recursion_on_non_monomial_braiding():
+    # the type built on the 2-dimensional irrep of the centralizer D4
+    t, v = _types("S4", "(0 1)(2 3):2")[10]
+    assert [e["multiplicities"] for e in t.to_json()] == [[0, 0, 0, 0, 1]]
+    c = braiding(v)
+    assert (np.count_nonzero(c.matrix, axis=0) > 1).any()
+    assert nichols_dims(v, 3) == dense_dims(v, 3) == [1, 6, 21, 60]
+
+
+@pytest.mark.parametrize("index", [1, 3])
+def test_fomin_kirillov_through_degree_5(index):
+    _, v = _types("S4", "(0 1):1")[index]
+    assert nichols_dims(v, 5) == [1, 6, 19, 42, 71, 96]
+
+
+def test_s3_transposition_to_degree_9(sgn_module):
+    assert nichols_dims(sgn_module, 9) == [1, 3, 4, 3, 1, 0, 0, 0, 0, 0]
