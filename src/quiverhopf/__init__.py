@@ -23,7 +23,6 @@ from .groups import (
     inner_only,
     parse_group,
 )
-from .linalg import backend_name
 from .modrep import (
     CharTable,
     ElementMap,

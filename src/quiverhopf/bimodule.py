@@ -10,14 +10,15 @@ factorization to cover every (g, arrow, h) triple exactly.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from . import linalg
-from .groups import Group, InputError, class_of
+from .groups import InputError, class_of, coset_transversal
 from .quiver import ArrowId, HopfQuiver
 from .rsr import RSR
 
@@ -60,16 +61,18 @@ class Report:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-def _transversal_for(g: Group, u: int) -> tuple[list[int], dict[int, int]]:
-    """Right-coset transversal of Z_u scanning canonical order; g_0 = identity."""
-    transversal: list[int] = []
-    theta_of: dict[int, int] = {}
-    for h in range(g.order):
-        c = g.conj(u, h)
-        if c not in theta_of:
-            theta_of[c] = len(transversal)
-            transversal.append(h)
-    return transversal, theta_of
+def check(report: Report, name: str, cases: Iterable, test: Callable[..., bool],
+          witness: Callable[..., str] = str, weight: int = 1) -> None:
+    """Add check `name` to report: test(case) for each case, stopping at the
+    first failure.  The count is weight times the cases tried; the witness
+    string is formatted for the failing case only."""
+    checked = 0
+    for case in cases:
+        checked += weight
+        if not test(case):
+            report.add(name, False, checked, witness(case))
+            return
+    report.add(name, True, checked)
 
 
 class HopfBimodule:
@@ -95,20 +98,19 @@ class HopfBimodule:
 
         for cls in rsr.ram.support:
             u = rsr.u[cls]
-            default_t, theta_of = _transversal_for(g, u)
+            z = rsr.centralizer(cls)
+            default_t, theta_of = coset_transversal(g, u)
             t = default_t
             if transversals and cls in transversals:
                 t = [int(x) for x in transversals[cls]]
                 if len(t) != len(default_t):
                     raise InputError("transversal has wrong length")
-                z_elems = set(rsr.centralizer(cls).elements)
                 for theta, (h1, h2) in enumerate(zip(default_t, t)):
-                    if g.elements[g.mul(h2, g.inv(h1))] not in z_elems:
+                    if g.mul(h2, g.inv(h1)) not in z.local:
                         raise InputError(
                             f"coset mismatch at theta={theta} for class {cls}")
             self.transversal[cls] = t
             self.theta_of[cls] = theta_of
-            z = rsr.centralizer(cls)
             nt = len(t)
             zl = np.empty((nt, g.order), dtype=np.int64)
             tp = np.empty((nt, g.order), dtype=np.int64)
@@ -117,7 +119,7 @@ class HopfBimodule:
                     w = g.mul(t[theta], h)
                     theta_p = theta_of[g.conj(u, w)]
                     zeta = g.mul(w, g.inv(t[theta_p]))
-                    zl[theta, h] = z.find(g.element(zeta))
+                    zl[theta, h] = z.local[zeta]
                     tp[theta, h] = theta_p
             self.zl[cls] = zl
             self.tp[cls] = tp
@@ -192,10 +194,6 @@ def build_bimodule(rsr: RSR,
     return HopfBimodule(rsr, transversals)
 
 
-def _elt(g: Group, i: int) -> str:
-    return g.element_name(i)
-
-
 def verify_bimodule(m: HopfBimodule, exhaustive: Optional[bool] = None,
                     samples: int = 100_000, seed: int = 0) -> Report:
     """Check the Hopf-bimodule axioms.
@@ -205,163 +203,135 @@ def verify_bimodule(m: HopfBimodule, exhaustive: Optional[bool] = None,
     them pointwise through the public maps.
     """
     g = m.group
+    name = g.element_name
     n = g.order
     narrows = len(m.arrows)
     if exhaustive is None:
         exhaustive = n * narrows <= EXHAUSTIVE_TRIPLE_CAP
     report = Report(mode="exhaustive" if exhaustive else f"sampled({samples})")
     p = m.p
+    support = m.rsr.ram.support
 
     if exhaustive:
-        # unit: identity acts trivially on both sides
-        ok = True
-        witness = None
-        for cls in m.rsr.ram.support:
-            if not (m.zl[cls][:, 0] == 0).all() or \
-               not (m.tp[cls][:, 0] == np.arange(m.zl[cls].shape[0])).all():
-                ok, witness = False, f"class {cls}: zeta(.,e) not trivial"
-                break
-        if ok and narrows and not (m.left_perm(0) == np.arange(narrows)).all():
-            ok, witness = False, "identity left action is not trivial"
-        report.add("unit", ok, narrows * 2 + 1, witness)
+        # unit: the zeta tables are trivial at h = e, and e fixes every arrow
+        # on both sides
+        def unit(case) -> bool:
+            side, a = case
+            if side == "left":
+                return m.left_action(0, a) == a
+            if side == "right":
+                return m.right_action(a, 0) == [(a, 1)]
+            return all((m.zl[cls][:, 0] == 0).all() and
+                       (m.tp[cls][:, 0] == np.arange(len(m.transversal[cls]))).all()
+                       for cls in support)
+
+        check(report, "unit", itertools.chain(
+            [("tables", None)], (("left", a) for a in m.arrows),
+            (("right", a) for a in m.arrows)), unit,
+            lambda case: "zeta(., e) is not trivial" if case[0] == "tables"
+            else f"identity moves arrow {case[1]} on the {case[0]}")
 
         # left associativity: P_{gh} = P_g . P_h on all arrows
-        ok, witness, count = True, None, 0
-        for a in range(n):
-            pa = m.left_perm(a)
-            for b in range(n):
-                count += narrows
-                if not (m.left_perm(g.mul(a, b)) == pa[m.left_perm(b)]).all():
-                    ok, witness = False, f"(g,h)=({_elt(g,a)},{_elt(g,b)})"
-                    break
-            if not ok:
-                break
-        report.add("left-associativity", ok, count, witness)
+        check(report, "left-associativity", itertools.product(range(n), repeat=2),
+              lambda ab: (m.left_perm(g.mul(*ab)) ==
+                          m.left_perm(ab[0])[m.left_perm(ab[1])]).all(),
+              lambda ab: f"(g,h)=({name(ab[0])},{name(ab[1])})", weight=narrows)
 
         # right associativity: zeta cocycle at block level, all (theta, g, h)
-        ok, witness, count = True, None, 0
-        for cls in m.rsr.ram.support:
+        def right_assoc(case) -> bool:
+            cls, slot, theta, a, b = case
             zl, tp = m.zl[cls], m.tp[cls]
-            nslots = len(m.rsr.irreps[cls])
-            for theta in range(zl.shape[0]):
-                for a in range(n):
-                    tpa = int(tp[theta, a])
-                    for b in range(n):
-                        ab = g.mul(a, b)
-                        if tp[theta, ab] != tp[tpa, b]:
-                            ok, witness = False, f"theta'={theta} class {cls}"
-                            break
-                        for slot in range(nslots):
-                            blocks = m.blocks[(cls, slot)]
-                            lhs = blocks[int(zl[theta, ab])]
-                            rhs = linalg.matmul(blocks[int(zl[theta, a])],
-                                                blocks[int(zl[tpa, b])], p)
-                            count += 1
-                            if not (lhs == rhs).all():
-                                ok, witness = False, \
-                                    f"class {cls} slot {slot} theta {theta} " \
-                                    f"g={_elt(g,a)} h={_elt(g,b)}"
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("right-associativity", ok, count, witness)
+            blocks = m.blocks[(cls, slot)]
+            ab, tpa = g.mul(a, b), int(tp[theta, a])
+            return tp[theta, ab] == tp[tpa, b] and (
+                blocks[int(zl[theta, ab])] ==
+                linalg.matmul(blocks[int(zl[theta, a])], blocks[int(zl[tpa, b])], p)).all()
+
+        check(report, "right-associativity",
+              ((cls, slot, theta, a, b) for cls in support
+               for theta in range(len(m.transversal[cls]))
+               for a in range(n) for b in range(n)
+               for slot in range(len(m.rsr.irreps[cls]))), right_assoc,
+              lambda case: f"class {case[0]} slot {case[1]} theta {case[2]} "
+                           f"g={name(case[3])} h={name(case[4])}")
 
         # bimodule commutation and coaction grading: index arithmetic on all
         # (g, arrow, h); coefficients agree because theta(x^-1 y) is invariant
         # under the left shift
-        ok, witness, count = True, None, 0
-        for i, a in enumerate(m.arrows):
-            c = g.mul(g.inv(a.x), a.y)
-            if class_of(g, c) != a.cls or c not in m.theta_of[a.cls]:
-                ok, witness = False, f"arrow {i} has inconsistent class data"
-                break
-            count += 1
-        if ok:
-            for h in range(n):
-                for cls in m.rsr.ram.support:
-                    theta_of = m.theta_of[cls]
-                    tp = m.tp[cls]
-                    u = m.rsr.u[cls]
-                    t = m.transversal[cls]
-                    for c, theta in theta_of.items():
-                        count += 1
-                        # destination class element of a . h is h^-1 c h
-                        if theta_of[g.conj(c, h)] != int(tp[theta, h]):
-                            ok, witness = False, f"class {cls} h={_elt(g,h)}"
-                            break
-                        # defining relation g_theta h = zeta g_theta'
-                        zloc = int(m.zl[cls][theta, h])
-                        zeta = g.find(m.rsr.centralizer(cls).element(zloc))
-                        if g.mul(t[theta], h) != g.mul(zeta, t[int(tp[theta, h])]):
-                            ok, witness = False, \
-                                f"factorization fails: class {cls} theta {theta}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        report.add("commutation-and-coaction", ok, count, witness)
+        def commutes(case) -> bool:
+            if isinstance(case, ArrowId):
+                c = g.mul(g.inv(case.x), case.y)
+                return class_of(g, c) == case.cls and c in m.theta_of[case.cls]
+            h, cls, c, theta = case
+            tp, t = m.tp[cls], m.transversal[cls]
+            zeta = m.rsr.centralizer(cls).embed[int(m.zl[cls][theta, h])]
+            # destination class element of a . h is h^-1 c h, and the
+            # defining relation g_theta h = zeta g_theta' holds
+            return (m.theta_of[cls][g.conj(c, h)] == tp[theta, h] and
+                    g.mul(t[theta], h) == g.mul(zeta, t[int(tp[theta, h])]))
+
+        check(report, "commutation-and-coaction", itertools.chain(
+            m.arrows, ((h, cls, c, theta) for h in range(n) for cls in support
+                       for c, theta in m.theta_of[cls].items())), commutes,
+            lambda case: f"arrow {case} has inconsistent class data"
+            if isinstance(case, ArrowId) else
+            f"class {case[1]} theta {case[3]} h={name(case[0])}")
 
         # right action by h then h^-1 is the identity
-        ok, witness, count = True, None, 0
-        for cls in m.rsr.ram.support:
+        def invertible(case) -> bool:
+            cls, slot, theta, h = case
             zl, tp = m.zl[cls], m.tp[cls]
-            for slot in range(len(m.rsr.irreps[cls])):
-                blocks = m.blocks[(cls, slot)]
-                d = blocks[0].shape[0]
-                eye = linalg.identity(d)
-                for theta in range(zl.shape[0]):
-                    for h in range(n):
-                        prod = linalg.matmul(blocks[int(zl[theta, h])],
-                                             blocks[int(zl[int(tp[theta, h]), g.inv(h)])], p)
-                        count += 1
-                        if not (prod == eye).all():
-                            ok, witness = False, \
-                                f"class {cls} slot {slot} theta {theta} h={_elt(g,h)}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("right-invertibility", ok, count, witness)
+            blocks = m.blocks[(cls, slot)]
+            prod = linalg.matmul(blocks[int(zl[theta, h])],
+                                 blocks[int(zl[int(tp[theta, h]), g.inv(h)])], p)
+            return (prod == linalg.identity(prod.shape[0])).all()
+
+        check(report, "right-invertibility",
+              ((cls, slot, theta, h) for cls in support
+               for slot in range(len(m.rsr.irreps[cls]))
+               for theta in range(len(m.transversal[cls])) for h in range(n)),
+              invertible,
+              lambda case: f"class {case[0]} slot {case[1]} theta {case[2]} "
+                           f"h={name(case[3])}")
         return report
 
-    # sampled mode: seeded triples checked through the public maps
-    rng = random.Random(f"bimodule:{seed}")
-    ok_assoc = ok_comm = ok_coact = ok_inv = True
-    wit: dict[str, Optional[str]] = {k: None for k in
-                                     ("assoc", "comm", "coact", "inv")}
-    for _ in range(samples):
-        a = m.arrows[rng.randrange(narrows)]
-        gg = rng.randrange(n)
-        h = rng.randrange(n)
-        h2 = rng.randrange(n)
-        lhs = _apply_right(m, [( m.left_action(gg, a), 1)], h)
+    # sampled mode: seeded triples checked through the public maps; every
+    # check replays the same draws
+    def draws():
+        rng = random.Random(f"bimodule:{seed}")
+        for _ in range(samples):
+            yield (m.arrows[rng.randrange(narrows)], rng.randrange(n),
+                   rng.randrange(n), rng.randrange(n))
+
+    def commutes_sampled(case) -> bool:
+        a, gg, h, _ = case
+        lhs = _apply_right(m, [(m.left_action(gg, a), 1)], h)
         rhs = [(m.left_action(gg, b), c) for b, c in m.right_action(a, h)]
-        if ok_comm and _normalize(lhs, p) != _normalize(rhs, p):
-            ok_comm, wit["comm"] = False, f"g={_elt(g,gg)} arrow={a} h={_elt(g,h)}"
+        return _normalize(lhs, p) == _normalize(rhs, p)
+
+    def assoc_sampled(case) -> bool:
+        a, _, h, h2 = case
         two = _apply_right(m, m.right_action(a, h), h2)
-        one = m.right_action(a, g.mul(h, h2))
-        if ok_assoc and _normalize(two, p) != _normalize(one, p):
-            ok_assoc, wit["assoc"] = False, f"arrow={a} h={_elt(g,h)} h'={_elt(g,h2)}"
+        return _normalize(two, p) == _normalize(m.right_action(a, g.mul(h, h2)), p)
+
+    def invertible_sampled(case) -> bool:
+        a, _, h, _ = case
         back = _apply_right(m, m.right_action(a, h), g.inv(h))
-        if ok_inv and _normalize(back, p) != _normalize([(a, 1)], p):
-            ok_inv, wit["inv"] = False, f"arrow={a} h={_elt(g,h)}"
-        for b, _ in m.right_action(a, h):
-            if b.x != g.mul(a.x, h) or b.y != g.mul(a.y, h):
-                ok_coact, wit["coact"] = False, f"arrow={a} h={_elt(g,h)}"
-    report.add("left-right-commutation", ok_comm, samples, wit["comm"])
-    report.add("right-associativity", ok_assoc, samples, wit["assoc"])
-    report.add("right-invertibility", ok_inv, samples, wit["inv"])
-    report.add("coaction-grading", ok_coact, samples, wit["coact"])
+        return _normalize(back, p) == _normalize([(a, 1)], p)
+
+    def graded_sampled(case) -> bool:
+        a, _, h, _ = case
+        return all(b.x == g.mul(a.x, h) and b.y == g.mul(a.y, h)
+                   for b, _ in m.right_action(a, h))
+
+    check(report, "left-right-commutation", draws(), commutes_sampled,
+          lambda case: f"g={name(case[1])} arrow={case[0]} h={name(case[2])}")
+    check(report, "right-associativity", draws(), assoc_sampled,
+          lambda case: f"arrow={case[0]} h={name(case[2])} h'={name(case[3])}")
+    check(report, "right-invertibility", draws(), invertible_sampled,
+          lambda case: f"arrow={case[0]} h={name(case[2])}")
+    check(report, "coaction-grading", draws(), graded_sampled,
+          lambda case: f"arrow={case[0]} h={name(case[2])}")
     return report
 
 
@@ -412,37 +382,32 @@ class BimoduleMap:
         report = Report(mode="exhaustive" if exhaustive else f"sampled({samples})")
         report.add("bijective", self.is_bijective(), 1)
 
-        ok_coact, count = True, 0
-        for i, a in enumerate(m1.arrows):
-            for bidx in np.nonzero(self.matrix[i])[0]:
-                b = m2.arrows[bidx]
-                count += 1
-                if (b.x, b.y) != (a.x, a.y):
-                    ok_coact = False
-        report.add("coaction-intertwining", ok_coact, count)
+        check(report, "coaction-intertwining",
+              ((a, m2.arrows[bidx]) for i, a in enumerate(m1.arrows)
+               for bidx in np.nonzero(self.matrix[i])[0]),
+              lambda ab: (ab[1].x, ab[1].y) == (ab[0].x, ab[0].y),
+              lambda ab: f"{ab[0]} maps to {ab[1]}")
 
         if exhaustive:
-            pairs = [(gg, h) for gg in range(g.order) for h in range(g.order)]
-            arrows = list(m1.arrows)
+            cases = ((gg, h, a) for gg in range(g.order) for h in range(g.order)
+                     for a in m1.arrows)
         else:
             rng = random.Random(f"bimodmap:{seed}")
             pairs = [(rng.randrange(g.order), rng.randrange(g.order))
                      for _ in range(samples)]
-            arrows = [m1.arrows[rng.randrange(len(m1.arrows))] for _ in pairs]
-        ok, witness, count = True, None, 0
-        for k, (gg, h) in enumerate(pairs):
-            batch = arrows if exhaustive else [arrows[k]]
-            for a in batch:
-                count += 1
-                lhs = self.apply(_apply_right(m1, [(m1.left_action(gg, a), 1)], h))
-                fa = self.apply([(a, 1)])
-                rhs = _apply_right(m2, [(m2.left_action(gg, b), c) for b, c in fa], h)
-                if _normalize(lhs, self.p) != _normalize(rhs, self.p):
-                    ok, witness = False, f"g={_elt(g,gg)} arrow={a} h={_elt(g,h)}"
-                    break
-            if not ok:
-                break
-        report.add("action-intertwining", ok, count, witness)
+            cases = [(gg, h, m1.arrows[rng.randrange(len(m1.arrows))])
+                     for gg, h in pairs]
+
+        def intertwines(case) -> bool:
+            gg, h, a = case
+            lhs = self.apply(_apply_right(m1, [(m1.left_action(gg, a), 1)], h))
+            fa = self.apply([(a, 1)])
+            rhs = _apply_right(m2, [(m2.left_action(gg, b), c) for b, c in fa], h)
+            return _normalize(lhs, self.p) == _normalize(rhs, self.p)
+
+        check(report, "action-intertwining", cases, intertwines,
+              lambda case: f"g={g.element_name(case[0])} arrow={case[2]} "
+                           f"h={g.element_name(case[1])}")
         return report
 
 
@@ -462,7 +427,7 @@ def transversal_iso(rsr: RSR, t1: dict[int, list[int]],
         gt = m1.transversal[a.cls][theta]
         ht = m2.transversal[a.cls][theta]
         z = rsr.centralizer(a.cls)
-        zelt = z.find(g.element(g.mul(gt, g.inv(ht))))
+        zelt = z.local[g.mul(gt, g.inv(ht))]
         block = m1.blocks[(a.cls, a.slot)][zelt]
         for s in range(block.shape[1]):
             if block[a.j, s]:

@@ -182,34 +182,30 @@ def cmd_rsr_iso(args) -> tuple[dict, int]:
     return payload, 0
 
 
-def cmd_bimodule_verify(args) -> tuple[dict, int]:
-    reports = []
+def _verify_each(args, verify) -> tuple[dict, int]:
+    """Run verify(rsr) -> {result key: Report} on every selected RSR."""
+    results = []
     ok = True
     field = None
     for rsr in _rsrs_for(args):
         field = rsr.field
-        m = build_bimodule(rsr)
-        rep = verify_bimodule(m, exhaustive=args.exhaustive,
-                              samples=args.samples, seed=args.seed)
-        ok = ok and rep.passed
-        reports.append({"rsr": rsr.to_json(), "report": rep.to_json()})
-    payload = {"passed": ok, "results": reports}
+        reports = verify(rsr)
+        ok = ok and all(r.passed for r in reports.values())
+        results.append({"rsr": rsr.to_json(),
+                        **{k: r.to_json() for k, r in reports.items()}})
+    payload = {"passed": ok, "results": results}
     payload.update(_meta(args, field))
     return payload, 0 if ok else 1
+
+
+def cmd_bimodule_verify(args) -> tuple[dict, int]:
+    return _verify_each(args, lambda rsr: {"report": verify_bimodule(
+        build_bimodule(rsr), exhaustive=args.exhaustive, samples=args.samples,
+        seed=args.seed)})
 
 
 def cmd_yd_verify(args) -> tuple[dict, int]:
-    reports = []
-    ok = True
-    field = None
-    for rsr in _rsrs_for(args):
-        field = rsr.field
-        rep = verify_yd(yd_from_rsr(rsr))
-        ok = ok and rep.passed
-        reports.append({"rsr": rsr.to_json(), "report": rep.to_json()})
-    payload = {"passed": ok, "results": reports}
-    payload.update(_meta(args, field))
-    return payload, 0 if ok else 1
+    return _verify_each(args, lambda rsr: {"report": verify_yd(yd_from_rsr(rsr))})
 
 
 def cmd_nichols_dims(args) -> tuple[dict, int]:
@@ -232,20 +228,11 @@ def cmd_nichols_dims(args) -> tuple[dict, int]:
 
 
 def cmd_hopf_verify(args) -> tuple[dict, int]:
-    reports = []
-    ok = True
-    field = None
-    for rsr in _rsrs_for(args):
-        field = rsr.field
+    def verify(rsr):
         h = tensor_hopf(rsr, args.max_degree)
-        rep = verify_hopf(h, seed=args.seed, samples=args.samples)
-        skew = skew_primitive_report(h)
-        ok = ok and rep.passed and skew.passed
-        reports.append({"rsr": rsr.to_json(), "report": rep.to_json(),
-                        "skew_primitivity": skew.to_json()})
-    payload = {"passed": ok, "results": reports}
-    payload.update(_meta(args, field))
-    return payload, 0 if ok else 1
+        return {"report": verify_hopf(h, seed=args.seed, samples=args.samples),
+                "skew_primitivity": skew_primitive_report(h)}
+    return _verify_each(args, verify)
 
 
 def cmd_hopf_dims(args) -> tuple[dict, int]:

@@ -150,8 +150,10 @@ class Group:
     """A fully enumerated permutation group.
 
     Elements are image tuples, sorted lexicographically; all arithmetic is
-    done on element indices.  Instances are immutable after construction and
-    safe to share across threads.
+    done on element indices.  The elements and the multiplication table are
+    fixed at construction.  Derived data (classes, the generating sequence,
+    automorphisms and the `caches` dict other modules fill) is computed on
+    first use and stored without locks, so a Group is not thread-safe.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -184,6 +186,10 @@ class Group:
         self._gen_words = None
         self._aut_cache: dict[int, tuple[list["Automorphism"], bool]] = {}
         self.caches: dict = {}
+        # set by centralizer_subgroup: the ambient index of each element, and
+        # its inverse (ambient index -> element index)
+        self.embed: Optional[tuple[int, ...]] = None
+        self.local: Optional[dict[int, int]] = None
 
     def _close(self, order_cap: int) -> set[tuple[int, ...]]:
         ident = tuple(range(self.degree))
@@ -241,12 +247,13 @@ class Group:
         # canonical cycle form, used to pick class representatives u0
         return _cycles_of(self.elements[a])
 
-    def generating_sequence(self) -> tuple[list[int], list[tuple[int, int]]]:
+    def generating_sequence(self) -> tuple[list[int], list[tuple[int, int]], list[int]]:
         """Greedy generating sequence plus expression words.
 
-        Returns (gens, expr) with expr[e] = (prev_element, gen_position) so
-        that e = prev * gens[pos]; expr[identity] = (-1, -1).  Used to extend
-        maps defined on generators to the whole group.
+        Returns (gens, expr, order) with expr[e] = (prev_element, gen_position)
+        so that e = prev * gens[pos]; expr[identity] = (-1, -1).  order lists
+        the non-identity elements as discovered, each after its prev.  Used to
+        extend maps defined on generators to the whole group.
         """
         if self._gen_words is not None:
             return self._gen_words
@@ -254,6 +261,7 @@ class Group:
         expr: list[Optional[tuple[int, int]]] = [None] * self.order
         expr[0] = (-1, -1)
         closure = {0}
+        order: list[int] = []
         for cand in range(1, self.order):
             if cand in closure:
                 continue
@@ -267,12 +275,13 @@ class Group:
                         if b not in closure:
                             closure.add(b)
                             expr[b] = (a, pos)
+                            order.append(b)
                             nxt.append(b)
                 frontier = nxt
             if len(closure) == self.order:
                 break
         assert len(closure) == self.order
-        self._gen_words = (gens, expr)  # type: ignore[assignment]
+        self._gen_words = (gens, expr, order)  # type: ignore[assignment]
         return self._gen_words  # type: ignore[return-value]
 
     def __repr__(self):
@@ -301,6 +310,21 @@ class ConjClassCtx:
         return len(self.elements)
 
 
+def coset_transversal(g: Group, u: int) -> tuple[list[int], dict[int, int]]:
+    """Right-coset transversal of Z_u scanning canonical order; g_0 = identity.
+
+    Returns (transversal, theta_of) with theta_of[g_theta^-1 u g_theta] = theta.
+    """
+    transversal: list[int] = []
+    theta_of: dict[int, int] = {}
+    for h in range(g.order):
+        c = g.conj(u, h)
+        if c not in theta_of:
+            theta_of[c] = len(transversal)
+            transversal.append(h)
+    return transversal, theta_of
+
+
 def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
     """Conjugacy classes in canonical order (by minimal member index)."""
     if g._classes is not None:
@@ -317,13 +341,7 @@ def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
         rep = min(members, key=g.cycle_key)
         centralizer = tuple(h for h in range(g.order)
                             if g.mul(h, rep) == g.mul(rep, h))
-        transversal: list[int] = []
-        theta_of: dict[int, int] = {}
-        for h in range(g.order):
-            c = g.conj(rep, h)
-            if c not in theta_of:
-                theta_of[c] = len(transversal)
-                transversal.append(h)
+        transversal, theta_of = coset_transversal(g, rep)
         assert transversal[0] == 0 and len(transversal) == len(members)
         classes.append(ConjClassCtx(idx, tuple(members), rep, centralizer,
                                     tuple(transversal), theta_of))
@@ -353,7 +371,11 @@ def coset_factor(g: Group, ctx: ConjClassCtx, theta: int, h: int) -> tuple[int, 
 
 
 def centralizer_subgroup(g: Group, ctx_or_elt) -> Group:
-    """The centralizer of a class representative (or explicit element) as a Group."""
+    """The centralizer of a class representative (or explicit element) as a Group.
+
+    Its element i is ambient element sub.embed[i], and sub.local inverts
+    embed: both orders are lexicographic, so embed is ascending.
+    """
     elt = ctx_or_elt.rep if isinstance(ctx_or_elt, ConjClassCtx) else ctx_or_elt
     key = ("centralizer", elt)
     if key in g.caches:
@@ -362,6 +384,8 @@ def centralizer_subgroup(g: Group, ctx_or_elt) -> Group:
     sub = Group(g.degree, [g.element(h) for h in members],
                 name=f"Z({g.element_name(elt)})", order_cap=g.order)
     assert sub.order == len(members)
+    sub.embed = tuple(members)
+    sub.local = {h: i for i, h in enumerate(members)}
     g.caches[key] = sub
     return sub
 
@@ -388,7 +412,7 @@ def automorphisms(g: Group, cap: int = DEFAULT_AUT_CAP) -> tuple[list[Automorphi
     if cap in g._aut_cache:
         auts, flag = g._aut_cache[cap]
         return list(auts), flag
-    gens, expr = g.generating_sequence()
+    gens, expr, order = g.generating_sequence()
     classes = conjugacy_classes(g)
     size_of = {c.class_index: c.size for c in classes}
     cands = []
@@ -403,10 +427,7 @@ def automorphisms(g: Group, cap: int = DEFAULT_AUT_CAP) -> tuple[list[Automorphi
         mapping = [-1] * g.order
         mapping[0] = 0
         # elements were discovered as prev*gen; fill in the same order
-        pending = sorted(range(g.order), key=lambda e: _expr_depth(expr, e))
-        for e in pending:
-            if e == 0:
-                continue
+        for e in order:
             prev, pos = expr[e]
             mapping[e] = g.mul(mapping[prev], images[pos])
         if sorted(mapping) != list(range(g.order)):
@@ -439,14 +460,6 @@ def automorphisms(g: Group, cap: int = DEFAULT_AUT_CAP) -> tuple[list[Automorphi
     flag = len(auts) == inner_count
     g._aut_cache[cap] = (auts, flag)
     return list(auts), flag
-
-
-def _expr_depth(expr, e):
-    d = 0
-    while e != 0:
-        e = expr[e][0]
-        d += 1
-    return d
 
 
 _SYM_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
@@ -561,5 +574,5 @@ def parse_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
 
 @lru_cache(maxsize=64)
 def cached_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
-    """parse_group with a process-level cache (groups are immutable)."""
+    """parse_group with a process-level cache (a group's elements never change)."""
     return parse_group(spec, order_cap)

@@ -1,37 +1,15 @@
-"""Dense exact linear algebra over a prime field F_p.
+"""Dense exact linear algebra over a prime field F_p, on numpy int64 arrays.
 
-The hot kernels (matmul, rank, reduced row echelon) are provided twice: a
-compiled extension (quiverhopf._modp, built from _modp.pyx) and a numpy
-fallback.  The backend is selected once at import; set QUIVERHOPF_PURE=1
-to force the fallback.  Both use the same pivoting rule, so all results
-are bit-identical.
-
-On dense random input numpy's blocked int64 matmul beats the scalar loop;
-the compiled kernel skips zero entries, so it wins on sparse operands;
-benchmarks/bench_modp.py shows both regimes.
-
-Matrices are numpy int64 arrays with entries reduced mod p.
+Matrices hold entries reduced mod p.  Products are numpy int64 matmuls,
+exact while (p-1)^2 times the inner dimension stays below 2^63 (checked).
+Rank and reduced row echelon form share one Gaussian elimination: the
+first nonzero entry at or below the current row is the pivot, and rank
+clears only the rows below it while rref clears every other row.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    if os.environ.get("QUIVERHOPF_PURE") == "1":
-        _modp = None
-    else:
-        from . import _modp  # type: ignore[attr-defined]
-except ImportError:
-    _modp = None
-
-BACKEND = "compiled" if _modp is not None else "numpy"
-
-
-def backend_name() -> str:
-    return BACKEND
 
 
 def asmod(a, p: int) -> np.ndarray:
@@ -49,12 +27,18 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     a = asmod(a, p)
     b = asmod(b, p)
     _check_mul(a.shape[1], p)
-    if _modp is not None:
-        return _modp.matmul_mod(a, b, p)
     return (a @ b) % p
 
 
-def _py_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def _eliminate(a: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
+    """Gaussian elimination on a copy of a; returns (matrix, pivot columns).
+
+    Each pivot row is scaled to 1 and its column cleared below the pivot,
+    or in every other row when full (giving the rref).  Whole rows are
+    updated: entries left of the pivot are zero in the pivot row, and
+    contiguous row operations beat column-sliced ones on the matrices the
+    package eliminates (up to |G| x |G| with a few dozen pivots).
+    """
     m = a.copy()
     rows, cols = m.shape
     pivots: list[int] = []
@@ -68,37 +52,18 @@ def _py_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         k = r + int(nz[0])
         if k != r:
             m[[r, k]] = m[[k, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m -= np.outer(col, m[r])
-        m %= p
+        row = m[r]
+        row *= pow(int(row[c]), p - 2, p)
+        row %= p
+        rest = m if full else m[r + 1:]
+        col = rest[:, c].copy()
+        if full:
+            col[r] = 0
+        rest -= np.outer(col, row)
+        rest %= p
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def _py_rank(a: np.ndarray, p: int) -> int:
-    m = a.copy()
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            m[[r, k]] = m[[k, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = (m[r, c:] * inv) % p
-        col = m[r + 1:, c].copy()
-        m[r + 1:, c:] -= np.outer(col, m[r, c:])
-        m[r + 1:, c:] %= p
-        r += 1
-    return r
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -106,19 +71,14 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a = asmod(a, p)
     if a.size == 0:
         return a.copy(), []
-    if _modp is not None:
-        m, piv = _modp.rref_mod(a, p)
-        return m, list(piv)
-    return _py_rref(a, p)
+    return _eliminate(a, p, full=True)
 
 
 def rank(a: np.ndarray, p: int) -> int:
     a = asmod(a, p)
     if a.size == 0:
         return 0
-    if _modp is not None:
-        return int(_modp.rank_mod(a, p))
-    return _py_rank(a, p)
+    return len(_eliminate(a, p, full=False)[1])
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:

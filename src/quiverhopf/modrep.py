@@ -346,7 +346,7 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
             basis = linalg.row_space(best[1], p)
 
     # matrices on generators by solving in the submodule basis, then words
-    gens, expr = g.generating_sequence()
+    gens, expr, order = g.generating_sequence()
     mats: list[Optional[np.ndarray]] = [None] * g.order
     mats[0] = linalg.identity(d)
     gen_mats = []
@@ -355,23 +355,13 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
         moved = np.zeros_like(basis)
         moved[:, perm] = basis
         gen_mats.append(linalg.solve(basis.T, moved.T, p))
-    for x in sorted(range(g.order), key=lambda e_: _depth(expr, e_)):
-        if x == 0:
-            continue
+    for x in order:
         prev, pos = expr[x]
         mats[x] = linalg.matmul(mats[prev], gen_mats[pos], p)
     rep = Irrep(g, p, char_index, mats)  # type: ignore[arg-type]
     assert rep.trace_vector() == tuple(row[cls_of[x]] for x in range(g.order)), \
         "trace of constructed representation does not match its character"
     return rep
-
-
-def _depth(expr, e):
-    d = 0
-    while e != 0:
-        e = expr[e][0]
-        d += 1
-    return d
 
 
 class ElementMap:
@@ -387,12 +377,10 @@ class ElementMap:
 
     @classmethod
     def conjugation(cls, ambient: Group, h: int, src: Group, dst: Group) -> "ElementMap":
-        """z -> h z h^-1 from src to dst (both subgroups of ambient)."""
-        table = []
+        """z -> h z h^-1 from src to dst, both centralizer subgroups of
+        ambient (see groups.centralizer_subgroup)."""
         hin = ambient.inv(h)
-        for z in range(src.order):
-            img = ambient.mul(ambient.mul(h, ambient.find(src.element(z))), hin)
-            table.append(dst.find(ambient.element(img)))
+        table = [dst.local[ambient.mul(ambient.mul(h, z), hin)] for z in src.embed]
         return cls(src, dst, table)
 
 

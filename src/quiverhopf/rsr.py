@@ -40,7 +40,12 @@ from .quiver import HopfQuiver, Ramification
 
 
 class RSR:
-    """A validated ramification system with irreducible representations."""
+    """A validated ramification system with irreducible representations.
+
+    Centralizers, their character tables, irreducible matrices and the
+    isomorphism-test signatures are computed on first use and cached on the
+    instance without locks.
+    """
 
     def __init__(self, group: Group, field: FieldPrime, ram: Ramification,
                  u: dict[int, int], irreps: dict[int, tuple[int, ...]],
@@ -54,6 +59,10 @@ class RSR:
         self._ztabs: dict[int, CharTable] = {}
         self._zsubs: dict[int, Group] = {}
         self._mats: dict[tuple[int, int], Irrep] = {}
+        # isomorphism-test signatures, filled by _own_multiset and
+        # _twisted_multiset
+        self._own_sig: dict[int, tuple] = {}
+        self._twist_sig: dict[tuple[int, int, int], tuple] = {}
 
     # -- per-class data ------------------------------------------------------
 
@@ -168,9 +177,9 @@ def twist_rsr(rsr: RSR, conjugators: dict[int, int]) -> RSR:
             row = table_old.rows[idx]
             values = []
             for c_new in conjugacy_classes(z_new):
-                w = g.find(z_new.element(c_new.rep))
+                w = z_new.embed[c_new.rep]
                 hw = g.mul(g.mul(h, w), hin)            # h w h^-1 in Z_u_old
-                values.append(row[cls_of_old[z_old.find(g.element(hw))]])
+                values.append(row[cls_of_old[z_old.local[hw]]])
             mapped.append(table_new.rows.index(tuple(values)))
         new_irreps[cls] = tuple(mapped)
     return RSR(g, rsr.field, rsr.ram, new_u, new_irreps, seed=rsr.seed)
@@ -215,7 +224,7 @@ def _char_value_tuple(rsr: RSR, cls: int, idx: int) -> tuple[int, ...]:
 
 
 def _own_multiset(a: RSR, cls: int) -> tuple:
-    cache = a.__dict__.setdefault("_own_sig", {})
+    cache = a._own_sig
     if cls not in cache:
         cache[cls] = tuple(sorted(_char_value_tuple(a, cls, idx)
                                   for idx in a.irreps[cls]))
@@ -233,7 +242,7 @@ def _twisted_multiset(b: RSR, phi_idx: int, phi, cls_a: int, cls_b: int,
     """
     g = b.group
     key = (phi_idx, cls_a, u_a)
-    cache = b.__dict__.setdefault("_twist_sig", {})
+    cache = b._twist_sig
     if key in cache:
         return cache[key]
     target = next(x for x in range(g.order) if phi.of(x) == b.u[cls_b])
@@ -245,10 +254,9 @@ def _twisted_multiset(b: RSR, phi_idx: int, phi, cls_a: int, cls_b: int,
     # phi_h(x) = phi(h^-1 x h) for each element of Z_{u_a}, as a class index
     # of Z_{u_b}
     pulled = []
-    for zi in range(z_a.order):
-        x = g.find(z_a.element(zi))
+    for x in z_a.embed:
         img = phi.of(g.mul(g.mul(hin, x), h))
-        pulled.append(class_of(z_b, z_b.find(g.element(img))))
+        pulled.append(class_of(z_b, z_b.local[img]))
     twisted = tuple(sorted(tuple(rows_b[idx][c] for c in pulled)
                            for idx in b.irreps[cls_b]))
     cache[key] = twisted

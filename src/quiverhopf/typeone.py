@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
-from .bimodule import HopfBimodule, Report, build_bimodule
+from .bimodule import HopfBimodule, Report, build_bimodule, check
 from .groups import InputError
 from .quiver import ArrowId
 from .rsr import RSR
@@ -82,7 +82,6 @@ class TruncatedHopf:
             self.basis_by_degree.append(level)
         self._prod_cache: dict[tuple[PathKey, PathKey], Element] = {}
         self._antipode_cache: dict[PathKey, Element] = {}
-        self._product_tweaks: dict[tuple[PathKey, PathKey], Element] = {}
 
     # -- elements -------------------------------------------------------------
 
@@ -122,10 +121,6 @@ class TruncatedHopf:
             for late, coeff in self._right(pk, path_target(qk)).items():
                 merged = shifted_q + late
                 out[merged] = (out.get(merged, 0) + coeff) % self.p
-            out = {k: v for k, v in out.items() if v}
-        if key in self._product_tweaks:
-            for k, dv in self._product_tweaks[key].items():
-                out[k] = (out.get(k, 0) + dv) % self.p
             out = {k: v for k, v in out.items() if v}
         self._prod_cache[key] = out
         return dict(out)
@@ -235,12 +230,6 @@ def tensor_hopf(rsr: RSR, max_deg: int) -> TruncatedHopf:
     return TruncatedHopf(rsr, max_deg)
 
 
-def _sample_keys(h: TruncatedHopf, rng: random.Random, max_total: int,
-                 count: int) -> list[PathKey]:
-    pool = [k for n in range(max_total + 1) for k in h.basis_by_degree[n]]
-    return [pool[rng.randrange(len(pool))] for _ in range(count)]
-
-
 def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
                 exhaustive: Optional[bool] = None) -> Report:
     """Check Hopf axioms on basis elements within the truncation degree.
@@ -280,87 +269,65 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
                         break
                 yield tuple(picks)
 
-    # associativity
-    ok, witness, count = True, None, 0
-    for k1, k2, k3 in tuples(3, h.max_deg):
-        count += 1
-        lhs = h.multiply(h.product_basis(k1, k2), {k3: 1})
-        rhs = h.multiply({k1: 1}, h.product_basis(k2, k3))
-        if lhs != rhs:
-            ok, witness = False, f"{(k1, k2, k3)}"
-            break
-    report.add("associativity", ok, count, witness)
+    def associative(t) -> bool:
+        k1, k2, k3 = t
+        return (h.multiply(h.product_basis(k1, k2), {k3: 1}) ==
+                h.multiply({k1: 1}, h.product_basis(k2, k3)))
 
-    # unit
-    ok, witness, count = True, None, 0
-    for k in all_keys:
-        count += 1
-        if h.product_basis(0, k) != {k: 1} or h.product_basis(k, 0) != {k: 1}:
-            ok, witness = False, f"{k}"
-            break
-    report.add("unit", ok, count, witness)
+    check(report, "associativity", tuples(3, h.max_deg), associative)
+    check(report, "unit", all_keys,
+          lambda k: h.product_basis(0, k) == {k: 1} == h.product_basis(k, 0))
 
-    # coassociativity and counit on basis paths
-    ok, witness, count = True, None, 0
-    ok2, witness2 = True, None
-    for k in all_keys:
-        count += 1
-        cop = h.coproduct(k)
+    # every tensor factor of a coproduct is itself a basis path
+    cop = {k: h.coproduct(k) for k in all_keys}
+
+    def coassociative(k) -> bool:
         lhs: dict = {}
         rhs: dict = {}
-        for (a, b), c in cop.items():
-            for (a1, a2), c2 in h.coproduct(a).items():
+        for (a, b), c in cop[k].items():
+            for (a1, a2), c2 in cop[a].items():
                 lhs[(a1, a2, b)] = (lhs.get((a1, a2, b), 0) + c * c2) % p
-            for (b1, b2), c2 in h.coproduct(b).items():
+            for (b1, b2), c2 in cop[b].items():
                 rhs[(a, b1, b2)] = (rhs.get((a, b1, b2), 0) + c * c2) % p
-        if {t: v for t, v in lhs.items() if v} != {t: v for t, v in rhs.items() if v}:
-            ok, witness = False, f"{k}"
-        left_counit: Element = {}
-        right_counit: Element = {}
-        for (a, b), c in cop.items():
-            if isinstance(a, int):
-                left_counit[b] = (left_counit.get(b, 0) + c) % p
-            if isinstance(b, int):
-                right_counit[a] = (right_counit.get(a, 0) + c) % p
-        left_counit = {t: v for t, v in left_counit.items() if v}
-        right_counit = {t: v for t, v in right_counit.items() if v}
-        if left_counit != {k: 1} or right_counit != {k: 1}:
-            ok2, witness2 = False, f"{k}"
-    report.add("coassociativity", ok, count, witness)
-    report.add("counit", ok2, count, witness2)
+        return {t: v for t, v in lhs.items() if v} == {t: v for t, v in rhs.items() if v}
 
-    # Delta is an algebra map
-    ok, witness, count = True, None, 0
-    for k1, k2 in tuples(2, h.max_deg):
-        count += 1
-        lhs = {}
+    def counital(k) -> bool:
+        left: Element = {}
+        right: Element = {}
+        for (a, b), c in cop[k].items():
+            if isinstance(a, int):
+                left[b] = (left.get(b, 0) + c) % p
+            if isinstance(b, int):
+                right[a] = (right.get(a, 0) + c) % p
+        return ({t: v for t, v in left.items() if v} == {k: 1} ==
+                {t: v for t, v in right.items() if v})
+
+    # coassociativity and counit on all basis paths
+    check(report, "coassociativity", all_keys, coassociative)
+    check(report, "counit", all_keys, counital)
+
+    def multiplicative(t) -> bool:
+        k1, k2 = t
+        lhs: dict = {}
         for k, c in h.product_basis(k1, k2).items():
-            for t, c2 in h.coproduct(k).items():
-                lhs[t] = (lhs.get(t, 0) + c * c2) % p
-        lhs = {t: v for t, v in lhs.items() if v}
-        rhs = h._tensor_mul(h.coproduct(k1), h.coproduct(k2))
-        if lhs != rhs:
-            ok, witness = False, f"{(k1, k2)}"
-            break
-    report.add("coproduct-algebra-map", ok, count, witness)
+            for pair, c2 in cop[k].items():
+                lhs[pair] = (lhs.get(pair, 0) + c * c2) % p
+        lhs = {pair: v for pair, v in lhs.items() if v}
+        return lhs == h._tensor_mul(cop[k1], cop[k2])
+
+    check(report, "coproduct-algebra-map", tuples(2, h.max_deg), multiplicative)
 
     # antipode convolution identity on degrees <= N-1
-    ok, witness, count = True, None, 0
-    for n in range(h.max_deg):
-        for k in h.basis_by_degree[n]:
-            count += 1
-            acc: Element = {}
-            for (a, b), c in h.coproduct(k).items():
-                for t, c2 in h.multiply(h.antipode(a), {b: 1}).items():
-                    acc[t] = (acc.get(t, 0) + c * c2) % p
-            acc = {t: v for t, v in acc.items() if v}
-            expected = {0: 1} if isinstance(k, int) else {}
-            if acc != expected:
-                ok, witness = False, f"{k}"
-                break
-        if not ok:
-            break
-    report.add("antipode", ok, count, witness)
+    def antipodal(k) -> bool:
+        acc: Element = {}
+        for (a, b), c in cop[k].items():
+            for t, c2 in h.multiply(h.antipode(a), {b: 1}).items():
+                acc[t] = (acc.get(t, 0) + c * c2) % p
+        acc = {t: v for t, v in acc.items() if v}
+        return acc == ({0: 1} if isinstance(k, int) else {})
+
+    check(report, "antipode",
+          (k for n in range(h.max_deg) for k in h.basis_by_degree[n]), antipodal)
     return report
 
 
@@ -368,17 +335,10 @@ def skew_primitive_report(h: TruncatedHopf) -> Report:
     """Arrows out of the identity vertex must satisfy
     Delta(a) = y (x) a + a (x) 1."""
     report = Report(mode="exhaustive")
-    ok, witness, count = True, None, 0
-    for key in h.basis_by_degree[1] if h.max_deg >= 1 else []:
-        a = key[0]
-        if a.x != 0:
-            continue
-        count += 1
-        expected = {(a.y, key): 1, (key, 0): 1}
-        if h.coproduct(key) != expected:
-            ok, witness = False, f"{key}"
-            break
-    report.add("skew-primitivity", ok, count, witness)
+    check(report, "skew-primitivity",
+          (key for key in (h.basis_by_degree[1] if h.max_deg >= 1 else [])
+           if key[0].x == 0),
+          lambda key: h.coproduct(key) == {(key[0].y, key): 1, (key, 0): 1})
     return report
 
 

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .bimodule import HopfBimodule, Report, build_bimodule
+from .bimodule import HopfBimodule, Report, build_bimodule, check
 from .groups import Group, InputError
 from .modrep import next_primes
 from .quiver import ArrowId
@@ -94,35 +94,17 @@ def verify_yd(v: YDModule) -> Report:
     ok = (v.action[0] == linalg.identity(v.dim)).all() if v.dim else True
     report.add("identity-acts-trivially", bool(ok), 1)
 
-    ok, witness, count = True, None, 0
-    for a in range(g.order):
-        ma = v.action[a]
-        for b in range(g.order):
-            count += 1
-            if not (v.action[g.mul(a, b)] ==
-                    linalg.matmul(ma, v.action[b], v.p)).all():
-                ok, witness = False, f"(g,h)=({g.element_name(a)},{g.element_name(b)})"
-                break
-        if not ok:
-            break
-    report.add("action-multiplicative", ok, count, witness)
+    check(report, "action-multiplicative", itertools.product(range(g.order), repeat=2),
+          lambda ab: (v.action[g.mul(*ab)] ==
+                      linalg.matmul(v.action[ab[0]], v.action[ab[1]], v.p)).all(),
+          lambda ab: f"(g,h)=({g.element_name(ab[0])},{g.element_name(ab[1])})")
 
-    ok, witness, count = True, None, 0
-    for h in range(g.order):
-        mat = v.action[h]
-        for jcol in range(v.dim):
-            expected = g.conj(v.grading[jcol], g.inv(h))   # h deg h^-1
-            for irow in np.nonzero(mat[:, jcol])[0]:
-                count += 1
-                if v.grading[int(irow)] != expected:
-                    ok, witness = False, \
-                        f"g={g.element_name(h)} basis={v.basis[jcol]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("grading-equivariance", ok, count, witness)
+    # deg(h |> b_j) = h deg(b_j) h^-1 for every nonzero entry of h's matrix
+    check(report, "grading-equivariance",
+          ((h, jcol, int(irow)) for h in range(g.order) for jcol in range(v.dim)
+           for irow in np.nonzero(v.action[h][:, jcol])[0]),
+          lambda c: v.grading[c[2]] == g.conj(v.grading[c[1]], g.inv(c[0])),
+          lambda c: f"g={g.element_name(c[0])} basis={v.basis[c[1]]}")
     return report
 
 

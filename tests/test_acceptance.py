@@ -39,7 +39,7 @@ from quiverhopf import (
     verify_yd,
     yd_from_rsr,
 )
-from quiverhopf.bimodule import _transversal_for
+from quiverhopf.groups import coset_transversal
 from quiverhopf.modrep import character_table, group_table, next_primes
 from quiverhopf.quiver import Ramification
 from quiverhopf.yd import (
@@ -205,7 +205,7 @@ def test_criterion_5_transversal_change():
         ram = parse_ramification(g, "(0 1):1")
         rsr = make_rsr(g, ram, None, {1: (1,)})
         rep = conjugacy_classes(g)[1].rep
-        t1 = {1: list(_transversal_for(g, rep)[0])}
+        t1 = {1: list(coset_transversal(g, rep)[0])}
         t2 = {1: list(t1[1])}
         z_nontrivial = [z for z in conjugacy_classes(g)[1].centralizer if z][0]
         t2[1][1] = g.mul(z_nontrivial, t2[1][1])

@@ -13,7 +13,8 @@ from quiverhopf import (
     transversal_iso,
     verify_bimodule,
 )
-from quiverhopf.bimodule import _transversal_for
+from quiverhopf.bimodule import Report, check
+from quiverhopf.groups import coset_transversal
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +120,7 @@ def test_transversal_iso_identity(s3):
     ram = parse_ramification(s3, "(0 1):1")
     rsr = make_rsr(s3, ram, None, {1: (1,)})
     ctx = conjugacy_classes(s3)[1]
-    t = {1: list(_transversal_for(s3, ctx.rep)[0])}
+    t = {1: list(coset_transversal(s3, ctx.rep)[0])}
     f = transversal_iso(rsr, t, t)
     assert (f.matrix == np.eye(f.matrix.shape[0], dtype=np.int64)).all()
     assert f.verify().passed
@@ -129,7 +130,7 @@ def test_transversal_iso_sign_diagonal(s3):
     ram = parse_ramification(s3, "(0 1):1")
     rsr = make_rsr(s3, ram, None, {1: (1,)})
     ctx = conjugacy_classes(s3)[1]
-    t1 = {1: list(_transversal_for(s3, ctx.rep)[0])}
+    t1 = {1: list(coset_transversal(s3, ctx.rep)[0])}
     t2 = {1: list(t1[1])}
     z_nontrivial = [z for z in ctx.centralizer if z != 0][0]
     t2[1][1] = s3.mul(z_nontrivial, t2[1][1])
@@ -155,7 +156,7 @@ def test_transversal_coset_mismatch(s3):
     ram = parse_ramification(s3, "(0 1):1")
     rsr = make_rsr(s3, ram, None, {1: (1,)})
     ctx = conjugacy_classes(s3)[1]
-    t1 = {1: list(_transversal_for(s3, ctx.rep)[0])}
+    t1 = {1: list(coset_transversal(s3, ctx.rep)[0])}
     bad = {1: [t1[1][1], t1[1][0], t1[1][2]]}    # reordered cosets
     with pytest.raises(InputError):
         transversal_iso(rsr, t1, bad)
@@ -182,7 +183,7 @@ def test_transversal_iso_with_noncanonical_u(s3):
     ram = parse_ramification(s3, "(0 1):1")
     u02 = s3.find(Permutation((2, 1, 0)))
     rsr = make_rsr(s3, ram, {1: u02}, {1: (1,)})
-    t1 = {1: list(_transversal_for(s3, u02)[0])}
+    t1 = {1: list(coset_transversal(s3, u02)[0])}
     t2 = {1: list(t1[1])}
     z = [h for h in range(s3.order)
          if s3.mul(h, u02) == s3.mul(u02, h) and h][0]
@@ -221,3 +222,21 @@ def test_product_group_pipeline():
     assert v.dim == 3
     assert verify_yd(v).passed
     assert nichols_dims(v, 3) == [1, 3, 4, 3]
+
+
+def test_check_records_first_failure_and_count():
+    formatted = []
+
+    def witness(x):
+        formatted.append(x)
+        return f"x={x}"
+
+    report = Report()
+    check(report, "first-failure", range(10), lambda x: x < 3, witness)
+    check(report, "weighted", range(4), lambda x: True, witness, weight=5)
+    check(report, "empty", [], lambda x: False, witness)
+    assert [c.to_json() for c in report.checks] == [
+        {"name": "first-failure", "ok": False, "checked": 4, "witness": "x=3"},
+        {"name": "weighted", "ok": True, "checked": 20},
+        {"name": "empty", "ok": True, "checked": 0}]
+    assert formatted == [3]

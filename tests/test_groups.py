@@ -238,6 +238,32 @@ def test_centralizer_subgroup(s3):
     assert centralizer_subgroup(s3, ctx) is z   # cached
 
 
+@pytest.mark.parametrize("spec", ["S4", "D4", "Q8"])
+def test_centralizer_embedding_maps(spec):
+    g = parse_group(spec)
+    for ctx in conjugacy_classes(g):
+        sub = centralizer_subgroup(g, ctx)
+        assert g.caches[("centralizer", ctx.rep)] is sub
+        assert sub.embed == ctx.centralizer
+        for i, h in enumerate(sub.embed):
+            assert sub.elements[i] == g.elements[h]
+            assert sub.local[h] == i
+        assert sorted(sub.local) == list(sub.embed)
+        for i in range(sub.order):
+            for j in range(sub.order):
+                assert sub.embed[sub.mul(i, j)] == g.mul(sub.embed[i], sub.embed[j])
+
+
+def test_generating_sequence_order_is_parent_first(s4):
+    gens, expr, order = s4.generating_sequence()
+    assert sorted(order) == list(range(1, s4.order))
+    seen = {0}
+    for e in order:
+        prev, pos = expr[e]
+        assert prev in seen and s4.mul(prev, gens[pos]) == e
+        seen.add(e)
+
+
 def test_exponent(s3, s4):
     assert s3.exponent == 6
     assert s4.exponent == 12

@@ -46,21 +46,27 @@ def test_rank_against_oracle(p):
         assert linalg.rank(a, p) == oracle_rank(a, p)
 
 
-def test_backends_agree():
-    if linalg.BACKEND != "compiled":
-        pytest.skip("compiled backend not built")
-    rng = random.Random(0)
-    p = 31
-    for _ in range(25):
-        rows, cols = rng.randrange(1, 15), rng.randrange(1, 15)
-        a = random_matrix(rng, rows, cols, p)
-        b = random_matrix(rng, cols, rng.randrange(1, 15), p)
-        assert linalg._modp.rank_mod(a, p) == linalg._py_rank(a, p)
-        m1, piv1 = linalg._modp.rref_mod(a, p)
-        m2, piv2 = linalg._py_rref(a, p)
-        assert list(piv1) == list(piv2)
-        assert (m1 == m2).all()
-        assert (linalg._modp.matmul_mod(a, b, p) == (a @ b) % p).all()
+def _shaped_cases(rng, p):
+    """Rank-deficient, wide, tall and leading-zero-column matrices."""
+    for _ in range(10):
+        rows, cols, k = rng.randrange(2, 9), rng.randrange(2, 9), rng.randrange(1, 4)
+        low = random_matrix(rng, rows, k, p) @ random_matrix(rng, k, cols, p) % p
+        yield low                                         # rank <= k
+        yield random_matrix(rng, rng.randrange(1, 4), rng.randrange(6, 12), p)
+        yield random_matrix(rng, rng.randrange(6, 12), rng.randrange(1, 4), p)
+        lead = random_matrix(rng, rows, cols, p)
+        lead[:, : rng.randrange(1, cols)] = 0
+        yield lead
+
+
+@pytest.mark.parametrize("p", [2, 13, 241])
+def test_rank_matches_rref_pivots(p):
+    rng = random.Random(100 + p)
+    for a in _shaped_cases(rng, p):
+        r, pivots = linalg.rref(a, p)
+        assert linalg.rank(a, p) == len(pivots) == oracle_rank(a, p)
+        assert (r[len(pivots):] == 0).all()
+        assert pivots == sorted(pivots)
 
 
 def test_rref_properties():

@@ -114,9 +114,10 @@ def test_mutated_product_fails_coproduct_map(s3):
     h = tensor_hopf(rsr, 2)
     k1 = h.basis_by_degree[1][0]
     k2 = h.basis_by_degree[1][3]
-    target = next(iter(h.product_basis(k1, k2)))
-    h._prod_cache.clear()
-    h._product_tweaks[(k1, k2)] = {target: 2}
+    mutated = h.product_basis(k1, k2)
+    target = next(iter(mutated))
+    mutated[target] = (mutated[target] + 2) % h.p
+    h._prod_cache[(k1, k2)] = {k: v for k, v in mutated.items() if v}
     report = verify_hopf(h, seed=4)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.ok}
