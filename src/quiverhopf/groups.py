@@ -25,8 +25,11 @@ DEFAULT_ORDER_CAP = 5040
 DEFAULT_AUT_CAP = 48
 
 # dense multiplication tables are kept up to this order; beyond it products
-# are recomputed from image tuples
+# are recomputed from image rows
 _TABLE_CAP = 2048
+# products composed from image rows are taken this many at a time, which
+# bounds the transient (chunk, degree) arrays
+_PRODUCT_CHUNK = 1 << 14
 
 
 def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -150,10 +153,17 @@ class Group:
     """A fully enumerated permutation group.
 
     Elements are image tuples, sorted lexicographically; all arithmetic is
-    done on element indices.  The elements and the multiplication table are
-    fixed at construction.  Derived data (classes, the generating sequence,
-    automorphisms and the `caches` dict other modules fill) is computed on
-    first use and stored without locks, so a Group is not thread-safe.
+    done on element indices.  `perms` holds the same elements as an
+    (order, degree) array of big-endian uint16 images (uint32 past degree
+    65536), so the bytes of each row compare like its tuple.  `products(a,
+    b)` multiplies whole broadcast index arrays: it reads the dense
+    multiplication table, kept up to order _TABLE_CAP (2048), and otherwise
+    composes image rows with a gather and finds each product's index with one
+    binary search over the rows' byte keys.  `mul` is the scalar form.  The
+    elements and the table are fixed at construction.  Derived data (classes,
+    the generating sequence, automorphisms and the `caches` dict other
+    modules fill) is computed on first use and stored without locks, so a
+    Group is not thread-safe.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -170,17 +180,24 @@ class Group:
         self.elements: tuple[tuple[int, ...], ...] = tuple(sorted(elements))
         self.index: dict[tuple[int, ...], int] = {e: i for i, e in enumerate(self.elements)}
         self.order = len(self.elements)
-        self._inv = tuple(self.index[_invert(e)] for e in self.elements)
+        width = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
+        self._key_dtype = np.dtype((np.void, width.itemsize * degree))
+        self.perms = np.array(self.elements, dtype=width).reshape(self.order, degree)
+        self._keys = self._key(self.perms)
+        inverse_images = np.empty_like(self.perms)
+        np.put_along_axis(inverse_images, self.perms,
+                          np.arange(degree, dtype=width)[None, :], axis=1)
+        self.inverses = self._lookup(inverse_images)
+        self._inv = tuple(self.inverses.tolist())
         self._orders = tuple(Permutation(e).order() for e in self.elements)
         self.exponent = math.lcm(*self._orders) if self._orders else 1
+        self._table: Optional[np.ndarray] = None
         if self.order <= _TABLE_CAP:
+            every = np.arange(self.order)
             tbl = np.empty((self.order, self.order), dtype=np.int32)
-            for i, a in enumerate(self.elements):
-                row = [self.index[_compose(a, b)] for b in self.elements]
-                tbl[i] = row
+            for a in range(self.order):
+                tbl[a] = self.products(a, every)
             self._table = tbl
-        else:
-            self._table = None
         self._classes: Optional[list[ConjClassCtx]] = None
         self._class_of: Optional[tuple[int, ...]] = None
         self._gen_words = None
@@ -212,6 +229,36 @@ class Group:
 
     # -- element arithmetic on indices -------------------------------------
 
+    def _key(self, rows: np.ndarray) -> np.ndarray:
+        # one void scalar per image row; bytewise order is tuple order
+        rows = np.ascontiguousarray(rows, dtype=self.perms.dtype)
+        return rows.view(self._key_dtype).reshape(rows.shape[:-1])
+
+    def _lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of each image row (every row must be an element)."""
+        return np.searchsorted(self._keys, self._key(rows))
+
+    def products(self, a, b) -> np.ndarray:
+        """Index array of a[i]*b[i] over the broadcast of two index arrays."""
+        if self._table is not None:
+            return self._table[a, b]
+        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+        shape = a.shape
+        a, b = a.reshape(-1), b.reshape(-1)
+        out = np.empty(a.size, dtype=np.intp)
+        # (a*b)(x) = b(a(x)): gather b's images at a's, in bounded chunks
+        for lo in range(0, a.size, _PRODUCT_CHUNK):
+            hi = lo + _PRODUCT_CHUNK
+            rows = np.take_along_axis(self.perms[b[lo:hi]], self.perms[a[lo:hi]],
+                                      axis=1)
+            out[lo:hi] = self._lookup(rows)
+        return out.reshape(shape)
+
+    def conjugates(self, a: int) -> np.ndarray:
+        """h^-1 * a * h for every h, in canonical order."""
+        every = np.arange(self.order)
+        return self.products(self.products(self.inverses, a), every)
+
     def mul(self, a: int, b: int) -> int:
         if self._table is not None:
             return int(self._table[a, b])
@@ -239,9 +286,16 @@ class Group:
         except KeyError:
             raise InputError(f"{p.cycle_string()} is not in the group") from None
 
+    def commutes_with(self, a: int) -> np.ndarray:
+        """Boolean mask of the elements h with h*a == a*h."""
+        every = np.arange(self.order)
+        return self.products(every, a) == self.products(a, every)
+
     def center(self) -> list[int]:
-        return [z for z in range(self.order)
-                if all(self.mul(z, h) == self.mul(h, z) for h in range(self.order))]
+        central = np.ones(self.order, dtype=bool)
+        for a in self.generating_sequence()[0]:
+            central &= self.commutes_with(a)
+        return np.flatnonzero(central).tolist()
 
     def cycle_key(self, a: int) -> tuple:
         # canonical cycle form, used to pick class representatives u0
@@ -315,13 +369,10 @@ def coset_transversal(g: Group, u: int) -> tuple[list[int], dict[int, int]]:
 
     Returns (transversal, theta_of) with theta_of[g_theta^-1 u g_theta] = theta.
     """
-    transversal: list[int] = []
-    theta_of: dict[int, int] = {}
-    for h in range(g.order):
-        c = g.conj(u, h)
-        if c not in theta_of:
-            theta_of[c] = len(transversal)
-            transversal.append(h)
+    conj, first = np.unique(g.conjugates(u), return_index=True)
+    by_first = np.argsort(first)
+    transversal = first[by_first].tolist()
+    theta_of = {c: theta for theta, c in enumerate(conj[by_first].tolist())}
     return transversal, theta_of
 
 
@@ -330,23 +381,21 @@ def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
     if g._classes is not None:
         return g._classes
     classes: list[ConjClassCtx] = []
-    class_of = [-1] * g.order
+    class_of = np.full(g.order, -1)
     for seed in range(g.order):
         if class_of[seed] != -1:
             continue
-        members = sorted({g.conj(seed, h) for h in range(g.order)})
         idx = len(classes)
-        for m in members:
-            class_of[m] = idx
+        class_of[g.conjugates(seed)] = idx
+        members = np.flatnonzero(class_of == idx).tolist()
         rep = min(members, key=g.cycle_key)
-        centralizer = tuple(h for h in range(g.order)
-                            if g.mul(h, rep) == g.mul(rep, h))
+        centralizer = tuple(np.flatnonzero(g.commutes_with(rep)).tolist())
         transversal, theta_of = coset_transversal(g, rep)
         assert transversal[0] == 0 and len(transversal) == len(members)
         classes.append(ConjClassCtx(idx, tuple(members), rep, centralizer,
                                     tuple(transversal), theta_of))
     g._classes = classes
-    g._class_of = tuple(class_of)
+    g._class_of = tuple(class_of.tolist())
     return classes
 
 
@@ -380,7 +429,7 @@ def centralizer_subgroup(g: Group, ctx_or_elt) -> Group:
     key = ("centralizer", elt)
     if key in g.caches:
         return g.caches[key]
-    members = [h for h in range(g.order) if g.mul(h, elt) == g.mul(elt, h)]
+    members = np.flatnonzero(g.commutes_with(elt)).tolist()
     sub = Group(g.degree, [g.element(h) for h in members],
                 name=f"Z({g.element_name(elt)})", order_cap=g.order)
     assert sub.order == len(members)
@@ -434,13 +483,12 @@ def automorphisms(g: Group, cap: int = DEFAULT_AUT_CAP) -> tuple[list[Automorphi
             return None
         return tuple(mapping)
 
+    every = np.arange(g.order)
+    table = g.products(every[:, None], every[None, :])
+
     def is_hom(mapping: tuple[int, ...]) -> bool:
-        for a in range(g.order):
-            ma = mapping[a]
-            for b in range(g.order):
-                if mapping[g.mul(a, b)] != g.mul(ma, mapping[b]):
-                    return False
-        return True
+        m = np.array(mapping)
+        return bool((m[table] == g.products(m[:, None], m[None, :])).all())
 
     def dfs(pos: int, images: list[int]):
         if pos == len(gens):

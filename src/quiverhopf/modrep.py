@@ -4,11 +4,16 @@ Character tables come from the Burnside-Dixon class-sum method: the class
 multiplication constants give commuting matrices over F_p whose common
 eigenvectors are the central characters; degrees are recovered from the
 orthogonality relation and rows sorted into a canonical order (degree,
-then value tuple lifted to {0..p-1}).
+then value tuple lifted to {0..p-1}).  Eigenvalues are found as the roots
+of minimal polynomials of Krylov sequences (one vectorized Horner pass
+over F_p each), so a nullspace is computed only at an actual eigenvalue,
+never for every element of F_p.
 
 Irreducible matrix representations are cut out of the regular module by
 the central idempotent of the character and split down to dimension d
-with seeded random module endomorphisms.
+with seeded random module endomorphisms.  The regular-module operators are
+scattered from the group's multiplication table, one row (one array
+write) per element, so each cell is written once.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ import numpy as np
 
 from . import linalg
 from .groups import Group, InputError, class_of, conjugacy_classes
+
+# the roots of a polynomial are searched this many elements of F_p at a time
+_ROOT_CHUNK = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
@@ -138,15 +146,74 @@ def _class_constants(g: Group) -> tuple[np.ndarray, list[int]]:
     classes = conjugacy_classes(g)
     k = len(classes)
     reps = [c.rep for c in classes]
+    cls = np.array([class_of(g, x) for x in range(g.order)])
+    # the class of x^-1 z_kk for every element x and class representative z_kk
+    j = cls[g.products(g.inverses[:, None], np.array(reps)[None, :])]
     a = np.zeros((k, k, k), dtype=np.int64)
-    for i, ci in enumerate(classes):
-        for x in ci.elements:
-            xinv = g.inv(x)
-            for kk, z in enumerate(reps):
-                j = class_of(g, g.mul(xinv, z))
-                a[i, j, kk] += 1
+    np.add.at(a, (cls[:, None], j, np.arange(k)[None, :]), 1)
     inv_class = [class_of(g, g.inv(r)) for r in reps]
     return a, inv_class
+
+
+def _krylov_poly(s: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients c of the minimal polynomial x^m - sum_i c[i] x^i of the
+    row vector u under u -> u @ s.
+
+    The Krylov vectors u s^j are reduced one at a time against the echelon
+    rows of those before, each row carrying its combination of the Krylov
+    vectors; the first that reduces to zero gives the relation, so only m
+    products with s are taken."""
+    n = s.shape[0]
+    echelon: list[tuple[int, np.ndarray, np.ndarray]] = []  # pivot, row, combination
+    v = linalg.asmod(u, p)
+    for j in range(n + 1):
+        w = v
+        c = np.zeros(n + 1, dtype=np.int64)
+        c[j] = 1
+        for pivot, row, comb in echelon:
+            f = int(w[pivot])
+            if f:
+                w = (w - f * row) % p
+                c = (c - f * comb) % p
+        nz = np.flatnonzero(w)
+        if nz.size == 0:
+            # u s^j = -sum_{i<j} c[i] u s^i
+            return (-c[:j]) % p
+        scale = pow(int(w[nz[0]]), p - 2, p)
+        echelon.append((int(nz[0]), w * scale % p, c * scale % p))
+        v = linalg.matmul(v[None, :], s, p)[0]
+    raise AssertionError("n + 1 vectors in F_p^n are dependent")
+
+
+def _poly_roots(coeffs: np.ndarray, p: int) -> list[int]:
+    """Roots in F_p, ascending, of x^m - sum_i coeffs[i] x^i, by one Horner
+    pass over every element of F_p (in bounded chunks)."""
+    roots = []
+    for lo in range(0, p, _ROOT_CHUNK):
+        x = np.arange(lo, min(lo + _ROOT_CHUNK, p), dtype=np.int64)
+        acc = np.ones_like(x)
+        for c in coeffs[::-1]:
+            acc = (acc * x - int(c)) % p
+        roots.extend(x[acc == 0].tolist())
+    return roots
+
+
+def _eigenspaces(r: np.ndarray, p: int) -> dict[int, np.ndarray]:
+    """Eigenvalue -> rows spanning its right eigenspace, over the F_p roots
+    of the minimal polynomials of e_0, e_1, ... under r, taken until the
+    eigenspaces fill F_p^d; their lcm is r's minimal polynomial, so fewer
+    than d dimensions means r does not split over F_p."""
+    d = r.shape[0]
+    spaces: dict[int, np.ndarray] = {}
+    found = 0
+    for unit in linalg.identity(d):
+        if found == d:
+            break
+        for lam in _poly_roots(_krylov_poly(r, unit, p), p):
+            if lam not in spaces:
+                spaces[lam] = linalg.nullspace((r - lam * linalg.identity(d)) % p, p)
+                found += spaces[lam].shape[0]
+    return spaces
 
 
 def character_table(g: Group, f: FieldPrime) -> CharTable:
@@ -176,16 +243,11 @@ def character_table(g: Group, f: FieldPrime) -> CharTable:
             mv = linalg.matmul(mi, v, p)
             r = linalg.solve(v, mv, p)          # restriction of M_i to the subspace
             d = v.shape[1]
-            found = 0
-            for lam in range(p):
-                if found == d:
-                    break
-                ker = linalg.nullspace((r - lam * linalg.identity(d)) % p, p)
-                if ker.shape[0] == 0:
-                    continue
-                new_spaces.append(linalg.matmul(v, ker.T, p))
-                found += ker.shape[0]
+            eigenspaces = _eigenspaces(r, p)
+            found = sum(ker.shape[0] for ker in eigenspaces.values())
             assert found == d, "class-sum matrix failed to split over F_p"
+            for lam in sorted(eigenspaces):
+                new_spaces.append(linalg.matmul(v, eigenspaces[lam].T, p))
         spaces = new_spaces
     if any(s.shape[1] != 1 for s in spaces):
         raise AssertionError("non-splitting prime: common eigenspaces not all 1-dim")
@@ -247,19 +309,14 @@ class Irrep:
         return tuple(int(np.trace(m) % self.p) for m in self.matrices)
 
 
-def _left_mult_perm(g: Group, h: int) -> np.ndarray:
-    perm = np.empty(g.order, dtype=np.int64)
-    for x in range(g.order):
-        perm[x] = g.mul(h, x)
-    return perm
-
-
-def _right_mult_matrix(g: Group, coeffs: dict[int, int], p: int) -> np.ndarray:
-    # operator of right multiplication by sum_h coeffs[h]*h on row vectors
+def _right_mult_matrix(g: Group, coeffs: np.ndarray) -> np.ndarray:
+    """Right multiplication by sum_h coeffs[h]*h on row vectors: row x holds
+    coeffs[h] at column x*h, scattered along row x of the table, so each
+    cell is written once and no transient grows past one row."""
+    every = np.arange(g.order)
     r = np.zeros((g.order, g.order), dtype=np.int64)
-    for h, c in coeffs.items():
-        for x in range(g.order):
-            r[x, g.mul(x, h)] = (r[x, g.mul(x, h)] + c) % p
+    for x in range(g.order):
+        r[x, g.products(x, every)] = coeffs
     return r
 
 
@@ -269,22 +326,7 @@ def _min_poly_roots(s: np.ndarray, p: int, rng: random.Random) -> list[int]:
     u = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
     if not u.any():
         u[0] = 1
-    rows = [u]
-    while True:
-        rows.append(linalg.matmul(rows[-1][None, :], s, p)[0])
-        k = np.stack(rows)
-        if linalg.rank(k, p) < k.shape[0]:
-            break
-    deg = len(rows) - 1
-    coeffs = linalg.solve(np.stack(rows[:deg]).T, rows[deg], p)
-    # poly(x) = x^deg - sum coeffs[i] x^i; scan F_p for roots
-    roots = []
-    for lam in range(p):
-        acc = pow(lam, deg, p)
-        val = (acc - sum(int(coeffs[i]) * pow(lam, i, p) for i in range(deg))) % p
-        if val == 0:
-            roots.append(lam)
-    return roots
+    return _poly_roots(_krylov_poly(s, u, p), p)
 
 
 def irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int = 0) -> Irrep:
@@ -313,15 +355,16 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
         mats = [np.array([[row[cls_of[x]]]], dtype=np.int64) for x in range(g.order)]
         return Irrep(g, p, char_index, mats)
 
-    # central idempotent (d/|G|) sum chi(x^-1) x acting by left multiplication
+    # central idempotent (d/|G|) sum chi(x^-1) x acting by left
+    # multiplication; its transpose holds the coefficient of x at (y, x*y)
     scale = d * pow(g.order % p, p - 2, p) % p
-    e = np.zeros((g.order, g.order), dtype=np.int64)
-    for x in range(g.order):
-        c = scale * row[cls_of[g.inv(x)]] % p
-        if c:
-            perm = _left_mult_perm(g, x)
-            e[perm, np.arange(g.order)] = (e[perm, np.arange(g.order)] + c) % p
-    basis = linalg.row_space(e.T, p)            # rows spanning the image
+    chi = np.array(row, dtype=np.int64)
+    coeffs = scale * chi[np.array(cls_of)[g.inverses]] % p
+    every = np.arange(g.order)
+    e_t = np.zeros((g.order, g.order), dtype=np.int64)
+    for y in range(g.order):
+        e_t[y, g.products(every, y)] = coeffs
+    basis = linalg.row_space(e_t, p)            # rows spanning the image
     assert basis.shape[0] == d * d
 
     rng = random.Random(f"irrep:{seed}:{g.order}:{p}:{char_index}")
@@ -330,8 +373,8 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
         budget -= 1
         if budget < 0:
             raise RuntimeError("irreducible splitting failed within retry budget")
-        coeffs = {h: rng.randrange(p) for h in range(g.order)}
-        rmat = _right_mult_matrix(g, coeffs, p)
+        coeffs = np.array([rng.randrange(p) for _ in range(g.order)], dtype=np.int64)
+        rmat = _right_mult_matrix(g, coeffs)
         tb = linalg.matmul(basis, rmat, p)
         # endomorphism in basis coordinates acts on coefficient rows: c -> c @ s
         s = linalg.solve(basis.T, tb.T, p).T
@@ -351,9 +394,8 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
     mats[0] = linalg.identity(d)
     gen_mats = []
     for h in gens:
-        perm = _left_mult_perm(g, h)
         moved = np.zeros_like(basis)
-        moved[:, perm] = basis
+        moved[:, g.products(h, every)] = basis  # left multiplication by h
         gen_mats.append(linalg.solve(basis.T, moved.T, p))
     for x in order:
         prev, pos = expr[x]

@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .groups import (
     Group,
     InputError,
@@ -185,6 +187,11 @@ def twist_rsr(rsr: RSR, conjugators: dict[int, int]) -> RSR:
     return RSR(g, rsr.field, rsr.ram, new_u, new_irreps, seed=rsr.seed)
 
 
+def _first_conjugator(g: Group, a: int, target: int) -> int:
+    """The first h in canonical order with h^-1 a h = target."""
+    return int(np.flatnonzero(g.conjugates(a) == target)[0])
+
+
 def normalize_u(rsr: RSR) -> RSR:
     """Equivalent RSR on the canonical representatives u0.
 
@@ -197,8 +204,7 @@ def normalize_u(rsr: RSR) -> RSR:
     for c in classes:
         u_old = rsr.u[c.class_index]
         if u_old != c.rep:
-            conjugators[c.class_index] = next(
-                h for h in range(g.order) if g.conj(u_old, h) == c.rep)
+            conjugators[c.class_index] = _first_conjugator(g, u_old, c.rep)
     if not conjugators:
         return rsr
     return twist_rsr(rsr, conjugators)
@@ -245,18 +251,16 @@ def _twisted_multiset(b: RSR, phi_idx: int, phi, cls_a: int, cls_b: int,
     cache = b._twist_sig
     if key in cache:
         return cache[key]
-    target = next(x for x in range(g.order) if phi.of(x) == b.u[cls_b])
-    h = next(h for h in range(g.order) if g.conj(u_a, h) == target)
-    hin = g.inv(h)
+    target = phi.mapping.index(b.u[cls_b])
+    h = _first_conjugator(g, u_a, target)
     z_a = centralizer_subgroup(g, u_a)
     z_b = b.centralizer(cls_b)
     rows_b = b.ztable(cls_b).rows
     # phi_h(x) = phi(h^-1 x h) for each element of Z_{u_a}, as a class index
     # of Z_{u_b}
-    pulled = []
-    for x in z_a.embed:
-        img = phi.of(g.mul(g.mul(hin, x), h))
-        pulled.append(class_of(z_b, z_b.local[img]))
+    conj = g.products(g.products(g.inv(h), np.array(z_a.embed)), h)
+    pulled = [class_of(z_b, z_b.local[img])
+              for img in np.asarray(phi.mapping)[conj].tolist()]
     twisted = tuple(sorted(tuple(rows_b[idx][c] for c in pulled)
                            for idx in b.irreps[cls_b]))
     cache[key] = twisted

@@ -227,8 +227,7 @@ def _braid_slots(c: Braiding, x: np.ndarray, j: int) -> np.ndarray:
 def _word_degrees(g: Group, prev: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """G-degree of each word w.a (index w*d + a), the product deg(w) deg(a)."""
     hs, where = np.unique(prev, return_inverse=True)
-    table = np.array([[g.mul(int(h), int(a)) for a in letters] for h in hs],
-                     dtype=np.int64)
+    table = g.products(hs[:, None], letters[None, :]).astype(np.int64)
     return table[where].reshape(-1)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from quiverhopf import (
@@ -14,6 +15,7 @@ from quiverhopf import (
     inner_only,
     parse_group,
 )
+from quiverhopf.groups import _TABLE_CAP, _compose
 
 
 def brute_force_classes(elements):
@@ -289,3 +291,43 @@ def test_cyclic_alias_and_cache():
     from quiverhopf.groups import cached_group
     assert parse_group("Z6").order == 6
     assert cached_group("S3") is cached_group("S3")
+
+
+@pytest.mark.parametrize("spec", [
+    "S6", "S7", "D4", "S3xC2",
+    # degree 18: 18^18 > 2^63, so a mixed-radix code of the images would
+    # overflow int64
+    "perm:(" + " ".join(str(i) for i in range(18)) + ")",
+    # images on both sides of 256: only big-endian keys sort like tuples
+    "perm:(254 255 256 257);(254 255)",
+])
+def test_products_agree_with_compose(spec):
+    g = parse_group(spec)
+    assert (g._table is None) == (g.order > _TABLE_CAP)
+    rng = random.Random(spec)
+    a = np.array([rng.randrange(g.order) for _ in range(400)])
+    b = np.array([rng.randrange(g.order) for _ in range(400)])
+    expect = [g.index[_compose(g.elements[x], g.elements[y])]
+              for x, y in zip(a.tolist(), b.tolist())]
+    assert g.products(a, b).tolist() == expect
+    assert [g.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == expect
+    if g._table is not None:
+        assert g._table[a, b].tolist() == expect
+    # broadcasting: a column of left factors against a row of right factors
+    grid = g.products(a[:20, None], b[None, :30])
+    assert grid.shape == (20, 30)
+    assert grid.tolist() == [[g.mul(x, y) for y in b[:30].tolist()]
+                             for x in a[:20].tolist()]
+    assert g.products(a[0], b[0]).shape == ()
+    # the inverse array and conjugates agree with the scalar forms
+    assert [g.inv(x) for x in a.tolist()] == [
+        g.index[tuple(np.argsort(g.elements[x]).tolist())] for x in a.tolist()]
+    x = int(a[0])
+    assert g.conjugates(x)[b].tolist() == [g.conj(x, h) for h in b.tolist()]
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "S3xC2", "C6", "A4"])
+def test_center_against_brute_force(spec):
+    g = parse_group(spec)
+    assert g.center() == [z for z in range(g.order)
+                          if all(g.mul(z, h) == g.mul(h, z) for h in range(g.order))]

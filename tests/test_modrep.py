@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,17 @@ from quiverhopf import (
     rep_twist,
     validate_prime,
 )
-from quiverhopf.modrep import _is_prime, character_table, group_table, next_primes
+from quiverhopf import linalg
+from quiverhopf.modrep import (
+    _eigenspaces,
+    _is_prime,
+    _krylov_poly,
+    _min_poly_roots,
+    _poly_roots,
+    character_table,
+    group_table,
+    next_primes,
+)
 
 
 def test_choose_prime_examples(s3, s4):
@@ -217,3 +230,102 @@ def test_character_table_s6():
     t = character_table(g, f)
     assert t.degrees == (1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16)
     assert sum(d * d for d in t.degrees) == 720
+
+
+def _scalar_roots(coeffs, p):
+    m = len(coeffs)
+    return [lam for lam in range(p)
+            if (pow(lam, m, p) - sum(int(c) * pow(lam, i, p)
+                                     for i, c in enumerate(coeffs))) % p == 0]
+
+
+@pytest.mark.parametrize("p", [13, 61, 1621])
+def test_min_poly_root_scan_matches_scalar_evaluation(p):
+    rng = random.Random(p)
+    for m in range(1, 8):
+        # a diagonalizable matrix with repeated eigenvalues, in a random basis
+        while True:
+            q = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(m)])
+            if linalg.rank(q, p) == m:
+                break
+        diag = np.diag([rng.randrange(3) for _ in range(m)])
+        conj = linalg.matmul(linalg.matmul(linalg.inverse(q, p), diag, p), q, p)
+        plain = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(m)])
+        for s in (conj, plain):
+            seed = rng.randrange(1000)
+            draw = random.Random(seed)
+            u = np.array([draw.randrange(p) for _ in range(m)], dtype=np.int64)
+            coeffs = _krylov_poly(s, u, p)
+            # u s^deg is the combination of the lower powers given by coeffs
+            powers = [u]
+            for _ in range(len(coeffs)):
+                powers.append(linalg.matmul(powers[-1][None, :], s, p)[0])
+            assert (powers[-1] == sum(int(c) * w for c, w in
+                                      zip(coeffs, powers)) % p).all()
+            assert _poly_roots(coeffs, p) == _scalar_roots(coeffs, p)
+            if u.any():
+                assert _min_poly_roots(s, p, random.Random(seed)) == \
+                    _scalar_roots(coeffs, p)
+        assert set(_min_poly_roots(conj, p, rng)) <= set(np.diag(diag).tolist())
+
+
+def test_krylov_sequence_stops_at_the_first_dependence(monkeypatch):
+    p = 61
+    # a 40x40 matrix with minimal polynomial (x - 2)(x - 5)
+    s = np.diag([2] * 20 + [5] * 20)
+    u = np.arange(1, 41, dtype=np.int64)
+    calls = []
+    matmul = linalg.matmul
+    monkeypatch.setattr(linalg, "matmul",
+                        lambda a, b, p: calls.append(a.shape) or matmul(a, b, p))
+    coeffs = _krylov_poly(s, u, p)
+    assert coeffs.tolist() == [(-10) % p, 7]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("spec", ["S5", "S6"])
+def test_character_table_nullspaces_only_at_eigenvalues(spec, monkeypatch):
+    g = parse_group(spec)
+    f = choose_prime(g)
+    k = len(conjugacy_classes(g))
+    calls = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda a, p: calls.append(a.shape) or nullspace(a, p))
+    t = character_table(g, f)
+    assert sum(d * d for d in t.degrees) == g.order
+    # one call per eigenvalue of each split, where a scan of F_p made about
+    # p (241 for S5, 1621 for S6)
+    assert 0 < len(calls) <= 2 * k
+
+
+def test_eigenspaces_fall_short_when_a_matrix_does_not_split():
+    p = 7
+    # x^2 + 1 has no root mod 7; a Jordan block has a 1-dim eigenspace
+    for r in (np.array([[0, p - 1], [1, 0]]), np.array([[3, 1], [0, 3]])):
+        spaces = _eigenspaces(r, p)
+        assert sum(ker.shape[0] for ker in spaces.values()) < 2
+    r = np.array([[2, 0, 0], [0, 5, 0], [0, 0, 2]])
+    spaces = _eigenspaces(r, p)
+    assert {lam: ker.shape[0] for lam, ker in spaces.items()} == {2: 2, 5: 1}
+    for lam, ker in spaces.items():
+        assert (linalg.matmul(r, ker.T, p) == lam * ker.T % p).all()
+
+
+# SHA-256 of np.stack(matrices).tobytes() for the degree-5 and degree-9
+# irreps of S6 at seed 0, frozen before the regular-module operators and the
+# eigenvalue search were vectorized
+S6_IRREP_SHA256 = {
+    5: "95990b9b472b180d17e0aa847fabb434469888c7fc4204eb74b5cac59cb42228",
+    9: "8eb454679e20342b74c100a0cbb768328348de03e31103fa5bb5691b421d8ace",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(S6_IRREP_SHA256))
+def test_s6_irreps_bit_identical(degree):
+    g = parse_group("S6")
+    f = choose_prime(g)
+    t = group_table(g, f)
+    rep = irrep_matrices(g, f, t.degrees.index(degree), seed=0)
+    digest = hashlib.sha256(np.stack(rep.matrices).tobytes()).hexdigest()
+    assert digest == S6_IRREP_SHA256[degree]
