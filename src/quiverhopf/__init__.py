@@ -47,7 +47,7 @@ from .rsr import (
     normalize_u,
     rsr_from_json,
     rsr_from_type,
-    rsr_to_json,
+    rsr_key,
     rsr_type,
     twist_rsr,
 )

@@ -20,7 +20,7 @@ from typing import Optional
 from . import __version__
 from .bimodule import build_bimodule, verify_bimodule
 from .groups import InputError, conjugacy_classes, inner_only, parse_group
-from .modrep import choose_prime, group_table, validate_prime
+from .modrep import FieldPrime, choose_prime, group_table, validate_prime
 from .quiver import parse_ramification
 from .rsr import (
     RSR,
@@ -182,17 +182,23 @@ def cmd_rsr_iso(args) -> tuple[dict, int]:
     return payload, 0
 
 
-def _verify_each(args, verify) -> tuple[dict, int]:
-    """Run verify(rsr) -> {result key: Report} on every selected RSR."""
+def _each_rsr(args, run) -> tuple[list[dict], Optional[FieldPrime]]:
+    """{"rsr": rsr.to_json(), **run(rsr)} for every selected RSR, and the
+    field of the last one."""
     results = []
-    ok = True
     field = None
     for rsr in _rsrs_for(args):
         field = rsr.field
-        reports = verify(rsr)
-        ok = ok and all(r.passed for r in reports.values())
-        results.append({"rsr": rsr.to_json(),
-                        **{k: r.to_json() for k, r in reports.items()}})
+        results.append({"rsr": rsr.to_json(), **run(rsr)})
+    return results, field
+
+
+def _verify_each(args, verify) -> tuple[dict, int]:
+    """Run verify(rsr) -> {result key: Report} on every selected RSR."""
+    results, field = _each_rsr(args, lambda rsr: {
+        k: r.to_json() for k, r in verify(rsr).items()})
+    ok = all(report["passed"] for entry in results
+             for k, report in entry.items() if k != "rsr")
     payload = {"passed": ok, "results": results}
     payload.update(_meta(args, field))
     return payload, 0 if ok else 1
@@ -216,14 +222,10 @@ def cmd_nichols_dims(args) -> tuple[dict, int]:
         except ValueError:
             raise InputError("NPRIMES must be an integer") from None
         _at_least_one("NPRIMES", nprimes)
-    results = []
-    primes = None
-    for rsr in _rsrs_for(args):
-        res = nichols_dims_multiprime(rsr, args.max_degree, nprimes=nprimes)
-        primes = res["primes"]
-        results.append({"rsr": rsr.to_json(), **res})
+    results, _ = _each_rsr(args, lambda rsr: nichols_dims_multiprime(
+        rsr, args.max_degree, nprimes=nprimes))
     payload = {"results": results}
-    payload.update(_meta(args, primes=primes))
+    payload.update(_meta(args, primes=results[-1]["primes"]))
     return payload, 0
 
 
@@ -236,13 +238,9 @@ def cmd_hopf_verify(args) -> tuple[dict, int]:
 
 
 def cmd_hopf_dims(args) -> tuple[dict, int]:
-    results = []
-    field = None
-    for rsr in _rsrs_for(args):
-        field = rsr.field
-        dims = type_one_dims(rsr, args.max_degree)
-        results.append({"rsr": rsr.to_json(), "dims": dims,
-                        "group_order": rsr.group.order})
+    results, field = _each_rsr(args, lambda rsr: {
+        "dims": type_one_dims(rsr, args.max_degree),
+        "group_order": rsr.group.order})
     payload = {"results": results}
     payload.update(_meta(args, field))
     return payload, 0

@@ -1,12 +1,17 @@
 """Ramification systems with irreducible representations: construction,
-normalization, types, isomorphism testing, counting and enumeration.
+normalization, types, isomorphism keys, counting and enumeration.
 
 An RSR fixes a group, a splitting prime, a ramification, a class
 representative u(C) per class, and for each ramified class an ordered list
 of irreducible characters of the centralizer Z_u(C) whose degrees sum to
 r_C.  The type (per-class multiplicity vector against the canonical
 character order of Z_u0(C)) is a complete isomorphism invariant whenever
-Aut G = Inn G.
+Aut G = Inn G.  The key (rsr_key), the least type of phi*rsr over all phi
+in Aut G, is a complete invariant for every group:
+isomorphic(a, b, "search-aut") compares keys.
+
+twist_rsr, rsr_type and rsr_key all move characters between centralizers
+through one pull-back along an ambient map z -> h phi(z) h^-1 (_pull_back).
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ from .quiver import HopfQuiver, Ramification
 class RSR:
     """A validated ramification system with irreducible representations.
 
-    Centralizers, their character tables, irreducible matrices and the
-    isomorphism-test signatures are computed on first use and cached on the
-    instance without locks.
+    Centralizers, their character tables and irreducible matrices come from
+    the caches on the group (centralizer_subgroup, group_table,
+    irrep_matrices).  The one cache on the instance is the isomorphism key,
+    filled by rsr_key on first use without locks.
     """
 
     def __init__(self, group: Group, field: FieldPrime, ram: Ramification,
@@ -58,37 +64,23 @@ class RSR:
         self.u = dict(u)
         self.irreps = {k: tuple(v) for k, v in irreps.items()}
         self.seed = seed
-        self._ztabs: dict[int, CharTable] = {}
-        self._zsubs: dict[int, Group] = {}
-        self._mats: dict[tuple[int, int], Irrep] = {}
-        # isomorphism-test signatures, filled by _own_multiset and
-        # _twisted_multiset
-        self._own_sig: dict[int, tuple] = {}
-        self._twist_sig: dict[tuple[int, int, int], tuple] = {}
+        self._key: Optional[RSRType] = None
 
     # -- per-class data ------------------------------------------------------
 
     def centralizer(self, cls: int) -> Group:
-        if cls not in self._zsubs:
-            self._zsubs[cls] = centralizer_subgroup(self.group, self.u[cls])
-        return self._zsubs[cls]
+        return centralizer_subgroup(self.group, self.u[cls])
 
     def ztable(self, cls: int) -> CharTable:
-        if cls not in self._ztabs:
-            self._ztabs[cls] = group_table(self.centralizer(cls), self.field)
-        return self._ztabs[cls]
+        return group_table(self.centralizer(cls), self.field)
 
     def slot_degrees(self, cls: int) -> tuple[int, ...]:
         t = self.ztable(cls)
         return tuple(t.degrees[i] for i in self.irreps[cls])
 
     def irrep(self, cls: int, slot: int) -> Irrep:
-        key = (cls, slot)
-        if key not in self._mats:
-            idx = self.irreps[cls][slot]
-            self._mats[key] = irrep_matrices(self.centralizer(cls), self.field,
-                                             idx, seed=self.seed)
-        return self._mats[key]
+        return irrep_matrices(self.centralizer(cls), self.field,
+                              self.irreps[cls][slot], seed=self.seed)
 
     def quiver(self) -> HopfQuiver:
         return HopfQuiver(self.group, self.ram,
@@ -153,6 +145,26 @@ class RSRType:
         return [{"class": k, "multiplicities": list(v)} for k, v in self.entries]
 
 
+def _pull_back(rsr: RSR, cls: int, onto: int, h: int,
+               phi: Optional[np.ndarray] = None) -> list[int]:
+    """Where the characters of rsr's irreps at cls land, as row indices of
+    the canonical table of Z_onto, when pulled back along the ambient map
+    z -> h phi(z) h^-1 (phi an automorphism as an index array, by default
+    the identity), which must send Z_onto into Z_u(cls)."""
+    g = rsr.group
+    z_to = rsr.centralizer(cls)
+    rows = rsr.ztable(cls).rows
+    z_from = centralizer_subgroup(g, onto)
+    reps = np.array([z_from.embed[c.rep] for c in conjugacy_classes(z_from)])
+    if phi is not None:
+        reps = phi[reps]
+    images = g.products(g.products(h, reps), g.inv(h)).tolist()
+    at = [class_of(z_to, z_to.local[w]) for w in images]
+    table = group_table(z_from, rsr.field).rows
+    return [table.index(tuple(rows[idx][c] for c in at))
+            for idx in rsr.irreps[cls]]
+
+
 def twist_rsr(rsr: RSR, conjugators: dict[int, int]) -> RSR:
     """The isomorphic RSR with u'(C) = h_C^-1 u(C) h_C and representations
     twisted accordingly: rho'(z) = rho(h_C z h_C^-1), looked up by character
@@ -161,29 +173,9 @@ def twist_rsr(rsr: RSR, conjugators: dict[int, int]) -> RSR:
     new_u = dict(rsr.u)
     new_irreps = dict(rsr.irreps)
     for cls, h in conjugators.items():
-        u_old = rsr.u[cls]
-        u_new = g.conj(u_old, h)
-        if u_new not in conjugacy_classes(g)[cls].elements:
-            raise InputError("conjugator leaves the class")  # cannot happen
-        new_u[cls] = u_new
-        if cls not in rsr.irreps:
-            continue
-        z_old = rsr.centralizer(cls)
-        z_new = centralizer_subgroup(g, u_new)
-        table_old = rsr.ztable(cls)
-        table_new = group_table(z_new, rsr.field)
-        cls_of_old = {z: class_of(z_old, z) for z in range(z_old.order)}
-        hin = g.inv(h)
-        mapped = []
-        for idx in rsr.irreps[cls]:
-            row = table_old.rows[idx]
-            values = []
-            for c_new in conjugacy_classes(z_new):
-                w = z_new.embed[c_new.rep]
-                hw = g.mul(g.mul(h, w), hin)            # h w h^-1 in Z_u_old
-                values.append(row[cls_of_old[z_old.local[hw]]])
-            mapped.append(table_new.rows.index(tuple(values)))
-        new_irreps[cls] = tuple(mapped)
+        new_u[cls] = g.conj(rsr.u[cls], h)
+        if cls in rsr.irreps:
+            new_irreps[cls] = tuple(_pull_back(rsr, cls, new_u[cls], h))
     return RSR(g, rsr.field, rsr.ram, new_u, new_irreps, seed=rsr.seed)
 
 
@@ -210,107 +202,64 @@ def normalize_u(rsr: RSR) -> RSR:
     return twist_rsr(rsr, conjugators)
 
 
-def rsr_type(rsr: RSR) -> RSRType:
-    norm = normalize_u(rsr)
+def _type_along(rsr: RSR, phi: Optional[np.ndarray] = None) -> RSRType:
+    """The type of the RSR pulled back along the automorphism phi (by
+    default the identity): class C' carries the characters of rsr at the
+    class C of phi(u0(C')), pulled back along z -> h phi(z) h^-1 with
+    h^-1 u(C) h = phi(u0(C'))."""
+    g = rsr.group
     entries = []
-    for k in norm.ram.support:
-        gamma = norm.ztable(k).nchars
-        mult = [0] * gamma
-        for idx in norm.irreps[k]:
+    for c in conjugacy_classes(g):
+        target = c.rep if phi is None else int(phi[c.rep])
+        cls = class_of(g, target)
+        if cls not in rsr.irreps:
+            continue
+        h = _first_conjugator(g, rsr.u[cls], target)
+        mult = [0] * group_table(centralizer_subgroup(g, c.rep),
+                                 rsr.field).nchars
+        for idx in _pull_back(rsr, cls, c.rep, h, phi):
             mult[idx] += 1
-        entries.append((k, tuple(mult)))
+        entries.append((c.class_index, tuple(mult)))
     return RSRType(tuple(entries))
 
 
-def _char_value_tuple(rsr: RSR, cls: int, idx: int) -> tuple[int, ...]:
-    """Character values on the elements of Z_u(cls), in subgroup order."""
-    z = rsr.centralizer(cls)
-    row = rsr.ztable(cls).rows[idx]
-    return tuple(row[class_of(z, zi)] for zi in range(z.order))
+def rsr_type(rsr: RSR) -> RSRType:
+    """Per-class multiplicities against the canonical tables of Z_u0(C):
+    a complete isomorphism invariant when Aut G = Inn G."""
+    return _type_along(rsr)
 
 
-def _own_multiset(a: RSR, cls: int) -> tuple:
-    cache = a._own_sig
-    if cls not in cache:
-        cache[cls] = tuple(sorted(_char_value_tuple(a, cls, idx)
-                                  for idx in a.irreps[cls]))
-    return cache[cls]
+def rsr_key(rsr: RSR) -> RSRType:
+    """The least type of phi*rsr over all phi in Aut G, cached in rsr._key.
 
-
-def _twisted_multiset(b: RSR, phi_idx: int, phi, cls_a: int, cls_b: int,
-                      u_a: int) -> tuple:
-    """Multiset of characters of b's irreps at cls_b pulled back to Z_{u_a}
-    through phi_{h_C}, where phi(h_C^-1 u_a h_C) = u_b(cls_b).
-
-    The choice of h_C within its coset is irrelevant: it changes phi_{h_C}
-    by an inner automorphism of the centralizer, invisible to characters.
-    Cached per (phi, cls_a, u_a) on the b instance.
+    Two RSRs on one group and prime are isomorphic exactly when their keys
+    are equal, for every group whose automorphisms can be listed.
     """
-    g = b.group
-    key = (phi_idx, cls_a, u_a)
-    cache = b._twist_sig
-    if key in cache:
-        return cache[key]
-    target = phi.mapping.index(b.u[cls_b])
-    h = _first_conjugator(g, u_a, target)
-    z_a = centralizer_subgroup(g, u_a)
-    z_b = b.centralizer(cls_b)
-    rows_b = b.ztable(cls_b).rows
-    # phi_h(x) = phi(h^-1 x h) for each element of Z_{u_a}, as a class index
-    # of Z_{u_b}
-    conj = g.products(g.products(g.inv(h), np.array(z_a.embed)), h)
-    pulled = [class_of(z_b, z_b.local[img])
-              for img in np.asarray(phi.mapping)[conj].tolist()]
-    twisted = tuple(sorted(tuple(rows_b[idx][c] for c in pulled)
-                           for idx in b.irreps[cls_b]))
-    cache[key] = twisted
-    return twisted
+    if rsr._key is None:
+        rsr._key = min((_type_along(rsr, np.array(phi.mapping))
+                        for phi in automorphisms(rsr.group)[0]),
+                       key=lambda t: t.entries)
+    return rsr._key
 
 
-def isomorphic(a: RSR, b: RSR, mode: str = "assume-inner",
-               aut_cap: int = 48) -> bool:
+def isomorphic(a: RSR, b: RSR, mode: str = "assume-inner") -> bool:
     """RSR isomorphism test.
 
-    assume-inner compares types (complete when Aut G = Inn G); search-aut
-    searches group automorphisms and per-class conjugators directly against
-    the defining conditions.
+    assume-inner compares types, which is complete only when Aut G = Inn G,
+    and raises InputError otherwise; search-aut compares keys (rsr_key),
+    which is complete for every group within the automorphism cap.
     """
     if a.group is not b.group:
         raise InputError("RSRs must live on the same group object")
     if a.field.p != b.field.p:
         raise InputError("RSRs must use the same prime")
-    g = a.group
     if mode == "assume-inner":
-        if not inner_only(g, aut_cap):
+        if not inner_only(a.group):
             raise InputError("assume-inner requires Aut G = Inn G")
         return rsr_type(a) == rsr_type(b)
     if mode != "search-aut":
         raise InputError(f"unknown mode {mode!r}")
-
-    auts, _ = automorphisms(g, aut_cap)
-    classes = conjugacy_classes(g)
-    k = len(classes)
-    img_cache = g.caches.setdefault("aut-class-images", {})
-    for phi_idx, phi in enumerate(auts):
-        if phi_idx not in img_cache:
-            img_cache[phi_idx] = tuple(class_of(g, phi.of(classes[i].rep))
-                                       for i in range(k))
-        class_img = img_cache[phi_idx]
-        if any(a.ram.r_of(i) != b.ram.r_of(class_img[i]) for i in range(k)):
-            continue
-        ok = True
-        for cls in a.ram.support:
-            cls_b = class_img[cls]
-            if len(a.irreps[cls]) != len(b.irreps[cls_b]):
-                ok = False
-                break
-            if _own_multiset(a, cls) != _twisted_multiset(
-                    b, phi_idx, phi, cls, cls_b, a.u[cls]):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return rsr_key(a) == rsr_key(b)
 
 
 def _tau(degrees: Sequence[int], r: int) -> int:
@@ -382,12 +331,11 @@ def rsr_from_type(g: Group, ram: Ramification, rtype: RSRType,
 
 # -- JSON round-trip ----------------------------------------------------------
 
-def rsr_to_json(rsr: RSR) -> dict:
-    return rsr.to_json()
-
-
 def rsr_from_json(doc: dict, group: Optional[Group] = None) -> RSR:
-    """Build an RSR from its JSON document (see rsr_to_json)."""
+    """Build an RSR from its JSON document (see RSR.to_json).
+
+    A class given twice in "u" or in "rho" is an InputError.
+    """
     try:
         g = group if group is not None else parse_group(doc["group"])
         classes = conjugacy_classes(g)
@@ -396,12 +344,16 @@ def rsr_from_json(doc: dict, group: Optional[Group] = None) -> RSR:
         u_choice = {}
         for entry in doc.get("u", []):
             k = int(entry["class"])
+            if k in u_choice:
+                raise InputError(f"class {k} given twice in u")
             perm = parse_cycle_string(str(entry["rep"]), g.degree)
             u_choice[k] = g.find(perm)
         irreps: dict[int, Sequence[int]] = {}
         ram_coeffs: dict[int, int] = {}
         for entry in doc["rho"]:
             k = int(entry["class"])
+            if k in irreps:
+                raise InputError(f"class {k} given twice in rho")
             idxs = tuple(int(i) for i in entry["irreps"])
             irreps[k] = idxs
             if not 0 <= k < len(classes):

@@ -190,13 +190,6 @@ class TruncatedHopf:
         self._antipode_cache[key] = out
         return dict(out)
 
-    def antipode_element(self, e: Element) -> Element:
-        out: Element = {}
-        for k, c in e.items():
-            for k2, c2 in self.antipode(k).items():
-                out[k2] = (out.get(k2, 0) + c * c2) % self.p
-        return {k: v for k, v in out.items() if v}
-
 
 def path_key_json(key: PathKey, h: "TruncatedHopf") -> dict:
     g = h.group

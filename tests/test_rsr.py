@@ -12,6 +12,7 @@ from quiverhopf import (
     conjugacy_classes,
     count_classes,
     enumerate_types,
+    inner_only,
     isomorphic,
     make_rsr,
     normalize_u,
@@ -19,6 +20,7 @@ from quiverhopf import (
     parse_ramification,
     rsr_from_json,
     rsr_from_type,
+    rsr_key,
     rsr_type,
     twist_rsr,
 )
@@ -236,6 +238,15 @@ def test_json_errors(s3):
         rsr_from_json({"group": "S3", "prime": 13,
                        "u": [{"class": 1, "rep": "(0 1 2)"}],
                        "rho": [{"class": 1, "irreps": [0]}]})
+    with pytest.raises(InputError):                           # rho class twice
+        rsr_from_json({"group": "S3", "prime": 13,
+                       "rho": [{"class": 1, "irreps": [0]},
+                               {"class": 1, "irreps": [1]}]})
+    with pytest.raises(InputError):                           # u class twice
+        rsr_from_json({"group": "S3", "prime": 13,
+                       "u": [{"class": 1, "rep": "(0 2)"},
+                             {"class": 1, "rep": "(1 2)"}],
+                       "rho": [{"class": 1, "irreps": [1]}]})
 
 
 def test_a4_outer_automorphism_fusion():
@@ -258,3 +269,35 @@ def test_a4_outer_automorphism_fusion():
     y2 = make_rsr(a4, ram2, None, {2: (2,)})
     assert isomorphic(x1, y1, "search-aut") != isomorphic(x1, y2, "search-aut")
     assert not isomorphic(x, x1, "search-aut")
+
+
+# Isomorphism classes of e:1 RSRs (the linear characters) are their orbits
+# under Aut G; the counts are those of E1_AUT_ORBITS in qhbench/oracles.py.
+OUTER_AUT_E1_ORBITS = {"D4": 3, "Q8": 2, "A4": 2, "C2xC2": 2, "S3xC2": 3}
+
+
+@pytest.mark.parametrize("spec", sorted(OUTER_AUT_E1_ORBITS))
+def test_rsr_key_counts_outer_automorphism_orbits(spec):
+    g = parse_group(spec)
+    assert not inner_only(g)
+    ram = parse_ramification(g, "e:1")
+    reps = [rsr_from_type(g, ram, t) for t in enumerate_types(g, ram)]
+    keys = {rsr_key(r) for r in reps}
+    assert len(keys) == OUTER_AUT_E1_ORBITS[spec]
+    assert len({rsr_type(r) for r in reps}) == len(reps)
+
+
+@pytest.mark.parametrize("spec", sorted(OUTER_AUT_E1_ORBITS))
+def test_rsr_key_invariant_under_twists(spec):
+    g = parse_group(spec)
+    rng = random.Random(spec)
+    classes = conjugacy_classes(g)
+    for cls in range(1, len(classes)):
+        ram = parse_ramification(g, f"{g.element_name(classes[cls].rep)}:2")
+        for t in enumerate_types(g, ram):
+            r = rsr_from_type(g, ram, t)
+            conjugators = {k: rng.randrange(g.order)
+                           for k in range(len(classes))}
+            twisted = twist_rsr(r, conjugators)
+            assert rsr_key(twisted) == rsr_key(r)
+            assert isomorphic(twisted, r, "search-aut")
