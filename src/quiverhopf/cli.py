@@ -232,7 +232,8 @@ def cmd_nichols_dims(args) -> tuple[dict, int]:
 def cmd_hopf_verify(args) -> tuple[dict, int]:
     def verify(rsr):
         h = tensor_hopf(rsr, args.max_degree)
-        return {"report": verify_hopf(h, seed=args.seed, samples=args.samples),
+        return {"report": verify_hopf(h, seed=args.seed, samples=args.samples,
+                                      exhaustive=args.exhaustive),
                 "skew_primitivity": skew_primitive_report(h)}
     return _verify_each(args, verify)
 
@@ -261,11 +262,12 @@ def cmd_selftest(args) -> tuple[dict, int]:
         for t in types:
             rsr = rsr_from_type(g, ram, t, field, seed=args.seed)
             m = build_bimodule(rsr)
-            rep_b = verify_bimodule(m, samples=args.samples, seed=args.seed)
+            rep_b = verify_bimodule(m, exhaustive=args.exhaustive,
+                                    samples=args.samples, seed=args.seed)
             rep_y = verify_yd(yd_from_rsr(rsr))
             h = tensor_hopf(rsr, min(args.max_degree, 2))
-            rep_h = verify_hopf(h, seed=args.seed,
-                                samples=min(args.samples, 300))
+            rep_h = verify_hopf(h, seed=args.seed, samples=min(args.samples, 300),
+                                exhaustive=args.exhaustive)
             skew = skew_primitive_report(h)
             section_ok = all(r.passed for r in (rep_b, rep_y, rep_h, skew))
             ok = ok and section_ok
@@ -307,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         if verify:
             p.add_argument("--samples", type=int, default=100_000,
                            help="sample count when not exhaustive")
-            p.add_argument("--exhaustive", action="store_true", default=None)
+            p.add_argument("--exhaustive", action="store_true", default=None,
+                           help="check every case (default: by input size)")
         if degree is not None:
             p.add_argument("--max-degree", type=int, default=degree)
         p.add_argument("--format", choices=("json", "csv"), default="json")

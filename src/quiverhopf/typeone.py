@@ -25,14 +25,16 @@ never materialized.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from typing import Optional, Union
 
-from .bimodule import HopfBimodule, Report, build_bimodule, check
+from .bimodule import HopfBimodule, Report, build_bimodule, check, combine
 from .groups import InputError
 from .quiver import ArrowId
 from .rsr import RSR
-from .yd import DEFAULT_DIM_CAP, DEFAULT_SPACE_CAP, nichols_dims, yd_from_rsr
+from .yd import nichols_dims, yd_from_rsr
 
 # basis keys: a group element index for 0-paths, else a tuple of composable
 # ArrowIds in application order
@@ -99,9 +101,9 @@ class TruncatedHopf:
         terms: list[tuple[tuple[ArrowId, ...], int]] = [((), 1)]
         for a in key:
             expansion = self.bim.right_action(a, h)
-            terms = [(stem + (b,), coeff * c2 % self.p)
+            terms = [(stem + (b,), coeff * c2)
                      for stem, coeff in terms for b, c2 in expansion]
-        return {stem: c for stem, c in terms if c}
+        return combine(terms, self.p)
 
     def product_basis(self, pk: PathKey, qk: PathKey) -> Element:
         m, n = path_degree(pk), path_degree(qk)
@@ -117,42 +119,24 @@ class TruncatedHopf:
             out = self._right(pk, qk)
         else:
             shifted_q = self._left(path_source(pk), qk)
-            out = {}
-            for late, coeff in self._right(pk, path_target(qk)).items():
-                merged = shifted_q + late
-                out[merged] = (out.get(merged, 0) + coeff) % self.p
-            out = {k: v for k, v in out.items() if v}
+            out = combine(((shifted_q + late, c) for late, c in
+                           self._right(pk, path_target(qk)).items()), self.p)
         self._prod_cache[key] = out
         return dict(out)
 
     def multiply(self, e1: Element, e2: Element) -> Element:
-        out: Element = {}
-        for k1, c1 in e1.items():
-            for k2, c2 in e2.items():
-                for k, c in self.product_basis(k1, k2).items():
-                    val = (out.get(k, 0) + c1 * c2 * c) % self.p
-                    out[k] = val
-        return {k: v for k, v in out.items() if v}
-
-    def unit(self) -> Element:
-        return {0: 1}
-
-    def counit(self, e: Element) -> int:
-        return sum(c for k, c in e.items() if isinstance(k, int)) % self.p
+        return combine(((k, c1 * c2 * c) for k1, c1 in e1.items()
+                        for k2, c2 in e2.items()
+                        for k, c in self.product_basis(k1, k2).items()), self.p)
 
     # -- coalgebra --------------------------------------------------------------
 
     def _tensor_mul(self, t1: dict, t2: dict) -> dict:
-        out: dict = {}
-        for (a1, b1), c1 in t1.items():
-            for (a2, b2), c2 in t2.items():
-                left = self.product_basis(a1, a2)
-                right = self.product_basis(b1, b2)
-                for ka, ca in left.items():
-                    for kb, cb in right.items():
-                        k = (ka, kb)
-                        out[k] = (out.get(k, 0) + c1 * c2 * ca * cb) % self.p
-        return {k: v for k, v in out.items() if v}
+        return combine((((ka, kb), c1 * c2 * ca * cb)
+                        for (a1, b1), c1 in t1.items() for (a2, b2), c2 in t2.items()
+                        for (ka, ca), (kb, cb) in itertools.product(
+                            self.product_basis(a1, a2).items(),
+                            self.product_basis(b1, b2).items())), self.p)
 
     def coproduct(self, key: PathKey) -> dict:
         """Delta on a basis path, as a dict {(left_key, right_key): coeff}."""
@@ -164,10 +148,9 @@ class TruncatedHopf:
         # p = F_n * ... * F_1 * x0 with F_i = a_i . x_{i-1}^{-1}, a combination
         # of arrows out of the identity vertex
         for a in reversed(key):
-            factor: dict = {}
-            for v, coeff in self.bim.right_action(a, g.inv(a.x)):
-                factor[(v.y, (v,))] = (factor.get((v.y, (v,)), 0) + coeff) % self.p
-                factor[((v,), 0)] = (factor.get(((v,), 0), 0) + coeff) % self.p
+            factor = combine((term for v, coeff in self.bim.right_action(a, g.inv(a.x))
+                              for term in (((v.y, (v,)), coeff), (((v,), 0), coeff))),
+                             self.p)
             acc = factor if acc is None else self._tensor_mul(acc, factor)
         return self._tensor_mul(acc, {(x0, x0): 1})
 
@@ -179,14 +162,12 @@ class TruncatedHopf:
             return dict(self._antipode_cache[key])
         n = len(key)
         x0 = key[0].x
-        acc: Element = {}
-        for (k1, k2), c in self.coproduct(key).items():
-            if path_degree(k1) == n:
-                continue        # the single top term S(p) * x0, solved for below
-            for k, cv in self.multiply(self.antipode(k1), {k2: 1}).items():
-                acc[k] = (acc.get(k, 0) + c * cv) % self.p
-        neg = {k: (-v) % self.p for k, v in acc.items()}
-        out = self.multiply(neg, {self.group.inv(x0): 1})
+        # S(p) * x0 = -(the other terms), the single top term being S(p) * x0
+        rest = combine(((k, -c * cv) for (k1, k2), c in self.coproduct(key).items()
+                        if path_degree(k1) != n
+                        for k, cv in self.multiply(self.antipode(k1), {k2: 1}).items()),
+                       self.p)
+        out = self.multiply(rest, {self.group.inv(x0): 1})
         self._antipode_cache[key] = out
         return dict(out)
 
@@ -227,10 +208,17 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
                 exhaustive: Optional[bool] = None) -> Report:
     """Check Hopf axioms on basis elements within the truncation degree.
 
-    Exhaustive over all tuples when the basis is small, else seeded samples:
-    associativity and Delta-is-an-algebra-map on tuples of total degree <= N,
-    coassociativity / counit on all basis paths, and the antipode convolution
-    identity on degrees <= N-1.
+    Associativity runs on triples and Delta-is-an-algebra-map on pairs of
+    basis paths of total degree <= N.  Both come from one list of degree
+    compositions (d_1, ..., d_k) with sum <= N: exhaustive mode (the
+    default when the basis has at most 100 paths) takes every tuple of
+    each composition; sampled mode draws `samples` tuples, each by picking
+    a composition with probability proportional to its tuple count
+    prod dim_{d_i} and then one uniform path per degree, which is the
+    uniform law on all tuples of total degree <= N.  The remaining checks
+    cover every path in either mode: unit, coassociativity and counit all
+    basis paths, and the antipode convolution identity all paths of degree
+    <= N-1.
     """
     p = h.p
     n_basis = sum(h.dim(n) for n in range(h.max_deg + 1))
@@ -241,33 +229,22 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
 
     all_keys = [k for n in range(h.max_deg + 1) for k in h.basis_by_degree[n]]
 
-    def tuples(arity: int, budget: int):
+    def tuples(arity: int):
+        comps = [c for c in itertools.product(range(h.max_deg + 1), repeat=arity)
+                 if sum(c) <= h.max_deg]
         if exhaustive:
-            def rec(acc, remaining):
-                if len(acc) == arity:
-                    yield tuple(acc)
-                    return
-                for nd in range(remaining + 1):
-                    for k in h.basis_by_degree[nd]:
-                        acc.append(k)
-                        yield from rec(acc, remaining - nd)
-                        acc.pop()
-            yield from rec([], budget)
-        else:
-            for _ in range(samples):
-                while True:
-                    picks = [all_keys[rng.randrange(len(all_keys))]
-                             for _ in range(arity)]
-                    if sum(path_degree(k) for k in picks) <= budget:
-                        break
-                yield tuple(picks)
+            return (t for c in comps
+                    for t in itertools.product(*(h.basis_by_degree[d] for d in c)))
+        weights = [math.prod(h.dim(d) for d in c) for c in comps]
+        return (tuple(rng.choice(h.basis_by_degree[d]) for d in c)
+                for c in rng.choices(comps, weights, k=samples))
 
     def associative(t) -> bool:
         k1, k2, k3 = t
         return (h.multiply(h.product_basis(k1, k2), {k3: 1}) ==
                 h.multiply({k1: 1}, h.product_basis(k2, k3)))
 
-    check(report, "associativity", tuples(3, h.max_deg), associative)
+    check(report, "associativity", tuples(3), associative)
     check(report, "unit", all_keys,
           lambda k: h.product_basis(0, k) == {k: 1} == h.product_basis(k, 0))
 
@@ -275,49 +252,32 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
     cop = {k: h.coproduct(k) for k in all_keys}
 
     def coassociative(k) -> bool:
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a, b), c in cop[k].items():
-            for (a1, a2), c2 in cop[a].items():
-                lhs[(a1, a2, b)] = (lhs.get((a1, a2, b), 0) + c * c2) % p
-            for (b1, b2), c2 in cop[b].items():
-                rhs[(a, b1, b2)] = (rhs.get((a, b1, b2), 0) + c * c2) % p
-        return {t: v for t, v in lhs.items() if v} == {t: v for t, v in rhs.items() if v}
+        return (combine((((a1, a2, b), c * c2) for (a, b), c in cop[k].items()
+                         for (a1, a2), c2 in cop[a].items()), p) ==
+                combine((((a, b1, b2), c * c2) for (a, b), c in cop[k].items()
+                         for (b1, b2), c2 in cop[b].items()), p))
 
     def counital(k) -> bool:
-        left: Element = {}
-        right: Element = {}
-        for (a, b), c in cop[k].items():
-            if isinstance(a, int):
-                left[b] = (left.get(b, 0) + c) % p
-            if isinstance(b, int):
-                right[a] = (right.get(a, 0) + c) % p
-        return ({t: v for t, v in left.items() if v} == {k: 1} ==
-                {t: v for t, v in right.items() if v})
+        return (combine(((b, c) for (a, b), c in cop[k].items()
+                         if isinstance(a, int)), p) == {k: 1} ==
+                combine(((a, c) for (a, b), c in cop[k].items()
+                         if isinstance(b, int)), p))
 
-    # coassociativity and counit on all basis paths
     check(report, "coassociativity", all_keys, coassociative)
     check(report, "counit", all_keys, counital)
 
     def multiplicative(t) -> bool:
         k1, k2 = t
-        lhs: dict = {}
-        for k, c in h.product_basis(k1, k2).items():
-            for pair, c2 in cop[k].items():
-                lhs[pair] = (lhs.get(pair, 0) + c * c2) % p
-        lhs = {pair: v for pair, v in lhs.items() if v}
-        return lhs == h._tensor_mul(cop[k1], cop[k2])
+        return (combine(((pair, c * c2) for k, c in h.product_basis(k1, k2).items()
+                         for pair, c2 in cop[k].items()), p) ==
+                h._tensor_mul(cop[k1], cop[k2]))
 
-    check(report, "coproduct-algebra-map", tuples(2, h.max_deg), multiplicative)
+    check(report, "coproduct-algebra-map", tuples(2), multiplicative)
 
-    # antipode convolution identity on degrees <= N-1
     def antipodal(k) -> bool:
-        acc: Element = {}
-        for (a, b), c in cop[k].items():
-            for t, c2 in h.multiply(h.antipode(a), {b: 1}).items():
-                acc[t] = (acc.get(t, 0) + c * c2) % p
-        acc = {t: v for t, v in acc.items() if v}
-        return acc == ({0: 1} if isinstance(k, int) else {})
+        return combine(((t, c * c2) for (a, b), c in cop[k].items()
+                        for t, c2 in h.multiply(h.antipode(a), {b: 1}).items()),
+                       p) == ({0: 1} if isinstance(k, int) else {})
 
     check(report, "antipode",
           (k for n in range(h.max_deg) for k in h.basis_by_degree[n]), antipodal)
@@ -335,10 +295,8 @@ def skew_primitive_report(h: TruncatedHopf) -> Report:
     return report
 
 
-def type_one_dims(rsr: RSR, max_deg: int,
-                  space_cap: int = DEFAULT_SPACE_CAP,
-                  dim_cap: int = DEFAULT_DIM_CAP) -> list[int]:
+def type_one_dims(rsr: RSR, max_deg: int) -> list[int]:
     """Graded dimensions of the type-one Hopf algebra: |G| times the Nichols
     dimensions of the coinvariant module (the biproduct identity)."""
-    base = nichols_dims(yd_from_rsr(rsr), max_deg, space_cap, dim_cap)
+    base = nichols_dims(yd_from_rsr(rsr), max_deg)
     return [rsr.group.order * b for b in base]

@@ -13,7 +13,7 @@ from quiverhopf import (
     transversal_iso,
     verify_bimodule,
 )
-from quiverhopf.bimodule import Report, check
+from quiverhopf.bimodule import Report, check, combine
 from quiverhopf.groups import coset_transversal
 
 
@@ -240,3 +240,14 @@ def test_check_records_first_failure_and_count():
         {"name": "weighted", "ok": True, "checked": 20},
         {"name": "empty", "ok": True, "checked": 0}]
     assert formatted == [3]
+
+
+def test_combine_sums_mod_p_and_drops_zeros():
+    # a and b cancel mod 7, c reduces, d keeps its first-seen position
+    terms = ((k, c) for k, c in [("a", 3), ("d", 2), ("b", 5), ("a", 4),
+                                 ("c", 8), ("b", -5), ("d", 7)])
+    out = combine(terms, 7)
+    assert out == {"d": 2, "c": 1}
+    assert list(out) == ["d", "c"]
+    assert combine([((1, "x"), 6), ((1, "x"), 6), ("y", 0)], 7) == {(1, "x"): 5}
+    assert combine([], 7) == {}

@@ -228,6 +228,21 @@ def test_explicit_exhaustive_flag(capsys):
     assert doc["results"][0]["report"]["mode"] == "exhaustive"
 
 
+def test_hopf_verify_honours_exhaustive_flag(capsys):
+    # 2 + 14 + 98 = 114 basis paths: sampled by default
+    code, out, _ = run_cli(capsys, "hopf-verify", "--group", "C2",
+                           "--ram", "e:7", "--type-index", "0",
+                           "--max-degree", "2", "--exhaustive")
+    assert code == 0
+    report = json.loads(out)["results"][0]["report"]
+    assert report["mode"] == "exhaustive"
+    checked = {c["name"]: c["checked"] for c in report["checks"]}
+    # triples: 2^3 + 3*14*2^2 + 3*98*2^2 + 3*14^2*2; pairs: 2^2 + 2*14*2
+    # + 2*98*2 + 14^2
+    assert checked["associativity"] == 2528
+    assert checked["coproduct-algebra-map"] == 648
+
+
 def test_budget_error_exit_code(capsys):
     # the 12-dimensional module exceeds the default Nichols dimension cap
     for verb in ("hopf-dims", "nichols-dims"):

@@ -1,5 +1,10 @@
+from collections import Counter
+
 import pytest
 
+from quiverhopf import typeone
+from quiverhopf.bimodule import check
+from quiverhopf.typeone import path_degree
 from quiverhopf import (
     TruncationError,
     make_rsr,
@@ -19,6 +24,26 @@ def hopf_s3_loops(s3):
     ram = parse_ramification(s3, "e:2")
     rsr = make_rsr(s3, ram, None, {0: (2,)})
     return tensor_hopf(rsr, 3)
+
+
+@pytest.fixture(scope="module")
+def hopf_c2_seven_loops():
+    # dims 2, 14, 98: 114 basis paths, so sampled unless asked otherwise
+    g = parse_group("C2")
+    rsr = make_rsr(g, parse_ramification(g, "e:7"), None, {0: (0,) * 7})
+    return tensor_hopf(rsr, 2)
+
+
+def checked_cases(monkeypatch, h, **kwargs):
+    """verify_hopf(h, **kwargs) and the cases each of its checks ran on."""
+    cases = {}
+
+    def recording(report, name, it, test, *args, **kw):
+        cases[name] = list(it)
+        check(report, name, cases[name], test, *args, **kw)
+
+    monkeypatch.setattr(typeone, "check", recording)
+    return verify_hopf(h, **kwargs), cases
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +124,34 @@ def test_verify_hopf_group_algebra(s3):
 def test_verify_hopf_sampled(hopf_s3_sgn):
     report = verify_hopf(hopf_s3_sgn, seed=2, samples=120)
     assert report.passed, report.to_json()
+
+
+def test_exhaustive_tuples_are_every_tuple_once(monkeypatch, hopf_c2_seven_loops):
+    h = hopf_c2_seven_loops
+    report, cases = checked_cases(monkeypatch, h, exhaustive=True)
+    assert report.passed and report.mode == "exhaustive"
+    for name, arity, count in (("associativity", 3, 2528),
+                               ("coproduct-algebra-map", 2, 648)):
+        tuples = cases[name]
+        assert len(tuples) == len(set(tuples)) == count
+        assert all(len(t) == arity and
+                   sum(path_degree(k) for k in t) <= h.max_deg for t in tuples)
+
+
+def test_sampled_compositions_follow_their_tuple_counts(monkeypatch,
+                                                        hopf_c2_seven_loops):
+    h = hopf_c2_seven_loops
+    samples = 2000
+    report, cases = checked_cases(monkeypatch, h, seed=5, samples=samples)
+    assert report.passed and report.mode == f"sampled({samples})"
+    pairs = cases["coproduct-algebra-map"]
+    assert len(pairs) == samples
+    seen = Counter(tuple(path_degree(k) for k in t) for t in pairs)
+    weights = {(0, 0): 4, (0, 1): 28, (1, 0): 28,
+               (0, 2): 196, (2, 0): 196, (1, 1): 196}
+    assert set(seen) == set(weights)
+    for comp, w in weights.items():
+        assert abs(seen[comp] / samples - w / 648) < 0.03, (comp, seen[comp])
 
 
 def test_truncation_overflow(hopf_s3_sgn):

@@ -87,6 +87,24 @@ def test_verify_yd_catches_action_mutation(sgn_module):
     assert not verify_yd(broken).passed
 
 
+def test_action_multiplicative_names_first_failing_pair(sgn_module):
+    v = sgn_module
+    g = v.group
+    action = {h: m.copy() for h, m in v.action.items()}
+    action[3][0, 0] = (action[3][0, 0] + 1) % v.p
+    report = verify_yd(YDModule(g, v.p, v.basis, v.grading, action))
+    first = next((a, b) for a in range(g.order) for b in range(g.order)
+                 if not (action[g.mul(a, b)] ==
+                         linalg.matmul(action[a], action[b], v.p)).all())
+    bad = {c.name: c for c in report.checks if not c.ok}
+    assert bad["action-multiplicative"].witness == \
+        f"(g,h)=({g.element_name(first[0])},{g.element_name(first[1])})"
+    # one array comparison per g covers all of its |G| pairs
+    assert bad["action-multiplicative"].checked == (first[0] + 1) * g.order
+    assert [c.checked for c in verify_yd(v).checks if c.name ==
+            "action-multiplicative"] == [g.order ** 2]
+
+
 def test_braiding_c2(c2_module):
     c = braiding(c2_module)
     assert c.matrix.tolist() == [[c.p - 1]]
