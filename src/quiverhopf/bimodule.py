@@ -4,16 +4,21 @@ Left action: h . a_{y,x} = a_{hy,hx} (an index shift).  Right action:
 a^{(i,j)}_{y,x} . h = sum_s rho^{(i)}(zeta_theta(h))[j,s] a^{(i,s)}_{yh,xh},
 where theta is the coset index of x^-1 y and zeta the centralizer factor of
 g_theta h.  Coefficient blocks depend only on (class, slot, zeta), so they
-are stored densely per class and slot; the verifier exploits the same
-factorization to cover every (g, arrow, h) triple exactly.
+are stored densely per class and slot.  The verifier checks the axioms on
+these tables with one set of checks in both modes: unit,
+commutation-and-coaction and right-invertibility always cover every case,
+while left- and right-associativity, which range over pairs of group
+elements, take every pair in exhaustive mode and seeded samples otherwise.
+A check with no cases is left out of the report.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +28,9 @@ from .quiver import ArrowId, HopfQuiver
 from .rsr import RSR
 
 EXHAUSTIVE_TRIPLE_CAP = 10 ** 6
+# left_perm caches permutations up to this many entries in all: a full
+# cache holds |G| * arrows entries, 533 M on S7 with a transposition arrow
+PERM_CACHE_CELLS = 1 << 24
 
 
 @dataclass
@@ -62,14 +70,35 @@ def check(report: Report, name: str, cases: Iterable, test: Callable[..., bool],
           witness: Callable[..., str] = str, weight: int = 1) -> None:
     """Add check `name` to report: test(case) for each case, stopping at the
     first failure.  The count is weight times the cases tried; the witness
-    string is formatted for the failing case only."""
+    string is formatted for the failing case only.  A check that passes
+    with nothing checked is left out of the report."""
     checked = 0
     for case in cases:
         checked += weight
         if not test(case):
             report.add(name, False, checked, witness(case))
             return
-    report.add(name, True, checked)
+    if checked:
+        report.add(name, True, checked)
+
+
+def cases(spaces: Sequence[tuple[Sequence, ...]], samples: int,
+          rng: Optional[random.Random]) -> Iterator[tuple]:
+    """Cases for `check` from spaces, each the product of its sequences.
+
+    With rng None: every tuple of every space, in order.  Otherwise
+    `samples` tuples, each drawn by picking a space with probability
+    proportional to its size and then one uniform entry per coordinate,
+    which is the uniform law on all the tuples.  No spaces, or only empty
+    ones, give no cases."""
+    if rng is None:
+        for space in spaces:
+            yield from itertools.product(*space)
+        return
+    weights = [math.prod(len(s) for s in space) for space in spaces]
+    if sum(weights):
+        for space in rng.choices(spaces, weights, k=samples):
+            yield tuple(rng.choice(s) for s in space)
 
 
 def combine(terms: Iterable[tuple[Hashable, int]], p: int) -> dict:
@@ -152,13 +181,17 @@ class HopfBimodule:
                 for s in range(block.shape[1]) if block[a.j, s]]
 
     def left_perm(self, h: int) -> np.ndarray:
-        """Left action as a permutation of arrow indices."""
-        if h not in self._perm_cache:
-            perm = np.empty(len(self.arrows), dtype=np.int64)
-            for i, a in enumerate(self.arrows):
-                perm[i] = self.arrow_index[self.left_action(h, a)]
-            self._perm_cache[h] = perm
-        return self._perm_cache[h]
+        """Left action as a permutation of arrow indices.  arrows() is
+        vertex-major with the same local order at every vertex, so h moves
+        arrow x * apv + l to (hx) * apv + l, apv being the arrows per vertex."""
+        perm = self._perm_cache.get(h)
+        if perm is None:
+            apv = len(self.arrows) // self.group.order
+            hx = self.group.products(h, np.arange(self.group.order, dtype=np.int32))
+            perm = (hx[:, None] * apv + np.arange(apv, dtype=np.int32)).ravel()
+            if (len(self._perm_cache) + 1) * len(perm) <= PERM_CACHE_CELLS:
+                self._perm_cache[h] = perm
+        return perm
 
     def dim(self) -> int:
         return len(self.arrows)
@@ -196,11 +229,14 @@ def build_bimodule(rsr: RSR,
 
 def verify_bimodule(m: HopfBimodule, exhaustive: Optional[bool] = None,
                     samples: int = 100_000, seed: int = 0) -> Report:
-    """Check the Hopf-bimodule axioms.
+    """Check the Hopf-bimodule axioms on the action tables.
 
-    Exhaustive mode factors the axioms through the action tables, covering
-    every (g, arrow, h) triple; sampled mode draws seeded triples and checks
-    them pointwise through the public maps.
+    Unit, commutation-and-coaction and right-invertibility cover every case
+    in both modes.  Left- and right-associativity range over pairs (g, h) of
+    group elements: exhaustive mode (the default when there are at most
+    EXHAUSTIVE_TRIPLE_CAP (g, arrow, h) triples) takes every pair, and
+    sampled mode draws `samples` seeded cases from `cases`.  A check with no
+    cases, as on a ramification without arrows, is left out of the report.
     """
     g = m.group
     name = g.element_name
@@ -209,127 +245,94 @@ def verify_bimodule(m: HopfBimodule, exhaustive: Optional[bool] = None,
     if exhaustive is None:
         exhaustive = n * narrows <= EXHAUSTIVE_TRIPLE_CAP
     report = Report(mode="exhaustive" if exhaustive else f"sampled({samples})")
+    rng = None if exhaustive else random.Random(f"bimodule:{seed}")
     p = m.p
     support = m.rsr.ram.support
+    elements = range(n)
 
-    if exhaustive:
-        # unit: the zeta tables are trivial at h = e, and e fixes every arrow
-        # on both sides
-        def unit(case) -> bool:
-            side, a = case
-            if side == "left":
-                return m.left_action(0, a) == a
-            if side == "right":
-                return m.right_action(a, 0) == [(a, 1)]
-            return all((m.zl[cls][:, 0] == 0).all() and
-                       (m.tp[cls][:, 0] == np.arange(len(m.transversal[cls]))).all()
-                       for cls in support)
+    # unit: the zeta tables are trivial at h = e, and e fixes every arrow
+    # on both sides
+    def unit(case) -> bool:
+        side, a = case
+        if side == "left":
+            return m.left_action(0, a) == a
+        if side == "right":
+            return m.right_action(a, 0) == [(a, 1)]
+        return all((m.zl[cls][:, 0] == 0).all() and
+                   (m.tp[cls][:, 0] == np.arange(len(m.transversal[cls]))).all()
+                   for cls in support)
 
-        check(report, "unit", itertools.chain(
-            [("tables", None)], (("left", a) for a in m.arrows),
-            (("right", a) for a in m.arrows)), unit,
-            lambda case: "zeta(., e) is not trivial" if case[0] == "tables"
-            else f"identity moves arrow {case[1]} on the {case[0]}")
+    check(report, "unit", itertools.chain(
+        [("tables", None)] if support else [], (("left", a) for a in m.arrows),
+        (("right", a) for a in m.arrows)), unit,
+        lambda case: "zeta(., e) is not trivial" if case[0] == "tables"
+        else f"identity moves arrow {case[1]} on the {case[0]}")
 
-        # left associativity: P_{gh} = P_g . P_h on all arrows
-        check(report, "left-associativity", itertools.product(range(n), repeat=2),
-              lambda ab: (m.left_perm(g.mul(*ab)) ==
-                          m.left_perm(ab[0])[m.left_perm(ab[1])]).all(),
-              lambda ab: f"(g,h)=({name(ab[0])},{name(ab[1])})", weight=narrows)
+    # left associativity: P_{gh} = P_g . P_h on all arrows
+    check(report, "left-associativity", cases([(elements, elements)], samples, rng),
+          lambda ab: (m.left_perm(g.mul(*ab)) ==
+                      m.left_perm(ab[0]).take(m.left_perm(ab[1]))).all(),
+          lambda ab: f"(g,h)=({name(ab[0])},{name(ab[1])})", weight=narrows)
 
-        # right associativity: zeta cocycle at block level, all (theta, g, h)
-        def right_assoc(case) -> bool:
-            cls, slot, theta, a, b = case
-            zl, tp = m.zl[cls], m.tp[cls]
-            blocks = m.blocks[(cls, slot)]
-            ab, tpa = g.mul(a, b), int(tp[theta, a])
-            return tp[theta, ab] == tp[tpa, b] and (
-                blocks[int(zl[theta, ab])] ==
-                linalg.matmul(blocks[int(zl[theta, a])], blocks[int(zl[tpa, b])], p)).all()
+    # the blocks are reduced mod p, so one exactness check covers every
+    # block product below
+    linalg._check_mul(max((b[0].shape[0] for b in m.blocks.values()), default=0), p)
 
-        check(report, "right-associativity",
-              ((cls, slot, theta, a, b) for cls in support
-               for theta in range(len(m.transversal[cls]))
-               for a in range(n) for b in range(n)
-               for slot in range(len(m.rsr.irreps[cls]))), right_assoc,
-              lambda case: f"class {case[0]} slot {case[1]} theta {case[2]} "
-                           f"g={name(case[3])} h={name(case[4])}")
+    # right associativity: zeta cocycle at block level, on (theta, g, h)
+    def right_assoc(case) -> bool:
+        cls, theta, a, b, slot = case
+        zl, tp = m.zl[cls], m.tp[cls]
+        blocks = m.blocks[(cls, slot)]
+        ab, tpa = g.mul(a, b), int(tp[theta, a])
+        return tp[theta, ab] == tp[tpa, b] and (
+            blocks[int(zl[theta, ab])] ==
+            (blocks[int(zl[theta, a])] @ blocks[int(zl[tpa, b])]) % p).all()
 
-        # bimodule commutation and coaction grading: index arithmetic on all
-        # (g, arrow, h); coefficients agree because theta(x^-1 y) is invariant
-        # under the left shift
-        def commutes(case) -> bool:
-            if isinstance(case, ArrowId):
-                c = g.mul(g.inv(case.x), case.y)
-                return class_of(g, c) == case.cls and c in m.theta_of[case.cls]
-            h, cls, c, theta = case
-            tp, t = m.tp[cls], m.transversal[cls]
-            zeta = m.rsr.centralizer(cls).embed[int(m.zl[cls][theta, h])]
-            # destination class element of a . h is h^-1 c h, and the
-            # defining relation g_theta h = zeta g_theta' holds
-            return (m.theta_of[cls][g.conj(c, h)] == tp[theta, h] and
-                    g.mul(t[theta], h) == g.mul(zeta, t[int(tp[theta, h])]))
+    check(report, "right-associativity",
+          cases([((cls,), range(len(m.transversal[cls])), elements, elements,
+                  range(len(m.rsr.irreps[cls]))) for cls in support], samples, rng),
+          right_assoc,
+          lambda case: f"class {case[0]} slot {case[4]} theta {case[1]} "
+                       f"g={name(case[2])} h={name(case[3])}")
 
-        check(report, "commutation-and-coaction", itertools.chain(
-            m.arrows, ((h, cls, c, theta) for h in range(n) for cls in support
-                       for c, theta in m.theta_of[cls].items())), commutes,
-            lambda case: f"arrow {case} has inconsistent class data"
-            if isinstance(case, ArrowId) else
-            f"class {case[1]} theta {case[3]} h={name(case[0])}")
+    # bimodule commutation and coaction grading: index arithmetic on all
+    # (g, arrow, h); coefficients agree because theta(x^-1 y) is invariant
+    # under the left shift
+    def commutes(case) -> bool:
+        if isinstance(case, ArrowId):
+            c = g.mul(g.inv(case.x), case.y)
+            return class_of(g, c) == case.cls and c in m.theta_of[case.cls]
+        h, cls, c, theta = case
+        tp, t = m.tp[cls], m.transversal[cls]
+        zeta = m.rsr.centralizer(cls).embed[int(m.zl[cls][theta, h])]
+        # destination class element of a . h is h^-1 c h, and the
+        # defining relation g_theta h = zeta g_theta' holds
+        return (m.theta_of[cls][g.conj(c, h)] == tp[theta, h] and
+                g.mul(t[theta], h) == g.mul(zeta, t[int(tp[theta, h])]))
 
-        # right action by h then h^-1 is the identity
-        def invertible(case) -> bool:
-            cls, slot, theta, h = case
-            zl, tp = m.zl[cls], m.tp[cls]
-            blocks = m.blocks[(cls, slot)]
-            prod = linalg.matmul(blocks[int(zl[theta, h])],
-                                 blocks[int(zl[int(tp[theta, h]), g.inv(h)])], p)
-            return (prod == linalg.identity(prod.shape[0])).all()
+    check(report, "commutation-and-coaction", itertools.chain(
+        m.arrows, ((h, cls, c, theta) for h in elements for cls in support
+                   for c, theta in m.theta_of[cls].items())), commutes,
+        lambda case: f"arrow {case} has inconsistent class data"
+        if isinstance(case, ArrowId) else
+        f"class {case[1]} theta {case[3]} h={name(case[0])}")
 
-        check(report, "right-invertibility",
-              ((cls, slot, theta, h) for cls in support
-               for slot in range(len(m.rsr.irreps[cls]))
-               for theta in range(len(m.transversal[cls])) for h in range(n)),
-              invertible,
-              lambda case: f"class {case[0]} slot {case[1]} theta {case[2]} "
-                           f"h={name(case[3])}")
-        return report
+    # right action by h then h^-1 is the identity
+    def invertible(case) -> bool:
+        cls, slot, theta, h = case
+        zl, tp = m.zl[cls], m.tp[cls]
+        blocks = m.blocks[(cls, slot)]
+        prod = (blocks[int(zl[theta, h])] @
+                blocks[int(zl[int(tp[theta, h]), g.inv(h)])]) % p
+        return (prod == linalg.identity(prod.shape[0])).all()
 
-    # sampled mode: seeded triples checked through the public maps; every
-    # check replays the same draws
-    def draws():
-        rng = random.Random(f"bimodule:{seed}")
-        for _ in range(samples):
-            yield (m.arrows[rng.randrange(narrows)], rng.randrange(n),
-                   rng.randrange(n), rng.randrange(n))
-
-    def commutes_sampled(case) -> bool:
-        a, gg, h, _ = case
-        return (_apply_right(m, [(m.left_action(gg, a), 1)], h) ==
-                combine(((m.left_action(gg, b), c) for b, c in m.right_action(a, h)), p))
-
-    def assoc_sampled(case) -> bool:
-        a, _, h, h2 = case
-        return (_apply_right(m, m.right_action(a, h), h2) ==
-                combine(m.right_action(a, g.mul(h, h2)), p))
-
-    def invertible_sampled(case) -> bool:
-        a, _, h, _ = case
-        return _apply_right(m, m.right_action(a, h), g.inv(h)) == {a: 1}
-
-    def graded_sampled(case) -> bool:
-        a, _, h, _ = case
-        return all(b.x == g.mul(a.x, h) and b.y == g.mul(a.y, h)
-                   for b, _ in m.right_action(a, h))
-
-    check(report, "left-right-commutation", draws(), commutes_sampled,
-          lambda case: f"g={name(case[1])} arrow={case[0]} h={name(case[2])}")
-    check(report, "right-associativity", draws(), assoc_sampled,
-          lambda case: f"arrow={case[0]} h={name(case[2])} h'={name(case[3])}")
-    check(report, "right-invertibility", draws(), invertible_sampled,
-          lambda case: f"arrow={case[0]} h={name(case[2])}")
-    check(report, "coaction-grading", draws(), graded_sampled,
-          lambda case: f"arrow={case[0]} h={name(case[2])}")
+    check(report, "right-invertibility",
+          ((cls, slot, theta, h) for cls in support
+           for slot in range(len(m.rsr.irreps[cls]))
+           for theta in range(len(m.transversal[cls])) for h in elements),
+          invertible,
+          lambda case: f"class {case[0]} slot {case[1]} theta {case[2]} "
+                       f"h={name(case[3])}")
     return report
 
 
@@ -357,13 +360,12 @@ class BimoduleMap:
     def is_bijective(self) -> bool:
         return linalg.rank(self.matrix, self.p) == self.matrix.shape[0]
 
-    def verify(self, exhaustive: bool = True, samples: int = 2000,
-               seed: int = 0) -> Report:
+    def verify(self) -> Report:
         """Check bijectivity and that the map intertwines both actions and
-        both coactions."""
+        both coactions, on every case."""
         m1, m2 = self.source, self.target
         g = m1.group
-        report = Report(mode="exhaustive" if exhaustive else f"sampled({samples})")
+        report = Report(mode="exhaustive")
         report.add("bijective", self.is_bijective(), 1)
 
         check(report, "coaction-intertwining",
@@ -372,16 +374,6 @@ class BimoduleMap:
               lambda ab: (ab[1].x, ab[1].y) == (ab[0].x, ab[0].y),
               lambda ab: f"{ab[0]} maps to {ab[1]}")
 
-        if exhaustive:
-            cases = ((gg, h, a) for gg in range(g.order) for h in range(g.order)
-                     for a in m1.arrows)
-        else:
-            rng = random.Random(f"bimodmap:{seed}")
-            pairs = [(rng.randrange(g.order), rng.randrange(g.order))
-                     for _ in range(samples)]
-            cases = [(gg, h, m1.arrows[rng.randrange(len(m1.arrows))])
-                     for gg, h in pairs]
-
         def intertwines(case) -> bool:
             gg, h, a = case
             lhs = self.apply(_apply_right(m1, [(m1.left_action(gg, a), 1)], h).items())
@@ -389,7 +381,9 @@ class BimoduleMap:
             return lhs == _apply_right(
                 m2, ((m2.left_action(gg, b), c) for b, c in fa.items()), h)
 
-        check(report, "action-intertwining", cases, intertwines,
+        check(report, "action-intertwining",
+              ((gg, h, a) for gg in range(g.order) for h in range(g.order)
+               for a in m1.arrows), intertwines,
               lambda case: f"g={g.element_name(case[0])} arrow={case[2]} "
                            f"h={g.element_name(case[1])}")
         return report

@@ -4,9 +4,9 @@ Verbs: group-info, chartab, rsr-count, rsr-enumerate, rsr-iso,
 bimodule-verify, yd-verify, nichols-dims, hopf-verify, hopf-dims, selftest.
 Output is JSON (sorted keys; byte-identical for identical argv + seed);
 CSV is available for the tabular census verbs.  Exit codes: 0 ok,
-1 verification failure, 2 input error or exceeded budget (a module or
-tensor power over the Nichols dimension caps); errors are one
-`error: ...` line on stderr.
+1 verification failure, 2 input error or exceeded budget (a module or a
+working matrix over the Nichols budget, see `yd.nichols_dims`); errors
+are one `error: ...` line on stderr.
 """
 
 from __future__ import annotations

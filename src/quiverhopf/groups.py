@@ -604,7 +604,7 @@ def parse_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
         degree = max(_max_point(p) for p in parts) + 1
         gens = [parse_cycle_string(p, degree) for p in parts]
         return Group(degree, gens, name=None, order_cap=order_cap, spec=spec)
-    tokens = [t for t in re.split(r"\s*[xX]\s*(?![^()]*\))", spec) if t]
+    tokens = re.split(r"\s*[xX]\s*(?![^()]*\))", spec)
     if len(tokens) == 1:
         g = _named_group(tokens[0], order_cap)
         g.spec = spec

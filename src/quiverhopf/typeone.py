@@ -26,11 +26,10 @@ never materialized.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from typing import Optional, Union
 
-from .bimodule import HopfBimodule, Report, build_bimodule, check, combine
+from .bimodule import HopfBimodule, Report, build_bimodule, cases, check, combine
 from .groups import InputError
 from .quiver import ArrowId
 from .rsr import RSR
@@ -225,19 +224,14 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
     if exhaustive is None:
         exhaustive = n_basis <= 100
     report = Report(mode="exhaustive" if exhaustive else f"sampled({samples})")
-    rng = random.Random(f"hopf:{seed}")
+    rng = None if exhaustive else random.Random(f"hopf:{seed}")
 
     all_keys = [k for n in range(h.max_deg + 1) for k in h.basis_by_degree[n]]
 
     def tuples(arity: int):
-        comps = [c for c in itertools.product(range(h.max_deg + 1), repeat=arity)
-                 if sum(c) <= h.max_deg]
-        if exhaustive:
-            return (t for c in comps
-                    for t in itertools.product(*(h.basis_by_degree[d] for d in c)))
-        weights = [math.prod(h.dim(d) for d in c) for c in comps]
-        return (tuple(rng.choice(h.basis_by_degree[d]) for d in c)
-                for c in rng.choices(comps, weights, k=samples))
+        return cases([tuple(h.basis_by_degree[d] for d in c)
+                      for c in itertools.product(range(h.max_deg + 1), repeat=arity)
+                      if sum(c) <= h.max_deg], samples, rng)
 
     def associative(t) -> bool:
         k1, k2, k3 = t

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,15 @@ from quiverhopf import (
     Permutation,
     build_bimodule,
     conjugacy_classes,
+    enumerate_types,
     make_rsr,
     parse_group,
     parse_ramification,
+    rsr_from_type,
     transversal_iso,
     verify_bimodule,
 )
-from quiverhopf.bimodule import Report, check, combine
+from quiverhopf.bimodule import Report, cases, check, combine
 from quiverhopf.groups import coset_transversal
 
 
@@ -114,6 +118,43 @@ def test_sampled_mode(s4):
     report = verify_bimodule(m, exhaustive=False, samples=2000, seed=11)
     assert report.passed
     assert report.mode == "sampled(2000)"
+    # the same checks as exhaustive mode; only the associativities sample
+    full = {c.name: c.checked for c in verify_bimodule(m, exhaustive=True).checks}
+    got = {c.name: c.checked for c in report.checks}
+    assert list(got) == list(full) == [
+        "unit", "left-associativity", "right-associativity",
+        "commutation-and-coaction", "right-invertibility"]
+    assert got["left-associativity"] == 2000 * m.dim()
+    assert got["right-associativity"] == 2000
+    for name in ("unit", "commutation-and-coaction", "right-invertibility"):
+        assert got[name] == full[name]
+
+
+@pytest.mark.parametrize("spec, ram", [("S3", "e:2,(0 1):1,(0 1 2):2"),
+                                       ("S4", "e:2,(0 1):1")])
+def test_left_perm_is_the_left_action(spec, ram):
+    g = parse_group(spec)
+    r = parse_ramification(g, ram)
+    # a type with a slot of dimension > 1
+    m = max((build_bimodule(rsr_from_type(g, r, t)) for t in enumerate_types(g, r)),
+            key=lambda m: max(a.j for a in m.arrows))
+    assert max(a.j for a in m.arrows) > 0
+    for h in range(g.order):
+        assert ([m.arrows[i] for i in m.left_perm(h)] ==
+                [m.left_action(h, a) for a in m.arrows])
+
+
+def test_swapped_left_perm_entry_fails_both_modes(monkeypatch, s4):
+    ram = parse_ramification(s4, "(0 1):1")
+    m = build_bimodule(make_rsr(s4, ram, None, {1: (1,)}))
+    perm = m.left_perm(1).copy()
+    perm[[0, 1]] = perm[[1, 0]]
+    left_perm = m.left_perm
+    monkeypatch.setattr(m, "left_perm", lambda h: perm if h == 1 else left_perm(h))
+    for report in (verify_bimodule(m, exhaustive=True),
+                   verify_bimodule(m, exhaustive=False, samples=3000, seed=1)):
+        failed = [c.name for c in report.checks if not c.ok]
+        assert failed == ["left-associativity"], report.to_json()
 
 
 def test_transversal_iso_identity(s3):
@@ -189,7 +230,7 @@ def test_transversal_iso_with_noncanonical_u(s3):
          if s3.mul(h, u02) == s3.mul(u02, h) and h][0]
     t2[1][2] = s3.mul(z, t2[1][2])
     fmap = transversal_iso(rsr, t1, t2)
-    assert fmap.verify(exhaustive=True).passed
+    assert fmap.verify().passed
 
 
 def test_two_class_bimodule(s3):
@@ -235,11 +276,22 @@ def test_check_records_first_failure_and_count():
     check(report, "first-failure", range(10), lambda x: x < 3, witness)
     check(report, "weighted", range(4), lambda x: True, witness, weight=5)
     check(report, "empty", [], lambda x: False, witness)
+    check(report, "weightless", range(4), lambda x: True, witness, weight=0)
     assert [c.to_json() for c in report.checks] == [
         {"name": "first-failure", "ok": False, "checked": 4, "witness": "x=3"},
-        {"name": "weighted", "ok": True, "checked": 20},
-        {"name": "empty", "ok": True, "checked": 0}]
+        {"name": "weighted", "ok": True, "checked": 20}]
     assert formatted == [3]
+
+
+def test_cases_lists_or_draws_the_tuples_of_every_space():
+    spaces = [("ab", (0, 1)), ("c", (2,))]
+    assert list(cases(spaces, 5, None)) == [
+        ("a", 0), ("a", 1), ("b", 0), ("b", 1), ("c", 2)]
+    drawn = list(cases(spaces, 500, random.Random(3)))
+    assert len(drawn) == 500 and set(drawn) == set(cases(spaces, 5, None))
+    for rng in (None, random.Random(3)):
+        assert list(cases([], 5, rng)) == []
+        assert list(cases([("ab", ())], 5, rng)) == []
 
 
 def test_combine_sums_mod_p_and_drops_zeros():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quiverhopf import cli, make_rsr, parse_group, parse_ramification
 
 
@@ -42,6 +44,20 @@ def test_bad_ramification_exit_code(capsys):
     code, _, _ = run_cli(capsys, "rsr-count", "--group", "S3",
                          "--ram", "(0 9):1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf-verify", "--group", "S3", "--ram", "(0 1):1", "--type-index", "1",
+     "--max-degree", "0"],
+    ["bimodule-verify", "--group", "S3", "--ram", ""],
+    ["yd-verify", "--group", "S3", "--ram", ""],
+])
+def test_no_check_passes_with_nothing_checked(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    checks = [c for res in json.loads(out)["results"] for r in res.values()
+              for c in r.get("checks", [])]
+    assert all(c["checked"] > 0 for c in checks), checks
 
 
 def test_verification_failure_exit_code(capsys, monkeypatch):

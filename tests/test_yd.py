@@ -20,7 +20,7 @@ from quiverhopf import (
     verify_yd,
     yd_from_rsr,
 )
-from quiverhopf import linalg
+from quiverhopf import linalg, yd
 from quiverhopf.yd import (
     braid_operators,
     bubble_word,
@@ -234,9 +234,22 @@ def test_nichols_dims_invariants(s3):
         assert all(dims[n] <= v.dim ** n for n in range(len(dims)))
 
 
-def test_budget_error(sgn_module):
+def test_zero_module_braiding_reports_no_empty_check(s3):
+    v = yd_from_rsr(make_rsr(s3, parse_ramification(s3, ""), None, {}))
+    report = braiding(v).verify()
+    assert report.passed and [c.name for c in report.checks] == ["invertible"]
+
+
+def test_budget_error(monkeypatch, sgn_module):
+    # degree 3 needs 27 words x 12 columns = 324 cells
+    monkeypatch.setattr(yd, "CELL_CAP", 100)
     with pytest.raises(BudgetError):
-        nichols_dims(sgn_module, 5, space_cap=100)
+        nichols_dims(sgn_module, 5)
+
+
+def test_budget_counts_allocated_cells_only(sgn_module):
+    # 3^11 words would pass no row cap, but Im S_5 = 0 allocates nothing
+    assert nichols_dims(sgn_module, 11) == [1, 3, 4, 3, 1] + [0] * 7
 
 
 def test_multiprime(s3):
@@ -274,7 +287,7 @@ def test_same_type_pairs_share_dims(s3):
     assert nichols_dims(yd_from_rsr(a), 3) == nichols_dims(yd_from_rsr(b), 3)
 
 
-def test_dim_cap(s4):
+def test_dim_cap(monkeypatch, s4):
     # a 12-dimensional module trips the default module-dimension cap
     ram = parse_ramification(s4, "(0 1):2")
     rsr = make_rsr(s4, ram, None, {1: (0, 1)})
@@ -282,7 +295,8 @@ def test_dim_cap(s4):
     assert v.dim == 12
     with pytest.raises(BudgetError):
         nichols_dims(v, 2)
-    assert nichols_dims(v, 2, dim_cap=12)[1] == 12
+    monkeypatch.setattr(yd, "DEFAULT_DIM_CAP", 12)
+    assert nichols_dims(v, 2)[1] == 12
 
 
 def test_trivially_braided_module_gives_symmetric_algebra(s4):
