@@ -4,12 +4,12 @@ Left action: h . a_{y,x} = a_{hy,hx} (an index shift).  Right action:
 a^{(i,j)}_{y,x} . h = sum_s rho^{(i)}(zeta_theta(h))[j,s] a^{(i,s)}_{yh,xh},
 where theta is the coset index of x^-1 y and zeta the centralizer factor of
 g_theta h.  Coefficient blocks depend only on (class, slot, zeta), so they
-are stored densely per class and slot.  The verifier checks the axioms on
-these tables with one set of checks in both modes: unit,
-commutation-and-coaction and right-invertibility always cover every case,
-while left- and right-associativity, which range over pairs of group
-elements, take every pair in exhaustive mode and seeded samples otherwise.
-A check with no cases is left out of the report.
+are stored densely per class and slot.  The verifier checks every axiom
+completely on these tables.  Left- and right-associativity state that an
+action respects the group product, so they are checked on the pairs
+(g, s) with s a generator, which covers every pair (the lemma of
+`Group.generating_sequence`); the other checks take every case.  A check
+with no cases is left out of the report.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from . import linalg
 from .groups import InputError, class_of, coset_transversal
 from .quiver import ArrowId, HopfQuiver
 from .rsr import RSR
-
-EXHAUSTIVE_TRIPLE_CAP = 10 ** 6
-# left_perm caches permutations up to this many entries in all: a full
-# cache holds |G| * arrows entries, 533 M on S7 with a transposition arrow
-PERM_CACHE_CELLS = 1 << 24
 
 
 @dataclass
@@ -82,8 +77,8 @@ def check(report: Report, name: str, cases: Iterable, test: Callable[..., bool],
         report.add(name, True, checked)
 
 
-def cases(spaces: Sequence[tuple[Sequence, ...]], samples: int,
-          rng: Optional[random.Random]) -> Iterator[tuple]:
+def cases(spaces: Sequence[tuple[Sequence, ...]], samples: int = 0,
+          rng: Optional[random.Random] = None) -> Iterator[tuple]:
     """Cases for `check` from spaces, each the product of its sequences.
 
     With rng None: every tuple of every space, in order.  Otherwise
@@ -162,8 +157,6 @@ class HopfBimodule:
                 rep = rsr.irrep(cls, slot)
                 self.blocks[(cls, slot)] = [m.copy() for m in rep.matrices]
 
-        self._perm_cache: dict[int, np.ndarray] = {}
-
     # -- structure maps -----------------------------------------------------
 
     def left_action(self, h: int, a: ArrowId) -> ArrowId:
@@ -184,14 +177,9 @@ class HopfBimodule:
         """Left action as a permutation of arrow indices.  arrows() is
         vertex-major with the same local order at every vertex, so h moves
         arrow x * apv + l to (hx) * apv + l, apv being the arrows per vertex."""
-        perm = self._perm_cache.get(h)
-        if perm is None:
-            apv = len(self.arrows) // self.group.order
-            hx = self.group.products(h, np.arange(self.group.order, dtype=np.int32))
-            perm = (hx[:, None] * apv + np.arange(apv, dtype=np.int32)).ravel()
-            if (len(self._perm_cache) + 1) * len(perm) <= PERM_CACHE_CELLS:
-                self._perm_cache[h] = perm
-        return perm
+        apv = len(self.arrows) // self.group.order
+        hx = self.group.products(h, np.arange(self.group.order, dtype=np.int32))
+        return (hx[:, None] * apv + np.arange(apv, dtype=np.int32)).ravel()
 
     def dim(self) -> int:
         return len(self.arrows)
@@ -227,58 +215,58 @@ def build_bimodule(rsr: RSR,
     return HopfBimodule(rsr, transversals)
 
 
-def verify_bimodule(m: HopfBimodule, exhaustive: Optional[bool] = None,
-                    samples: int = 100_000, seed: int = 0) -> Report:
-    """Check the Hopf-bimodule axioms on the action tables.
+def verify_bimodule(m: HopfBimodule) -> Report:
+    """Check the Hopf-bimodule axioms on the action tables, completely.
 
-    Unit, commutation-and-coaction and right-invertibility cover every case
-    in both modes.  Left- and right-associativity range over pairs (g, h) of
-    group elements: exhaustive mode (the default when there are at most
-    EXHAUSTIVE_TRIPLE_CAP (g, arrow, h) triples) takes every pair, and
-    sampled mode draws `samples` seeded cases from `cases`.  A check with no
-    cases, as on a ramification without arrows, is left out of the report.
+    Left- and right-associativity take the pairs (g, s) with s a generator,
+    and unit holds the base case e (the lemma of `Group.generating_sequence`);
+    the other checks take every case.  A check with no cases, as on a
+    ramification without arrows, is left out of the report.
     """
     g = m.group
     name = g.element_name
-    n = g.order
     narrows = len(m.arrows)
-    if exhaustive is None:
-        exhaustive = n * narrows <= EXHAUSTIVE_TRIPLE_CAP
-    report = Report(mode="exhaustive" if exhaustive else f"sampled({samples})")
-    rng = None if exhaustive else random.Random(f"bimodule:{seed}")
+    report = Report(mode="exhaustive")
     p = m.p
     support = m.rsr.ram.support
-    elements = range(n)
+    elements = range(g.order)
+    gens = np.array(g.generating_sequence()[0], dtype=np.intp)
 
-    # unit: the zeta tables are trivial at h = e, and e fixes every arrow
-    # on both sides
+    # unit: the zeta tables and left_perm are trivial at h = e, and e fixes
+    # every arrow on both sides
     def unit(case) -> bool:
         side, a = case
         if side == "left":
             return m.left_action(0, a) == a
         if side == "right":
             return m.right_action(a, 0) == [(a, 1)]
-        return all((m.zl[cls][:, 0] == 0).all() and
-                   (m.tp[cls][:, 0] == np.arange(len(m.transversal[cls]))).all()
-                   for cls in support)
+        return (m.left_perm(0) == np.arange(narrows)).all() and all(
+            (m.zl[cls][:, 0] == 0).all() and
+            (m.tp[cls][:, 0] == np.arange(len(m.transversal[cls]))).all()
+            for cls in support)
 
     check(report, "unit", itertools.chain(
         [("tables", None)] if support else [], (("left", a) for a in m.arrows),
         (("right", a) for a in m.arrows)), unit,
-        lambda case: "zeta(., e) is not trivial" if case[0] == "tables"
+        lambda case: "the tables of e are not trivial" if case[0] == "tables"
         else f"identity moves arrow {case[1]} on the {case[0]}")
 
-    # left associativity: P_{gh} = P_g . P_h on all arrows
-    check(report, "left-associativity", cases([(elements, elements)], samples, rng),
-          lambda ab: (m.left_perm(g.mul(*ab)) ==
-                      m.left_perm(ab[0]).take(m.left_perm(ab[1]))).all(),
-          lambda ab: f"(g,h)=({name(ab[0])},{name(ab[1])})", weight=narrows)
+    # left associativity, P_{sh} = P_s . P_h on all arrows for every
+    # generator s and every h: the mirrored form of the lemma
+    gen_perms = [m.left_perm(int(s)) for s in gens]
 
-    # the blocks are reduced mod p, so one exactness check covers every
-    # block product below
-    linalg._check_mul(max((b[0].shape[0] for b in m.blocks.values()), default=0), p)
+    def left_assoc(h: int) -> np.ndarray:
+        """Whether P_{sh} = P_s . P_h, for each generator s."""
+        ph = m.left_perm(h)
+        return np.array([(m.left_perm(int(sh)) == ps.take(ph)).all()
+                         for sh, ps in zip(g.products(gens, h), gen_perms)], dtype=bool)
 
-    # right associativity: zeta cocycle at block level, on (theta, g, h)
+    check(report, "left-associativity", elements, lambda h: left_assoc(h).all(),
+          lambda h: f"(g,h)=({name(int(gens[np.argmin(left_assoc(h))]))},{name(h)})",
+          weight=narrows * len(gens))
+
+    # right associativity: the zeta cocycle at block level on (theta, g, s),
+    # s a generator; the lemma covers every (theta, g, h)
     def right_assoc(case) -> bool:
         cls, theta, a, b, slot = case
         zl, tp = m.zl[cls], m.tp[cls]
@@ -286,11 +274,11 @@ def verify_bimodule(m: HopfBimodule, exhaustive: Optional[bool] = None,
         ab, tpa = g.mul(a, b), int(tp[theta, a])
         return tp[theta, ab] == tp[tpa, b] and (
             blocks[int(zl[theta, ab])] ==
-            (blocks[int(zl[theta, a])] @ blocks[int(zl[tpa, b])]) % p).all()
+            linalg.matmul(blocks[int(zl[theta, a])], blocks[int(zl[tpa, b])], p)).all()
 
     check(report, "right-associativity",
-          cases([((cls,), range(len(m.transversal[cls])), elements, elements,
-                  range(len(m.rsr.irreps[cls]))) for cls in support], samples, rng),
+          cases([((cls,), range(len(m.transversal[cls])), elements, gens.tolist(),
+                  range(len(m.rsr.irreps[cls]))) for cls in support]),
           right_assoc,
           lambda case: f"class {case[0]} slot {case[4]} theta {case[1]} "
                        f"g={name(case[2])} h={name(case[3])}")
@@ -322,8 +310,8 @@ def verify_bimodule(m: HopfBimodule, exhaustive: Optional[bool] = None,
         cls, slot, theta, h = case
         zl, tp = m.zl[cls], m.tp[cls]
         blocks = m.blocks[(cls, slot)]
-        prod = (blocks[int(zl[theta, h])] @
-                blocks[int(zl[int(tp[theta, h]), g.inv(h)])]) % p
+        prod = linalg.matmul(blocks[int(zl[theta, h])],
+                             blocks[int(zl[int(tp[theta, h]), g.inv(h)])], p)
         return (prod == linalg.identity(prod.shape[0])).all()
 
     check(report, "right-invertibility",

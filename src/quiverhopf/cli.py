@@ -205,9 +205,7 @@ def _verify_each(args, verify) -> tuple[dict, int]:
 
 
 def cmd_bimodule_verify(args) -> tuple[dict, int]:
-    return _verify_each(args, lambda rsr: {"report": verify_bimodule(
-        build_bimodule(rsr), exhaustive=args.exhaustive, samples=args.samples,
-        seed=args.seed)})
+    return _verify_each(args, lambda r: {"report": verify_bimodule(build_bimodule(r))})
 
 
 def cmd_yd_verify(args) -> tuple[dict, int]:
@@ -261,9 +259,7 @@ def cmd_selftest(args) -> tuple[dict, int]:
         types = enumerate_types(g, ram, field)[:2]
         for t in types:
             rsr = rsr_from_type(g, ram, t, field, seed=args.seed)
-            m = build_bimodule(rsr)
-            rep_b = verify_bimodule(m, exhaustive=args.exhaustive,
-                                    samples=args.samples, seed=args.seed)
+            rep_b = verify_bimodule(build_bimodule(rsr))
             rep_y = verify_yd(yd_from_rsr(rsr))
             h = tensor_hopf(rsr, min(args.max_degree, 2))
             rep_h = verify_hopf(h, seed=args.seed, samples=min(args.samples, 300),
@@ -308,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         if verify:
             p.add_argument("--samples", type=int, default=100_000,
-                           help="sample count when not exhaustive")
+                           help="Hopf-algebra sample count when not exhaustive")
             p.add_argument("--exhaustive", action="store_true", default=None,
-                           help="check every case (default: by input size)")
+                           help="check every Hopf-algebra case (default: by size)")
         if degree is not None:
             p.add_argument("--max-degree", type=int, default=degree)
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rsr_iso)
 
     p = sub.add_parser("bimodule-verify", help="check the Hopf bimodule axioms")
-    common(p, ram=True, rsr=True, verify=True)
+    common(p, ram=True, rsr=True)
     p.set_defaults(func=cmd_bimodule_verify)
 
     p = sub.add_parser("yd-verify", help="check the Yetter-Drinfeld axioms")

@@ -201,7 +201,7 @@ class Group:
         self._classes: Optional[list[ConjClassCtx]] = None
         self._class_of: Optional[tuple[int, ...]] = None
         self._gen_words = None
-        self._aut_cache: dict[int, tuple[list["Automorphism"], bool]] = {}
+        self._auts: Optional[tuple[list["Automorphism"], bool]] = None
         self.caches: dict = {}
         # set by centralizer_subgroup: the ambient index of each element, and
         # its inverse (ambient index -> element index)
@@ -308,6 +308,12 @@ class Group:
         so that e = prev * gens[pos]; expr[identity] = (-1, -1).  order lists
         the non-identity elements as discovered, each after its prev.  Used to
         extend maps defined on generators to the whole group.
+
+        Lemma: if P(e) = 1 and P(g s) = P(g) P(s) for every g and generator
+        s, then P(g h) = P(g) P(h) for all g, h, by induction on the word of
+        h (h = h' s gives P(g h' s) = P(g h') P(s) = P(g) P(h') P(s)); the
+        mirrored form P(s h) = P(s) P(h) does the same on the word of g.  So
+        |G| * |gens| pairs check that a map respects the product.
         """
         if self._gen_words is not None:
             return self._gen_words
@@ -449,17 +455,18 @@ class Automorphism:
         return self.mapping[a]
 
 
-def automorphisms(g: Group, cap: int = DEFAULT_AUT_CAP) -> tuple[list[Automorphism], bool]:
-    """All automorphisms by generator-image backtracking.
+def automorphisms(g: Group) -> tuple[list[Automorphism], bool]:
+    """All automorphisms by generator-image backtracking (order at most
+    DEFAULT_AUT_CAP).
 
     Returns (list, is_inner_only) with is_inner_only = (|Aut| == |G/Z(G)|).
     Candidate generator images must share order and class size; every full
     assignment is verified multiplicatively.
     """
-    if g.order > cap:
-        raise InputError(f"order {g.order} exceeds automorphism cap {cap}")
-    if cap in g._aut_cache:
-        auts, flag = g._aut_cache[cap]
+    if g.order > DEFAULT_AUT_CAP:
+        raise InputError(f"order {g.order} exceeds automorphism cap {DEFAULT_AUT_CAP}")
+    if g._auts is not None:
+        auts, flag = g._auts
         return list(auts), flag
     gens, expr, order = g.generating_sequence()
     classes = conjugacy_classes(g)
@@ -483,12 +490,14 @@ def automorphisms(g: Group, cap: int = DEFAULT_AUT_CAP) -> tuple[list[Automorphi
             return None
         return tuple(mapping)
 
-    every = np.arange(g.order)
-    table = g.products(every[:, None], every[None, :])
+    gen_arr = np.array(gens, dtype=np.intp)
+    times_gen = g.products(np.arange(g.order)[:, None], gen_arr[None, :])
 
     def is_hom(mapping: tuple[int, ...]) -> bool:
+        # phi(a s) = phi(a) phi(s) for every generator s: every pair by the
+        # lemma of Group.generating_sequence
         m = np.array(mapping)
-        return bool((m[table] == g.products(m[:, None], m[None, :])).all())
+        return bool((m[times_gen] == g.products(m[:, None], m[gen_arr][None, :])).all())
 
     def dfs(pos: int, images: list[int]):
         if pos == len(gens):
@@ -506,20 +515,20 @@ def automorphisms(g: Group, cap: int = DEFAULT_AUT_CAP) -> tuple[list[Automorphi
     auts = [Automorphism(m) for m in uniq]
     inner_count = g.order // len(g.center())
     flag = len(auts) == inner_count
-    g._aut_cache[cap] = (auts, flag)
+    g._auts = (auts, flag)
     return list(auts), flag
 
 
 _SYM_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
 
 
-def inner_only(g: Group, cap: int = DEFAULT_AUT_CAP) -> bool:
+def inner_only(g: Group) -> bool:
     """Whether Aut G = Inn G; uses the S_n (n != 6) shortcut for named groups."""
     if g.name:
         m = _SYM_RE.match(g.name)
         if m and m.group(1) == "S" and int(m.group(2)) != 6:
             return True
-    return automorphisms(g, cap)[1]
+    return automorphisms(g)[1]
 
 
 def _sym_gens(n: int) -> list[Permutation]:

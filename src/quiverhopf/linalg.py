@@ -24,10 +24,11 @@ def _check_mul(n_inner: int, p: int):
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a = asmod(a, p)
-    b = asmod(b, p)
-    _check_mul(a.shape[1], p)
-    return (a @ b) % p
+    """a @ b mod p; stacked operands multiply as numpy's matmul does."""
+    _check_mul(a.shape[-1], p)
+    out = a @ b
+    out %= p
+    return out
 
 
 def _eliminate(a: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:

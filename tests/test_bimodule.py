@@ -8,6 +8,7 @@ from quiverhopf import (
     InputError,
     Permutation,
     build_bimodule,
+    coinvariant_yd,
     conjugacy_classes,
     enumerate_types,
     make_rsr,
@@ -16,6 +17,7 @@ from quiverhopf import (
     rsr_from_type,
     transversal_iso,
     verify_bimodule,
+    verify_yd,
 )
 from quiverhopf.bimodule import Report, cases, check, combine
 from quiverhopf.groups import coset_transversal
@@ -107,27 +109,61 @@ def test_mutation_is_caught(s3):
             m.blocks[(1, 0)] = [b.copy() for b in m.blocks[(1, 0)]]
             m.blocks[(1, 0)][zidx][0, 0] = (m.blocks[(1, 0)][zidx][0, 0] + delta) % m.p
             assert not verify_bimodule(m).passed
-            assert not verify_bimodule(m, exhaustive=False, samples=3000,
-                                       seed=1).passed
 
 
-def test_sampled_mode(s4):
-    ram = parse_ramification(s4, "(0 1):1")
-    rsr = make_rsr(s4, ram, None, {1: (1,)})
+def _far_from_generators(g) -> int:
+    """An element that is neither e, a generator nor a product of two: only
+    the cases whose g or h ranges over all of G meet it."""
+    gens = g.generating_sequence()[0]
+    near = {0, *gens, *(g.mul(a, b) for a in gens for b in gens)}
+    return next(h for h in range(g.order) if h not in near)
+
+
+@pytest.mark.parametrize("spec, ram", [("S3", "e:1,(0 1 2):2"), ("D4", "(0 2):1"),
+                                       ("S4", "(0 1):1"), ("S1", "e:1")])
+def test_reduced_counts_are_pairs_times_weight(spec, ram):
+    # |G| * |gens| pairs (g, s) times each check's weight; the trivial group
+    # has no generators, so its reduced checks are left out
+    g = parse_group(spec)
+    r = parse_ramification(g, ram)
+    rsr = rsr_from_type(g, r, enumerate_types(g, r)[-1])
     m = build_bimodule(rsr)
-    report = verify_bimodule(m, exhaustive=False, samples=2000, seed=11)
-    assert report.passed
-    assert report.mode == "sampled(2000)"
-    # the same checks as exhaustive mode; only the associativities sample
-    full = {c.name: c.checked for c in verify_bimodule(m, exhaustive=True).checks}
+    pairs = g.order * len(g.generating_sequence()[0])
+    report = verify_bimodule(m)
     got = {c.name: c.checked for c in report.checks}
-    assert list(got) == list(full) == [
-        "unit", "left-associativity", "right-associativity",
-        "commutation-and-coaction", "right-invertibility"]
-    assert got["left-associativity"] == 2000 * m.dim()
-    assert got["right-associativity"] == 2000
-    for name in ("unit", "commutation-and-coaction", "right-invertibility"):
-        assert got[name] == full[name]
+    assert report.passed and report.mode == "exhaustive"
+    assert got.get("left-associativity", 0) == pairs * m.dim()
+    assert got.get("right-associativity", 0) == pairs * sum(
+        len(m.transversal[c]) * len(rsr.irreps[c]) for c in rsr.ram.support)
+    yd = {c.name: c.checked for c in verify_yd(coinvariant_yd(m)).checks}
+    assert yd.get("action-multiplicative", 0) == pairs
+
+
+def _table_corruptions(s3):
+    """(name, module) with one table entry changed at h = (0 2) only."""
+    h = _far_from_generators(s3)
+    sign = make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)})
+    m = build_bimodule(sign)
+    m.tp[1][0, h] = (m.tp[1][0, h] + 1) % len(m.transversal[1])
+    yield "tp", m
+    m = build_bimodule(sign)
+    m.zl[1][0, h] = 1 - m.zl[1][0, h]          # the other element of Z = C2
+    yield "zl", m
+    # on the class of e, zl[0, h] = h: block h is used at (0, h) alone
+    m = build_bimodule(make_rsr(s3, parse_ramification(s3, "e:2"), None, {0: (2,)}))
+    assert (m.zl[0][0] == np.arange(s3.order)).all()
+    m.blocks[(0, 0)][h][0, 0] = (m.blocks[(0, 0)][h][0, 0] + 1) % m.p
+    yield "block", m
+
+
+def test_table_corruption_away_from_generators_fails_right_associativity(s3):
+    seen = []
+    for what, m in _table_corruptions(s3):
+        report = verify_bimodule(m)
+        failed = [c.name for c in report.checks if not c.ok]
+        assert "right-associativity" in failed, (what, report.to_json())
+        seen.append(what)
+    assert seen == ["tp", "zl", "block"]
 
 
 @pytest.mark.parametrize("spec, ram", [("S3", "e:2,(0 1):1,(0 1 2):2"),
@@ -147,14 +183,18 @@ def test_left_perm_is_the_left_action(spec, ram):
 def test_swapped_left_perm_entry_fails_both_modes(monkeypatch, s4):
     ram = parse_ramification(s4, "(0 1):1")
     m = build_bimodule(make_rsr(s4, ram, None, {1: (1,)}))
-    perm = m.left_perm(1).copy()
-    perm[[0, 1]] = perm[[1, 0]]
     left_perm = m.left_perm
-    monkeypatch.setattr(m, "left_perm", lambda h: perm if h == 1 else left_perm(h))
-    for report in (verify_bimodule(m, exhaustive=True),
-                   verify_bimodule(m, exhaustive=False, samples=3000, seed=1)):
+    # at e (unit holds the lemma's base case), at a generator, and at an
+    # element the reduced check meets only as h
+    for bad in (0, 1, _far_from_generators(s4)):
+        perm = left_perm(bad).copy()
+        perm[[0, 1]] = perm[[1, 0]]
+        monkeypatch.setattr(m, "left_perm",
+                            lambda h: perm if h == bad else left_perm(h))
+        report = verify_bimodule(m)
         failed = [c.name for c in report.checks if not c.ok]
-        assert failed == ["left-associativity"], report.to_json()
+        assert failed == ["unit"] * (bad == 0) + ["left-associativity"], \
+            (bad, report.to_json())
 
 
 def test_transversal_iso_identity(s3):
@@ -216,7 +256,7 @@ def test_bimodule_with_noncanonical_u(s3):
     rsr = make_rsr(s3, ram, {1: u02}, {1: (1,)})
     m = build_bimodule(rsr)
     assert m.dim() == 18
-    report = verify_bimodule(m, exhaustive=True)
+    report = verify_bimodule(m)
     assert report.passed, report.to_json()
 
 
@@ -238,7 +278,7 @@ def test_two_class_bimodule(s3):
     rsr = make_rsr(s3, ram, None, {0: (0,), 2: (1, 2)})
     m = build_bimodule(rsr)
     assert m.dim() == 6 * (1 + 4)
-    assert verify_bimodule(m, exhaustive=True).passed
+    assert verify_bimodule(m).passed
 
 
 def test_product_group_pipeline():

@@ -63,7 +63,7 @@ def test_no_check_passes_with_nothing_checked(capsys, argv):
 def test_verification_failure_exit_code(capsys, monkeypatch):
     from quiverhopf.bimodule import Report
 
-    def fake_verify(m, exhaustive=None, samples=0, seed=0):
+    def fake_verify(m):
         r = Report(mode="exhaustive")
         r.add("left-associativity", False, 1, witness="g=e arrow=a h=e")
         return r
@@ -236,12 +236,20 @@ def test_bimodule_verify_from_rsr_file(capsys, tmp_path):
 
 
 def test_explicit_exhaustive_flag(capsys):
-    code, out, _ = run_cli(capsys, "bimodule-verify", "--group", "S3",
-                           "--ram", "e:1", "--type-index", "0",
-                           "--exhaustive")
+    # bimodule-verify has one complete mode and no mode flags; selftest keeps
+    # them for its hopf section
+    argv = ("bimodule-verify", "--group", "S3", "--ram", "e:1", "--type-index", "0")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
     assert doc["results"][0]["report"]["mode"] == "exhaustive"
+    for flag in ("--exhaustive", "--samples=5"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *argv, flag)
+        assert exc.value.code == 2 and flag.split("=")[0] in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "selftest", "--group", "C2", "--exhaustive")
+    assert code == 0
+    assert {s["hopf"]["mode"] for s in json.loads(out)["sections"]} == {"exhaustive"}
 
 
 def test_hopf_verify_honours_exhaustive_flag(capsys):
@@ -282,7 +290,6 @@ def test_nprimes_must_be_positive(capsys, monkeypatch):
 def test_samples_must_be_positive(capsys):
     for argv in (("hopf-verify", "--group", "S3", "--ram", "e:1",
                   "--max-degree", "1"),
-                 ("bimodule-verify", "--group", "S3", "--ram", "e:1"),
                  ("selftest", "--group", "C2")):
         code, out, err = run_cli(capsys, *argv, "--samples", "0")
         assert code == 2 and out == "" and "--samples" in err

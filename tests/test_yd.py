@@ -5,6 +5,7 @@ import pytest
 
 from quiverhopf import (
     BudgetError,
+    Permutation,
     YDModule,
     braiding,
     build_bimodule,
@@ -53,7 +54,9 @@ def test_zero_module(s3):
     rsr = make_rsr(s3, parse_ramification(s3, ""), None, {})
     v = yd_from_rsr(rsr)
     assert v.dim == 0
-    assert verify_yd(v).passed
+    # an empty basis gives no cases, so no check claims any coverage
+    report = verify_yd(v)
+    assert report.passed and report.checks == []
     assert nichols_dims(v, 3) == [1, 0, 0, 0]
 
 
@@ -90,25 +93,31 @@ def test_verify_yd_catches_action_mutation(sgn_module):
 def test_action_multiplicative_names_first_failing_pair(sgn_module):
     v = sgn_module
     g = v.group
+    gens = g.generating_sequence()[0]
+    # (0 2) is neither a generator nor a product of two: only the pairs
+    # (g, s) with g over all of G meet it
+    far = g.find(Permutation((2, 1, 0)))
+    assert far not in gens and far not in {g.mul(a, b) for a in gens for b in gens}
     action = {h: m.copy() for h, m in v.action.items()}
-    action[3][0, 0] = (action[3][0, 0] + 1) % v.p
+    action[far][0, 0] = (action[far][0, 0] + 1) % v.p
     report = verify_yd(YDModule(g, v.p, v.basis, v.grading, action))
-    first = next((a, b) for a in range(g.order) for b in range(g.order)
+    first = next((i, a, b) for i, b in enumerate(gens) for a in range(g.order)
                  if not (action[g.mul(a, b)] ==
                          linalg.matmul(action[a], action[b], v.p)).all())
     bad = {c.name: c for c in report.checks if not c.ok}
     assert bad["action-multiplicative"].witness == \
-        f"(g,h)=({g.element_name(first[0])},{g.element_name(first[1])})"
-    # one array comparison per g covers all of its |G| pairs
+        f"(g,h)=({g.element_name(first[1])},{g.element_name(first[2])})"
+    # one stacked product per generator s covers its |G| pairs (g, s)
     assert bad["action-multiplicative"].checked == (first[0] + 1) * g.order
     assert [c.checked for c in verify_yd(v).checks if c.name ==
-            "action-multiplicative"] == [g.order ** 2]
+            "action-multiplicative"] == [g.order * len(gens)]
 
 
 def test_braiding_c2(c2_module):
     c = braiding(c2_module)
     assert c.matrix.tolist() == [[c.p - 1]]
-    assert c.verify().passed
+    assert [(k.name, k.ok, k.checked) for k in c.verify().checks] == [
+        ("invertible", True, 1), ("braid-relation", True, 1)]
 
 
 def test_braiding_trivial_is_flip():
@@ -237,7 +246,7 @@ def test_nichols_dims_invariants(s3):
 def test_zero_module_braiding_reports_no_empty_check(s3):
     v = yd_from_rsr(make_rsr(s3, parse_ramification(s3, ""), None, {}))
     report = braiding(v).verify()
-    assert report.passed and [c.name for c in report.checks] == ["invertible"]
+    assert report.passed and report.checks == []
 
 
 def test_budget_error(monkeypatch, sgn_module):
