@@ -3,13 +3,14 @@
 Left action: h . a_{y,x} = a_{hy,hx} (an index shift).  Right action:
 a^{(i,j)}_{y,x} . h = sum_s rho^{(i)}(zeta_theta(h))[j,s] a^{(i,s)}_{yh,xh},
 where theta is the coset index of x^-1 y and zeta the centralizer factor of
-g_theta h.  Coefficient blocks depend only on (class, slot, zeta), so they
-are stored densely per class and slot.  The verifier checks every axiom
-completely on these tables.  Left- and right-associativity state that an
-action respects the group product, so they are checked on the pairs
-(g, s) with s a generator, which covers every pair (the lemma of
-`Group.generating_sequence`); the other checks take every case.  A check
-with no cases is left out of the report.
+g_theta h.  Per class, the zeta and theta' tables are array expressions over
+all (theta, h), and the coefficient blocks, which depend only on (class,
+slot, zeta), are one (|Z|, d, d) stack per slot.  The verifier checks every
+axiom completely: left- and right-associativity on the pairs (g, s) with s
+a generator, which covers every pair (the lemma of
+`Group.generating_sequence`), the other checks on every case.  The stacked
+checks (right-associativity, right-invertibility) count |G| per case, one
+case covering all of G.  A check with no cases is left out of the report.
 """
 
 from __future__ import annotations
@@ -123,39 +124,33 @@ class HopfBimodule:
         # tp[theta, h] = theta'
         self.zl: dict[int, np.ndarray] = {}
         self.tp: dict[int, np.ndarray] = {}
-        # coefficient blocks per (class, slot): own copies, indexed by local z
-        self.blocks: dict[tuple[int, int], list[np.ndarray]] = {}
+        # coefficient blocks per (class, slot): an own (|Z|, d, d) stack
+        self.blocks: dict[tuple[int, int], np.ndarray] = {}
 
+        every = np.arange(g.order)
         for cls in rsr.ram.support:
             u = rsr.u[cls]
             z = rsr.centralizer(cls)
             default_t, theta_of = coset_transversal(g, u)
-            t = default_t
-            if transversals and cls in transversals:
-                t = [int(x) for x in transversals[cls]]
-                if len(t) != len(default_t):
-                    raise InputError("transversal has wrong length")
-                for theta, (h1, h2) in enumerate(zip(default_t, t)):
-                    if g.mul(h2, g.inv(h1)) not in z.local:
-                        raise InputError(
-                            f"coset mismatch at theta={theta} for class {cls}")
-            self.transversal[cls] = t
+            t = np.array([int(x) for x in (transversals or {}).get(cls, default_t)])
+            if len(t) != len(default_t):
+                raise InputError("transversal has wrong length")
+            if ((t < 0) | (t >= g.order)).any():
+                raise InputError(f"transversal entry out of range 0..{g.order - 1}")
+            off = np.flatnonzero(z.local[g.products(t, g.inverses[default_t])] < 0)
+            if off.size:
+                raise InputError(f"coset mismatch at theta={off[0]} for class {cls}")
+            self.transversal[cls] = t.tolist()
             self.theta_of[cls] = theta_of
-            nt = len(t)
-            zl = np.empty((nt, g.order), dtype=np.int64)
-            tp = np.empty((nt, g.order), dtype=np.int64)
-            for theta in range(nt):
-                for h in range(g.order):
-                    w = g.mul(t[theta], h)
-                    theta_p = theta_of[g.conj(u, w)]
-                    zeta = g.mul(w, g.inv(t[theta_p]))
-                    zl[theta, h] = z.local[zeta]
-                    tp[theta, h] = theta_p
-            self.zl[cls] = zl
-            self.tp[cls] = tp
+            theta_at = np.full(g.order, -1)
+            theta_at[list(theta_of)] = list(theta_of.values())
+            # g_theta h = zeta g_theta' with theta' the coset of
+            # (g_theta h)^-1 u (g_theta h), over every (theta, h) at once
+            w = g.products(t[:, None], every[None, :])
+            self.tp[cls] = tp = theta_at[g.products(g.products(g.inverses[w], u), w)]
+            self.zl[cls] = z.local[g.products(w, g.inverses[t[tp]])]
             for slot in range(len(rsr.irreps[cls])):
-                rep = rsr.irrep(cls, slot)
-                self.blocks[(cls, slot)] = [m.copy() for m in rep.matrices]
+                self.blocks[(cls, slot)] = np.stack(rsr.irrep(cls, slot).matrices)
 
     # -- structure maps -----------------------------------------------------
 
@@ -229,7 +224,7 @@ def verify_bimodule(m: HopfBimodule) -> Report:
     report = Report(mode="exhaustive")
     p = m.p
     support = m.rsr.ram.support
-    elements = range(g.order)
+    every = np.arange(g.order)
     gens = np.array(g.generating_sequence()[0], dtype=np.intp)
 
     # unit: the zeta tables and left_perm are trivial at h = e, and e fixes
@@ -261,27 +256,30 @@ def verify_bimodule(m: HopfBimodule) -> Report:
         return np.array([(m.left_perm(int(sh)) == ps.take(ph)).all()
                          for sh, ps in zip(g.products(gens, h), gen_perms)], dtype=bool)
 
-    check(report, "left-associativity", elements, lambda h: left_assoc(h).all(),
+    check(report, "left-associativity", range(g.order), lambda h: left_assoc(h).all(),
           lambda h: f"(g,h)=({name(int(gens[np.argmin(left_assoc(h))]))},{name(h)})",
           weight=narrows * len(gens))
 
     # right associativity: the zeta cocycle at block level on (theta, g, s),
-    # s a generator; the lemma covers every (theta, g, h)
-    def right_assoc(case) -> bool:
-        cls, theta, a, b, slot = case
+    # s a generator; the lemma covers every (theta, g, h).  One case is
+    # (class, theta, s, slot) over every g at once
+    def right_assoc(case) -> np.ndarray:
+        """Whether the cocycle holds at each g, as a mask over G."""
+        cls, theta, s, slot = case
         zl, tp = m.zl[cls], m.tp[cls]
         blocks = m.blocks[(cls, slot)]
-        ab, tpa = g.mul(a, b), int(tp[theta, a])
-        return tp[theta, ab] == tp[tpa, b] and (
-            blocks[int(zl[theta, ab])] ==
-            linalg.matmul(blocks[int(zl[theta, a])], blocks[int(zl[tpa, b])], p)).all()
+        gs, tpg = g.products(every, s), tp[theta]
+        return (tp[theta, gs] == tp[tpg, s]) & (
+            blocks[zl[theta, gs]] ==
+            linalg.matmul(blocks[zl[theta]], blocks[zl[tpg, s]], p)).all(axis=(1, 2))
 
     check(report, "right-associativity",
-          cases([((cls,), range(len(m.transversal[cls])), elements, gens.tolist(),
+          cases([((cls,), range(len(m.transversal[cls])), gens.tolist(),
                   range(len(m.rsr.irreps[cls]))) for cls in support]),
-          right_assoc,
-          lambda case: f"class {case[0]} slot {case[4]} theta {case[1]} "
-                       f"g={name(case[2])} h={name(case[3])}")
+          lambda case: right_assoc(case).all(),
+          lambda case: f"class {case[0]} slot {case[3]} theta {case[1]} "
+                       f"g={name(int(np.argmin(right_assoc(case))))} h={name(case[2])}",
+          weight=g.order)
 
     # bimodule commutation and coaction grading: index arithmetic on all
     # (g, arrow, h); coefficients agree because theta(x^-1 y) is invariant
@@ -299,28 +297,30 @@ def verify_bimodule(m: HopfBimodule) -> Report:
                 g.mul(t[theta], h) == g.mul(zeta, t[int(tp[theta, h])]))
 
     check(report, "commutation-and-coaction", itertools.chain(
-        m.arrows, ((h, cls, c, theta) for h in elements for cls in support
+        m.arrows, ((h, cls, c, theta) for h in range(g.order) for cls in support
                    for c, theta in m.theta_of[cls].items())), commutes,
         lambda case: f"arrow {case} has inconsistent class data"
         if isinstance(case, ArrowId) else
         f"class {case[1]} theta {case[3]} h={name(case[0])}")
 
-    # right action by h then h^-1 is the identity
-    def invertible(case) -> bool:
-        cls, slot, theta, h = case
+    # right action by h then h^-1 is the identity; one case is
+    # (class, slot, theta) over every h at once
+    def invertible(case) -> np.ndarray:
+        """Whether the blocks of h and h^-1 multiply to 1, as a mask over G."""
+        cls, slot, theta = case
         zl, tp = m.zl[cls], m.tp[cls]
         blocks = m.blocks[(cls, slot)]
-        prod = linalg.matmul(blocks[int(zl[theta, h])],
-                             blocks[int(zl[int(tp[theta, h]), g.inv(h)])], p)
-        return (prod == linalg.identity(prod.shape[0])).all()
+        prod = linalg.matmul(blocks[zl[theta]], blocks[zl[tp[theta], g.inverses]], p)
+        return (prod == linalg.identity(prod.shape[-1])).all(axis=(1, 2))
 
     check(report, "right-invertibility",
-          ((cls, slot, theta, h) for cls in support
+          ((cls, slot, theta) for cls in support
            for slot in range(len(m.rsr.irreps[cls]))
-           for theta in range(len(m.transversal[cls])) for h in elements),
-          invertible,
+           for theta in range(len(m.transversal[cls]))),
+          lambda case: invertible(case).all(),
           lambda case: f"class {case[0]} slot {case[1]} theta {case[2]} "
-                       f"h={name(case[3])}")
+                       f"h={name(int(np.argmin(invertible(case))))}",
+          weight=g.order)
     return report
 
 
@@ -350,7 +350,9 @@ class BimoduleMap:
 
     def verify(self) -> Report:
         """Check bijectivity and that the map intertwines both actions and
-        both coactions, on every case."""
+        both coactions.  Each action is checked on the generators, f(s.a) =
+        s.f(a) and f(a.s) = f(a).s for every arrow a and generator s, which
+        covers every element (the lemma of `Group.generating_sequence`)."""
         m1, m2 = self.source, self.target
         g = m1.group
         report = Report(mode="exhaustive")
@@ -363,17 +365,19 @@ class BimoduleMap:
               lambda ab: f"{ab[0]} maps to {ab[1]}")
 
         def intertwines(case) -> bool:
-            gg, h, a = case
-            lhs = self.apply(_apply_right(m1, [(m1.left_action(gg, a), 1)], h).items())
+            side, s, a = case
             fa = self.apply([(a, 1)])
-            return lhs == _apply_right(
-                m2, ((m2.left_action(gg, b), c) for b, c in fa.items()), h)
+            if side == "left":
+                return self.apply([(m1.left_action(s, a), 1)]) == {
+                    m2.left_action(s, b): c for b, c in fa.items()}
+            return (self.apply(_apply_right(m1, [(a, 1)], s).items()) ==
+                    _apply_right(m2, fa.items(), s))
 
         check(report, "action-intertwining",
-              ((gg, h, a) for gg in range(g.order) for h in range(g.order)
-               for a in m1.arrows), intertwines,
-              lambda case: f"g={g.element_name(case[0])} arrow={case[2]} "
-                           f"h={g.element_name(case[1])}")
+              cases([(("left", "right"), g.generating_sequence()[0], m1.arrows)]),
+              intertwines,
+              lambda case: f"{case[0]} action of s={g.element_name(case[1])} "
+                           f"on arrow {case[2]}")
         return report
 
 
@@ -392,8 +396,7 @@ def transversal_iso(rsr: RSR, t1: dict[int, list[int]],
         theta = m1.theta_of[a.cls][c]
         gt = m1.transversal[a.cls][theta]
         ht = m2.transversal[a.cls][theta]
-        z = rsr.centralizer(a.cls)
-        zelt = z.local[g.mul(gt, g.inv(ht))]
+        zelt = rsr.centralizer(a.cls).local[g.mul(gt, g.inv(ht))]
         block = m1.blocks[(a.cls, a.slot)][zelt]
         for s in range(block.shape[1]):
             if block[a.j, s]:

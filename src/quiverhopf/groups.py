@@ -37,13 +37,6 @@ def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(b[x] for x in a)
 
 
-def _invert(a: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, x in enumerate(a):
-        inv[x] = i
-    return tuple(inv)
-
-
 def _cycles_of(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     seen = [False] * len(images)
     out = []
@@ -76,20 +69,11 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         return Permutation(_compose(self.images, other.images))
 
-    def inverse(self) -> "Permutation":
-        return Permutation(_invert(self.images))
-
     def order(self) -> int:
-        n = 1
-        for cyc in _cycles_of(self.images):
-            n = math.lcm(n, len(cyc))
-        return n
+        return _order_of(self.images)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its minimum, sorted by first point."""
@@ -144,6 +128,33 @@ def parse_cycle_string(text: str, degree: int) -> Permutation:
     return Permutation.from_cycles(cycles, degree)
 
 
+def _order_of(images: Sequence[int]) -> int:
+    return math.lcm(1, *(len(c) for c in _cycles_of(images)))
+
+
+def _generated(degree: int, generators: Sequence[Permutation],
+               name: Optional[str] = None, order_cap: int = DEFAULT_ORDER_CAP,
+               spec: Optional[str] = None) -> "Group":
+    """The group generated by permutations (each of this degree), closed by
+    breadth-first search."""
+    ident = tuple(range(degree))
+    seen = {ident}
+    frontier = [ident]
+    gens = [g.images for g in generators]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = _compose(a, g)
+                if b not in seen:
+                    if len(seen) >= order_cap:
+                        raise InputError(f"group order exceeds cap {order_cap}")
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return Group(degree, sorted(seen), name=name, spec=spec, generators=generators)
+
+
 def _max_point(text: str) -> int:
     pts = [int(p) for p in re.findall(r"\d+", text)]
     return max(pts) if pts else 0
@@ -152,8 +163,10 @@ def _max_point(text: str) -> int:
 class Group:
     """A fully enumerated permutation group.
 
-    Elements are image tuples, sorted lexicographically; all arithmetic is
-    done on element indices.  `perms` holds the same elements as an
+    Built from its sorted element rows (image tuples, closed under
+    products): a subgroup is a set of rows of its ambient group, and only a
+    group closed from generators by `parse_group` records `generators`.
+    Arithmetic is on element indices.  `perms` holds the rows as an
     (order, degree) array of big-endian uint16 images (uint32 past degree
     65536), so the bytes of each row compare like its tuple.  `products(a,
     b)` multiplies whole broadcast index arrays: it reads the dense
@@ -166,31 +179,27 @@ class Group:
     Group is not thread-safe.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Permutation],
-                 name: Optional[str] = None, order_cap: int = DEFAULT_ORDER_CAP,
-                 spec: Optional[str] = None):
+    def __init__(self, degree: int, rows, name: Optional[str] = None,
+                 spec: Optional[str] = None,
+                 generators: Sequence[Permutation] = ()):
         self.degree = degree
         self.generators = tuple(generators)
         self.name = name
         self.spec = spec if spec is not None else name
-        for g in self.generators:
-            if g.degree != degree:
-                raise InputError("generator degree mismatch")
-        elements = self._close(order_cap)
-        self.elements: tuple[tuple[int, ...], ...] = tuple(sorted(elements))
-        self.index: dict[tuple[int, ...], int] = {e: i for i, e in enumerate(self.elements)}
-        self.order = len(self.elements)
         width = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
         self._key_dtype = np.dtype((np.void, width.itemsize * degree))
-        self.perms = np.array(self.elements, dtype=width).reshape(self.order, degree)
+        self.perms = np.asarray(rows, dtype=width).reshape(-1, degree)
+        self.order = len(self.perms)
+        self.elements = tuple(map(tuple, self.perms.tolist()))
+        self.index: dict[tuple[int, ...], int] = {e: i for i, e in enumerate(self.elements)}
         self._keys = self._key(self.perms)
         inverse_images = np.empty_like(self.perms)
         np.put_along_axis(inverse_images, self.perms,
                           np.arange(degree, dtype=width)[None, :], axis=1)
         self.inverses = self._lookup(inverse_images)
         self._inv = tuple(self.inverses.tolist())
-        self._orders = tuple(Permutation(e).order() for e in self.elements)
-        self.exponent = math.lcm(*self._orders) if self._orders else 1
+        self._orders = tuple(_order_of(e) for e in self.elements)
+        self.exponent = math.lcm(*self._orders)
         self._table: Optional[np.ndarray] = None
         if self.order <= _TABLE_CAP:
             every = np.arange(self.order)
@@ -203,29 +212,11 @@ class Group:
         self._gen_words = None
         self._auts: Optional[tuple[list["Automorphism"], bool]] = None
         self.caches: dict = {}
-        # set by centralizer_subgroup: the ambient index of each element, and
-        # its inverse (ambient index -> element index)
-        self.embed: Optional[tuple[int, ...]] = None
-        self.local: Optional[dict[int, int]] = None
-
-    def _close(self, order_cap: int) -> set[tuple[int, ...]]:
-        ident = tuple(range(self.degree))
-        seen = {ident}
-        frontier = [ident]
-        gens = [g.images for g in self.generators]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = _compose(a, g)
-                    if b not in seen:
-                        if len(seen) >= order_cap:
-                            raise InputError(
-                                f"group order exceeds cap {order_cap}")
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return seen
+        # set by centralizer_subgroup: embed[i] is the ambient index of
+        # element i, local[x] the element index of ambient x (-1 off the
+        # subgroup)
+        self.embed: Optional[np.ndarray] = None
+        self.local: Optional[np.ndarray] = None
 
     # -- element arithmetic on indices -------------------------------------
 
@@ -426,21 +417,20 @@ def coset_factor(g: Group, ctx: ConjClassCtx, theta: int, h: int) -> tuple[int, 
 
 
 def centralizer_subgroup(g: Group, ctx_or_elt) -> Group:
-    """The centralizer of a class representative (or explicit element) as a Group.
-
-    Its element i is ambient element sub.embed[i], and sub.local inverts
-    embed: both orders are lexicographic, so embed is ascending.
-    """
+    """The centralizer of a class representative (or explicit element) as a
+    Group on the ambient rows of its members: no closure, no generators.
+    sub.embed is the int array of the members' ambient indices (ascending:
+    both orders are lexicographic); sub.local inverts it over the ambient
+    group, -1 off the subgroup."""
     elt = ctx_or_elt.rep if isinstance(ctx_or_elt, ConjClassCtx) else ctx_or_elt
     key = ("centralizer", elt)
     if key in g.caches:
         return g.caches[key]
-    members = np.flatnonzero(g.commutes_with(elt)).tolist()
-    sub = Group(g.degree, [g.element(h) for h in members],
-                name=f"Z({g.element_name(elt)})", order_cap=g.order)
-    assert sub.order == len(members)
-    sub.embed = tuple(members)
-    sub.local = {h: i for i, h in enumerate(members)}
+    members = np.flatnonzero(g.commutes_with(elt))
+    sub = Group(g.degree, g.perms[members], name=f"Z({g.element_name(elt)})")
+    sub.embed = members
+    sub.local = np.full(g.order, -1, dtype=np.intp)
+    sub.local[members] = np.arange(len(members))
     g.caches[key] = sub
     return sub
 
@@ -570,7 +560,7 @@ def _q8_gens() -> list[Permutation]:
 def _named_group(token: str, order_cap: int) -> Group:
     token = token.strip()
     if token.upper() == "Q8":
-        return Group(8, _q8_gens(), name="Q8", order_cap=order_cap)
+        return _generated(8, _q8_gens(), name="Q8", order_cap=order_cap)
     m = _SYM_RE.match(token)
     if not m:
         raise InputError(f"unknown group name {token!r}")
@@ -578,13 +568,13 @@ def _named_group(token: str, order_cap: int) -> Group:
     if n < 1:
         raise InputError(f"bad group size in {token!r}")
     if kind == "S":
-        return Group(max(n, 1), _sym_gens(n), name=f"S{n}", order_cap=order_cap)
+        return _generated(max(n, 1), _sym_gens(n), name=f"S{n}", order_cap=order_cap)
     if kind == "A":
-        return Group(max(n, 1), _alt_gens(n), name=f"A{n}", order_cap=order_cap)
+        return _generated(max(n, 1), _alt_gens(n), name=f"A{n}", order_cap=order_cap)
     if kind == "C" or kind == "Z":
-        return Group(n, _cyc_gens(n), name=f"C{n}", order_cap=order_cap)
+        return _generated(n, _cyc_gens(n), name=f"C{n}", order_cap=order_cap)
     if kind == "D":
-        return Group(n, _dih_gens(n), name=f"D{n}", order_cap=order_cap)
+        return _generated(n, _dih_gens(n), name=f"D{n}", order_cap=order_cap)
     raise InputError(f"unknown group name {token!r}")
 
 
@@ -612,7 +602,7 @@ def parse_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
             raise InputError("empty generator list")
         degree = max(_max_point(p) for p in parts) + 1
         gens = [parse_cycle_string(p, degree) for p in parts]
-        return Group(degree, gens, name=None, order_cap=order_cap, spec=spec)
+        return _generated(degree, gens, order_cap=order_cap, spec=spec)
     tokens = re.split(r"\s*[xX]\s*(?![^()]*\))", spec)
     if len(tokens) == 1:
         g = _named_group(tokens[0], order_cap)
@@ -626,7 +616,7 @@ def parse_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
         gens.extend(_shift_perm(p, offset, degree) for p in f.generators)
         offset += f.degree
     name = "x".join(t.strip() for t in tokens)
-    return Group(degree, gens, name=name, order_cap=order_cap, spec=spec)
+    return _generated(degree, gens, name=name, order_cap=order_cap, spec=spec)
 
 
 @lru_cache(maxsize=64)

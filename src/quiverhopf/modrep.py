@@ -420,10 +420,13 @@ class ElementMap:
     @classmethod
     def conjugation(cls, ambient: Group, h: int, src: Group, dst: Group) -> "ElementMap":
         """z -> h z h^-1 from src to dst, both centralizer subgroups of
-        ambient (see groups.centralizer_subgroup)."""
-        hin = ambient.inv(h)
-        table = [dst.local[ambient.mul(ambient.mul(h, z), hin)] for z in src.embed]
-        return cls(src, dst, table)
+        ambient (see groups.centralizer_subgroup); an image outside dst is
+        an InputError."""
+        table = dst.local[ambient.products(ambient.products(h, src.embed), ambient.inv(h))]
+        if (table < 0).any():
+            raise InputError(f"conjugation by {ambient.element_name(h)} does "
+                             f"not map {src.name} into {dst.name}")
+        return cls(src, dst, table.tolist())
 
 
 def rep_twist(rep: Irrep, phi: ElementMap) -> Irrep:

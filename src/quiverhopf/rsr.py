@@ -155,11 +155,11 @@ def _pull_back(rsr: RSR, cls: int, onto: int, h: int,
     z_to = rsr.centralizer(cls)
     rows = rsr.ztable(cls).rows
     z_from = centralizer_subgroup(g, onto)
-    reps = np.array([z_from.embed[c.rep] for c in conjugacy_classes(z_from)])
+    reps = z_from.embed[[c.rep for c in conjugacy_classes(z_from)]]
     if phi is not None:
         reps = phi[reps]
-    images = g.products(g.products(h, reps), g.inv(h)).tolist()
-    at = [class_of(z_to, z_to.local[w]) for w in images]
+    images = g.products(g.products(h, reps), g.inv(h))
+    at = [class_of(z_to, w) for w in z_to.local[images].tolist()]
     table = group_table(z_from, rsr.field).rows
     return [table.index(tuple(rows[idx][c] for c in at))
             for idx in rsr.irreps[cls]]

@@ -188,7 +188,7 @@ def test_criterion_4_bimodule_engine():
             m = build_bimodule(rsr)
             cls = rsr.ram.support[rng.randrange(len(rsr.ram.support))]
             slot = rng.randrange(len(rsr.irreps[cls]))
-            blocks = [b.copy() for b in m.blocks[(cls, slot)]]
+            blocks = m.blocks[(cls, slot)].copy()
             z = rng.randrange(len(blocks))
             d = blocks[z].shape[0]
             i, j = rng.randrange(d), rng.randrange(d)

@@ -19,7 +19,7 @@ from quiverhopf import (
     verify_bimodule,
     verify_yd,
 )
-from quiverhopf.bimodule import Report, cases, check, combine
+from quiverhopf.bimodule import BimoduleMap, Report, cases, check, combine
 from quiverhopf.groups import coset_transversal
 
 
@@ -105,8 +105,7 @@ def test_mutation_is_caught(s3):
     rsr = make_rsr(s3, ram, None, {1: (1,)})
     for zidx in range(2):
         for delta in (1, 5):
-            m = build_bimodule(rsr)
-            m.blocks[(1, 0)] = [b.copy() for b in m.blocks[(1, 0)]]
+            m = build_bimodule(rsr)     # its own stack of blocks
             m.blocks[(1, 0)][zidx][0, 0] = (m.blocks[(1, 0)][zidx][0, 0] + delta) % m.p
             assert not verify_bimodule(m).passed
 
@@ -164,6 +163,24 @@ def test_table_corruption_away_from_generators_fails_right_associativity(s3):
         assert "right-associativity" in failed, (what, report.to_json())
         seen.append(what)
     assert seen == ["tp", "zl", "block"]
+
+
+def test_stacked_checks_name_the_first_failing_element(s3):
+    # the block of h = (0 2) on the class of e is changed: each stacked
+    # case covers all of G, fails on its first case and names the first g
+    *_, (_, m) = _table_corruptions(s3)
+    h = _far_from_generators(s3)
+    s = s3.generating_sequence()[0][0]
+    checks = {c.name: c for c in verify_bimodule(m).checks}
+    first_g = min(h, s3.mul(h, s3.inv(s)))
+    assert checks["right-associativity"].to_json() == {
+        "name": "right-associativity", "ok": False, "checked": s3.order,
+        "witness": f"class 0 slot 0 theta 0 g={s3.element_name(first_g)} "
+                   f"h={s3.element_name(s)}"}
+    assert checks["right-invertibility"].to_json() == {
+        "name": "right-invertibility", "ok": False, "checked": s3.order,
+        "witness": f"class 0 slot 0 theta 0 "
+                   f"h={s3.element_name(min(h, s3.inv(h)))}"}
 
 
 @pytest.mark.parametrize("spec, ram", [("S3", "e:2,(0 1):1,(0 1 2):2"),
@@ -241,6 +258,49 @@ def test_transversal_coset_mismatch(s3):
     bad = {1: [t1[1][1], t1[1][0], t1[1][2]]}    # reordered cosets
     with pytest.raises(InputError):
         transversal_iso(rsr, t1, bad)
+
+
+def test_transversal_entries_out_of_range(s3):
+    # negative entries are not wrapped-around aliases, and entries past
+    # |G| - 1 are input errors, not IndexErrors
+    rsr = make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)})
+    t = {1: list(coset_transversal(s3, conjugacy_classes(s3)[1].rep)[0])}
+    assert t == {1: [0, 1, 3]}
+    for bad in ([-6, -5, -3], [0, 1, 3 + s3.order], [0, s3.order, 3]):
+        with pytest.raises(InputError, match="out of range"):
+            build_bimodule(rsr, {1: bad})
+        with pytest.raises(InputError, match="out of range"):
+            transversal_iso(rsr, t, {1: bad})
+
+
+def test_changed_transversal_iso_entry_fails_action_intertwining(s3):
+    ram = parse_ramification(s3, "(0 1):1")
+    rsr = make_rsr(s3, ram, None, {1: (1,)})
+    t1 = {1: list(coset_transversal(s3, conjugacy_classes(s3)[1].rep)[0])}
+    t2 = {1: [t1[1][0], s3.mul(s3.find(Permutation((1, 0, 2))), t1[1][1]), t1[1][2]]}
+    f = transversal_iso(rsr, t1, t2)
+    report = f.verify()
+    gens = s3.generating_sequence()[0]
+    assert {c.name: c.checked for c in report.checks}["action-intertwining"] == \
+        2 * len(gens) * f.source.dim()
+    assert report.passed, report.to_json()
+    for i in (0, 7):
+        bad = transversal_iso(rsr, t1, t2)
+        bad.matrix[i, i] = 2          # was +-1: still bijective and graded
+        report = bad.verify()
+        assert [c.name for c in report.checks if not c.ok] == ["action-intertwining"]
+
+
+def test_map_intertwining_only_the_left_action_fails(s3):
+    # scaling the arrows with x^-1 y = (0 1) by 2 commutes with the left
+    # action and the coaction, but a . h moves x^-1 y to h^-1 x^-1 y h
+    m = build_bimodule(make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)}))
+    t01 = s3.find(Permutation((1, 0, 2)))
+    scale = [2 if s3.mul(s3.inv(a.x), a.y) == t01 else 1 for a in m.arrows]
+    report = BimoduleMap(m, m, np.diag(scale).astype(np.int64)).verify()
+    failed = [c for c in report.checks if not c.ok]
+    assert [c.name for c in failed] == ["action-intertwining"]
+    assert failed[0].witness.startswith("right action")
 
 
 def test_bimodule_json_dump(sgn_bimodule):

@@ -9,13 +9,15 @@ from quiverhopf import (
     Permutation,
     automorphisms,
     centralizer_subgroup,
+    choose_prime,
     class_of,
     conjugacy_classes,
     coset_factor,
     inner_only,
     parse_group,
 )
-from quiverhopf.groups import _TABLE_CAP, _compose
+from quiverhopf.groups import _TABLE_CAP, _compose, _generated
+from quiverhopf.modrep import group_table
 
 
 def brute_force_classes(elements):
@@ -246,14 +248,44 @@ def test_centralizer_embedding_maps(spec):
     for ctx in conjugacy_classes(g):
         sub = centralizer_subgroup(g, ctx)
         assert g.caches[("centralizer", ctx.rep)] is sub
-        assert sub.embed == ctx.centralizer
-        for i, h in enumerate(sub.embed):
+        assert isinstance(sub.embed, np.ndarray) and isinstance(sub.local, np.ndarray)
+        assert sub.embed.tolist() == list(ctx.centralizer)
+        for i, h in enumerate(sub.embed.tolist()):
             assert sub.elements[i] == g.elements[h]
             assert sub.local[h] == i
-        assert sorted(sub.local) == list(sub.embed)
-        for i in range(sub.order):
-            for j in range(sub.order):
-                assert sub.embed[sub.mul(i, j)] == g.mul(sub.embed[i], sub.embed[j])
+        # local is defined exactly on embed, and -1 off Z
+        assert np.flatnonzero(sub.local >= 0).tolist() == sub.embed.tolist()
+        assert (sub.local[np.setdiff1d(np.arange(g.order), sub.embed)] == -1).all()
+        assert sub.generators == ()
+        every = np.arange(sub.order)
+        assert (sub.embed[sub.products(every[:, None], every[None, :])] ==
+                g.products(sub.embed[:, None], sub.embed[None, :])).all()
+
+
+@pytest.mark.parametrize("spec, classes", [
+    ("S4", None), ("D4", None), ("Q8", None), ("A4", None), ("S3xC2", None),
+    ("S6", [0]),
+])
+def test_subgroup_rows_match_closure(spec, classes):
+    # oracle: the group the subgroup's members generate, closed by search
+    g = parse_group(spec)
+    field = choose_prime(g)
+    ctxs = conjugacy_classes(g)
+    for ctx in ctxs if classes is None else [ctxs[k] for k in classes]:
+        sub = centralizer_subgroup(g, ctx)
+        oracle = _generated(g.degree, [g.element(h) for h in ctx.centralizer])
+        assert sub.elements == oracle.elements
+        assert (sub.perms == oracle.perms).all()
+        assert (sub.inverses == oracle.inverses).all()
+        assert sub._orders == oracle._orders == tuple(
+            Permutation(e).order() for e in sub.elements)
+        assert sub.exponent == oracle.exponent
+        every = np.arange(sub.order)
+        grid = (every[:, None], every[None, :])
+        assert (sub.products(*grid) == oracle.products(*grid)).all()
+        assert sub.generating_sequence() == oracle.generating_sequence()
+        ours, theirs = group_table(sub, field), group_table(oracle, field)
+        assert (ours.rows, ours.degrees) == (theirs.rows, theirs.degrees)
 
 
 def test_generating_sequence_order_is_parent_first(s4):

@@ -184,6 +184,18 @@ def test_rep_twist_by_transposition(s3, s3_field):
     assert rep_equal(rep_twist(rep, emap), rep)
 
 
+def test_conjugation_into_a_subgroup_missing_the_image(s3):
+    # Z(e) = S3 does not map into Z((0 1)) = {e, (0 1)} under any conjugation
+    classes = conjugacy_classes(s3)
+    whole = centralizer_subgroup(s3, classes[0])
+    small = centralizer_subgroup(s3, classes[1])
+    assert small.order == 2
+    for h in range(s3.order):
+        with pytest.raises(InputError):
+            ElementMap.conjugation(s3, h, whole, small)
+    assert ElementMap.conjugation(s3, 0, small, whole).table == small.embed.tolist()
+
+
 def test_rep_equal_examples():
     g = parse_group("C2")
     f = choose_prime(g)
