@@ -1,16 +1,19 @@
-"""The group-algebra Hopf bimodule on the arrow space of a Hopf quiver.
+"""The group-algebra Hopf bimodule M = kG (x) V on the arrows of a Hopf quiver.
 
-Left action: h . a_{y,x} = a_{hy,hx} (an index shift).  Right action:
+Arrow number x * apv + l is local arrow l, one of the apv arrows out of e,
+at vertex x.  Left action: h moves it to (hx) * apv + l.  Right action:
 a^{(i,j)}_{y,x} . h = sum_s rho^{(i)}(zeta_theta(h))[j,s] a^{(i,s)}_{yh,xh},
 where theta is the coset index of x^-1 y and zeta the centralizer factor of
-g_theta h.  Per class, the zeta and theta' tables are array expressions over
-all (theta, h), and the coefficient blocks, which depend only on (class,
-slot, zeta), are one (|Z|, d, d) stack per slot.  The verifier checks every
-axiom completely: left- and right-associativity on the pairs (g, s) with s
-a generator, which covers every pair (the lemma of
-`Group.generating_sequence`), the other checks on every case.  The stacked
-checks (right-associativity, right-invertibility) count |G| per case, one
-case covering all of G.  A check with no cases is left out of the report.
+g_theta h: x goes to xh, and the local arrows by a block map independent of
+x.  Per class, the zeta and theta' tables are array expressions over all
+(theta, h), and the blocks, which depend only on (class, slot, zeta), are
+one (|Z|, d, d) stack per slot.  The verifier checks every axiom
+completely: left-associativity as each left action being a translation,
+right-associativity on the pairs (g, s) with s a generator, which covers
+every pair (the lemma of `Group.generating_sequence`), the other checks on
+every case.  The stacked checks (right-associativity, right-invertibility)
+count |G| per case, one case covering all of G.  A check with no cases is
+left out of the report.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .groups import InputError, class_of, coset_transversal
-from .quiver import ArrowId, HopfQuiver
+from .groups import InputError, coset_transversal
+from .quiver import HopfQuiver
 from .rsr import RSR
 
 
@@ -78,6 +81,18 @@ def check(report: Report, name: str, cases: Iterable, test: Callable[..., bool],
         report.add(name, True, checked)
 
 
+def check_all(report: Report, name: str, ok: np.ndarray,
+              witness: Callable[[int], str]) -> None:
+    """Add check `name` from `ok`, the outcome of each of its cases in
+    order, as `check` would record it: the count runs to the first failing
+    case and the witness is formatted for its index.  No cases, no check."""
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    if bad.size:
+        report.add(name, False, int(bad[0]) + 1, witness(int(bad[0])))
+    elif len(ok):
+        report.add(name, True, len(ok))
+
+
 def cases(spaces: Sequence[tuple[Sequence, ...]], samples: int = 0,
           rng: Optional[random.Random] = None) -> Iterator[tuple]:
     """Cases for `check` from spaces, each the product of its sequences.
@@ -107,7 +122,8 @@ def combine(terms: Iterable[tuple[Hashable, int]], p: int) -> dict:
 
 
 class HopfBimodule:
-    """Arrow space of the quiver of an RSR with both actions and coactions."""
+    """Arrow space kG (x) V of the quiver of an RSR, arrow number x * apv + l
+    being local arrow l at vertex x, with both actions and coactions."""
 
     def __init__(self, rsr: RSR, transversals: Optional[dict[int, list[int]]] = None):
         self.rsr = rsr
@@ -115,11 +131,11 @@ class HopfBimodule:
         self.p = rsr.field.p
         self.quiver: HopfQuiver = rsr.quiver()
         g = self.group
-        self.arrows: list[ArrowId] = list(self.quiver.arrows())
-        self.arrow_index = {a: i for i, a in enumerate(self.arrows)}
+        self.apv = self.quiver.arrows_per_vertex
+        self.cls, self.elem, self.slot, self.j = self.quiver.local.T
+        self.theta = np.empty(self.apv, dtype=np.intp)
 
         self.transversal: dict[int, list[int]] = {}
-        self.theta_of: dict[int, dict[int, int]] = {}
         # zeta data per class: zl[theta, h] = centralizer element (local index),
         # tp[theta, h] = theta'
         self.zl: dict[int, np.ndarray] = {}
@@ -141,9 +157,9 @@ class HopfBimodule:
             if off.size:
                 raise InputError(f"coset mismatch at theta={off[0]} for class {cls}")
             self.transversal[cls] = t.tolist()
-            self.theta_of[cls] = theta_of
             theta_at = np.full(g.order, -1)
             theta_at[list(theta_of)] = list(theta_of.values())
+            self.theta[self.cls == cls] = theta_at[self.elem[self.cls == cls]]
             # g_theta h = zeta g_theta' with theta' the coset of
             # (g_theta h)^-1 u (g_theta h), over every (theta, h) at once
             w = g.products(t[:, None], every[None, :])
@@ -154,30 +170,36 @@ class HopfBimodule:
 
     # -- structure maps -----------------------------------------------------
 
-    def left_action(self, h: int, a: ArrowId) -> ArrowId:
-        g = self.group
-        return ArrowId(g.mul(h, a.x), g.mul(h, a.y), a.cls, a.slot, a.j)
-
-    def right_action(self, a: ArrowId, h: int) -> list[tuple[ArrowId, int]]:
-        g = self.group
-        c = g.mul(g.inv(a.x), a.y)
-        theta = self.theta_of[a.cls][c]
-        zloc = int(self.zl[a.cls][theta, h])
-        block = self.blocks[(a.cls, a.slot)][zloc]
-        xh, yh = g.mul(a.x, h), g.mul(a.y, h)
-        return [(ArrowId(xh, yh, a.cls, a.slot, s), int(block[a.j, s]))
-                for s in range(block.shape[1]) if block[a.j, s]]
+    def slot_arrows(self, cls: int, slot: int) -> np.ndarray:
+        """The local arrows of (class, slot) as a (theta, j) array."""
+        at = np.flatnonzero((self.cls == cls) & (self.slot == slot))
+        out = np.empty((len(self.transversal[cls]), self.blocks[(cls, slot)].shape[1]),
+                       dtype=np.intp)
+        out[self.theta[at], self.j[at]] = at
+        return out
 
     def left_perm(self, h: int) -> np.ndarray:
-        """Left action as a permutation of arrow indices.  arrows() is
-        vertex-major with the same local order at every vertex, so h moves
-        arrow x * apv + l to (hx) * apv + l, apv being the arrows per vertex."""
-        apv = len(self.arrows) // self.group.order
+        """Left action as a permutation of arrow numbers: h moves arrow
+        x * apv + l to (hx) * apv + l."""
         hx = self.group.products(h, np.arange(self.group.order, dtype=np.int32))
-        return (hx[:, None] * apv + np.arange(apv, dtype=np.int32)).ravel()
+        return (hx[:, None] * self.apv + np.arange(self.apv, dtype=np.int32)).ravel()
+
+    def right_stack(self, hs) -> np.ndarray:
+        """The right action of each h in hs, a (len(hs), apv, apv) stack:
+        entry [i, l', l] is the coefficient of arrow (xh) * apv + l' in
+        (x * apv + l) . h, for every vertex x, scattered per (class, slot)
+        from the blocks at (theta, h) to (theta', slot, s)."""
+        hs = np.asarray(hs, dtype=np.intp)
+        out = np.zeros((len(hs), self.apv, self.apv), dtype=np.int64)
+        at = np.arange(len(hs))[None, :, None, None]
+        for (cls, slot), blocks in self.blocks.items():
+            src = self.slot_arrows(cls, slot)
+            dst = src[self.tp[cls][:, hs]][:, :, None, :]
+            out[at, dst, src[:, None, :, None]] = blocks[self.zl[cls][:, hs]]
+        return out
 
     def dim(self) -> int:
-        return len(self.arrows)
+        return self.group.order * self.apv
 
     def to_json(self) -> dict:
         g = self.group
@@ -185,7 +207,7 @@ class HopfBimodule:
             "prime": self.p,
             "arrows": [{"x": g.element_name(a.x), "y": g.element_name(a.y),
                         "class": a.cls, "slot": a.slot, "j": a.j}
-                       for a in self.arrows],
+                       for a in self.quiver.arrows()],
             "zeta_blocks": [],
         }
         for cls in self.rsr.ram.support:
@@ -220,44 +242,45 @@ def verify_bimodule(m: HopfBimodule) -> Report:
     """
     g = m.group
     name = g.element_name
-    narrows = len(m.arrows)
+    narrows = m.dim()
     report = Report(mode="exhaustive")
     p = m.p
     support = m.rsr.ram.support
     every = np.arange(g.order)
     gens = np.array(g.generating_sequence()[0], dtype=np.intp)
 
-    # unit: the zeta tables and left_perm are trivial at h = e, and e fixes
-    # every arrow on both sides
-    def unit(case) -> bool:
-        side, a = case
-        if side == "left":
-            return m.left_action(0, a) == a
-        if side == "right":
-            return m.right_action(a, 0) == [(a, 1)]
-        return (m.left_perm(0) == np.arange(narrows)).all() and all(
-            (m.zl[cls][:, 0] == 0).all() and
-            (m.tp[cls][:, 0] == np.arange(len(m.transversal[cls]))).all()
-            for cls in support)
+    # unit: the zeta tables are trivial at h = e, and e fixes every arrow
+    # on both sides; cases are the tables, then each arrow on the left,
+    # then each arrow on the right
+    tables = np.array([all((m.zl[cls][:, 0] == 0).all() and
+                           (m.tp[cls][:, 0] == np.arange(len(m.transversal[cls]))).all()
+                           for cls in support)] if support else [], dtype=bool)
+    fixed = (m.right_stack([0])[0] == linalg.identity(m.apv)).all(axis=0)
+    right = ((g.products(every, 0) == every)[:, None] & fixed[None, :]).ravel()
+    ntab = len(tables)
 
-    check(report, "unit", itertools.chain(
-        [("tables", None)] if support else [], (("left", a) for a in m.arrows),
-        (("right", a) for a in m.arrows)), unit,
-        lambda case: "the tables of e are not trivial" if case[0] == "tables"
-        else f"identity moves arrow {case[1]} on the {case[0]}")
+    def unit_witness(i: int) -> str:
+        if i < ntab:
+            return "the tables of e are not trivial"
+        side, a = divmod(i - ntab, narrows)
+        return (f"identity moves arrow {m.quiver.arrow(a)} on the "
+                f"{('left', 'right')[side]}")
 
-    # left associativity, P_{sh} = P_s . P_h on all arrows for every
-    # generator s and every h: the mirrored form of the lemma
-    gen_perms = [m.left_perm(int(s)) for s in gens]
+    check_all(report, "unit", np.concatenate(
+        [tables, m.left_perm(0) == np.arange(narrows), right]), unit_witness)
 
-    def left_assoc(h: int) -> np.ndarray:
-        """Whether P_{sh} = P_s . P_h, for each generator s."""
-        ph = m.left_perm(h)
-        return np.array([(m.left_perm(int(sh)) == ps.take(ph)).all()
-                         for sh, ps in zip(g.products(gens, h), gen_perms)], dtype=bool)
+    # left associativity: P_h must move arrow x * apv + l to (hx) * apv + l,
+    # the left translation of the vertices lifted to the arrows, for every
+    # h; translation is multiplicative, so P_{gh} = P_g . P_h on every pair.
+    # The count is that of the pairs (g, s), s a generator, on all arrows
+    local = np.arange(m.apv)
 
-    check(report, "left-associativity", range(g.order), lambda h: left_assoc(h).all(),
-          lambda h: f"(g,h)=({name(int(gens[np.argmin(left_assoc(h))]))},{name(h)})",
+    def translates(h: int) -> bool:
+        return (m.left_perm(h).reshape(g.order, m.apv) ==
+                g.products(h, every)[:, None] * m.apv + local).all()
+
+    check(report, "left-associativity", range(g.order), translates,
+          lambda h: f"h={name(h)} is not a left translation of the arrows",
           weight=narrows * len(gens))
 
     # right associativity: the zeta cocycle at block level on (theta, g, s),
@@ -281,27 +304,30 @@ def verify_bimodule(m: HopfBimodule) -> Report:
                        f"g={name(int(np.argmin(right_assoc(case))))} h={name(case[2])}",
           weight=g.order)
 
-    # bimodule commutation and coaction grading: index arithmetic on all
-    # (g, arrow, h); coefficients agree because theta(x^-1 y) is invariant
-    # under the left shift
-    def commutes(case) -> bool:
-        if isinstance(case, ArrowId):
-            c = g.mul(g.inv(case.x), case.y)
-            return class_of(g, c) == case.cls and c in m.theta_of[case.cls]
-        h, cls, c, theta = case
-        tp, t = m.tp[cls], m.transversal[cls]
-        zeta = m.rsr.centralizer(cls).embed[int(m.zl[cls][theta, h])]
-        # destination class element of a . h is h^-1 c h, and the
-        # defining relation g_theta h = zeta g_theta' holds
-        return (m.theta_of[cls][g.conj(c, h)] == tp[theta, h] and
-                g.mul(t[theta], h) == g.mul(zeta, t[int(tp[theta, h])]))
+    # bimodule commutation and coaction grading: each arrow's class element
+    # is c_theta = g_theta^-1 u g_theta for its theta, and on every (h,
+    # class, theta) g_theta h = zeta g_theta', which puts the destination
+    # class element h^-1 c_theta h of a . h at theta' (zeta commutes with
+    # u).  Coefficients agree because theta is invariant under the left shift
+    consistent = np.zeros(m.apv, dtype=bool)
+    per_h = [np.zeros((g.order, 0), dtype=bool)]
+    for cls in support:
+        t, tp = np.asarray(m.transversal[cls]), m.tp[cls]
+        c = g.products(g.products(g.inverses[t], m.rsr.u[cls]), t)
+        consistent[m.cls == cls] = m.elem[m.cls == cls] == c[m.theta[m.cls == cls]]
+        zeta = m.rsr.centralizer(cls).embed[m.zl[cls]]
+        per_h.append((g.products(t[:, None], every) == g.products(zeta, t[tp])).T)
+    thetas = [(cls, th) for cls in support for th in range(len(m.transversal[cls]))]
 
-    check(report, "commutation-and-coaction", itertools.chain(
-        m.arrows, ((h, cls, c, theta) for h in range(g.order) for cls in support
-                   for c, theta in m.theta_of[cls].items())), commutes,
-        lambda case: f"arrow {case} has inconsistent class data"
-        if isinstance(case, ArrowId) else
-        f"class {case[1]} theta {case[3]} h={name(case[0])}")
+    def commutes_witness(i: int) -> str:
+        if i < narrows:
+            return f"arrow {m.quiver.arrow(i)} has inconsistent class data"
+        h, at = divmod(i - narrows, len(thetas))
+        return f"class {thetas[at][0]} theta {thetas[at][1]} h={name(h)}"
+
+    check_all(report, "commutation-and-coaction", np.concatenate(
+        [np.tile(consistent, g.order), np.concatenate(per_h, axis=1).ravel()]),
+        commutes_witness)
 
     # right action by h then h^-1 is the identity; one case is
     # (class, slot, theta) over every h at once
@@ -324,14 +350,9 @@ def verify_bimodule(m: HopfBimodule) -> Report:
     return report
 
 
-def _apply_right(m: HopfBimodule, combo: Iterable[tuple[ArrowId, int]],
-                 h: int) -> dict[ArrowId, int]:
-    return combine(((b, c * c2) for a, c in combo
-                    for b, c2 in m.right_action(a, h)), m.p)
-
-
 class BimoduleMap:
-    """An arrow-basis linear map between two bimodules on the same quiver."""
+    """An arrow-basis linear map between two bimodules on the same quiver:
+    row a of the matrix is the image of arrow number a."""
 
     def __init__(self, source: HopfBimodule, target: HopfBimodule,
                  matrix: np.ndarray):
@@ -339,11 +360,6 @@ class BimoduleMap:
         self.target = target
         self.matrix = matrix
         self.p = source.p
-
-    def apply(self, combo: Iterable[tuple[ArrowId, int]]) -> dict[ArrowId, int]:
-        rows = ((c, self.matrix[self.source.arrow_index[a]]) for a, c in combo)
-        return combine(((self.target.arrows[b], c * int(row[b]))
-                        for c, row in rows for b in np.flatnonzero(row)), self.p)
 
     def is_bijective(self) -> bool:
         return linalg.rank(self.matrix, self.p) == self.matrix.shape[0]
@@ -354,30 +370,41 @@ class BimoduleMap:
         s.f(a) and f(a.s) = f(a).s for every arrow a and generator s, which
         covers every element (the lemma of `Group.generating_sequence`)."""
         m1, m2 = self.source, self.target
-        g = m1.group
+        g, q, f, p = m1.group, m1.quiver, self.matrix, self.p
         report = Report(mode="exhaustive")
         report.add("bijective", self.is_bijective(), 1)
 
-        check(report, "coaction-intertwining",
-              ((a, m2.arrows[bidx]) for i, a in enumerate(m1.arrows)
-               for bidx in np.nonzero(self.matrix[i])[0]),
-              lambda ab: (ab[1].x, ab[1].y) == (ab[0].x, ab[0].y),
-              lambda ab: f"{ab[0]} maps to {ab[1]}")
+        # an arrow maps into the arrows with its own source and target
+        a, b = np.nonzero(f)
+        vertex = np.repeat(np.arange(g.order), m1.apv)
+        elem = np.tile(m1.elem, g.order)
+        check_all(report, "coaction-intertwining",
+                  (vertex[a] == vertex[b]) & (elem[a] == elem[b]),
+                  lambda i: f"{q.arrow(a[i])} maps to {q.arrow(b[i])}")
 
-        def intertwines(case) -> bool:
-            side, s, a = case
-            fa = self.apply([(a, 1)])
-            if side == "left":
-                return self.apply([(m1.left_action(s, a), 1)]) == {
-                    m2.left_action(s, b): c for b, c in fa.items()}
-            return (self.apply(_apply_right(m1, [(a, 1)], s).items()) ==
-                    _apply_right(m2, fa.items(), s))
+        # masks over (side, s, arrow): f P_s = P_s f on the left, and on the
+        # right f(a . s) = f(a) . s, where x * apv + l . s = sum_l' A_s[l', l]
+        # (xs) * apv + l', A_s being the module's local stack at s
+        gens, every, n = g.generating_sequence()[0], np.arange(g.order), m1.dim()
+        left = [(f[np.ix_(m1.left_perm(s), m2.left_perm(s))] == f).all(axis=1)
+                for s in gens]
 
-        check(report, "action-intertwining",
-              cases([(("left", "right"), g.generating_sequence()[0], m1.arrows)]),
-              intertwines,
-              lambda case: f"{case[0]} action of s={g.element_name(case[1])} "
-                           f"on arrow {case[2]}")
+        def right(s: int) -> np.ndarray:
+            xs = g.products(every, s)
+            moved = linalg.matmul(m1.right_stack([s])[0].T,
+                                  f.reshape(g.order, m1.apv, n)[xs], p)
+            image = np.empty((n, g.order, m2.apv), dtype=np.int64)
+            image[:, xs] = linalg.matmul(f.reshape(n, g.order, m2.apv),
+                                         m2.right_stack([s])[0].T, p)
+            return (moved.reshape(n, n) == image.reshape(n, n)).all(axis=1)
+
+        def witness(i: int) -> str:
+            side, s, arrow = np.unravel_index(i, (2, len(gens), n))
+            return (f"{('left', 'right')[side]} action of s={g.element_name(gens[s])} "
+                    f"on arrow {q.arrow(arrow)}")
+
+        check_all(report, "action-intertwining",
+                  np.array(left + [right(s) for s in gens], dtype=bool).ravel(), witness)
         return report
 
 
@@ -385,24 +412,18 @@ def transversal_iso(rsr: RSR, t1: dict[int, list[int]],
                     t2: dict[int, list[int]]) -> BimoduleMap:
     """The explicit isomorphism between the bimodules built from two
     transversals of the same cosets (arrow a^{(i,j)} built from t1 maps to
-    sum_s rho^{(i)}(g_theta h_theta^-1)[j,s] times the t2-arrow a^{(i,s)})."""
+    sum_s rho^{(i)}(g_theta h_theta^-1)[j,s] times the t2-arrow a^{(i,s)}).
+    It is the same on every vertex, so its matrix is 1 (x) the local map."""
     g = rsr.group
     m1 = build_bimodule(rsr, t1)
     m2 = build_bimodule(rsr, t2)
-    n = len(m1.arrows)
-    matrix = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(m1.arrows):
-        c = g.mul(g.inv(a.x), a.y)
-        theta = m1.theta_of[a.cls][c]
-        gt = m1.transversal[a.cls][theta]
-        ht = m2.transversal[a.cls][theta]
-        zelt = rsr.centralizer(a.cls).local[g.mul(gt, g.inv(ht))]
-        block = m1.blocks[(a.cls, a.slot)][zelt]
-        for s in range(block.shape[1]):
-            if block[a.j, s]:
-                bidx = m2.arrow_index[ArrowId(a.x, a.y, a.cls, a.slot, s)]
-                matrix[i, bidx] = block[a.j, s]
-    fmap = BimoduleMap(m1, m2, matrix)
+    local = np.zeros((m1.apv, m1.apv), dtype=np.int64)
+    for (cls, slot), blocks in m1.blocks.items():
+        src = m1.slot_arrows(cls, slot)
+        z = rsr.centralizer(cls).local[g.products(m1.transversal[cls],
+                                                  g.inverses[m2.transversal[cls]])]
+        local[src[:, :, None], src[:, None, :]] = blocks[z]
+    fmap = BimoduleMap(m1, m2, np.kron(np.eye(g.order, dtype=np.int64), local))
     if not fmap.is_bijective():
         raise AssertionError("transversal-change map failed to be bijective")
     return fmap

@@ -5,15 +5,14 @@ bimodule-verify, yd-verify, nichols-dims, hopf-verify, hopf-dims, selftest.
 Output is JSON (sorted keys; byte-identical for identical argv + seed);
 CSV is available for the tabular census verbs.  Exit codes: 0 ok,
 1 verification failure, 2 input error or exceeded budget (a module or a
-working matrix over the Nichols budget, see `yd.nichols_dims`); errors
-are one `error: ...` line on stderr.
+working matrix over the Nichols budget, see `yd.nichols_dims`, or a path
+basis over `typeone.PATH_CAP`); errors are one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -213,15 +212,8 @@ def cmd_yd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_nichols_dims(args) -> tuple[dict, int]:
-    nprimes = args.nprimes
-    if nprimes is None:
-        try:
-            nprimes = int(os.environ.get("NPRIMES", "3"))
-        except ValueError:
-            raise InputError("NPRIMES must be an integer") from None
-        _at_least_one("NPRIMES", nprimes)
     results, _ = _each_rsr(args, lambda rsr: nichols_dims_multiprime(
-        rsr, args.max_degree, nprimes=nprimes))
+        rsr, args.max_degree, nprimes=args.nprimes))
     payload = {"results": results}
     payload.update(_meta(args, primes=results[-1]["primes"]))
     return payload, 0
@@ -348,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nichols-dims", help="Nichols-algebra graded dimensions")
     common(p, ram=True, rsr=True, degree=4)
-    p.add_argument("--nprimes", type=int, default=None,
-                   help="number of primes (default: NPRIMES env var or 3)")
+    p.add_argument("--nprimes", type=int, default=3,
+                   help="number of primes (default: 3)")
     p.set_defaults(func=cmd_nichols_dims)
 
     p = sub.add_parser("hopf-verify", help="check the truncated Hopf algebra")
@@ -367,19 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _at_least_one(name: str, value: int) -> None:
-    if value < 1:
-        raise InputError(f"{name} must be at least 1, got {value}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         for flag in ("samples", "nprimes"):
             value = getattr(args, flag, None)
-            if value is not None:
-                _at_least_one(f"--{flag}", value)
+            if value is not None and value < 1:
+                raise InputError(f"--{flag} must be at least 1, got {value}")
         payload, code = args.func(args)
     except (InputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

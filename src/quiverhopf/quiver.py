@@ -3,12 +3,21 @@
 Arrows are generated implicitly: between vertices x and y with x^-1 y in a
 ramified class C there are exactly r_C arrows, split into slots i (one per
 irreducible summand of the class data) of width deg rho_C^(i).
+
+The arrow space is kG (x) V, V spanned by the apv arrows out of the
+identity, in the order of `HopfQuiver.local` (class, class element c, slot,
+j).  Arrow number x * apv + l is local arrow l at vertex x, from x to x c.
+The bimodule, its coinvariants and the path algebra run on these numbers;
+`ArrowId` only names them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .groups import Group, InputError, class_of, conjugacy_classes, parse_cycle_string
 
@@ -100,35 +109,37 @@ class HopfQuiver:
         pos = self.ram.support.index(cls)
         return self.slot_degrees[pos]
 
+    @cached_property
+    def local(self) -> np.ndarray:
+        """The arrows out of the identity in local order, one row
+        (class, class element c, slot, j) per local index l."""
+        classes = conjugacy_classes(self.group)
+        rows = [(k, c, i, j) for k, degrees in zip(self.ram.support, self.slot_degrees)
+                for c in classes[k].elements
+                for i, d in enumerate(degrees) for j in range(d)]
+        return np.array(rows, dtype=np.intp).reshape(-1, 4)
+
     @property
     def arrows_per_vertex(self) -> int:
-        g = self.group
-        classes = conjugacy_classes(g)
-        return sum(v * classes[k].size for k, v in self.ram.coeffs)
+        return len(self.local)
 
     def arrow_count(self) -> int:
         return self.group.order * self.arrows_per_vertex
 
+    def arrow(self, n: int) -> ArrowId:
+        """The name of arrow number n."""
+        x, l = divmod(int(n), self.arrows_per_vertex)
+        cls, c, slot, j = self.local[l].tolist()
+        return ArrowId(x, self.group.mul(x, c), cls, slot, j)
+
     def arrows_between(self, x: int, y: int) -> list[ArrowId]:
-        g = self.group
-        cls = class_of(g, g.mul(g.inv(x), y))
-        if cls not in self.ram.support:
-            return []
-        return [ArrowId(x, y, cls, i, j)
-                for i, d in enumerate(self.class_slots(cls))
-                for j in range(d)]
+        c = self.group.mul(self.group.inv(x), y)
+        return [ArrowId(x, y, cls, slot, j)
+                for cls, cc, slot, j in self.local.tolist() if cc == c]
 
     def arrows(self) -> Iterator[ArrowId]:
-        """All arrows: vertices in canonical order, then class, member, slot, j."""
-        g = self.group
-        classes = conjugacy_classes(g)
-        for x in range(g.order):
-            for k, _ in self.ram.coeffs:
-                for c in classes[k].elements:
-                    y = g.mul(x, c)
-                    for i, d in enumerate(self.slot_degrees[self.ram.support.index(k)]):
-                        for j in range(d):
-                            yield ArrowId(x, y, k, i, j)
+        """All arrows, in the order of their numbers."""
+        return map(self.arrow, range(self.arrow_count()))
 
     def to_dot(self) -> str:
         g = self.group

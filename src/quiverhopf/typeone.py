@@ -1,14 +1,18 @@
 """Truncated graded Hopf algebra on the paths of a Hopf quiver, and the
 graded dimensions of the type-one Hopf algebra via the biproduct identity.
 
-Basis: paths of length <= N (0-paths are the group elements).  The product
-of basis paths p, q of positive degree is the normal form of their tensor
-over the group algebra,
+Basis: paths of length <= N, the degree-n ones spanning kG (x) V^(x)n with
+V the apv arrows out of the identity.  A path is the int tuple (start
+vertex, l_1, ..., l_n), its i-th arrow being number x_{i-1} * apv + l_i
+with x_{i-1} the vertex it leaves; (x,) is the vertex x, and each degree
+is listed in lexicographic order.  The product of basis paths p, q is the
+normal form of their tensor over the group algebra,
 
-    p * q = concat( p . t(q) , s(p) . q ),
+    p * q = concat( p . t(q) , s(p) . q )
+          = (s(p) s(q), word(q) ++ A_{t(q)}^(x)m word(p)),
 
-with the right bimodule action applied arrow-wise and the left action a
-translation; a product with a 0-path is the corresponding module action.
+with m = deg p and A_h the right action of h on V, applied letterwise;
+this is the module action when either path is a vertex.
 This two-sided rule is forced by associativity (the source-translated
 factors generate a free subalgebra and vertices act by the smash relation
 x v x^-1 = x |> v); it reduces to a plain right shift whenever s(p) = 1.
@@ -27,18 +31,23 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional, Union
+from typing import Optional
+
+import numpy as np
 
 from .bimodule import HopfBimodule, Report, build_bimodule, cases, check, combine
 from .groups import InputError
-from .quiver import ArrowId
 from .rsr import RSR
-from .yd import nichols_dims, yd_from_rsr
+from .yd import BudgetError, nichols_dims, yd_from_rsr
 
-# basis keys: a group element index for 0-paths, else a tuple of composable
-# ArrowIds in application order
-PathKey = Union[int, tuple[ArrowId, ...]]
+# basis keys: (start vertex, l_1, ..., l_n), the path whose i-th arrow is
+# local arrow l_i at the end of the first i - 1; (x,) is the vertex x
+PathKey = tuple[int, ...]
 Element = dict  # PathKey -> coefficient mod p
+
+# paths of degree <= N, sum_n |G| apv^n: 131,072 is 2.6 times the largest
+# basis in use (S5 "(0 1):2" at degree 2, 50,520 paths)
+PATH_CAP = 1 << 17
 
 
 class TruncationError(RuntimeError):
@@ -46,15 +55,7 @@ class TruncationError(RuntimeError):
 
 
 def path_degree(key: PathKey) -> int:
-    return 0 if isinstance(key, int) else len(key)
-
-
-def path_source(key: PathKey) -> int:
-    return key if isinstance(key, int) else key[0].x
-
-
-def path_target(key: PathKey) -> int:
-    return key if isinstance(key, int) else key[-1].y
+    return len(key) - 1
 
 
 class TruncatedHopf:
@@ -69,18 +70,17 @@ class TruncatedHopf:
         self.p = rsr.field.p
         self.max_deg = max_deg
         self.bim = bim if bim is not None else build_bimodule(rsr)
-        self.basis_by_degree: list[list[PathKey]] = [list(range(self.group.order))]
-        out_arrows: dict[int, list[ArrowId]] = {x: [] for x in range(self.group.order)}
-        for a in self.bim.arrows:
-            out_arrows[a.x].append(a)
-        for n in range(1, max_deg + 1):
-            prev = self.basis_by_degree[n - 1]
-            level: list[PathKey] = []
-            for key in prev:
-                stem = () if isinstance(key, int) else key
-                for a in out_arrows[path_target(key)]:
-                    level.append(stem + (a,))
-            self.basis_by_degree.append(level)
+        order, apv = self.group.order, self.bim.apv
+        paths = sum(order * apv ** n for n in range(max_deg + 1))
+        if paths > PATH_CAP:
+            raise BudgetError(f"{paths} paths up to degree {max_deg} exceed "
+                              f"the cap of {PATH_CAP}")
+        # lexicographic in (vertex, word), the order of the arrow numbers
+        self.basis_by_degree: list[list[PathKey]] = [
+            list(itertools.product(range(order), *[range(apv)] * n))
+            for n in range(max_deg + 1)]
+        self._elem = self.bim.elem.tolist()
+        self._right_cache: dict[int, list[list[tuple[int, int]]]] = {}
         self._prod_cache: dict[tuple[PathKey, PathKey], Element] = {}
         self._antipode_cache: dict[PathKey, Element] = {}
 
@@ -89,39 +89,34 @@ class TruncatedHopf:
     def dim(self, n: int) -> int:
         return len(self.basis_by_degree[n])
 
-    def _left(self, h: int, key: PathKey) -> PathKey:
-        if isinstance(key, int):
-            return self.group.mul(h, key)
-        return tuple(self.bim.left_action(h, a) for a in key)
+    def vertices(self, key: PathKey) -> list[int]:
+        """The vertices a path passes, from its start to its target."""
+        return list(itertools.accumulate((self._elem[l] for l in key[1:]),
+                                         self.group.mul, initial=key[0]))
 
-    def _right(self, key: PathKey, h: int) -> Element:
-        if isinstance(key, int):
-            return {self.group.mul(key, h): 1}
-        terms: list[tuple[tuple[ArrowId, ...], int]] = [((), 1)]
-        for a in key:
-            expansion = self.bim.right_action(a, h)
-            terms = [(stem + (b,), coeff * c2)
-                     for stem, coeff in terms for b, c2 in expansion]
-        return combine(terms, self.p)
+    def _right_terms(self, h: int) -> list[list[tuple[int, int]]]:
+        """Per local arrow l, the (l', coefficient) terms of l . h."""
+        if h not in self._right_cache:
+            cols = self.bim.right_stack([h])[0].T
+            self._right_cache[h] = [list(zip(np.flatnonzero(c).tolist(), c[c != 0].tolist()))
+                                    for c in cols]
+        return self._right_cache[h]
 
     def product_basis(self, pk: PathKey, qk: PathKey) -> Element:
+        """p * q = (s(p) s(q), word(q) ++ A_{t(q)}^(x)m word(p)), m = deg p:
+        s(p) . q followed by p . t(q), whose word is acted on letterwise."""
         m, n = path_degree(pk), path_degree(qk)
         if m + n > self.max_deg:
             raise TruncationError(
                 f"product of degrees {m}+{n} exceeds truncation {self.max_deg}")
         key = (pk, qk)
-        if key in self._prod_cache:
-            return dict(self._prod_cache[key])
-        if m == 0:
-            out = {self._left(pk, qk): 1}
-        elif n == 0:
-            out = self._right(pk, qk)
-        else:
-            shifted_q = self._left(path_source(pk), qk)
-            out = combine(((shifted_q + late, c) for late, c in
-                           self._right(pk, path_target(qk)).items()), self.p)
-        self._prod_cache[key] = out
-        return dict(out)
+        if key not in self._prod_cache:
+            terms = [((self.group.mul(pk[0], qk[0]),) + qk[1:], 1)]
+            right = self._right_terms(self.vertices(qk)[-1])
+            for l in pk[1:]:
+                terms = [(w + (r,), c * c2) for w, c in terms for r, c2 in right[l]]
+            self._prod_cache[key] = combine(terms, self.p)
+        return dict(self._prod_cache[key])
 
     def multiply(self, e1: Element, e2: Element) -> Element:
         return combine(((k, c1 * c2 * c) for k1, c1 in e1.items()
@@ -139,45 +134,46 @@ class TruncatedHopf:
 
     def coproduct(self, key: PathKey) -> dict:
         """Delta on a basis path, as a dict {(left_key, right_key): coeff}."""
-        if isinstance(key, int):
-            return {(key, key): 1}
-        g = self.group
-        x0 = key[0].x
-        acc: Optional[dict] = None
-        # p = F_n * ... * F_1 * x0 with F_i = a_i . x_{i-1}^{-1}, a combination
-        # of arrows out of the identity vertex
-        for a in reversed(key):
-            factor = combine((term for v, coeff in self.bim.right_action(a, g.inv(a.x))
-                              for term in (((v.y, (v,)), coeff), (((v,), 0), coeff))),
-                             self.p)
+        acc = None
+        # p = F_n * ... * F_1 * x0 with F_i = a_i . x_{i-1}^{-1} = x_{i-1} |> l_i,
+        # a combination of arrows v out of the identity vertex, each with
+        # Delta(v) = t(v) (x) v + v (x) 1
+        for x, l in reversed(list(zip(self.vertices(key), key[1:]))):
+            factor = {}
+            for v, c in self._right_terms(self.group.inv(x))[l]:
+                factor[((self._elem[v],), (0, v))] = c
+                factor[((0, v), (0,))] = c
             acc = factor if acc is None else self._tensor_mul(acc, factor)
-        return self._tensor_mul(acc, {(x0, x0): 1})
+        start = {(key[:1], key[:1]): 1}
+        return start if acc is None else self._tensor_mul(acc, start)
 
     def antipode(self, key: PathKey) -> Element:
         """S on a basis path via the convolution recursion S * id = unit . counit."""
-        if isinstance(key, int):
-            return {self.group.inv(key): 1}
+        g = self.group
+        if len(key) == 1:
+            return {(g.inv(key[0]),): 1}
         if key in self._antipode_cache:
             return dict(self._antipode_cache[key])
-        n = len(key)
-        x0 = key[0].x
+        n = len(key) - 1
         # S(p) * x0 = -(the other terms), the single top term being S(p) * x0
         rest = combine(((k, -c * cv) for (k1, k2), c in self.coproduct(key).items()
                         if path_degree(k1) != n
                         for k, cv in self.multiply(self.antipode(k1), {k2: 1}).items()),
                        self.p)
-        out = self.multiply(rest, {self.group.inv(x0): 1})
+        out = self.multiply(rest, {(g.inv(key[0]),): 1})
         self._antipode_cache[key] = out
         return dict(out)
 
 
 def path_key_json(key: PathKey, h: "TruncatedHopf") -> dict:
     g = h.group
-    if isinstance(key, int):
-        return {"vertex": g.element_name(key)}
-    return {"start": g.element_name(key[0].x),
+    if len(key) == 1:
+        return {"vertex": g.element_name(key[0])}
+    apv = h.bim.apv
+    arrows = [h.bim.quiver.arrow(x * apv + l) for x, l in zip(h.vertices(key), key[1:])]
+    return {"start": g.element_name(key[0]),
             "arrows": [{"y": g.element_name(a.y), "class": a.cls,
-                        "slot": a.slot, "j": a.j} for a in key]}
+                        "slot": a.slot, "j": a.j} for a in arrows]}
 
 
 def structure_json(h: TruncatedHopf) -> dict:
@@ -189,8 +185,7 @@ def structure_json(h: TruncatedHopf) -> dict:
             for pk in h.basis_by_degree[m]:
                 for qk in h.basis_by_degree[n]:
                     terms = [{"path": path_key_json(k, h), "coeff": c}
-                             for k, c in sorted(h.product_basis(pk, qk).items(),
-                                                key=str)]
+                             for k, c in sorted(h.product_basis(pk, qk).items())]
                     doc["products"].append({
                         "left": path_key_json(pk, h),
                         "right": path_key_json(qk, h),
@@ -240,7 +235,7 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
 
     check(report, "associativity", tuples(3), associative)
     check(report, "unit", all_keys,
-          lambda k: h.product_basis(0, k) == {k: 1} == h.product_basis(k, 0))
+          lambda k: h.product_basis((0,), k) == {k: 1} == h.product_basis(k, (0,)))
 
     # every tensor factor of a coproduct is itself a basis path
     cop = {k: h.coproduct(k) for k in all_keys}
@@ -253,9 +248,9 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
 
     def counital(k) -> bool:
         return (combine(((b, c) for (a, b), c in cop[k].items()
-                         if isinstance(a, int)), p) == {k: 1} ==
+                         if len(a) == 1), p) == {k: 1} ==
                 combine(((a, c) for (a, b), c in cop[k].items()
-                         if isinstance(b, int)), p))
+                         if len(b) == 1), p))
 
     check(report, "coassociativity", all_keys, coassociative)
     check(report, "counit", all_keys, counital)
@@ -271,7 +266,7 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
     def antipodal(k) -> bool:
         return combine(((t, c * c2) for (a, b), c in cop[k].items()
                         for t, c2 in h.multiply(h.antipode(a), {b: 1}).items()),
-                       p) == ({0: 1} if isinstance(k, int) else {})
+                       p) == ({(0,): 1} if len(k) == 1 else {})
 
     check(report, "antipode",
           (k for n in range(h.max_deg) for k in h.basis_by_degree[n]), antipodal)
@@ -284,8 +279,9 @@ def skew_primitive_report(h: TruncatedHopf) -> Report:
     report = Report(mode="exhaustive")
     check(report, "skew-primitivity",
           (key for key in (h.basis_by_degree[1] if h.max_deg >= 1 else [])
-           if key[0].x == 0),
-          lambda key: h.coproduct(key) == {(key[0].y, key): 1, (key, 0): 1})
+           if key[0] == 0),
+          lambda key: h.coproduct(key) == {((h.vertices(key)[1],), key): 1,
+                                           (key, (0,)): 1})
     return report
 
 

@@ -1,11 +1,13 @@
 """Coinvariant Yetter-Drinfeld module, braiding, and Nichols-algebra
 graded dimensions via quantum symmetrizer ranks.
 
-The coinvariants of the arrow bimodule are the arrows starting at the
-identity vertex; the group acts by conjugation (g |> a = g.a.g^-1) and the
-grading is the target vertex.  `verify_yd` checks every axiom, the action's
-multiplicativity on the pairs (g, s) with s a generator, which covers every
-pair.  The braiding is the standard one for YD modules over a group algebra,
+The coinvariants of the arrow bimodule M = kG (x) V are V: the apv arrows
+out of the identity vertex, arrow numbers 0..apv-1 of x * apv + l.  The
+group acts by conjugation (g |> a = g.a.g^-1), one (|G|, apv, apv) stack,
+and the grading is the target vertex.  `verify_yd` checks every axiom, the
+action's multiplicativity on the pairs (g, s) with s a generator, which
+covers every pair.  The braiding is the standard one for YD modules over a
+group algebra,
 
     c(a (x) b) = (deg(a) |> b) (x) a,
 
@@ -34,10 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .bimodule import HopfBimodule, Report, build_bimodule, check
+from .bimodule import HopfBimodule, Report, build_bimodule, check, check_all
 from .groups import Group, InputError
 from .modrep import next_primes
-from .quiver import ArrowId
 from .rsr import RSR, make_rsr
 
 BRAIDING_CONVENTION = "c(a(x)b) = (deg(a) |> b) (x) a"
@@ -53,39 +54,22 @@ class BudgetError(RuntimeError):
 
 
 class YDModule:
-    """Arrows with source 1, adjoint action and target grading."""
+    """A Yetter-Drinfeld module over a group on the basis 0..dim-1."""
 
-    def __init__(self, group: Group, p: int, basis: list[ArrowId],
-                 grading: list[int], action: dict[int, np.ndarray]):
+    def __init__(self, group: Group, p: int, grading: Sequence[int],
+                 action: np.ndarray):
         self.group = group
         self.p = p
-        self.basis = basis
-        self.index = {a: i for i, a in enumerate(basis)}
-        self.grading = grading          # basis index -> group element (target)
-        self.action = action            # g -> dim x dim matrix, column convention
-        self.dim = len(basis)
-
-    def act(self, g: int, coords: np.ndarray) -> np.ndarray:
-        return linalg.matmul(self.action[g], coords.reshape(-1, 1), self.p)[:, 0]
+        self.grading = list(grading)    # basis index -> group element (target)
+        self.action = action            # [g] -> dim x dim matrix, column convention
+        self.dim = len(self.grading)
 
 
 def coinvariant_yd(m: HopfBimodule) -> YDModule:
-    """The coinvariant construction: basis arrows a_{y,1}, action g.a.g^-1."""
+    """The coinvariant construction on the local arrows: g |> a = g.a.g^-1,
+    the right action of g^-1 on local arrow a translated to vertex g."""
     g = m.group
-    basis = [a for a in m.arrows if a.x == 0]
-    index = {a: i for i, a in enumerate(basis)}
-    grading = [a.y for a in basis]
-    dim = len(basis)
-    action: dict[int, np.ndarray] = {}
-    for h in range(g.order):
-        mat = np.zeros((dim, dim), dtype=np.int64)
-        hin = g.inv(h)
-        for jcol, a in enumerate(basis):
-            shifted = m.left_action(h, a)
-            for b, coeff in m.right_action(shifted, hin):
-                mat[index[b], jcol] = coeff % m.p
-        action[h] = mat
-    return YDModule(g, m.p, basis, grading, action)
+    return YDModule(g, m.p, m.elem.tolist(), m.right_stack(g.inverses))
 
 
 def verify_yd(v: YDModule) -> Report:
@@ -101,7 +85,7 @@ def verify_yd(v: YDModule) -> Report:
 
     # A[g] A[s] = A[gs] for all g at once, A @ A[s] being (|G|, d, d); with
     # A[e] = 1 above, every pair by the lemma of Group.generating_sequence
-    acts = np.stack([v.action[h] for h in range(g.order)])
+    acts = v.action
     all_g = np.arange(g.order)
     gens = g.generating_sequence()[0] if v.dim else []
 
@@ -114,12 +98,13 @@ def verify_yd(v: YDModule) -> Report:
                     f"{g.element_name(s)})",
           weight=g.order)
 
-    # deg(h |> b_j) = h deg(b_j) h^-1 for every nonzero entry of h's matrix
-    check(report, "grading-equivariance",
-          ((h, jcol, int(irow)) for h in range(g.order) for jcol in range(v.dim)
-           for irow in np.nonzero(v.action[h][:, jcol])[0]),
-          lambda c: v.grading[c[2]] == g.conj(v.grading[c[1]], g.inv(c[0])),
-          lambda c: f"g={g.element_name(c[0])} basis={v.basis[c[1]]}")
+    # deg(h |> b_j) = h deg(b_j) h^-1 for every nonzero entry of h's
+    # matrix, in the order (h, column, row)
+    h, col, row = np.nonzero(acts.transpose(0, 2, 1))
+    grading = np.asarray(v.grading, dtype=np.intp)
+    check_all(report, "grading-equivariance",
+              grading[row] == g.products(g.products(h, grading[col]), g.inverses[h]),
+              lambda i: f"g={g.element_name(int(h[i]))} basis={int(col[i])}")
     return report
 
 
@@ -151,16 +136,13 @@ class Braiding:
 
 
 def braiding(v: YDModule) -> Braiding:
-    """c(e_a (x) e_b) = (deg(a) |> e_b) (x) e_a on the tensor-square basis."""
+    """c(e_a (x) e_b) = (deg(a) |> e_b) (x) e_a on the tensor-square basis:
+    entry [b' d + a, a d + b] is the (b', b) entry of the action of deg(a)."""
     d, p = v.dim, v.p
-    c = np.zeros((d * d, d * d), dtype=np.int64)
-    for a in range(d):
-        mat = v.action[v.grading[a]]
-        for b in range(d):
-            col = a * d + b
-            for bp in np.nonzero(mat[:, b])[0]:
-                c[int(bp) * d + a, col] = mat[int(bp), b]
-    return Braiding(p, d, c)
+    c = np.zeros((d, d, d, d), dtype=np.int64)
+    diag = np.arange(d)
+    c[:, diag, diag, :] = v.action[v.grading].transpose(1, 0, 2)
+    return Braiding(p, d, c.reshape(d * d, d * d))
 
 
 def bubble_word(sigma: Sequence[int]) -> list[int]:

@@ -30,11 +30,20 @@ def sgn_bimodule(s3):
     return build_bimodule(rsr)
 
 
+def right_action(m, a: ArrowId, h: int) -> list[tuple[ArrowId, int]]:
+    """The terms of a . h read off the module's local stack, by name."""
+    x, l = divmod(list(m.quiver.arrows()).index(a), m.apv)
+    col = m.right_stack([h])[0][:, l]
+    xh = m.group.mul(x, h)
+    return [(m.quiver.arrow(xh * m.apv + r), int(col[r])) for r in np.flatnonzero(col)]
+
+
 def test_left_action_is_index_shift(sgn_bimodule, s3):
     m = sgn_bimodule
+    arrows = list(m.quiver.arrows())
     for h in range(s3.order):
-        for a in m.arrows:
-            b = m.left_action(h, a)
+        for a, i in zip(arrows, m.left_perm(h)):
+            b = arrows[i]
             assert (b.x, b.y) == (s3.mul(h, a.x), s3.mul(h, a.y))
             assert (b.cls, b.slot, b.j) == (a.cls, a.slot, a.j)
 
@@ -49,7 +58,7 @@ def test_right_action_centralizer_case(s3):
         for j in range(2):
             a = ArrowId(0, 0, 0, 0, j)
             out = dict(((b.slot, b.j, b.x, b.y), c)
-                       for b, c in m.right_action(a, h))
+                       for b, c in right_action(m, a, h))
             for s in range(2):
                 expected = int(rho.matrix(h)[j, s])
                 got = out.get((0, s, h, h), 0)
@@ -61,7 +70,7 @@ def test_right_action_sign_flip(sgn_bimodule, s3):
     m = sgn_bimodule
     t01 = s3.find(Permutation((1, 0, 2)))
     a = ArrowId(0, t01, 1, 0, 0)
-    assert m.right_action(a, t01) == [(ArrowId(t01, 0, 1, 0, 0), m.p - 1)]
+    assert right_action(m, a, t01) == [(ArrowId(t01, 0, 1, 0, 0), m.p - 1)]
 
 
 def test_verify_passes_exhaustively(sgn_bimodule):
@@ -80,9 +89,9 @@ def test_verify_zero_ramification(s3):
 def test_right_action_block_structure(sgn_bimodule):
     # all component arrows of a.h share the slot index
     m = sgn_bimodule
-    for a in m.arrows:
+    for a in m.quiver.arrows():
         for h in range(m.group.order):
-            for b, _ in m.right_action(a, h):
+            for b, _ in right_action(m, a, h):
                 assert b.slot == a.slot and b.cls == a.cls
 
 
@@ -90,11 +99,11 @@ def test_right_action_invertible(s3):
     ram = parse_ramification(s3, "e:2")
     rsr = make_rsr(s3, ram, None, {0: (2,)})
     m = build_bimodule(rsr)
-    for a in m.arrows:
+    for a in m.quiver.arrows():
         for h in range(s3.order):
             back = {}
-            for b, c in m.right_action(a, h):
-                for bb, cc in m.right_action(b, s3.inv(h)):
+            for b, c in right_action(m, a, h):
+                for bb, cc in right_action(m, b, s3.inv(h)):
                     back[bb] = (back.get(bb, 0) + c * cc) % m.p
             back = {k: v for k, v in back.items() if v}
             assert back == {a: 1}
@@ -190,11 +199,13 @@ def test_left_perm_is_the_left_action(spec, ram):
     r = parse_ramification(g, ram)
     # a type with a slot of dimension > 1
     m = max((build_bimodule(rsr_from_type(g, r, t)) for t in enumerate_types(g, r)),
-            key=lambda m: max(a.j for a in m.arrows))
-    assert max(a.j for a in m.arrows) > 0
+            key=lambda m: m.j.max())
+    arrows = list(m.quiver.arrows())
+    assert max(a.j for a in arrows) > 0
     for h in range(g.order):
-        assert ([m.arrows[i] for i in m.left_perm(h)] ==
-                [m.left_action(h, a) for a in m.arrows])
+        assert ([arrows[i] for i in m.left_perm(h)] ==
+                [ArrowId(g.mul(h, a.x), g.mul(h, a.y), a.cls, a.slot, a.j)
+                 for a in arrows])
 
 
 def test_swapped_left_perm_entry_fails_both_modes(monkeypatch, s4):
@@ -296,11 +307,43 @@ def test_map_intertwining_only_the_left_action_fails(s3):
     # action and the coaction, but a . h moves x^-1 y to h^-1 x^-1 y h
     m = build_bimodule(make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)}))
     t01 = s3.find(Permutation((1, 0, 2)))
-    scale = [2 if s3.mul(s3.inv(a.x), a.y) == t01 else 1 for a in m.arrows]
+    scale = [2 if s3.mul(s3.inv(a.x), a.y) == t01 else 1 for a in m.quiver.arrows()]
     report = BimoduleMap(m, m, np.diag(scale).astype(np.int64)).verify()
     failed = [c for c in report.checks if not c.ok]
     assert [c.name for c in failed] == ["action-intertwining"]
     assert failed[0].witness.startswith("right action")
+
+
+def test_class_data_corruption_fails_commutation(s3):
+    # one array comparison over the arrows, then over (h, class, theta):
+    # the count runs to the first failing case, which the witness names
+    sign = make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)})
+    m = build_bimodule(sign)
+    m.theta = m.theta.copy()
+    m.theta[1] = m.theta[0]                 # arrow 1 claims the class element of 0
+    checks = {c.name: c for c in verify_bimodule(m).checks}
+    assert checks["commutation-and-coaction"].to_json() == {
+        "name": "commutation-and-coaction", "ok": False, "checked": 2,
+        "witness": f"arrow {m.quiver.arrow(1)} has inconsistent class data"}
+    h = _far_from_generators(s3)
+    m = build_bimodule(sign)
+    m.tp[1][2, h] = (m.tp[1][2, h] + 1) % 3
+    checks = {c.name: c for c in verify_bimodule(m).checks}
+    assert checks["commutation-and-coaction"].to_json() == {
+        "name": "commutation-and-coaction", "ok": False,
+        "checked": m.dim() + 3 * h + 3,
+        "witness": f"class 1 theta 2 h={s3.element_name(h)}"}
+
+
+def test_map_off_the_coaction_fails_coaction_intertwining(sgn_bimodule):
+    # arrow 0 runs e -> (0 1), arrow 1 runs e -> (0 2): same source, other target
+    m = sgn_bimodule
+    f = np.eye(m.dim(), dtype=np.int64)
+    f[0, 1] = 1
+    checks = {c.name: c for c in BimoduleMap(m, m, f).verify().checks}
+    assert checks["coaction-intertwining"].to_json() == {
+        "name": "coaction-intertwining", "ok": False, "checked": 2,
+        "witness": f"{m.quiver.arrow(0)} maps to {m.quiver.arrow(1)}"}
 
 
 def test_bimodule_json_dump(sgn_bimodule):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quiverhopf import cli, make_rsr, parse_group, parse_ramification
+from quiverhopf import cli, make_rsr, parse_group, parse_ramification, typeone
 
 
 def run_cli(capsys, *argv):
@@ -93,15 +93,19 @@ def test_yd_verify(capsys):
     assert json.loads(out)["passed"] is True
 
 
-def test_nichols_dims_env_nprimes(capsys, monkeypatch):
-    monkeypatch.setenv("NPRIMES", "2")
-    code, out, _ = run_cli(capsys, "nichols-dims", "--group", "C2",
-                           "--ram", "(0 1):1", "--max-degree", "3",
-                           "--type-index", "1")
+def test_nichols_dims_ignores_the_environment(capsys, monkeypatch):
+    # the output depends on argv and seed alone: NPRIMES, valid or not,
+    # leaves stdout byte-identical, with the default of three primes
+    argv = ("nichols-dims", "--group", "C2", "--ram", "(0 1):1",
+            "--max-degree", "3", "--type-index", "1")
+    code, plain, _ = run_cli(capsys, *argv)
     assert code == 0
-    doc = json.loads(out)
-    assert len(doc["primes"]) == 2
+    doc = json.loads(plain)
+    assert len(doc["primes"]) == 3
     assert doc["results"][0]["dims"] == [1, 1, 0, 0]
+    for value in ("2", "0", "x"):
+        monkeypatch.setenv("NPRIMES", value)
+        assert run_cli(capsys, *argv) == (0, plain, "")
 
 
 def test_hopf_dims(capsys):
@@ -277,14 +281,24 @@ def test_budget_error_exit_code(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_nprimes_must_be_positive(capsys, monkeypatch):
+def test_path_budget_exit_code(capsys, monkeypatch):
+    # S3 "(0 1):1" to degree 2 has 6 + 18 + 54 = 78 paths: one over the cap
+    # is an input error before any path is built, the cap itself passes
+    argv = ("hopf-verify", "--group", "S3", "--ram", "(0 1):1",
+            "--type-index", "1", "--max-degree", "2")
+    monkeypatch.setattr(typeone, "PATH_CAP", 77)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: 78 paths up to degree 2 exceed the cap of 77\n"
+    monkeypatch.setattr(typeone, "PATH_CAP", 78)
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_nprimes_must_be_positive(capsys):
     base = ("nichols-dims", "--group", "C2", "--ram", "(0 1):1",
             "--max-degree", "2")
     code, out, err = run_cli(capsys, *base, "--nprimes", "0")
     assert code == 2 and out == "" and "--nprimes" in err
-    monkeypatch.setenv("NPRIMES", "0")
-    code, out, err = run_cli(capsys, *base)
-    assert code == 2 and out == "" and "NPRIMES" in err
 
 
 def test_samples_must_be_positive(capsys):

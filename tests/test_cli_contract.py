@@ -113,6 +113,8 @@ def argvs(draw) -> list[str]:
 @given(argv=argvs())
 @example(argv=["nichols-dims", "--group=S4", "--ram=(0 1):1", "--type-index=0",
                "--max-degree=6", "--nprimes=1"])
+@example(argv=["hopf-verify", "--group=S4", "--ram=(0 1):2", "--type-index=0",
+               "--max-degree=7"])
 @example(argv=["group-info", "--group=X"])
 @example(argv=["selftest", "--group=D4", "--samples=20", "--max-degree=1"])
 @example(argv=["hopf-verify", "--rsr={docs}/d4_twisted.json", "--max-degree=2"])

@@ -1,5 +1,7 @@
+import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from quiverhopf import typeone
@@ -61,22 +63,25 @@ def test_degree_dimensions(hopf_s3_loops, hopf_s3_sgn):
 def test_degree_zero_is_group_algebra(hopf_s3_loops, s3):
     for x in range(s3.order):
         for y in range(s3.order):
-            assert hopf_s3_loops.product_basis(x, y) == {s3.mul(x, y): 1}
+            assert hopf_s3_loops.product_basis((x,), (y,)) == {(s3.mul(x, y),): 1}
     # antipode on vertices is inversion
     for x in range(s3.order):
-        assert hopf_s3_loops.antipode(x) == {s3.inv(x): 1}
-        assert hopf_s3_loops.coproduct(x) == {(x, x): 1}
+        assert hopf_s3_loops.antipode((x,)) == {(s3.inv(x),): 1}
+        assert hopf_s3_loops.coproduct((x,)) == {((x,), (x,)): 1}
 
 
 def test_arrow_times_vertex_is_right_action(hopf_s3_sgn, s3):
+    # a 1-path (x0, l) is arrow number x0 * apv + l
     h = hopf_s3_sgn
-    for key in h.basis_by_degree[1]:
-        arrow = key[0]
-        for x in range(s3.order):
-            expected = {(b,): c for b, c in h.bim.right_action(arrow, x)}
-            assert h.product_basis(key, x) == expected
-            assert h.product_basis(x, key) == \
-                {(h.bim.left_action(x, arrow),): 1}
+    m = h.bim
+    for x in range(s3.order):
+        right, left = m.right_stack([x])[0], m.left_perm(x)
+        for x0, l in h.basis_by_degree[1]:
+            expected = {(s3.mul(x0, x), int(r)): int(right[r, l])
+                        for r in np.flatnonzero(right[:, l])}
+            assert h.product_basis((x0, l), (x,)) == expected
+            assert h.product_basis((x,), (x0, l)) == \
+                {tuple(divmod(int(left[x0 * m.apv + l]), m.apv)): 1}
 
 
 def test_tensor_relation(hopf_s3_sgn, s3):
@@ -87,13 +92,9 @@ def test_tensor_relation(hopf_s3_sgn, s3):
     for pk in keys[:6]:
         for qk in keys[:6]:
             for g in range(s3.order):
-                lhs = {}
-                for k1, c1 in h._right(pk, g).items():
-                    for k, c in h.product_basis(k1, qk).items():
-                        lhs[k] = (lhs.get(k, 0) + c1 * c) % h.p
-                shifted = h._left(g, qk)
-                rhs = h.product_basis(pk, shifted)
-                assert {k: v for k, v in lhs.items() if v} == rhs
+                lhs = h.multiply(h.product_basis(pk, (g,)), {qk: 1})
+                rhs = h.multiply({pk: 1}, h.product_basis((g,), qk))
+                assert lhs == rhs
 
 
 def test_skew_primitivity(hopf_s3_loops, hopf_s3_sgn):
@@ -104,9 +105,9 @@ def test_skew_primitivity(hopf_s3_loops, hopf_s3_sgn):
 def test_general_arrow_coproduct(hopf_s3_sgn, s3):
     # Delta(a_{y,x}) = y (x) a + a (x) x for every arrow
     h = hopf_s3_sgn
-    for key in h.basis_by_degree[1]:
-        a = key[0]
-        assert h.coproduct(key) == {(a.y, key): 1, (key, a.x): 1}
+    for x, l in h.basis_by_degree[1]:
+        a = h.bim.quiver.arrow(x * h.bim.apv + l)
+        assert h.coproduct((x, l)) == {((a.y,), (x, l)): 1, ((x, l), (a.x,)): 1}
 
 
 def test_verify_hopf_loops(hopf_s3_loops):
@@ -152,6 +153,22 @@ def test_sampled_compositions_follow_their_tuple_counts(monkeypatch,
     assert set(seen) == set(weights)
     for comp, w in weights.items():
         assert abs(seen[comp] / samples - w / 648) < 0.03, (comp, seen[comp])
+
+
+def test_basis_is_lexicographic_in_vertex_and_word(hopf_s3_loops, hopf_s3_sgn):
+    # oracle: extend each path of degree n - 1, in basis order, by the arrows
+    # of the quiver out of its target, in arrow order
+    for h in (hopf_s3_loops, hopf_s3_sgn):
+        apv, order = h.bim.apv, h.group.order
+        arrows = list(h.bim.quiver.arrows())
+        level = [((x,), x) for x in range(order)]        # (key, target)
+        for n in range(h.max_deg + 1):
+            keys = [key for key, _ in level]
+            assert h.basis_by_degree[n] == keys == sorted(keys)
+            assert keys == list(itertools.product(range(order), *[range(apv)] * n))
+            assert [h.vertices(key)[-1] for key in keys] == [t for _, t in level]
+            level = [(key + (number % apv,), a.y) for key, t in level
+                     for number, a in enumerate(arrows) if a.x == t]
 
 
 def test_truncation_overflow(hopf_s3_sgn):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quiverhopf import (
+    ArrowId,
     BudgetError,
     Permutation,
     YDModule,
@@ -11,6 +12,8 @@ from quiverhopf import (
     build_bimodule,
     choose_prime,
     coinvariant_yd,
+    conjugacy_classes,
+    coset_factor,
     enumerate_types,
     make_rsr,
     nichols_dims,
@@ -47,7 +50,12 @@ def c2_module():
 
 def test_dimension_counts(sgn_module, s3):
     assert sgn_module.dim == 3                     # r_C * |C| = 3
-    assert all(a.x == 0 for a in sgn_module.basis)
+    # the basis is the arrows 0..dim-1, those out of the identity vertex,
+    # graded by their targets
+    q = make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)}).quiver()
+    arrows = [q.arrow(a) for a in range(sgn_module.dim)]
+    assert all(a.x == 0 for a in arrows)
+    assert [a.y for a in arrows] == sgn_module.grading
 
 
 def test_zero_module(s3):
@@ -74,7 +82,7 @@ def test_verify_yd_passes(sgn_module):
 
 def test_verify_yd_catches_grading_mutation(sgn_module):
     v = sgn_module
-    broken = YDModule(v.group, v.p, v.basis,
+    broken = YDModule(v.group, v.p,
                       [v.grading[1], v.grading[0]] + list(v.grading[2:]),
                       v.action)
     assert not verify_yd(broken).passed
@@ -84,9 +92,9 @@ def test_verify_yd_catches_grading_mutation(sgn_module):
 
 def test_verify_yd_catches_action_mutation(sgn_module):
     v = sgn_module
-    action = {g: m.copy() for g, m in v.action.items()}
+    action = v.action.copy()
     action[1][0, 0] = (action[1][0, 0] + 1) % v.p
-    broken = YDModule(v.group, v.p, v.basis, v.grading, action)
+    broken = YDModule(v.group, v.p, v.grading, action)
     assert not verify_yd(broken).passed
 
 
@@ -98,9 +106,9 @@ def test_action_multiplicative_names_first_failing_pair(sgn_module):
     # (g, s) with g over all of G meet it
     far = g.find(Permutation((2, 1, 0)))
     assert far not in gens and far not in {g.mul(a, b) for a in gens for b in gens}
-    action = {h: m.copy() for h, m in v.action.items()}
+    action = v.action.copy()
     action[far][0, 0] = (action[far][0, 0] + 1) % v.p
-    report = verify_yd(YDModule(g, v.p, v.basis, v.grading, action))
+    report = verify_yd(YDModule(g, v.p, v.grading, action))
     first = next((i, a, b) for i, b in enumerate(gens) for a in range(g.order)
                  if not (action[g.mul(a, b)] ==
                          linalg.matmul(action[a], action[b], v.p)).all())
@@ -125,8 +133,8 @@ def test_braiding_trivial_is_flip():
     g = parse_group("C2")
     p = 5
     d = 3
-    action = {0: np.eye(d, dtype=np.int64), 1: np.eye(d, dtype=np.int64)}
-    v = YDModule(g, p, [("v", i) for i in range(d)], [0] * d, action)
+    action = np.stack([np.eye(d, dtype=np.int64)] * 2)
+    v = YDModule(g, p, [0] * d, action)
     c = braiding(v)
     flip = np.zeros((d * d, d * d), dtype=np.int64)
     for a in range(d):
@@ -144,7 +152,7 @@ def test_braiding_matches_entrywise_formula(sgn_module):
         for b in range(v.dim):
             col = np.zeros(v.dim, dtype=np.int64)
             col[b] = 1
-            image = v.act(v.grading[a], col)
+            image = linalg.matmul(v.action[v.grading[a]], col.reshape(-1, 1), v.p)[:, 0]
             expected = np.zeros(81 // 9 * 9, dtype=np.int64)[:81 // 9]
             got = c.matrix[:, a * v.dim + b]
             for bp in range(v.dim):
@@ -271,20 +279,34 @@ def test_multiprime(s3):
     assert res["primes"][0] == 13
 
 
-def test_coinvariant_matches_bimodule(sgn_module, s3):
-    # the action is g . a . g^-1 computed through the bimodule maps
-    ram = parse_ramification(s3, "(0 1):1")
-    rsr = make_rsr(s3, ram, None, {1: (1,)})
-    m = build_bimodule(rsr)
-    v = coinvariant_yd(m)
-    for h in range(s3.order):
-        for j, a in enumerate(v.basis):
-            shifted = m.left_action(h, a)
-            expanded = m.right_action(shifted, s3.inv(h))
-            col = np.zeros(v.dim, dtype=np.int64)
-            for b, coeff in expanded:
-                col[v.index[b]] = coeff
-            assert (v.action[h][:, j] == col).all()
+def test_coinvariant_matches_bimodule():
+    # oracle: g |> a = g . a . g^-1 for each arrow a out of e, named by the
+    # quiver: a translated to g, then acted on by g^-1 through the scalar
+    # coset factorization g_theta g^-1 = zeta g_theta' and rho(zeta)
+    for spec, ram in [("S3", "(0 1):1"), ("S3", "e:2"), ("D4", "(0 1)(2 3):1"),
+                      ("S4", "(0 1)(2 3):2")]:
+        g = parse_group(spec)
+        r = parse_ramification(g, ram)
+        classes = conjugacy_classes(g)
+        for t in enumerate_types(g, r):
+            rsr = rsr_from_type(g, r, t)
+            q = rsr.quiver()
+            arrows = [q.arrow(a) for a in range(q.arrows_per_vertex)]
+            v = coinvariant_yd(build_bimodule(rsr))
+            for h in range(g.order):
+                for col, a in enumerate(arrows):
+                    ctx = classes[a.cls]
+                    assert rsr.u[a.cls] == ctx.rep
+                    zeta, theta = coset_factor(g, ctx, ctx.theta_of[a.y], g.inv(h))
+                    rho = rsr.irrep(a.cls, a.slot).matrix(
+                        int(rsr.centralizer(a.cls).local[zeta]))
+                    y = g.conj(a.y, g.inv(h))
+                    expected = np.zeros(v.dim, dtype=np.int64)
+                    for s in range(rho.shape[1]):
+                        expected[arrows.index(ArrowId(0, y, a.cls, a.slot, s))] = \
+                            rho[a.j, s] % v.p
+                    assert ctx.theta_of[y] == theta
+                    assert (v.action[h][:, col] == expected).all(), (spec, ram, h, a)
 
 
 def test_same_type_pairs_share_dims(s3):
