@@ -198,6 +198,15 @@ class HopfBimodule:
             out[at, dst, src[:, None, :, None]] = blocks[self.zl[cls][:, hs]]
         return out
 
+    def cocycle(self, cls: int, slot: int, theta: int, a, b) -> np.ndarray:
+        """Whether (arrow . a) . b = arrow . ab on the arrows of (class, slot,
+        theta), as a mask over the broadcast element arrays a and b."""
+        zl, tp, blocks = self.zl[cls], self.tp[cls], self.blocks[(cls, slot)]
+        ab, mid = self.group.products(a, b), tp[theta, a]
+        return (tp[theta, ab] == tp[mid, b]) & (
+            blocks[zl[theta, ab]] == linalg.matmul(
+                blocks[zl[theta, a]], blocks[zl[mid, b]], self.p)).all(axis=(-2, -1))
+
     def dim(self) -> int:
         return self.group.order * self.apv
 
@@ -244,7 +253,6 @@ def verify_bimodule(m: HopfBimodule) -> Report:
     name = g.element_name
     narrows = m.dim()
     report = Report(mode="exhaustive")
-    p = m.p
     support = m.rsr.ram.support
     every = np.arange(g.order)
     gens = np.array(g.generating_sequence()[0], dtype=np.intp)
@@ -283,18 +291,11 @@ def verify_bimodule(m: HopfBimodule) -> Report:
           lambda h: f"h={name(h)} is not a left translation of the arrows",
           weight=narrows * len(gens))
 
-    # right associativity: the zeta cocycle at block level on (theta, g, s),
-    # s a generator; the lemma covers every (theta, g, h).  One case is
-    # (class, theta, s, slot) over every g at once
+    # right associativity: the zeta cocycle on (theta, g, s), s a generator,
+    # which covers every (theta, g, h); one case covers every g at once
     def right_assoc(case) -> np.ndarray:
-        """Whether the cocycle holds at each g, as a mask over G."""
         cls, theta, s, slot = case
-        zl, tp = m.zl[cls], m.tp[cls]
-        blocks = m.blocks[(cls, slot)]
-        gs, tpg = g.products(every, s), tp[theta]
-        return (tp[theta, gs] == tp[tpg, s]) & (
-            blocks[zl[theta, gs]] ==
-            linalg.matmul(blocks[zl[theta]], blocks[zl[tpg, s]], p)).all(axis=(1, 2))
+        return m.cocycle(cls, slot, theta, every, s)
 
     check(report, "right-associativity",
           cases([((cls,), range(len(m.transversal[cls])), gens.tolist(),
@@ -329,15 +330,10 @@ def verify_bimodule(m: HopfBimodule) -> Report:
         [np.tile(consistent, g.order), np.concatenate(per_h, axis=1).ravel()]),
         commutes_witness)
 
-    # right action by h then h^-1 is the identity; one case is
-    # (class, slot, theta) over every h at once
+    # right action by h then h^-1 is that of e, the identity by unit: the
+    # cocycle at (h, h^-1); one case is (class, slot, theta) over every h
     def invertible(case) -> np.ndarray:
-        """Whether the blocks of h and h^-1 multiply to 1, as a mask over G."""
-        cls, slot, theta = case
-        zl, tp = m.zl[cls], m.tp[cls]
-        blocks = m.blocks[(cls, slot)]
-        prod = linalg.matmul(blocks[zl[theta]], blocks[zl[tp[theta], g.inverses]], p)
-        return (prod == linalg.identity(prod.shape[-1])).all(axis=(1, 2))
+        return m.cocycle(*case, every, g.inverses)
 
     check(report, "right-invertibility",
           ((cls, slot, theta) for cls in support

@@ -509,6 +509,22 @@ def automorphisms(g: Group) -> tuple[list[Automorphism], bool]:
     return list(auts), flag
 
 
+def outer_representatives(g: Group) -> list[np.ndarray]:
+    """The first automorphism of each coset of Inn G in Aut G as an index
+    array, cached on g: phi c_h has phi's generator images conjugated by phi(h)."""
+    if "outer" not in g.caches:
+        gens, reps, seen = g.generating_sequence()[0], [], set()
+        every = np.arange(g.order)[:, None]
+        for phi in automorphisms(g)[0]:
+            images = np.array(phi.mapping)
+            if tuple(images[gens].tolist()) not in seen:
+                reps.append(images)
+                conj = g.products(g.products(g.inverses[every], images[gens]), every)
+                seen.update(map(tuple, conj.tolist()))
+        g.caches["outer"] = reps
+    return g.caches["outer"]
+
+
 _SYM_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
 
 

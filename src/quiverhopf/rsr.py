@@ -26,11 +26,11 @@ import numpy as np
 from .groups import (
     Group,
     InputError,
-    automorphisms,
     centralizer_subgroup,
     class_of,
     conjugacy_classes,
     inner_only,
+    outer_representatives,
     parse_cycle_string,
     parse_group,
 )
@@ -230,14 +230,15 @@ def rsr_type(rsr: RSR) -> RSRType:
 
 
 def rsr_key(rsr: RSR) -> RSRType:
-    """The least type of phi*rsr over all phi in Aut G, cached in rsr._key.
+    """The least type of phi*rsr over all phi in Aut G, cached in rsr._key:
+    one phi per coset of Inn G, as phi c_h pulls back to the same type.
 
     Two RSRs on one group and prime are isomorphic exactly when their keys
     are equal, for every group whose automorphisms can be listed.
     """
     if rsr._key is None:
-        rsr._key = min((_type_along(rsr, np.array(phi.mapping))
-                        for phi in automorphisms(rsr.group)[0]),
+        rsr._key = min((_type_along(rsr, phi)
+                        for phi in outer_representatives(rsr.group)),
                        key=lambda t: t.entries)
     return rsr._key
 

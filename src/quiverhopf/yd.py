@@ -3,11 +3,12 @@ graded dimensions via quantum symmetrizer ranks.
 
 The coinvariants of the arrow bimodule M = kG (x) V are V: the apv arrows
 out of the identity vertex, arrow numbers 0..apv-1 of x * apv + l.  The
-group acts by conjugation (g |> a = g.a.g^-1), one (|G|, apv, apv) stack,
-and the grading is the target vertex.  `verify_yd` checks every axiom, the
-action's multiplicativity on the pairs (g, s) with s a generator, which
-covers every pair.  The braiding is the standard one for YD modules over a
-group algebra,
+group acts by conjugation, g |> a = g.a.g^-1: the bimodule's right action
+of g^-1, read off its (theta', zeta) tables only for the elements asked
+for.  The grading is the target vertex.  `verify_yd` checks every axiom on
+those tables, the action's multiplicativity on the pairs (g, s) with s a
+generator, which covers every pair.  The braiding is the standard one for
+YD modules over a group algebra,
 
     c(a (x) b) = (deg(a) |> b) (x) a,
 
@@ -54,56 +55,66 @@ class BudgetError(RuntimeError):
 
 
 class YDModule:
-    """A Yetter-Drinfeld module over a group on the basis 0..dim-1."""
+    """The coinvariant Yetter-Drinfeld module of a Hopf bimodule on its local
+    arrows 0..dim-1: a view of the bimodule's tables, with no action array."""
 
-    def __init__(self, group: Group, p: int, grading: Sequence[int],
-                 action: np.ndarray):
-        self.group = group
-        self.p = p
-        self.grading = list(grading)    # basis index -> group element (target)
-        self.action = action            # [g] -> dim x dim matrix, column convention
-        self.dim = len(self.grading)
+    def __init__(self, m: HopfBimodule):
+        self.bimodule = m
+        self.group = m.group
+        self.p = m.p
+        self.grading = m.elem.tolist()  # basis index -> group element (target)
+        self.dim = m.apv
+
+    def action(self, hs) -> np.ndarray:
+        """g |> a for each g in hs, a (len(hs), dim, dim) stack in the column
+        convention: the right action of g^-1 on the local arrows."""
+        return self.bimodule.right_stack(
+            self.group.inverses[np.asarray(hs, dtype=np.intp)])
 
 
 def coinvariant_yd(m: HopfBimodule) -> YDModule:
-    """The coinvariant construction on the local arrows: g |> a = g.a.g^-1,
-    the right action of g^-1 on local arrow a translated to vertex g."""
-    g = m.group
-    return YDModule(g, m.p, m.elem.tolist(), m.right_stack(g.inverses))
+    """The coinvariant construction on the local arrows: g |> a = g.a.g^-1."""
+    return YDModule(m)
 
 
 def verify_yd(v: YDModule) -> Report:
-    """Check the group Yetter-Drinfeld axioms on all (g, basis) data:
+    """Check the group Yetter-Drinfeld axioms on the bimodule's tables:
     multiplicativity of the action, on the pairs (g, s) with s a generator,
     and grading equivariance deg(g |> a) = g deg(a) g^-1.  A
     zero-dimensional module gives no cases."""
-    g = v.group
+    g, m, inv = v.group, v.bimodule, v.group.inverses
     report = Report(mode="exhaustive")
     check(report, "identity-acts-trivially", [0] if v.dim else [],
-          lambda e: (v.action[e] == linalg.identity(v.dim)).all(),
+          lambda e: (v.action([e])[0] == linalg.identity(v.dim)).all(),
           lambda e: "the identity does not act trivially")
 
-    # A[g] A[s] = A[gs] for all g at once, A @ A[s] being (|G|, d, d); with
-    # A[e] = 1 above, every pair by the lemma of Group.generating_sequence
-    acts = v.action
-    all_g = np.arange(g.order)
+    # (gs) |> a = g |> (s |> a) is a . (s^-1 g^-1) = (a . s^-1) . g^-1, the
+    # zeta cocycle at (s^-1, g^-1) for all g at once; with e acting as 1
+    # above, every pair by the lemma of Group.generating_sequence
     gens = g.generating_sequence()[0] if v.dim else []
 
     def column_ok(s: int) -> np.ndarray:
-        return (linalg.matmul(acts, acts[s], v.p) ==
-                acts[g.products(all_g, s)]).all(axis=(1, 2))
+        return np.all([m.cocycle(*key, theta, inv[s], inv) for key in m.blocks
+                       for theta in range(len(m.transversal[key[0]]))], axis=0)
 
     check(report, "action-multiplicative", gens, lambda s: column_ok(s).all(),
           lambda s: f"(g,h)=({g.element_name(int(np.argmin(column_ok(s))))},"
                     f"{g.element_name(s)})",
           weight=g.order)
 
-    # deg(h |> b_j) = h deg(b_j) h^-1 for every nonzero entry of h's
-    # matrix, in the order (h, column, row)
-    h, col, row = np.nonzero(acts.transpose(0, 2, 1))
+    # deg(h |> b_j) = h deg(b_j) h^-1 for every nonzero entry of h's matrix:
+    # entry [j, s] of the block at (theta, h^-1) sends arrow (theta, j) to
+    # (theta', s).  Cases in the order (h, column, row)
+    found = [np.zeros((3, 0), dtype=np.intp)]
+    for (cls, slot), blocks in m.blocks.items():
+        src = m.slot_arrows(cls, slot)
+        theta, h, j, s = np.nonzero(blocks[m.zl[cls][:, inv]])
+        found.append(np.stack([h, src[theta, j], src[m.tp[cls][theta, inv[h]], s]]))
+    found = np.concatenate(found, axis=1)
+    h, col, row = found[:, np.lexsort(found[::-1])]
     grading = np.asarray(v.grading, dtype=np.intp)
     check_all(report, "grading-equivariance",
-              grading[row] == g.products(g.products(h, grading[col]), g.inverses[h]),
+              grading[row] == g.products(g.products(h, grading[col]), inv[h]),
               lambda i: f"g={g.element_name(int(h[i]))} basis={int(col[i])}")
     return report
 
@@ -141,28 +152,12 @@ def braiding(v: YDModule) -> Braiding:
     d, p = v.dim, v.p
     c = np.zeros((d, d, d, d), dtype=np.int64)
     diag = np.arange(d)
-    c[:, diag, diag, :] = v.action[v.grading].transpose(1, 0, 2)
+    c[:, diag, diag, :] = v.action(v.grading).transpose(1, 0, 2)
     return Braiding(p, d, c.reshape(d * d, d * d))
 
 
-def bubble_word(sigma: Sequence[int]) -> list[int]:
-    """A reduced word for sigma from bubble sort (length = inversion count)."""
-    arr = list(sigma)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(arr) - 1):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                word.append(j)
-                changed = True
-    return word
-
-
 def insertion_word(sigma: Sequence[int]) -> list[int]:
-    """A reduced word for sigma from insertion sort; differs from the bubble
-    word in general but represents the same permutation."""
+    """A reduced word for sigma from insertion sort (length = inversion count)."""
     arr = list(sigma)
     word = []
     for i in range(1, len(arr)):
@@ -172,14 +167,6 @@ def insertion_word(sigma: Sequence[int]) -> list[int]:
             word.append(j - 1)
             j -= 1
     return word
-
-
-def word_permutation(word: Sequence[int], n: int) -> tuple[int, ...]:
-    """The permutation whose sorting word is `word` (inverse application)."""
-    arr = list(range(n))
-    for j in reversed(word):
-        arr[j], arr[j + 1] = arr[j + 1], arr[j]
-    return tuple(arr)
 
 
 def braid_operators(c: Braiding, n: int) -> list[np.ndarray]:
@@ -202,7 +189,7 @@ def word_operator(word: Sequence[int], ops: list[np.ndarray], dim_total: int,
 
 
 def quantum_symmetrizer(c: Braiding, n: int,
-                        word_fn=bubble_word) -> np.ndarray:
+                        word_fn=insertion_word) -> np.ndarray:
     """S_n = sum over Sym(n) of the braid lift of one reduced word each."""
     d, p = c.dim, c.p
     total = d ** n

@@ -44,7 +44,6 @@ from quiverhopf.modrep import character_table, group_table, next_primes
 from quiverhopf.quiver import Ramification
 from quiverhopf.yd import (
     braid_operators,
-    bubble_word,
     insertion_word,
     quantum_symmetrizer,
     word_operator,

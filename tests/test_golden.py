@@ -74,6 +74,8 @@ CASES: dict[str, list[str]] = {
     "yd_verify_s3": ["yd-verify", "--group", "S3", "--ram", "(0 1):1"],
     "yd_verify_d4": ["yd-verify", "--group", "D4", "--ram", "(0 2):1"],
     "yd_verify_perm": ["yd-verify", "--group", PERM, "--ram", "(0 1 2):1"],
+    # the 2-dimensional irrep of the centralizer D4: slots are not monomial
+    "yd_verify_s4": ["yd-verify", "--group", "S4", "--ram", "(0 1)(2 3):2"],
     "nichols_dims_s3": ["nichols-dims", "--group", "S3", "--ram", "(0 1):1",
                         "--type-index", "1", "--max-degree", "5"],
     "nichols_dims_s4": ["nichols-dims", "--group", "S4", "--ram", "(0 1):1",

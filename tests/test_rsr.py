@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from quiverhopf import (
@@ -24,7 +25,9 @@ from quiverhopf import (
     rsr_type,
     twist_rsr,
 )
+from quiverhopf.groups import automorphisms, outer_representatives
 from quiverhopf.modrep import group_table
+from quiverhopf.rsr import _type_along
 
 
 def brute_force_tau(degrees, r):
@@ -285,6 +288,23 @@ def test_rsr_key_counts_outer_automorphism_orbits(spec):
     keys = {rsr_key(r) for r in reps}
     assert len(keys) == OUTER_AUT_E1_ORBITS[spec]
     assert len({rsr_type(r) for r in reps}) == len(reps)
+
+
+@pytest.mark.parametrize("spec", sorted(OUTER_AUT_E1_ORBITS) + ["S3", "S4"])
+def test_rsr_key_is_the_least_type_over_all_of_aut(spec):
+    # one automorphism per coset of Inn G gives the key of the whole of
+    # Aut G, on e:1, e:2 and every class at r = 1, 2
+    g = parse_group(spec)
+    auts = [np.array(phi.mapping) for phi in automorphisms(g)[0]]
+    assert len(outer_representatives(g)) * (g.order // len(g.center())) == len(auts)
+    for cls in conjugacy_classes(g):
+        for r in (1, 2):
+            ram = parse_ramification(g, f"{g.element_name(cls.rep)}:{r}")
+            for t in enumerate_types(g, ram):
+                rsr = rsr_from_type(g, ram, t)
+                least = min((_type_along(rsr, phi) for phi in auts),
+                            key=lambda k: k.entries)
+                assert rsr_key(rsr) == least, (spec, ram.coeffs, t)
 
 
 @pytest.mark.parametrize("spec", sorted(OUTER_AUT_E1_ORBITS))

@@ -21,24 +21,51 @@ from quiverhopf import (
     parse_group,
     parse_ramification,
     rsr_from_type,
+    verify_bimodule,
     verify_yd,
     yd_from_rsr,
 )
 from quiverhopf import linalg, yd
 from quiverhopf.yd import (
     braid_operators,
-    bubble_word,
     insertion_word,
     quantum_symmetrizer,
     word_operator,
-    word_permutation,
 )
+
+
+def bubble_word(sigma):
+    """A reduced word for sigma from bubble sort (length = inversion count)."""
+    arr = list(sigma)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(arr) - 1):
+            if arr[j] > arr[j + 1]:
+                arr[j], arr[j + 1] = arr[j + 1], arr[j]
+                word.append(j)
+                changed = True
+    return word
+
+
+def word_permutation(word, n):
+    """The permutation whose sorting word is `word` (inverse application)."""
+    arr = list(range(n))
+    for j in reversed(word):
+        arr[j], arr[j + 1] = arr[j + 1], arr[j]
+    return tuple(arr)
+
+
+def sgn_bimodule(s3):
+    """A fresh bimodule of S3 (0 1):1 with the sign of Z = C2, to mutate."""
+    return build_bimodule(make_rsr(s3, parse_ramification(s3, "(0 1):1"),
+                                   None, {1: (1,)}))
 
 
 @pytest.fixture(scope="module")
 def sgn_module(s3):
-    ram = parse_ramification(s3, "(0 1):1")
-    return yd_from_rsr(make_rsr(s3, ram, None, {1: (1,)}))
+    return coinvariant_yd(sgn_bimodule(s3))
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +99,7 @@ def test_c2_sign_action(c2_module):
     v = c2_module
     assert v.dim == 1
     # the nontrivial element acts by -1
-    assert v.action[1].tolist() == [[v.p - 1]]
+    assert v.action([1])[0].tolist() == [[v.p - 1]]
 
 
 def test_verify_yd_passes(sgn_module):
@@ -81,34 +108,52 @@ def test_verify_yd_passes(sgn_module):
 
 
 def test_verify_yd_catches_grading_mutation(sgn_module):
-    v = sgn_module
-    broken = YDModule(v.group, v.p,
-                      [v.grading[1], v.grading[0]] + list(v.grading[2:]),
-                      v.action)
-    assert not verify_yd(broken).passed
-    failed = [c.name for c in verify_yd(broken).checks if not c.ok]
-    assert "grading-equivariance" in failed
+    # the grading is read at both ends of every block entry
+    broken = YDModule(sgn_module.bimodule)
+    broken.grading[0], broken.grading[1] = broken.grading[1], broken.grading[0]
+    assert [c.name for c in verify_yd(broken).checks if not c.ok] == \
+        ["grading-equivariance"]
+    assert verify_yd(sgn_module).passed
 
 
-def test_verify_yd_catches_action_mutation(sgn_module):
-    v = sgn_module
-    action = v.action.copy()
-    action[1][0, 0] = (action[1][0, 0] + 1) % v.p
-    broken = YDModule(v.group, v.p, v.grading, action)
-    assert not verify_yd(broken).passed
+def test_verify_yd_catches_action_mutation(s3):
+    # a changed block entry: the sign of the transposition in Z = C2
+    m = sgn_bimodule(s3)
+    m.blocks[(1, 0)][1][0, 0] = (m.blocks[(1, 0)][1][0, 0] + 1) % m.p
+    failed = [c.name for c in verify_yd(coinvariant_yd(m)).checks if not c.ok]
+    assert "action-multiplicative" in failed
 
 
-def test_action_multiplicative_names_first_failing_pair(sgn_module):
-    v = sgn_module
-    g = v.group
+def test_verify_yd_catches_theta_prime_mutation(s3):
+    # a changed theta' entry at (0 2), neither a generator nor its inverse,
+    # under the trivial character: every block is 1, so only the theta'
+    # half of the shared cocycle sees it, in both verifiers
+    m = build_bimodule(make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (0,)}))
+    assert (m.blocks[(1, 0)] == 1).all()
+    h = s3.find(Permutation((2, 1, 0)))
+    m.tp[1][0, h] = (m.tp[1][0, h] + 1) % len(m.transversal[1])
+    assert "action-multiplicative" in [
+        c.name for c in verify_yd(coinvariant_yd(m)).checks if not c.ok]
+    assert "right-associativity" in [
+        c.name for c in verify_bimodule(m).checks if not c.ok]
+
+
+def test_action_multiplicative_names_first_failing_pair(s3, sgn_module):
+    g = s3
     gens = g.generating_sequence()[0]
     # (0 2) is neither a generator nor a product of two: only the pairs
     # (g, s) with g over all of G meet it
     far = g.find(Permutation((2, 1, 0)))
     assert far not in gens and far not in {g.mul(a, b) for a in gens for b in gens}
-    action = v.action.copy()
-    action[far][0, 0] = (action[far][0, 0] + 1) % v.p
-    report = verify_yd(YDModule(g, v.p, v.grading, action))
+    # the zeta of (theta 0, far^-1) becomes the other element of Z = C2, so
+    # of the whole action only the matrix of far changes
+    m = sgn_bimodule(s3)
+    m.zl[1][0, g.inv(far)] = 1 - m.zl[1][0, g.inv(far)]
+    v = coinvariant_yd(m)
+    action = v.action(range(g.order))
+    changed = (action != sgn_module.action(range(g.order))).any(axis=(1, 2))
+    assert np.flatnonzero(changed).tolist() == [far]
+    report = verify_yd(v)
     first = next((i, a, b) for i, b in enumerate(gens) for a in range(g.order)
                  if not (action[g.mul(a, b)] ==
                          linalg.matmul(action[a], action[b], v.p)).all())
@@ -117,8 +162,78 @@ def test_action_multiplicative_names_first_failing_pair(sgn_module):
         f"(g,h)=({g.element_name(first[1])},{g.element_name(first[2])})"
     # one stacked product per generator s covers its |G| pairs (g, s)
     assert bad["action-multiplicative"].checked == (first[0] + 1) * g.order
-    assert [c.checked for c in verify_yd(v).checks if c.name ==
+    assert [c.checked for c in verify_yd(sgn_module).checks if c.name ==
             "action-multiplicative"] == [g.order * len(gens)]
+
+
+def dense_yd_checks(v):
+    """The YD checks on the dense action of every element, as (name, ok,
+    checked, witness) in the order, counts and witnesses of `verify_yd`:
+    A[e] = 1, A[g] A[s] = A[gs] for every g and generator s, and
+    deg(b_row) = h deg(b_col) h^-1 on every nonzero entry of every A[h]."""
+    g, p, d = v.group, v.p, v.dim
+    if not d:
+        return []
+    acts = v.action(range(g.order))
+    one = bool((acts[0] == np.eye(d, dtype=np.int64)).all())
+    out = [("identity-acts-trivially", one, 1,
+            None if one else "the identity does not act trivially")]
+    gens = g.generating_sequence()[0]
+    mult = ("action-multiplicative", True, g.order * len(gens), None)
+    for i, s in enumerate(gens):
+        ok = [(acts[g.mul(a, s)] == linalg.matmul(acts[a], acts[s], p)).all()
+              for a in range(g.order)]
+        if not all(ok):
+            mult = ("action-multiplicative", False, (i + 1) * g.order,
+                    f"(g,h)=({g.element_name(ok.index(False))},{g.element_name(s)})")
+            break
+    out.append(mult)
+    entries = [(h, col, row) for h in range(g.order) for col in range(d)
+               for row in range(d) if acts[h][row, col]]
+    deg = v.grading
+    bad = [i for i, (h, col, row) in enumerate(entries)
+           if deg[row] != g.mul(g.mul(h, deg[col]), g.inv(h))]
+    if bad:
+        h, col, _ = entries[bad[0]]
+        out.append(("grading-equivariance", False, bad[0] + 1,
+                    f"g={g.element_name(h)} basis={col}"))
+    else:
+        out.append(("grading-equivariance", True, len(entries), None))
+    return out
+
+
+@pytest.mark.parametrize("spec, ram", [("S3", "(0 1):1"), ("S3", "e:2"),
+                                       ("D4", "(0 1)(2 3):1"),
+                                       ("S4", "(0 1)(2 3):2")])
+def test_table_checks_match_the_dense_oracle(spec, ram):
+    # every type, and on each a zeta-table mutant at one element and (where
+    # two arrows differ in degree) a grading mutant, against the verdicts,
+    # counts and witnesses of the dense action.  A mutant may still be a YD
+    # module (a trivial character, or a swap within a class of two)
+    g = parse_group(spec)
+    r = parse_ramification(g, ram)
+    h = g.order - 1
+    failing = 0
+    for t in enumerate_types(g, r):
+        m = build_bimodule(rsr_from_type(g, r, t))
+        modules = [coinvariant_yd(m)]
+        assert verify_yd(modules[0]).passed, (spec, ram, t)
+        degrees = modules[0].grading
+        other = [i for i, x in enumerate(degrees) if x != degrees[0]]
+        if other:
+            swapped = YDModule(m)
+            swapped.grading[0], swapped.grading[other[0]] = degrees[other[0]], degrees[0]
+            modules.append(swapped)
+        mutant = build_bimodule(rsr_from_type(g, r, t))
+        cls = next(iter(mutant.zl))
+        zl = mutant.zl[cls]
+        zl[0, h] = (zl[0, h] + 1) % mutant.rsr.centralizer(cls).order
+        modules.append(coinvariant_yd(mutant))
+        failing += sum(not verify_yd(v).passed for v in modules[1:])
+        for v in modules:
+            got = [(c.name, c.ok, c.checked, c.witness) for c in verify_yd(v).checks]
+            assert got == dense_yd_checks(v), (spec, ram, t)
+    assert failing
 
 
 def test_braiding_c2(c2_module):
@@ -129,12 +244,13 @@ def test_braiding_c2(c2_module):
 
 
 def test_braiding_trivial_is_flip():
-    # trivial grading and trivial action: c(a (x) b) = b (x) a
+    # three loops at e with the trivial character of C2: grading e and
+    # trivial action, so c(a (x) b) = b (x) a
     g = parse_group("C2")
-    p = 5
     d = 3
-    action = np.stack([np.eye(d, dtype=np.int64)] * 2)
-    v = YDModule(g, p, [0] * d, action)
+    v = yd_from_rsr(make_rsr(g, parse_ramification(g, "e:3"), None, {0: (0,) * d}))
+    assert v.grading == [0] * d
+    assert (v.action(range(g.order)) == np.eye(d, dtype=np.int64)).all()
     c = braiding(v)
     flip = np.zeros((d * d, d * d), dtype=np.int64)
     for a in range(d):
@@ -152,7 +268,8 @@ def test_braiding_matches_entrywise_formula(sgn_module):
         for b in range(v.dim):
             col = np.zeros(v.dim, dtype=np.int64)
             col[b] = 1
-            image = linalg.matmul(v.action[v.grading[a]], col.reshape(-1, 1), v.p)[:, 0]
+            image = linalg.matmul(v.action([v.grading[a]])[0], col.reshape(-1, 1),
+                                  v.p)[:, 0]
             expected = np.zeros(81 // 9 * 9, dtype=np.int64)[:81 // 9]
             got = c.matrix[:, a * v.dim + b]
             for bp in range(v.dim):
@@ -293,6 +410,7 @@ def test_coinvariant_matches_bimodule():
             q = rsr.quiver()
             arrows = [q.arrow(a) for a in range(q.arrows_per_vertex)]
             v = coinvariant_yd(build_bimodule(rsr))
+            acts = v.action(range(g.order))
             for h in range(g.order):
                 for col, a in enumerate(arrows):
                     ctx = classes[a.cls]
@@ -306,7 +424,7 @@ def test_coinvariant_matches_bimodule():
                         expected[arrows.index(ArrowId(0, y, a.cls, a.slot, s))] = \
                             rho[a.j, s] % v.p
                     assert ctx.theta_of[y] == theta
-                    assert (v.action[h][:, col] == expected).all(), (spec, ram, h, a)
+                    assert (acts[h][:, col] == expected).all(), (spec, ram, h, a)
 
 
 def test_same_type_pairs_share_dims(s3):
