@@ -10,7 +10,6 @@ from .bimodule import (
     verify_bimodule,
 )
 from .groups import (
-    Automorphism,
     ConjClassCtx,
     Group,
     InputError,

@@ -253,8 +253,8 @@ def cmd_selftest(args) -> tuple[dict, int]:
             rsr = rsr_from_type(g, ram, t, field, seed=args.seed)
             rep_b = verify_bimodule(build_bimodule(rsr))
             rep_y = verify_yd(yd_from_rsr(rsr))
-            h = tensor_hopf(rsr, min(args.max_degree, 2))
-            rep_h = verify_hopf(h, seed=args.seed, samples=min(args.samples, 300),
+            h = tensor_hopf(rsr, args.max_degree)
+            rep_h = verify_hopf(h, seed=args.seed, samples=args.samples,
                                 exhaustive=args.exhaustive)
             skew = skew_primitive_report(h)
             section_ok = all(r.passed for r in (rep_b, rep_y, rep_h, skew))
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="splitting prime (default: smallest valid)")
         p.add_argument("--seed", type=int, default=0)
         if verify:
-            p.add_argument("--samples", type=int, default=100_000,
+            p.add_argument("--samples", type=int, default=300,
                            help="Hopf-algebra sample count when not exhaustive")
             p.add_argument("--exhaustive", action="store_true", default=None,
                            help="check every Hopf-algebra case (default: by size)")
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hopf-verify", help="check the truncated Hopf algebra")
     common(p, ram=True, rsr=True, verify=True, degree=3)
-    p.set_defaults(func=cmd_hopf_verify, samples=300)
+    p.set_defaults(func=cmd_hopf_verify)
 
     p = sub.add_parser("hopf-dims", help="type-one Hopf algebra graded dimensions")
     common(p, ram=True, rsr=True, degree=4)

@@ -22,7 +22,10 @@ class InputError(ValueError):
 
 
 DEFAULT_ORDER_CAP = 5040
-DEFAULT_AUT_CAP = 48
+# cells of candidate automorphisms (assignments times elements) that
+# `automorphisms` may extend and check: S6 on its parsed generators takes
+# 5.2e6, S7 on (0 1) and a 7-cycle would take 7.6e7
+AUT_BUDGET = 1 << 23
 
 # dense multiplication tables are kept up to this order; beyond it products
 # are recomputed from image rows
@@ -30,6 +33,8 @@ _TABLE_CAP = 2048
 # products composed from image rows are taken this many at a time, which
 # bounds the transient (chunk, degree) arrays
 _PRODUCT_CHUNK = 1 << 14
+# candidate automorphisms are extended and checked this many cells at a time
+_AUT_BLOCK = 1 << 18
 
 
 def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -174,9 +179,9 @@ class Group:
     composes image rows with a gather and finds each product's index with one
     binary search over the rows' byte keys.  `mul` is the scalar form.  The
     elements and the table are fixed at construction.  Derived data (classes,
-    the generating sequence, automorphisms and the `caches` dict other
-    modules fill) is computed on first use and stored without locks, so a
-    Group is not thread-safe.
+    the generating sequence and the `caches` dict that `automorphisms` and
+    other modules fill) is computed on first use and stored without locks,
+    so a Group is not thread-safe.
     """
 
     def __init__(self, degree: int, rows, name: Optional[str] = None,
@@ -210,7 +215,6 @@ class Group:
         self._classes: Optional[list[ConjClassCtx]] = None
         self._class_of: Optional[tuple[int, ...]] = None
         self._gen_words = None
-        self._auts: Optional[tuple[list["Automorphism"], bool]] = None
         self.caches: dict = {}
         # set by centralizer_subgroup: embed[i] is the ambient index of
         # element i, local[x] the element index of ambient x (-1 off the
@@ -262,9 +266,6 @@ class Group:
         """h^-1 * a * h."""
         return self.mul(self.mul(self._inv[h], a), h)
 
-    def order_of(self, a: int) -> int:
-        return self._orders[a]
-
     def element(self, a: int) -> Permutation:
         return Permutation(self.elements[a])
 
@@ -288,52 +289,55 @@ class Group:
             central &= self.commutes_with(a)
         return np.flatnonzero(central).tolist()
 
-    def cycle_key(self, a: int) -> tuple:
-        # canonical cycle form, used to pick class representatives u0
-        return _cycles_of(self.elements[a])
-
     def generating_sequence(self) -> tuple[list[int], list[tuple[int, int]], list[int]]:
         """Greedy generating sequence plus expression words.
 
-        Returns (gens, expr, order) with expr[e] = (prev_element, gen_position)
-        so that e = prev * gens[pos]; expr[identity] = (-1, -1).  order lists
-        the non-identity elements as discovered, each after its prev.  Used to
-        extend maps defined on generators to the whole group.
+        gens takes each element, in canonical order, that the earlier ones
+        do not generate.  Returns (gens, expr, order) with expr[e] =
+        (prev_element, gen_position) so that e = prev * gens[pos];
+        expr[identity] = (-1, -1).  order lists the non-identity elements
+        by word length, each after its prev (the spanning tree of `words`).
+        Used to extend maps defined on generators to the whole group.
 
         Lemma: if P(e) = 1 and P(g s) = P(g) P(s) for every g and generator
         s, then P(g h) = P(g) P(h) for all g, h, by induction on the word of
         h (h = h' s gives P(g h' s) = P(g h') P(s) = P(g) P(h') P(s)); the
         mirrored form P(s h) = P(s) P(h) does the same on the word of g.  So
-        |G| * |gens| pairs check that a map respects the product.
+        |G| * |gens| pairs check that a map respects the product.  The
+        proof uses only that every element is a word in the generators, so
+        it holds for any generating set.
         """
-        if self._gen_words is not None:
-            return self._gen_words
-        gens: list[int] = []
-        expr: list[Optional[tuple[int, int]]] = [None] * self.order
-        expr[0] = (-1, -1)
-        closure = {0}
-        order: list[int] = []
-        for cand in range(1, self.order):
-            if cand in closure:
-                continue
-            gens.append(cand)
-            frontier = list(closure)
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for pos, g in enumerate(gens):
-                        b = self.mul(a, g)
-                        if b not in closure:
-                            closure.add(b)
-                            expr[b] = (a, pos)
-                            order.append(b)
-                            nxt.append(b)
-                frontier = nxt
-            if len(closure) == self.order:
+        if self._gen_words is None:
+            gens: list[int] = []
+            prev, pos, levels = self.words(gens)
+            while (missing := np.flatnonzero(prev[1:] == -1)).size:
+                gens.append(int(missing[0]) + 1)
+                prev, pos, levels = self.words(gens)
+            self._gen_words = (gens, list(zip(prev.tolist(), pos.tolist())),
+                               np.concatenate(levels)[1:].tolist())
+        return self._gen_words
+
+    def words(self, gens: Sequence[int]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Breadth-first spanning tree of the words in gens (element
+        indices): x = prev[x] * gens[pos[x]] (-1 at e and off the subgroup
+        gens generate), and the levels: the elements first reached at each
+        word length, in the order a scan of the previous level times each
+        generator in turn meets them (level 0 is [0])."""
+        gens = np.asarray(gens, dtype=np.intp)
+        prev = np.full(self.order, -1)
+        pos = np.full(self.order, -1)
+        levels = [np.zeros(1, dtype=np.intp)]
+        while gens.size:
+            reached = self.products(levels[-1][:, None], gens[None, :]).reshape(-1)
+            new, first = np.unique(reached, return_index=True)
+            first = np.sort(first[(pos[new] == -1) & (new != 0)])
+            if not first.size:
                 break
-        assert len(closure) == self.order
-        self._gen_words = (gens, expr, order)  # type: ignore[assignment]
-        return self._gen_words  # type: ignore[return-value]
+            new = reached[first]
+            prev[new] = levels[-1][first // gens.size]
+            pos[new] = first % gens.size
+            levels.append(new)
+        return prev, pos, levels
 
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"
@@ -385,7 +389,8 @@ def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
         idx = len(classes)
         class_of[g.conjugates(seed)] = idx
         members = np.flatnonzero(class_of == idx).tolist()
-        rep = min(members, key=g.cycle_key)
+        # u0: the member least in canonical cycle form
+        rep = min(members, key=lambda a: _cycles_of(g.elements[a]))
         centralizer = tuple(np.flatnonzero(g.commutes_with(rep)).tolist())
         transversal, theta_of = coset_transversal(g, rep)
         assert transversal[0] == 0 and len(transversal) == len(members)
@@ -435,78 +440,48 @@ def centralizer_subgroup(g: Group, ctx_or_elt) -> Group:
     return sub
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """A group automorphism as a permutation of element indices."""
+def automorphisms(g: Group) -> np.ndarray:
+    """Aut G as one read-only (|Aut G|, |G|) int array of element images,
+    rows ascending, cached in g.caches.
 
-    mapping: tuple[int, ...]
-
-    def of(self, a: int) -> int:
-        return self.mapping[a]
-
-
-def automorphisms(g: Group) -> tuple[list[Automorphism], bool]:
-    """All automorphisms by generator-image backtracking (order at most
-    DEFAULT_AUT_CAP).
-
-    Returns (list, is_inner_only) with is_inner_only = (|Aut| == |G/Z(G)|).
-    Candidate generator images must share order and class size; every full
-    assignment is verified multiplicatively.
+    Each generator (the parsed ones if any, else the greedy sequence: the
+    lemma of Group.generating_sequence holds for any generating set) may
+    go to any element of its order and class size.  Every assignment is
+    extended along one spanning tree of words (Group.words) and kept when
+    only e maps to e and phi(a s) = phi(a) phi(s) for every a and generator
+    s: a multiplicative map with trivial kernel, so a bijection.  The work,
+    prod |candidates| * |G| cells, must fit AUT_BUDGET (else InputError
+    before anything is built); it runs in blocks of _AUT_BLOCK cells.
     """
-    if g.order > DEFAULT_AUT_CAP:
-        raise InputError(f"order {g.order} exceeds automorphism cap {DEFAULT_AUT_CAP}")
-    if g._auts is not None:
-        auts, flag = g._auts
-        return list(auts), flag
-    gens, expr, order = g.generating_sequence()
-    classes = conjugacy_classes(g)
-    size_of = {c.class_index: c.size for c in classes}
-    cands = []
-    for e in gens:
-        profile = (g.order_of(e), size_of[class_of(g, e)])
-        cands.append([x for x in range(g.order)
-                      if (g.order_of(x), size_of[class_of(g, x)]) == profile])
-
-    found: list[Automorphism] = []
-
-    def build_map(images: list[int]) -> Optional[tuple[int, ...]]:
-        mapping = [-1] * g.order
-        mapping[0] = 0
-        # elements were discovered as prev*gen; fill in the same order
-        for e in order:
-            prev, pos = expr[e]
-            mapping[e] = g.mul(mapping[prev], images[pos])
-        if sorted(mapping) != list(range(g.order)):
-            return None
-        return tuple(mapping)
-
-    gen_arr = np.array(gens, dtype=np.intp)
-    times_gen = g.products(np.arange(g.order)[:, None], gen_arr[None, :])
-
-    def is_hom(mapping: tuple[int, ...]) -> bool:
-        # phi(a s) = phi(a) phi(s) for every generator s: every pair by the
-        # lemma of Group.generating_sequence
-        m = np.array(mapping)
-        return bool((m[times_gen] == g.products(m[:, None], m[gen_arr][None, :])).all())
-
-    def dfs(pos: int, images: list[int]):
-        if pos == len(gens):
-            m = build_map(images)
-            if m is not None and is_hom(m):
-                found.append(Automorphism(m))
-            return
-        for c in cands[pos]:
-            images.append(c)
-            dfs(pos + 1, images)
-            images.pop()
-
-    dfs(0, [])
-    uniq = sorted({a.mapping for a in found})
-    auts = [Automorphism(m) for m in uniq]
-    inner_count = g.order // len(g.center())
-    flag = len(auts) == inner_count
-    g._auts = (auts, flag)
-    return list(auts), flag
+    if "automorphisms" in g.caches:
+        return g.caches["automorphisms"]
+    gens = [g.find(s) for s in g.generators] or g.generating_sequence()[0] or [0]
+    orders = np.array(g._orders)
+    sizes = np.array([c.size for c in conjugacy_classes(g)])[list(g._class_of)]
+    cands = [np.flatnonzero((orders == orders[s]) & (sizes == sizes[s])) for s in gens]
+    cells = math.prod(len(c) for c in cands) * g.order
+    if cells > AUT_BUDGET:
+        raise InputError(f"{cells} cells of candidate automorphisms exceed "
+                         f"the automorphism budget of {AUT_BUDGET}")
+    images = np.stack(np.meshgrid(*cands, indexing="ij"), -1).reshape(-1, len(gens))
+    prev, pos, levels = g.words(gens)
+    times_gen = g.products(np.arange(g.order)[:, None], np.array(gens)[None, :])
+    step = max(1, _AUT_BLOCK // (g.order * len(gens)))
+    kept = []
+    for lo in range(0, len(images), step):
+        img = images[lo:lo + step]
+        phi = np.zeros((len(img), g.order), dtype=np.int32)
+        for level in levels[1:]:
+            phi[:, level] = g.products(phi[:, prev[level]], img[:, pos[level]])
+        trivial_kernel = (phi[:, 1:] != 0).all(axis=1)
+        phi, img = phi[trivial_kernel], img[trivial_kernel]
+        hom = (phi[:, times_gen] ==
+               g.products(phi[:, :, None], img[:, None, :])).all(axis=(1, 2))
+        kept.append(phi[hom])
+    auts = np.unique(np.concatenate(kept), axis=0)
+    auts.flags.writeable = False
+    g.caches["automorphisms"] = auts
+    return auts
 
 
 def outer_representatives(g: Group) -> list[np.ndarray]:
@@ -515,8 +490,7 @@ def outer_representatives(g: Group) -> list[np.ndarray]:
     if "outer" not in g.caches:
         gens, reps, seen = g.generating_sequence()[0], [], set()
         every = np.arange(g.order)[:, None]
-        for phi in automorphisms(g)[0]:
-            images = np.array(phi.mapping)
+        for images in automorphisms(g):
             if tuple(images[gens].tolist()) not in seen:
                 reps.append(images)
                 conj = g.products(g.products(g.inverses[every], images[gens]), every)
@@ -529,12 +503,12 @@ _SYM_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
 
 
 def inner_only(g: Group) -> bool:
-    """Whether Aut G = Inn G; uses the S_n (n != 6) shortcut for named groups."""
-    if g.name:
-        m = _SYM_RE.match(g.name)
-        if m and m.group(1) == "S" and int(m.group(2)) != 6:
-            return True
-    return automorphisms(g)[1]
+    """Whether Aut G = Inn G, that is |Aut G| = |G/Z(G)|; S_n (n != 6) is
+    answered from its name."""
+    m = _SYM_RE.match(g.name or "")
+    if m and m.group(1) == "S" and int(m.group(2)) != 6:
+        return True
+    return len(automorphisms(g)) == g.order // len(g.center())
 
 
 def _sym_gens(n: int) -> list[Permutation]:

@@ -7,8 +7,8 @@ of irreducible characters of the centralizer Z_u(C) whose degrees sum to
 r_C.  The type (per-class multiplicity vector against the canonical
 character order of Z_u0(C)) is a complete isomorphism invariant whenever
 Aut G = Inn G.  The key (rsr_key), the least type of phi*rsr over all phi
-in Aut G, is a complete invariant for every group:
-isomorphic(a, b, "search-aut") compares keys.
+in Aut G, is a complete invariant for every group within the budget of
+groups.automorphisms: isomorphic(a, b, "search-aut") compares keys.
 
 twist_rsr, rsr_type and rsr_key all move characters between centralizers
 through one pull-back along an ambient map z -> h phi(z) h^-1 (_pull_back).
@@ -234,7 +234,8 @@ def rsr_key(rsr: RSR) -> RSRType:
     one phi per coset of Inn G, as phi c_h pulls back to the same type.
 
     Two RSRs on one group and prime are isomorphic exactly when their keys
-    are equal, for every group whose automorphisms can be listed.
+    are equal, for every group whose automorphisms fit the budget of
+    groups.automorphisms (A5, S5 and S6 among them); past it InputError.
     """
     if rsr._key is None:
         rsr._key = min((_type_along(rsr, phi)
@@ -248,7 +249,8 @@ def isomorphic(a: RSR, b: RSR, mode: str = "assume-inner") -> bool:
 
     assume-inner compares types, which is complete only when Aut G = Inn G,
     and raises InputError otherwise; search-aut compares keys (rsr_key),
-    which is complete for every group within the automorphism cap.
+    which is complete for every group within the automorphism budget
+    (groups.AUT_BUDGET) and raises InputError past it.
     """
     if a.group is not b.group:
         raise InputError("RSRs must live on the same group object")

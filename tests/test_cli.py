@@ -321,3 +321,25 @@ def test_rsr_iso_rejects_non_object_files(capsys, tmp_path):
     bad.write_text("{}")            # an object without a group
     code, out, err = run_cli(capsys, "rsr-iso", str(good), str(bad))
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_selftest_honours_samples_and_max_degree(capsys):
+    # the hopf section runs at the --samples and --max-degree given
+    code, out, _ = run_cli(capsys, "selftest", "--group", "S4", "--ram", "(0 1):1",
+                           "--samples", "400")
+    assert code == 0
+    assert {s["hopf"]["mode"] for s in json.loads(out)["sections"]} == {"sampled(400)"}
+    code, out, _ = run_cli(capsys, "selftest", "--group", "S3", "--ram", "(0 1):1",
+                           "--max-degree", "3")
+    assert code == 0
+    # 6 * (1 + 3 + 9 + 27) basis paths up to degree 3
+    units = [c["checked"] for s in json.loads(out)["sections"]
+             for c in s["hopf"]["checks"] if c["name"] == "unit"]
+    assert units == [240, 240]
+
+
+def test_samples_has_one_default(capsys):
+    for argv in (("hopf-verify", "--group", "S4", "--ram", "(0 1):1", "--type-index", "0",
+                  "--max-degree", "2"),
+                 ("selftest", "--group", "S4", "--ram", "(0 1):1")):
+        assert cli.build_parser().parse_args(list(argv)).samples == 300

@@ -47,6 +47,8 @@ CASES: dict[str, list[str]] = {
     "rsr_count_d4": ["rsr-count", "--group", "D4", "--ram", "e:1"],
     # Z(e) = S7 is 5,040 rows of S7; it must not be re-closed from them
     "rsr_count_s7_e": ["rsr-count", "--group", "S7", "--ram", "e:1"],
+    # the one symmetric group with an outer automorphism
+    "rsr_count_s6_e": ["rsr-count", "--group", "S6", "--ram", "e:1"],
     "rsr_count_q8_csv": ["rsr-count", "--group", "Q8", "--ram",
                          "(0 1)(2 3)(4 5)(6 7):2", "--format", "csv"],
     "rsr_enumerate_s3_csv": ["rsr-enumerate", "--group", "S3", "--ram", "e:2",

@@ -16,7 +16,8 @@ from quiverhopf import (
     inner_only,
     parse_group,
 )
-from quiverhopf.groups import _TABLE_CAP, _compose, _generated
+from quiverhopf import groups
+from quiverhopf.groups import _TABLE_CAP, _compose, _generated, outer_representatives
 from quiverhopf.modrep import group_table
 
 
@@ -191,48 +192,96 @@ def test_coset_factor_errors(s3):
         coset_factor(s3, ctx, 0, 99)
 
 
+def brute_force_automorphisms(g):
+    """Independent oracle: every bijection fixing e, checked on all pairs."""
+    every = np.arange(g.order)
+    table = g.products(every[:, None], every[None, :])
+    found = []
+    for rest in itertools.permutations(range(1, g.order)):
+        images = np.array((0,) + rest)
+        if (images[table] == table[images[:, None], images[None, :]]).all():
+            found.append(images)
+    return np.array(found)
+
+
 def test_automorphisms_s3(s3):
-    auts, flag = automorphisms(s3)
-    assert len(auts) == 6 and flag
+    auts = automorphisms(s3)
+    assert auts.shape == (6, 6)
     assert inner_only(s3)
 
 
 def test_automorphisms_trivial():
     g = parse_group("C1")
-    auts, flag = automorphisms(g)
-    assert len(auts) == 1 and flag
+    assert automorphisms(g).tolist() == [[0]]
+    assert inner_only(g)
 
 
 def test_automorphisms_klein_four_against_oracle():
     g = parse_group("C2xC2")
-    auts, flag = automorphisms(g)
+    auts = automorphisms(g)
+    assert not inner_only(g)
+    assert (auts == brute_force_automorphisms(g)).all()
     assert len(auts) == 6
-    assert not flag
-    # independent oracle: all bijections of elements checked multiplicatively
-    count = 0
-    for images in itertools.permutations(range(g.order)):
-        if images[0] != 0:
-            continue
-        if all(images[g.mul(a, b)] == g.mul(images[a], images[b])
-               for a in range(g.order) for b in range(g.order)):
-            count += 1
-    assert count == 6
+
+
+@pytest.mark.parametrize("spec, count", [("D4", 8), ("Q8", 24)])
+def test_automorphisms_against_brute_force(spec, count):
+    g = parse_group(spec)
+    auts = automorphisms(g)
+    assert len(auts) == count
+    assert (auts == brute_force_automorphisms(g)).all()   # rows ascending
+
+
+@pytest.mark.parametrize("spec, count, inner", [
+    ("A5", 120, False), ("S5", 120, True), ("S6", 1440, False),
+    ("C2xC2xC2", 168, False), ("D4", 8, False), ("Q8", 24, False),
+    ("S4", 24, True), ("A4", 24, False), ("C2", 1, True),
+])
+def test_automorphism_counts(spec, count, inner):
+    g = parse_group(spec)
+    auts = automorphisms(g)
+    assert auts.shape == (count, g.order)
+    assert inner_only(g) == inner
+    # every row is a bijection fixing e, the rows are distinct and ascending
+    assert (np.sort(auts, axis=1) == np.arange(g.order)).all()
+    assert (auts[:, 0] == 0).all()
+    assert [tuple(r) for r in auts.tolist()] == sorted(set(map(tuple, auts.tolist())))
+    assert len(outer_representatives(g)) * (g.order // len(g.center())) == count
+    assert automorphisms(g) is auts and not auts.flags.writeable
 
 
 def test_automorphisms_are_multiplicative(s3):
-    auts, _ = automorphisms(s3)
-    for phi in auts:
-        for a in range(s3.order):
-            for b in range(s3.order):
-                assert phi.of(s3.mul(a, b)) == s3.mul(phi.of(a), phi.of(b))
+    every = np.arange(s3.order)
+    for phi in automorphisms(s3):
+        assert (phi[s3.products(every[:, None], every[None, :])] ==
+                s3.products(phi[:, None], phi[None, :])).all()
 
 
 def test_inner_only_named_shortcut():
-    # S5 exceeds the automorphism cap; the named shortcut must avoid search
-    g = parse_group("S5")
-    assert inner_only(g)
-    with pytest.raises(InputError):
-        automorphisms(g)
+    # S5 lists its automorphisms; an unnamed S7 is refused by the budget
+    # before any assignment is built, while a named S7 is inner-only by name
+    assert len(automorphisms(parse_group("S5"))) == 120
+    unnamed = parse_group("perm:(0 1);(0 1 2 3 4 5 6)")
+    assert unnamed.order == 5040
+    with pytest.raises(InputError, match="automorphism budget"):
+        automorphisms(unnamed)
+    with pytest.raises(InputError, match="automorphism budget"):
+        inner_only(unnamed)
+    assert inner_only(parse_group("S7"))
+
+
+def test_automorphism_budget_counts_candidate_cells(monkeypatch):
+    # S3 on (0 1) and (0 1 2): 3 * 2 candidate assignments times 6 elements
+    monkeypatch.setattr(groups, "AUT_BUDGET", 36)
+    assert len(automorphisms(parse_group("S3"))) == 6
+    monkeypatch.setattr(groups, "AUT_BUDGET", 35)
+    with pytest.raises(InputError, match="36 cells"):
+        automorphisms(parse_group("S3"))
+    # a candidate shares the generator's order as well as its class size:
+    # the two 4-cycles of C4, not all four elements
+    monkeypatch.setattr(groups, "AUT_BUDGET", 7)
+    with pytest.raises(InputError, match="8 cells"):
+        automorphisms(parse_group("C4"))
 
 
 def test_centralizer_subgroup(s3):

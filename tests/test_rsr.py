@@ -295,7 +295,7 @@ def test_rsr_key_is_the_least_type_over_all_of_aut(spec):
     # one automorphism per coset of Inn G gives the key of the whole of
     # Aut G, on e:1, e:2 and every class at r = 1, 2
     g = parse_group(spec)
-    auts = [np.array(phi.mapping) for phi in automorphisms(g)[0]]
+    auts = automorphisms(g)
     assert len(outer_representatives(g)) * (g.order // len(g.center())) == len(auts)
     for cls in conjugacy_classes(g):
         for r in (1, 2):
@@ -321,3 +321,32 @@ def test_rsr_key_invariant_under_twists(spec):
             twisted = twist_rsr(r, conjugators)
             assert rsr_key(twisted) == rsr_key(r)
             assert isomorphic(twisted, r, "search-aut")
+
+
+def test_search_aut_on_s5_agrees_with_types():
+    # S5 is inner-only: search-aut must agree with the type comparison
+    g = parse_group("S5")
+    ram = parse_ramification(g, "(0 1):1")
+    reps = [rsr_from_type(g, ram, t) for t in enumerate_types(g, ram)]
+    assert len(reps) == 4
+    for a in reps:
+        for b in reps:
+            assert isomorphic(a, b, "search-aut") == (rsr_type(a) == rsr_type(b))
+
+
+def test_search_aut_on_s6_matches_the_classes_the_outer_automorphism_swaps():
+    # the outer automorphism of S6 swaps transpositions with triple
+    # transpositions, so each type on one class is isomorphic to exactly
+    # one type on the other although no type is shared
+    g = parse_group("S6")
+    sides = []
+    for spec in ("(0 1):1", "(0 1)(2 3)(4 5):1"):
+        ram = parse_ramification(g, spec)
+        sides.append([rsr_from_type(g, ram, t) for t in enumerate_types(g, ram)])
+    left, right = sides
+    assert len(left) == len(right) == 4
+    match = np.array([[isomorphic(a, b, "search-aut") for b in right] for a in left])
+    assert (match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()
+    assert not any(rsr_type(a) == rsr_type(b) for a in left for b in right)
+    with pytest.raises(InputError, match="assume-inner"):
+        isomorphic(left[0], right[0], "assume-inner")

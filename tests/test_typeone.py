@@ -9,9 +9,11 @@ from quiverhopf.bimodule import check
 from quiverhopf.typeone import path_degree
 from quiverhopf import (
     TruncationError,
+    enumerate_types,
     make_rsr,
     parse_group,
     parse_ramification,
+    rsr_from_type,
     skew_primitive_report,
     tensor_hopf,
     type_one_dims,
@@ -108,6 +110,61 @@ def test_general_arrow_coproduct(hopf_s3_sgn, s3):
     for x, l in h.basis_by_degree[1]:
         a = h.bim.quiver.arrow(x * h.bim.apv + l)
         assert h.coproduct((x, l)) == {((a.y,), (x, l)): 1, ((x, l), (a.x,)): 1}
+
+
+def factor_product_coproduct(h, key):
+    """Oracle: Delta of one path multiplied out factor by factor.  The path
+    is F_n * ... * F_1 * x0 with F_i = l_i . x_{i-1}^-1, a combination of
+    arrows v out of e with Delta(v) = t(v) (x) v + v (x) 1."""
+    acc = None
+    for x, l in reversed(list(zip(h.vertices(key), key[1:]))):
+        factor = {}
+        for v, c in h._right_terms(h.group.inv(x))[l]:
+            factor[((h._elem[v],), (0, v))] = c
+            factor[((0, v), (0,))] = c
+        acc = factor if acc is None else h._tensor_mul(acc, factor)
+    start = {(key[:1], key[:1]): 1}
+    return start if acc is None else h._tensor_mul(acc, start)
+
+
+def two_dimensional_slot_hopf(max_deg):
+    # S4 "(0 1)(2 3):2" with the 2-dimensional irrep of the centralizer D4
+    g = parse_group("S4")
+    ram = parse_ramification(g, "(0 1)(2 3):2")
+    for t in enumerate_types(g, ram):
+        h = tensor_hopf(rsr_from_type(g, ram, t), max_deg)
+        if any(b.shape[1] == 2 for b in h.bim.blocks.values()):
+            return h
+    raise AssertionError("no type with a 2-dimensional slot")
+
+
+def test_coproduct_matches_the_factor_product(hopf_s3_sgn):
+    for h in (hopf_s3_sgn, two_dimensional_slot_hopf(2)):
+        for n in range(h.max_deg + 1):
+            for key in h.basis_by_degree[n]:
+                assert h.coproduct(key) == factor_product_coproduct(h, key), key
+
+
+@pytest.mark.parametrize("word, expected", [((1,), "counit"),
+                                            ((1, 2), "coassociativity")])
+def test_corrupted_word_coproduct_fails_coassociativity_or_counit(s3, word, expected):
+    # one word's Delta(e, w) corrupted in the cache: on a letter the
+    # a (x) 1 term scaled by 2, on two letters the t(a) (x) a term moved to
+    # e (x) a, which leaves the counit intact
+    ram = parse_ramification(s3, "(0 1):1")
+    h = tensor_hopf(make_rsr(s3, ram, None, {1: (1,)}), 2)
+    path = (0,) + word
+    cop = dict(h._coproduct_at_e(word))
+    if len(word) == 1:
+        cop[(path, (0,))] = 2 * cop[(path, (0,))] % h.p
+    else:
+        (left,) = [a for a, b in cop if b == path]
+        assert left != (0,)
+        cop[((0,), path)] = cop.pop((left, path))
+    h._word_cop[word] = cop
+    report = verify_hopf(h, seed=4)
+    failed = {c.name for c in report.checks if not c.ok}
+    assert expected in failed, report.to_json()
 
 
 def test_verify_hopf_loops(hopf_s3_loops):
