@@ -34,6 +34,7 @@ CASES: dict[str, list[str]] = {
     "group_info_a4": ["group-info", "--group", "A4"],
     "group_info_s3xc2_csv": ["group-info", "--group", "S3xC2", "--format", "csv"],
     "group_info_perm": ["group-info", "--group", PERM],
+    "group_info_s6": ["group-info", "--group", "S6"],
     "chartab_s3_csv": ["chartab", "--group", "S3", "--format", "csv"],
     "chartab_s4": ["chartab", "--group", "S4"],
     "chartab_d4_csv": ["chartab", "--group", "D4", "--format", "csv"],
@@ -41,6 +42,8 @@ CASES: dict[str, list[str]] = {
     "chartab_a4_csv": ["chartab", "--group", "A4", "--format", "csv"],
     "chartab_s3xc2": ["chartab", "--group", "S3xC2"],
     "chartab_perm_csv": ["chartab", "--group", PERM, "--format", "csv"],
+    # past the table cap: S7 composes image rows
+    "chartab_s7": ["chartab", "--group", "S7"],
     "rsr_count_s3": ["rsr-count", "--group", "S3", "--ram", "e:2"],
     "rsr_count_s4_csv": ["rsr-count", "--group", "S4", "--ram", S4_RAM,
                          "--format", "csv"],
