@@ -16,6 +16,8 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .bimodule import build_bimodule, verify_bimodule
 from .groups import InputError, conjugacy_classes, inner_only, parse_group
@@ -112,7 +114,7 @@ def cmd_group_info(args) -> tuple[dict, int]:
         "classes": [{"index": c.class_index,
                      "rep": g.element_name(c.rep),
                      "size": c.size,
-                     "centralizer_order": len(c.centralizer)}
+                     "centralizer_order": g.order // c.size}
                     for c in classes],
     }
     payload.update(_meta(args))
@@ -165,7 +167,7 @@ def cmd_rsr_enumerate(args) -> tuple[dict, int]:
 def cmd_rsr_iso(args) -> tuple[dict, int]:
     a = load_rsr(args.rsr_a)
     doc_b = read_rsr_doc(args.rsr_b)
-    if parse_group(doc_b.get("group")).elements != a.group.elements:
+    if not np.array_equal(parse_group(doc_b.get("group")).perms, a.group.perms):
         raise InputError("the two RSR files use different groups")
     b = rsr_from_json(doc_b, group=a.group)
     if a.field.p != b.field.p:
@@ -368,7 +370,8 @@ def main(argv=None) -> int:
             if value is not None and value < 1:
                 raise InputError(f"--{flag} must be at least 1, got {value}")
         payload, code = args.func(args)
-    except (InputError, BudgetError) as exc:
+    except (InputError, BudgetError, OverflowError) as exc:
+        # OverflowError: a prime too large for the int64 products of linalg
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args)

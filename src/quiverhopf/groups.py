@@ -1,9 +1,11 @@
-"""Finite permutation groups: enumeration, conjugacy structure, coset transversals.
+"""Finite permutation groups as index arrays: closure, conjugacy
+structure, coset transversals, automorphisms.
 
 Composition convention, fixed for the whole package: (a*b)(x) = b(a(x)),
 i.e. the left factor acts first.  Elements are referred to by their index
 in the canonical element order (image tuples sorted lexicographically);
-index 0 is always the identity.
+index 0 is always the identity.  A group holds its elements once, as an
+array of image rows, and derives everything else from it as index arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -35,11 +36,6 @@ _TABLE_CAP = 2048
 _PRODUCT_CHUNK = 1 << 14
 # candidate automorphisms are extended and checked this many cells at a time
 _AUT_BLOCK = 1 << 18
-
-
-def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    # apply a first, then b
-    return tuple(b[x] for x in a)
 
 
 def _cycles_of(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -75,7 +71,8 @@ class Permutation:
         return len(self.images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation(_compose(self.images, other.images))
+        # apply self first, then other
+        return Permutation(tuple(other.images[x] for x in self.images))
 
     def order(self) -> int:
         return _order_of(self.images)
@@ -133,6 +130,13 @@ def parse_cycle_string(text: str, degree: int) -> Permutation:
     return Permutation.from_cycles(cycles, degree)
 
 
+def _keys(rows: np.ndarray) -> np.ndarray:
+    # one void scalar per image row; bytewise order is tuple order
+    rows = np.ascontiguousarray(rows)
+    width = np.dtype((np.void, rows.dtype.itemsize * rows.shape[-1]))
+    return rows.view(width).reshape(rows.shape[:-1])
+
+
 def _order_of(images: Sequence[int]) -> int:
     return math.lcm(1, *(len(c) for c in _cycles_of(images)))
 
@@ -140,80 +144,79 @@ def _order_of(images: Sequence[int]) -> int:
 def _generated(degree: int, generators: Sequence[Permutation],
                name: Optional[str] = None, order_cap: int = DEFAULT_ORDER_CAP,
                spec: Optional[str] = None) -> "Group":
-    """The group generated by permutations (each of this degree), closed by
-    breadth-first search."""
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    gens = [g.images for g in generators]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = _compose(a, g)
-                if b not in seen:
-                    if len(seen) >= order_cap:
-                        raise InputError(f"group order exceeds cap {order_cap}")
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return Group(degree, sorted(seen), name=name, spec=spec, generators=generators)
-
-
-def _max_point(text: str) -> int:
-    pts = [int(p) for p in re.findall(r"\d+", text)]
-    return max(pts) if pts else 0
+    """The group generated by permutations (each of this degree), closed
+    breadth-first on image rows, one word length at a time.  Up to order
+    _TABLE_CAP its table is built along the word tree of the search: the
+    generators' rows by lookup, and the row of x*s as the gather
+    T[x*s][b] = T[x][T[s][b]], one take_along_axis per word length."""
+    width = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
+    gens = np.array([s.images for s in generators], dtype=width).reshape(-1, degree)
+    # the search numbers the elements as it reaches them, x = prev[x] * gens[pos[x]]
+    levels, prev, pos = [np.arange(degree, dtype=width)[None, :]], [[-1]], [[-1]]
+    seen = set(_keys(levels[0]).tolist())
+    while len(levels[-1]):
+        # (x*s)(i) = s(x(i)) for every x of the level and s of gens, x-major
+        reached = np.swapaxes(gens[:, levels[-1]], 0, 1).reshape(-1, degree)
+        keys, first = np.unique(_keys(reached), return_index=True)
+        first = np.sort(first[[k not in seen for k in keys.tolist()]])
+        prev.append(len(seen) - len(levels[-1]) + first // len(gens))
+        pos.append(first % len(gens))
+        levels.append(reached[first])
+        seen.update(_keys(levels[-1]).tolist())
+        if len(seen) > order_cap:
+            raise InputError(f"group order exceeds cap {order_cap}")
+    rows = np.concatenate(levels, dtype=width)
+    by_key = np.argsort(_keys(rows))
+    g = Group(rows[by_key], name=name, spec=spec, generators=generators)
+    inverse_images = np.empty_like(g.perms)
+    np.put_along_axis(inverse_images, g.perms, np.arange(degree, dtype=width)[None, :],
+                      axis=1)
+    g.inverses = g._lookup(inverse_images)
+    g.orders = np.array([_order_of(row.tolist()) for row in g.perms])
+    if g.order <= _TABLE_CAP:
+        index = np.argsort(by_key)      # search number -> element index
+        prev, pos = np.concatenate(prev), np.concatenate(pos)
+        table = np.empty((g.order, g.order), dtype=np.int32)
+        table[0] = np.arange(g.order)
+        # (s*b)(i) = b(s(i)): a generator's row gathers every row at s
+        at = g._lookup(gens)
+        table[at] = g._lookup(np.swapaxes(g.perms[:, gens], 0, 1))
+        ends = np.cumsum([len(level) for level in levels])
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            table[index[lo:hi]] = np.take_along_axis(
+                table[index[prev[lo:hi]]], table[at[pos[lo:hi]]], axis=1)
+        g._table = table
+    return g
 
 
 class Group:
-    """A fully enumerated permutation group.
+    """A fully enumerated permutation group, held as index arrays.
 
-    Built from its sorted element rows (image tuples, closed under
-    products): a subgroup is a set of rows of its ambient group, and only a
-    group closed from generators by `parse_group` records `generators`.
-    Arithmetic is on element indices.  `perms` holds the rows as an
-    (order, degree) array of big-endian uint16 images (uint32 past degree
-    65536), so the bytes of each row compare like its tuple.  `products(a,
-    b)` multiplies whole broadcast index arrays: it reads the dense
-    multiplication table, kept up to order _TABLE_CAP (2048), and otherwise
-    composes image rows with a gather and finds each product's index with one
-    binary search over the rows' byte keys.  `mul` is the scalar form.  The
-    elements and the table are fixed at construction.  Derived data (classes,
-    the generating sequence and the `caches` dict that `automorphisms` and
-    other modules fill) is computed on first use and stored without locks,
-    so a Group is not thread-safe.
+    `perms` holds the elements once: their image rows, sorted, as big-endian
+    uint16 (uint32 past degree 65536), so the bytes of a row compare like
+    its tuple and `_lookup` finds rows by one binary search.  `inverses`
+    and `orders` are arrays over the elements.  `products(a, b)` multiplies
+    broadcast index arrays from the dense table, kept up to order
+    _TABLE_CAP (2048), and otherwise composes image rows and looks them up.
+    Two constructors fill inverses, orders and table: `_generated` closes
+    the generators of a parsed group (the only groups with `generators`),
+    and `centralizer_subgroup` restricts its ambient group's.  Derived data
+    (classes, the generating sequence and the `caches` dict other modules
+    fill) is computed on first use without locks: not thread-safe.
     """
 
-    def __init__(self, degree: int, rows, name: Optional[str] = None,
+    def __init__(self, perms: np.ndarray, name: Optional[str] = None,
                  spec: Optional[str] = None,
                  generators: Sequence[Permutation] = ()):
-        self.degree = degree
+        self.perms = perms
+        self.order, self.degree = perms.shape
         self.generators = tuple(generators)
         self.name = name
         self.spec = spec if spec is not None else name
-        width = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
-        self._key_dtype = np.dtype((np.void, width.itemsize * degree))
-        self.perms = np.asarray(rows, dtype=width).reshape(-1, degree)
-        self.order = len(self.perms)
-        self.elements = tuple(map(tuple, self.perms.tolist()))
-        self.index: dict[tuple[int, ...], int] = {e: i for i, e in enumerate(self.elements)}
-        self._keys = self._key(self.perms)
-        inverse_images = np.empty_like(self.perms)
-        np.put_along_axis(inverse_images, self.perms,
-                          np.arange(degree, dtype=width)[None, :], axis=1)
-        self.inverses = self._lookup(inverse_images)
-        self._inv = tuple(self.inverses.tolist())
-        self._orders = tuple(_order_of(e) for e in self.elements)
-        self.exponent = math.lcm(*self._orders)
-        self._table: Optional[np.ndarray] = None
-        if self.order <= _TABLE_CAP:
-            every = np.arange(self.order)
-            tbl = np.empty((self.order, self.order), dtype=np.int32)
-            for a in range(self.order):
-                tbl[a] = self.products(a, every)
-            self._table = tbl
+        self._keys = _keys(perms)
+        self.inverses = self.orders = self._table = None   # set by the constructor
         self._classes: Optional[list[ConjClassCtx]] = None
-        self._class_of: Optional[tuple[int, ...]] = None
+        self._class_of: Optional[np.ndarray] = None
         self._gen_words = None
         self.caches: dict = {}
         # set by centralizer_subgroup: embed[i] is the ambient index of
@@ -222,16 +225,15 @@ class Group:
         self.embed: Optional[np.ndarray] = None
         self.local: Optional[np.ndarray] = None
 
-    # -- element arithmetic on indices -------------------------------------
+    @property
+    def exponent(self) -> int:
+        return int(np.lcm.reduce(self.orders))
 
-    def _key(self, rows: np.ndarray) -> np.ndarray:
-        # one void scalar per image row; bytewise order is tuple order
-        rows = np.ascontiguousarray(rows, dtype=self.perms.dtype)
-        return rows.view(self._key_dtype).reshape(rows.shape[:-1])
+    # -- element arithmetic on indices -------------------------------------
 
     def _lookup(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each image row (every row must be an element)."""
-        return np.searchsorted(self._keys, self._key(rows))
+        return np.searchsorted(self._keys, _keys(rows.astype(self.perms.dtype)))
 
     def products(self, a, b) -> np.ndarray:
         """Index array of a[i]*b[i] over the broadcast of two index arrays."""
@@ -257,26 +259,27 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         if self._table is not None:
             return int(self._table[a, b])
-        return self.index[_compose(self.elements[a], self.elements[b])]
+        return int(self._lookup(self.perms[b][self.perms[a]]))
 
     def inv(self, a: int) -> int:
-        return self._inv[a]
+        return int(self.inverses[a])
 
     def conj(self, a: int, h: int) -> int:
         """h^-1 * a * h."""
-        return self.mul(self.mul(self._inv[h], a), h)
+        return self.mul(self.mul(self.inv(h), a), h)
 
     def element(self, a: int) -> Permutation:
-        return Permutation(self.elements[a])
+        return Permutation(tuple(self.perms[a].tolist()))
 
     def element_name(self, a: int) -> str:
         return self.element(a).cycle_string()
 
     def find(self, p: Permutation) -> int:
-        try:
-            return self.index[p.images]
-        except KeyError:
-            raise InputError(f"{p.cycle_string()} is not in the group") from None
+        if p.degree == self.degree:
+            a = int(self._lookup(np.array(p.images)))
+            if a < self.order and self.perms[a].tolist() == list(p.images):
+                return a
+        raise InputError(f"{p.cycle_string()} is not in the group")
 
     def commutes_with(self, a: int) -> np.ndarray:
         """Boolean mask of the elements h with h*a == a*h."""
@@ -346,19 +349,12 @@ class Group:
 
 @dataclass
 class ConjClassCtx:
-    """A conjugacy class with its representative, centralizer and transversal.
-
-    rep is u0(C), the member minimal in canonical cycle order.  transversal
-    lists right-coset representatives g_theta of Z_rep with g_0 = identity;
-    theta_of maps a class element c to the theta with g_theta^-1*rep*g_theta = c.
-    """
+    """A conjugacy class and its representative u0(C), the member minimal
+    in canonical cycle order."""
 
     class_index: int
     elements: tuple[int, ...]
     rep: int
-    centralizer: tuple[int, ...]
-    transversal: tuple[int, ...]
-    theta_of: dict[int, int]
 
     @property
     def size(self) -> int:
@@ -390,34 +386,31 @@ def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
         class_of[g.conjugates(seed)] = idx
         members = np.flatnonzero(class_of == idx).tolist()
         # u0: the member least in canonical cycle form
-        rep = min(members, key=lambda a: _cycles_of(g.elements[a]))
-        centralizer = tuple(np.flatnonzero(g.commutes_with(rep)).tolist())
-        transversal, theta_of = coset_transversal(g, rep)
-        assert transversal[0] == 0 and len(transversal) == len(members)
-        classes.append(ConjClassCtx(idx, tuple(members), rep, centralizer,
-                                    tuple(transversal), theta_of))
+        rep = min(members, key=lambda a: _cycles_of(g.perms[a].tolist()))
+        classes.append(ConjClassCtx(idx, tuple(members), rep))
     g._classes = classes
-    g._class_of = tuple(class_of.tolist())
+    g._class_of = class_of
     return classes
 
 
-def class_of(g: Group, a: int) -> int:
+def class_of(g: Group, a):
+    """The class index of element a, or the class indices of an index array."""
     conjugacy_classes(g)
-    return g._class_of[a]  # type: ignore[index]
+    k = g._class_of[a]  # type: ignore[index]
+    return k if isinstance(k, np.ndarray) else int(k)
 
 
 def coset_factor(g: Group, ctx: ConjClassCtx, theta: int, h: int) -> tuple[int, int]:
-    """Factor g_theta*h = zeta*g_theta' with zeta in the centralizer.
-
-    Returns (zeta, theta') as element/transversal indices.
-    """
-    if not 0 <= theta < len(ctx.transversal):
+    """Factor g_theta*h = zeta*g_theta' with zeta in the centralizer and
+    g_theta from `coset_transversal`; returns (zeta, theta')."""
+    transversal, theta_of = coset_transversal(g, ctx.rep)
+    if not 0 <= theta < len(transversal):
         raise InputError(f"theta {theta} out of range")
     if not 0 <= h < g.order:
         raise InputError(f"element index {h} out of range")
-    w = g.mul(ctx.transversal[theta], h)
-    theta_p = ctx.theta_of[g.conj(ctx.rep, w)]
-    zeta = g.mul(w, g.inv(ctx.transversal[theta_p]))
+    w = g.mul(transversal[theta], h)
+    theta_p = theta_of[g.conj(ctx.rep, w)]
+    zeta = g.mul(w, g.inv(transversal[theta_p]))
     return zeta, theta_p
 
 
@@ -426,16 +419,21 @@ def centralizer_subgroup(g: Group, ctx_or_elt) -> Group:
     Group on the ambient rows of its members: no closure, no generators.
     sub.embed is the int array of the members' ambient indices (ascending:
     both orders are lexicographic); sub.local inverts it over the ambient
-    group, -1 off the subgroup."""
+    group, -1 off the subgroup.  Inverses, orders and table are the
+    ambient's, read through them with no lookup where the ambient has a table."""
     elt = ctx_or_elt.rep if isinstance(ctx_or_elt, ConjClassCtx) else ctx_or_elt
     key = ("centralizer", elt)
     if key in g.caches:
         return g.caches[key]
     members = np.flatnonzero(g.commutes_with(elt))
-    sub = Group(g.degree, g.perms[members], name=f"Z({g.element_name(elt)})")
+    sub = Group(g.perms[members], name=f"Z({g.element_name(elt)})")
     sub.embed = members
     sub.local = np.full(g.order, -1, dtype=np.intp)
     sub.local[members] = np.arange(len(members))
+    sub.inverses = sub.local[g.inverses[members]]
+    sub.orders = g.orders[members]
+    if sub.order <= _TABLE_CAP:
+        sub._table = sub.local[g.products(members[:, None], members)].astype(np.int32)
     g.caches[key] = sub
     return sub
 
@@ -456,8 +454,8 @@ def automorphisms(g: Group) -> np.ndarray:
     if "automorphisms" in g.caches:
         return g.caches["automorphisms"]
     gens = [g.find(s) for s in g.generators] or g.generating_sequence()[0] or [0]
-    orders = np.array(g._orders)
-    sizes = np.array([c.size for c in conjugacy_classes(g)])[list(g._class_of)]
+    orders = g.orders
+    sizes = np.array([c.size for c in conjugacy_classes(g)])[class_of(g, np.arange(g.order))]
     cands = [np.flatnonzero((orders == orders[s]) & (sizes == sizes[s])) for s in gens]
     cells = math.prod(len(c) for c in cands) * g.order
     if cells > AUT_BUDGET:
@@ -547,25 +545,25 @@ def _q8_gens() -> list[Permutation]:
             Permutation((4, 5, 7, 6, 1, 0, 2, 3))]
 
 
-def _named_group(token: str, order_cap: int) -> Group:
+_NAMED = {"S": _sym_gens, "A": _alt_gens, "C": _cyc_gens, "Z": _cyc_gens,
+          "D": _dih_gens}
+
+
+def _named_generators(token: str) -> tuple[str, list[Permutation]]:
+    """The name and generators of a named group, of degree n for S_n, A_n,
+    C_n (alias Z_n) and D_n, and 8 for Q8."""
     token = token.strip()
     if token.upper() == "Q8":
-        return _generated(8, _q8_gens(), name="Q8", order_cap=order_cap)
+        return "Q8", _q8_gens()
     m = _SYM_RE.match(token)
     if not m:
         raise InputError(f"unknown group name {token!r}")
     kind, n = m.group(1).upper(), int(m.group(2))
     if n < 1:
         raise InputError(f"bad group size in {token!r}")
-    if kind == "S":
-        return _generated(max(n, 1), _sym_gens(n), name=f"S{n}", order_cap=order_cap)
-    if kind == "A":
-        return _generated(max(n, 1), _alt_gens(n), name=f"A{n}", order_cap=order_cap)
-    if kind == "C" or kind == "Z":
-        return _generated(n, _cyc_gens(n), name=f"C{n}", order_cap=order_cap)
-    if kind == "D":
-        return _generated(n, _dih_gens(n), name=f"D{n}", order_cap=order_cap)
-    raise InputError(f"unknown group name {token!r}")
+    if kind not in _NAMED:
+        raise InputError(f"unknown group name {token!r}")
+    return ("C" if kind == "Z" else kind) + str(n), _NAMED[kind](n)
 
 
 def _shift_perm(p: Permutation, offset: int, degree: int) -> Permutation:
@@ -590,26 +588,16 @@ def parse_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
         parts = [p for p in body.split(";") if p.strip()]
         if not parts:
             raise InputError("empty generator list")
-        degree = max(_max_point(p) for p in parts) + 1
+        degree = max(map(int, re.findall(r"\d+", body)), default=0) + 1
         gens = [parse_cycle_string(p, degree) for p in parts]
         return _generated(degree, gens, order_cap=order_cap, spec=spec)
     tokens = re.split(r"\s*[xX]\s*(?![^()]*\))", spec)
-    if len(tokens) == 1:
-        g = _named_group(tokens[0], order_cap)
-        g.spec = spec
-        return g
-    factors = [_named_group(t, order_cap) for t in tokens]
-    degree = sum(f.degree for f in factors)
+    factors = [_named_generators(t) for t in tokens]
+    degree = sum(f[1][0].degree for f in factors)
     gens: list[Permutation] = []
     offset = 0
-    for f in factors:
-        gens.extend(_shift_perm(p, offset, degree) for p in f.generators)
-        offset += f.degree
-    name = "x".join(t.strip() for t in tokens)
+    for _, fgens in factors:
+        gens.extend(_shift_perm(p, offset, degree) for p in fgens)
+        offset += fgens[0].degree
+    name = factors[0][0] if len(tokens) == 1 else "x".join(t.strip() for t in tokens)
     return _generated(degree, gens, name=name, order_cap=order_cap, spec=spec)
-
-
-@lru_cache(maxsize=64)
-def cached_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
-    """parse_group with a process-level cache (a group's elements never change)."""
-    return parse_group(spec, order_cap)

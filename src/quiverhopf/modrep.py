@@ -97,6 +97,10 @@ def choose_prime(g: Group, min_bound: int = 0) -> FieldPrime:
 
 
 def validate_prime(g: Group, p: int) -> FieldPrime:
+    # below 2^31 a product of two residues fits int64; trial division of a
+    # larger number could also run for hours
+    if p >= 1 << 31:
+        raise InputError(f"prime {p} must be below 2^31")
     if not _is_prime(p):
         raise InputError(f"{p} is not prime")
     if p <= 2 * g.order:
@@ -146,12 +150,12 @@ def _class_constants(g: Group) -> tuple[np.ndarray, list[int]]:
     classes = conjugacy_classes(g)
     k = len(classes)
     reps = [c.rep for c in classes]
-    cls = np.array([class_of(g, x) for x in range(g.order)])
+    cls = class_of(g, np.arange(g.order))
     # the class of x^-1 z_kk for every element x and class representative z_kk
     j = cls[g.products(g.inverses[:, None], np.array(reps)[None, :])]
     a = np.zeros((k, k, k), dtype=np.int64)
     np.add.at(a, (cls[:, None], j, np.arange(k)[None, :]), 1)
-    inv_class = [class_of(g, g.inv(r)) for r in reps]
+    inv_class = cls[g.inverses[reps]].tolist()
     return a, inv_class
 
 
@@ -350,21 +354,26 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
         raise InputError(f"character index {char_index} out of range")
     row = table.rows[char_index]
     d = table.degrees[char_index]
-    cls_of = [class_of(g, x) for x in range(g.order)]
+    chi = np.array(row, dtype=np.int64)[class_of(g, np.arange(g.order))]
     if d == 1:
-        mats = [np.array([[row[cls_of[x]]]], dtype=np.int64) for x in range(g.order)]
-        return Irrep(g, p, char_index, mats)
+        return Irrep(g, p, char_index, list(chi.reshape(-1, 1, 1)))
 
     # central idempotent (d/|G|) sum chi(x^-1) x acting by left
-    # multiplication; its transpose holds the coefficient of x at (y, x*y)
+    # multiplication; its transpose holds the coefficient of x at (y, x*y).
+    # Its rows are reduced 2d^2 at a time until they span the image, of
+    # dimension d^2: the rref of a row space is canonical, so the basis is
+    # the one of the whole matrix.
     scale = d * pow(g.order % p, p - 2, p) % p
-    chi = np.array(row, dtype=np.int64)
-    coeffs = scale * chi[np.array(cls_of)[g.inverses]] % p
+    coeffs = scale * chi[g.inverses] % p
     every = np.arange(g.order)
-    e_t = np.zeros((g.order, g.order), dtype=np.int64)
-    for y in range(g.order):
-        e_t[y, g.products(every, y)] = coeffs
-    basis = linalg.row_space(e_t, p)            # rows spanning the image
+    basis = np.zeros((0, g.order), dtype=np.int64)
+    for lo in range(0, g.order, 2 * d * d):
+        ys = every[lo:lo + 2 * d * d]
+        e_t = np.zeros((len(ys), g.order), dtype=np.int64)
+        e_t[np.arange(len(ys))[:, None], g.products(every[None, :], ys[:, None])] = coeffs
+        basis = linalg.row_space(np.concatenate([basis, e_t]), p)
+        if basis.shape[0] == d * d:
+            break
     assert basis.shape[0] == d * d
 
     rng = random.Random(f"irrep:{seed}:{g.order}:{p}:{char_index}")
@@ -401,7 +410,7 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
         prev, pos = expr[x]
         mats[x] = linalg.matmul(mats[prev], gen_mats[pos], p)
     rep = Irrep(g, p, char_index, mats)  # type: ignore[arg-type]
-    assert rep.trace_vector() == tuple(row[cls_of[x]] for x in range(g.order)), \
+    assert rep.trace_vector() == tuple(chi.tolist()), \
         "trace of constructed representation does not match its character"
     return rep
 
@@ -431,7 +440,7 @@ class ElementMap:
 
 def rep_twist(rep: Irrep, phi: ElementMap) -> Irrep:
     """The composite representation rho . phi on phi's source group."""
-    if phi.dst.elements != rep.subgroup.elements:
+    if not np.array_equal(phi.dst.perms, rep.subgroup.perms):
         raise InputError("map target does not match the representation domain")
     mats = [rep.matrices[phi.of(z)] for z in range(phi.src.order)]
     return Irrep(phi.src, rep.p, -1, mats)
@@ -439,6 +448,6 @@ def rep_twist(rep: Irrep, phi: ElementMap) -> Irrep:
 
 def rep_equal(a: Irrep, b: Irrep) -> bool:
     """Isomorphism test: equal character vectors (faithful mod a splitting prime)."""
-    if a.subgroup.elements != b.subgroup.elements or a.p != b.p:
+    if not np.array_equal(a.subgroup.perms, b.subgroup.perms) or a.p != b.p:
         raise InputError("representations live over different domains or fields")
     return a.trace_vector() == b.trace_vector()

@@ -159,7 +159,7 @@ def _pull_back(rsr: RSR, cls: int, onto: int, h: int,
     if phi is not None:
         reps = phi[reps]
     images = g.products(g.products(h, reps), g.inv(h))
-    at = [class_of(z_to, w) for w in z_to.local[images].tolist()]
+    at = class_of(z_to, z_to.local[images]).tolist()
     table = group_table(z_from, rsr.field).rows
     return [table.index(tuple(rows[idx][c] for c in at))
             for idx in rsr.irreps[cls]]

@@ -9,6 +9,8 @@ import json
 import random
 from contextlib import contextmanager
 
+import numpy as np
+
 from quiverhopf import (
     braiding,
     build_bimodule,
@@ -205,7 +207,7 @@ def test_criterion_5_transversal_change():
         rep = conjugacy_classes(g)[1].rep
         t1 = {1: list(coset_transversal(g, rep)[0])}
         t2 = {1: list(t1[1])}
-        z_nontrivial = [z for z in conjugacy_classes(g)[1].centralizer if z][0]
+        z_nontrivial = np.flatnonzero(g.commutes_with(rep))[1]
         t2[1][1] = g.mul(z_nontrivial, t2[1][1])
         t2[1][2] = g.mul(z_nontrivial, t2[1][2])
         fmap = transversal_iso(rsr, t1, t2)

@@ -241,7 +241,7 @@ def test_transversal_iso_sign_diagonal(s3):
     ctx = conjugacy_classes(s3)[1]
     t1 = {1: list(coset_transversal(s3, ctx.rep)[0])}
     t2 = {1: list(t1[1])}
-    z_nontrivial = [z for z in ctx.centralizer if z != 0][0]
+    z_nontrivial = np.flatnonzero(s3.commutes_with(ctx.rep))[1]
     t2[1][1] = s3.mul(z_nontrivial, t2[1][1])
     f = transversal_iso(rsr, t1, t2)
     # diagonal with entries +-1

@@ -171,6 +171,15 @@ def test_chartab_custom_prime(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("prime", ["2000000011", "2305843009213693951"])
+def test_prime_past_int64_products_is_an_input_error(capsys, prime):
+    # 2000000011 passes the prime checks but overflows the int64 matmuls;
+    # 2^61 - 1 is refused before a primality test by trial division
+    code, out, err = run_cli(capsys, "chartab", "--group", "S3", "--prime", prime)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_csv_output(capsys):
     code, out, _ = run_cli(capsys, "rsr-enumerate", "--group", "S3",
                            "--ram", "e:2", "--format", "csv")

@@ -17,21 +17,39 @@ from quiverhopf import (
     parse_group,
 )
 from quiverhopf import groups
-from quiverhopf.groups import _TABLE_CAP, _compose, _generated, outer_representatives
+from quiverhopf.groups import (
+    _TABLE_CAP,
+    Group,
+    _generated,
+    coset_transversal,
+    outer_representatives,
+)
 from quiverhopf.modrep import group_table
+
+
+def compose(a, b):
+    # apply a first, then b
+    return tuple(b[x] for x in a)
+
+
+def invert(a):
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
+def rows_of(g):
+    """Independent oracle: the elements as image tuples, in index order."""
+    return [tuple(r) for r in g.perms.tolist()]
+
+
+def centralizer_of(g, a):
+    return np.flatnonzero(g.commutes_with(a)).tolist()
 
 
 def brute_force_classes(elements):
     """Independent oracle: partition image tuples by conjugation directly."""
-    def compose(a, b):
-        return tuple(b[x] for x in a)
-
-    def invert(a):
-        inv = [0] * len(a)
-        for i, x in enumerate(a):
-            inv[x] = i
-        return tuple(inv)
-
     remaining = set(elements)
     classes = []
     while remaining:
@@ -80,8 +98,9 @@ def test_order_cap():
 
 def test_identity_is_element_zero(s3, s4):
     for g in (s3, s4):
-        assert g.elements[0] == tuple(range(g.degree))
-        assert list(g.elements) == sorted(g.elements)
+        rows = rows_of(g)
+        assert rows[0] == tuple(range(g.degree))
+        assert rows == sorted(rows)
 
 
 def test_s3_classes_match_example(s3):
@@ -103,8 +122,9 @@ def test_trivial_group_single_class():
 def test_s4_classes_against_brute_force(s4):
     classes = conjugacy_classes(s4)
     assert sorted(c.size for c in classes) == [1, 3, 6, 6, 8]
-    oracle = brute_force_classes(list(s4.elements))
-    mine = [frozenset(s4.elements[e] for e in c.elements) for c in classes]
+    rows = rows_of(s4)
+    oracle = brute_force_classes(rows)
+    mine = [frozenset(rows[e] for e in c.elements) for c in classes]
     assert set(mine) == set(oracle)
 
 
@@ -114,16 +134,18 @@ def test_class_counting_identities(spec):
     classes = conjugacy_classes(g)
     assert sum(c.size for c in classes) == g.order
     for c in classes:
-        assert len(c.centralizer) * c.size == g.order
-        assert len(c.transversal) == c.size
-        assert c.transversal[0] == 0
+        centralizer = centralizer_of(g, c.rep)
+        transversal, theta_of = coset_transversal(g, c.rep)
+        assert len(centralizer) * c.size == g.order
+        assert len(transversal) == c.size
+        assert transversal[0] == 0
         # theta_of inverts the transversal conjugation
-        for elt, theta in c.theta_of.items():
-            assert g.conj(c.rep, c.transversal[theta]) == elt
+        for elt, theta in theta_of.items():
+            assert g.conj(c.rep, transversal[theta]) == elt
         # cosets Z*g_theta partition G
         seen = set()
-        for t in c.transversal:
-            coset = frozenset(g.mul(z, t) for z in c.centralizer)
+        for t in transversal:
+            coset = frozenset(g.mul(z, t) for z in centralizer)
             assert not (coset & seen)
             seen |= coset
         assert len(seen) == g.order
@@ -148,10 +170,10 @@ def test_coset_factor_trivial_cases(s3):
     classes = conjugacy_classes(s3)
     ctx = classes[1]
     # h in the centralizer, theta = 0: zeta = h
-    for h in ctx.centralizer:
+    for h in centralizer_of(s3, ctx.rep):
         assert coset_factor(s3, ctx, 0, h) == (h, 0)
     # h = identity: zeta = identity, theta unchanged
-    for theta in range(len(ctx.transversal)):
+    for theta in range(ctx.size):
         assert coset_factor(s3, ctx, theta, 0) == (0, theta)
 
 
@@ -159,13 +181,14 @@ def test_coset_factor_trivial_cases(s3):
 def test_coset_factor_defining_identity(spec):
     g = parse_group(spec)
     for ctx in conjugacy_classes(g):
-        zset = set(ctx.centralizer)
-        for theta in range(len(ctx.transversal)):
+        zset = set(centralizer_of(g, ctx.rep))
+        transversal = coset_transversal(g, ctx.rep)[0]
+        for theta in range(len(transversal)):
             for h in range(g.order):
                 zeta, tp = coset_factor(g, ctx, theta, h)
                 assert zeta in zset
-                assert g.mul(ctx.transversal[theta], h) == \
-                    g.mul(zeta, ctx.transversal[tp])
+                assert g.mul(transversal[theta], h) == \
+                    g.mul(zeta, transversal[tp])
 
 
 def test_coset_factor_cocycle(s3, s4):
@@ -174,7 +197,7 @@ def test_coset_factor_cocycle(s3, s4):
         rng = random.Random(7)
         for ctx in conjugacy_classes(g):
             for _ in range(40):
-                theta = rng.randrange(len(ctx.transversal))
+                theta = rng.randrange(ctx.size)
                 h1 = rng.randrange(g.order)
                 h2 = rng.randrange(g.order)
                 z1, t1 = coset_factor(g, ctx, theta, h1)
@@ -298,9 +321,10 @@ def test_centralizer_embedding_maps(spec):
         sub = centralizer_subgroup(g, ctx)
         assert g.caches[("centralizer", ctx.rep)] is sub
         assert isinstance(sub.embed, np.ndarray) and isinstance(sub.local, np.ndarray)
-        assert sub.embed.tolist() == list(ctx.centralizer)
+        assert sub.embed.tolist() == centralizer_of(g, ctx.rep)
+        sub_rows, rows = rows_of(sub), rows_of(g)
         for i, h in enumerate(sub.embed.tolist()):
-            assert sub.elements[i] == g.elements[h]
+            assert sub_rows[i] == rows[h]
             assert sub.local[h] == i
         # local is defined exactly on embed, and -1 off Z
         assert np.flatnonzero(sub.local >= 0).tolist() == sub.embed.tolist()
@@ -322,12 +346,12 @@ def test_subgroup_rows_match_closure(spec, classes):
     ctxs = conjugacy_classes(g)
     for ctx in ctxs if classes is None else [ctxs[k] for k in classes]:
         sub = centralizer_subgroup(g, ctx)
-        oracle = _generated(g.degree, [g.element(h) for h in ctx.centralizer])
-        assert sub.elements == oracle.elements
+        oracle = _generated(g.degree, [g.element(h) for h in centralizer_of(g, ctx.rep)])
+        assert rows_of(sub) == rows_of(oracle)
         assert (sub.perms == oracle.perms).all()
         assert (sub.inverses == oracle.inverses).all()
-        assert sub._orders == oracle._orders == tuple(
-            Permutation(e).order() for e in sub.elements)
+        assert sub.orders.tolist() == oracle.orders.tolist() == [
+            Permutation(e).order() for e in rows_of(sub)]
         assert sub.exponent == oracle.exponent
         every = np.arange(sub.order)
         grid = (every[:, None], every[None, :])
@@ -356,7 +380,7 @@ def test_exponent(s3, s4):
 def test_cycle_string_round_trip(s4):
     for e in range(s4.order):
         name = s4.element_name(e)
-        p = Permutation(s4.elements[e])
+        p = Permutation(rows_of(s4)[e])
         assert s4.find(p) == e
         assert p.cycle_string() == name
 
@@ -369,9 +393,11 @@ def test_class_of_consistency(s4):
 
 
 def test_cyclic_alias_and_cache():
-    from quiverhopf.groups import cached_group
-    assert parse_group("Z6").order == 6
-    assert cached_group("S3") is cached_group("S3")
+    z6 = parse_group("Z6")
+    assert z6.order == 6 and rows_of(z6) == rows_of(parse_group("C6"))
+    # derived data is computed once per group instance
+    assert conjugacy_classes(z6) is conjugacy_classes(z6)
+    assert centralizer_subgroup(z6, 1) is centralizer_subgroup(z6, 1)
 
 
 @pytest.mark.parametrize("spec", [
@@ -388,8 +414,9 @@ def test_products_agree_with_compose(spec):
     rng = random.Random(spec)
     a = np.array([rng.randrange(g.order) for _ in range(400)])
     b = np.array([rng.randrange(g.order) for _ in range(400)])
-    expect = [g.index[_compose(g.elements[x], g.elements[y])]
-              for x, y in zip(a.tolist(), b.tolist())]
+    rows = rows_of(g)
+    index = {r: i for i, r in enumerate(rows)}
+    expect = [index[compose(rows[x], rows[y])] for x, y in zip(a.tolist(), b.tolist())]
     assert g.products(a, b).tolist() == expect
     assert [g.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == expect
     if g._table is not None:
@@ -401,8 +428,7 @@ def test_products_agree_with_compose(spec):
                              for x in a[:20].tolist()]
     assert g.products(a[0], b[0]).shape == ()
     # the inverse array and conjugates agree with the scalar forms
-    assert [g.inv(x) for x in a.tolist()] == [
-        g.index[tuple(np.argsort(g.elements[x]).tolist())] for x in a.tolist()]
+    assert [g.inv(x) for x in a.tolist()] == [index[invert(rows[x])] for x in a.tolist()]
     x = int(a[0])
     assert g.conjugates(x)[b].tolist() == [g.conj(x, h) for h in b.tolist()]
 
@@ -412,3 +438,63 @@ def test_center_against_brute_force(spec):
     g = parse_group(spec)
     assert g.center() == [z for z in range(g.order)
                           if all(g.mul(z, h) == g.mul(h, z) for h in range(g.order))]
+
+
+def count_lookups(monkeypatch) -> list:
+    """The sizes of the row lookups every Group makes from now on."""
+    calls = []
+    lookup = Group._lookup
+
+    def counting(self, rows):
+        calls.append(len(rows))
+        return lookup(self, rows)
+
+    monkeypatch.setattr(Group, "_lookup", counting)
+    return calls
+
+
+def test_s6_table_is_built_along_the_word_tree(monkeypatch):
+    # lookups for the generators, their rows and the inverses; every other
+    # row of the table is a gather, and the centralizers look nothing up
+    calls = count_lookups(monkeypatch)
+    g = parse_group("S6")
+    assert 0 < len(calls) <= 30
+    classes = conjugacy_classes(g)
+    calls.clear()
+    for ctx in classes:
+        centralizer_subgroup(g, ctx)
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec, reps", [
+    ("S3", None), ("S4", None), ("D4", None), ("Q8", None), ("A4", None),
+    ("S3xC2", None), ("S6", None),
+    # past the table cap the ambient composes rows; Z((0 1)) keeps a table
+    ("S7", ["(0 1)"]),
+])
+def test_centralizer_restricts_its_ambient(spec, reps):
+    g = parse_group(spec)
+    if reps is None:
+        elts = [ctx.rep for ctx in conjugacy_classes(g)]
+    else:
+        elts = [g.find(groups.parse_cycle_string(r, g.degree)) for r in reps]
+    assert (g._table is None) == (g.order > _TABLE_CAP)
+    for u in elts:
+        sub = centralizer_subgroup(g, u)
+        z = sub.embed
+        assert (z[sub.inverses] == g.inverses[z]).all()
+        assert (sub.orders == g.orders[z]).all()
+        assert sub._table is not None
+        assert (z[sub._table] == g.products(z[:, None], z[None, :])).all()
+
+
+def test_find_rejects_other_degrees_and_non_members(s3):
+    with pytest.raises(InputError, match="not in the group"):
+        s3.find(Permutation.identity(4))
+    with pytest.raises(InputError, match="not in the group"):
+        s3.find(Permutation.identity(2))
+    with pytest.raises(InputError, match="not in the group"):
+        parse_group("A4").find(Permutation.from_cycles([[0, 1]], 4))
+    # C3's rows are (0 1 2), (1 2 0), (2 0 1): (2 1 0) sorts past the last
+    with pytest.raises(InputError, match="not in the group"):
+        parse_group("C3").find(Permutation((2, 1, 0)))

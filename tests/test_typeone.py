@@ -167,6 +167,19 @@ def test_corrupted_word_coproduct_fails_coassociativity_or_counit(s3, word, expe
     assert expected in failed, report.to_json()
 
 
+def test_corrupted_identity_action_fails_unit(s3):
+    # the identity's right action sends letter 0 to letter 1: the unit runs
+    # only on the paths at e, and (e, 0) . e is now (e, 1)
+    ram = parse_ramification(s3, "(0 1):1")
+    h = tensor_hopf(make_rsr(s3, ram, None, {1: (1,)}), 2)
+    right = list(h._right_terms(0))
+    assert right[0] == [(0, 1)]
+    right[0] = [(1, 1)]
+    h._right_cache[0] = right
+    report = verify_hopf(h, seed=4)
+    assert "unit" in {c.name for c in report.checks if not c.ok}, report.to_json()
+
+
 def test_verify_hopf_loops(hopf_s3_loops):
     report = verify_hopf(hopf_s3_loops, seed=1)
     assert report.mode == "exhaustive"

@@ -26,6 +26,7 @@ from quiverhopf import (
     yd_from_rsr,
 )
 from quiverhopf import linalg, yd
+from quiverhopf.groups import coset_transversal
 from quiverhopf.yd import (
     braid_operators,
     insertion_word,
@@ -405,6 +406,7 @@ def test_coinvariant_matches_bimodule():
         g = parse_group(spec)
         r = parse_ramification(g, ram)
         classes = conjugacy_classes(g)
+        theta_of = [coset_transversal(g, c.rep)[1] for c in classes]
         for t in enumerate_types(g, r):
             rsr = rsr_from_type(g, r, t)
             q = rsr.quiver()
@@ -415,7 +417,7 @@ def test_coinvariant_matches_bimodule():
                 for col, a in enumerate(arrows):
                     ctx = classes[a.cls]
                     assert rsr.u[a.cls] == ctx.rep
-                    zeta, theta = coset_factor(g, ctx, ctx.theta_of[a.y], g.inv(h))
+                    zeta, theta = coset_factor(g, ctx, theta_of[a.cls][a.y], g.inv(h))
                     rho = rsr.irrep(a.cls, a.slot).matrix(
                         int(rsr.centralizer(a.cls).local[zeta]))
                     y = g.conj(a.y, g.inv(h))
@@ -423,7 +425,7 @@ def test_coinvariant_matches_bimodule():
                     for s in range(rho.shape[1]):
                         expected[arrows.index(ArrowId(0, y, a.cls, a.slot, s))] = \
                             rho[a.j, s] % v.p
-                    assert ctx.theta_of[y] == theta
+                    assert theta_of[a.cls][y] == theta
                     assert (acts[h][:, col] == expected).all(), (spec, ram, h, a)
 
 
