@@ -166,7 +166,7 @@ class HopfBimodule:
             self.tp[cls] = tp = theta_at[g.products(g.products(g.inverses[w], u), w)]
             self.zl[cls] = z.local[g.products(w, g.inverses[t[tp]])]
             for slot in range(len(rsr.irreps[cls])):
-                self.blocks[(cls, slot)] = np.stack(rsr.irrep(cls, slot).matrices)
+                self.blocks[(cls, slot)] = rsr.irrep(cls, slot).matrices.copy()
 
     # -- structure maps -----------------------------------------------------
 
@@ -255,7 +255,7 @@ def verify_bimodule(m: HopfBimodule) -> Report:
     report = Report(mode="exhaustive")
     support = m.rsr.ram.support
     every = np.arange(g.order)
-    gens = np.array(g.generating_sequence()[0], dtype=np.intp)
+    gens = np.array(g.generating_sequence(), dtype=np.intp)
 
     # unit: the zeta tables are trivial at h = e, and e fixes every arrow
     # on both sides; cases are the tables, then each arrow on the left,
@@ -381,7 +381,7 @@ class BimoduleMap:
         # masks over (side, s, arrow): f P_s = P_s f on the left, and on the
         # right f(a . s) = f(a) . s, where x * apv + l . s = sum_l' A_s[l', l]
         # (xs) * apv + l', A_s being the module's local stack at s
-        gens, every, n = g.generating_sequence()[0], np.arange(g.order), m1.dim()
+        gens, every, n = g.generating_sequence(), np.arange(g.order), m1.dim()
         left = [(f[np.ix_(m1.left_perm(s), m2.left_perm(s))] == f).all(axis=1)
                 for s in gens]
 

@@ -49,7 +49,7 @@ def _meta(args, field=None, primes=None) -> dict:
 
 def _group_and_field(args):
     g = parse_group(args.group)
-    field = validate_prime(g, args.prime) if args.prime else choose_prime(g)
+    field = choose_prime(g) if args.prime is None else validate_prime(g, args.prime)
     return g, field
 
 

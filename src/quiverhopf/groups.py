@@ -217,7 +217,7 @@ class Group:
         self.inverses = self.orders = self._table = None   # set by the constructor
         self._classes: Optional[list[ConjClassCtx]] = None
         self._class_of: Optional[np.ndarray] = None
-        self._gen_words = None
+        self._gens: Optional[list[int]] = None
         self.caches: dict = {}
         # set by centralizer_subgroup: embed[i] is the ambient index of
         # element i, local[x] the element index of ambient x (-1 off the
@@ -288,19 +288,14 @@ class Group:
 
     def center(self) -> list[int]:
         central = np.ones(self.order, dtype=bool)
-        for a in self.generating_sequence()[0]:
+        for a in self.generating_sequence():
             central &= self.commutes_with(a)
         return np.flatnonzero(central).tolist()
 
-    def generating_sequence(self) -> tuple[list[int], list[tuple[int, int]], list[int]]:
-        """Greedy generating sequence plus expression words.
-
-        gens takes each element, in canonical order, that the earlier ones
-        do not generate.  Returns (gens, expr, order) with expr[e] =
-        (prev_element, gen_position) so that e = prev * gens[pos];
-        expr[identity] = (-1, -1).  order lists the non-identity elements
-        by word length, each after its prev (the spanning tree of `words`).
-        Used to extend maps defined on generators to the whole group.
+    def generating_sequence(self) -> list[int]:
+        """Greedy generating sequence: each element, in canonical order,
+        that the earlier ones do not generate.  Maps defined on generators
+        extend to the whole group along the words of `words`.
 
         Lemma: if P(e) = 1 and P(g s) = P(g) P(s) for every g and generator
         s, then P(g h) = P(g) P(h) for all g, h, by induction on the word of
@@ -310,15 +305,14 @@ class Group:
         proof uses only that every element is a word in the generators, so
         it holds for any generating set.
         """
-        if self._gen_words is None:
+        if self._gens is None:
             gens: list[int] = []
-            prev, pos, levels = self.words(gens)
+            prev = self.words(gens)[0]
             while (missing := np.flatnonzero(prev[1:] == -1)).size:
                 gens.append(int(missing[0]) + 1)
-                prev, pos, levels = self.words(gens)
-            self._gen_words = (gens, list(zip(prev.tolist(), pos.tolist())),
-                               np.concatenate(levels)[1:].tolist())
-        return self._gen_words
+                prev = self.words(gens)[0]
+            self._gens = gens
+        return self._gens
 
     def words(self, gens: Sequence[int]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """Breadth-first spanning tree of the words in gens (element
@@ -453,7 +447,7 @@ def automorphisms(g: Group) -> np.ndarray:
     """
     if "automorphisms" in g.caches:
         return g.caches["automorphisms"]
-    gens = [g.find(s) for s in g.generators] or g.generating_sequence()[0] or [0]
+    gens = [g.find(s) for s in g.generators] or g.generating_sequence() or [0]
     orders = g.orders
     sizes = np.array([c.size for c in conjugacy_classes(g)])[class_of(g, np.arange(g.order))]
     cands = [np.flatnonzero((orders == orders[s]) & (sizes == sizes[s])) for s in gens]
@@ -486,7 +480,7 @@ def outer_representatives(g: Group) -> list[np.ndarray]:
     """The first automorphism of each coset of Inn G in Aut G as an index
     array, cached on g: phi c_h has phi's generator images conjugated by phi(h)."""
     if "outer" not in g.caches:
-        gens, reps, seen = g.generating_sequence()[0], [], set()
+        gens, reps, seen = g.generating_sequence(), [], set()
         every = np.arange(g.order)[:, None]
         for images in automorphisms(g):
             if tuple(images[gens].tolist()) not in seen:

@@ -47,7 +47,7 @@ def _eliminate(a: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         k = r + int(nz[0])
@@ -60,7 +60,7 @@ def _eliminate(a: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
         col = rest[:, c].copy()
         if full:
             col[r] = 0
-        rest -= np.outer(col, row)
+        rest -= col[:, None] * row
         rest %= p
         pivots.append(c)
         r += 1

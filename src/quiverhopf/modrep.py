@@ -7,13 +7,17 @@ orthogonality relation and rows sorted into a canonical order (degree,
 then value tuple lifted to {0..p-1}).  Eigenvalues are found as the roots
 of minimal polynomials of Krylov sequences (one vectorized Horner pass
 over F_p each), so a nullspace is computed only at an actual eigenvalue,
-never for every element of F_p.
+never for every element of F_p.  All elimination is linalg's: the
+minimal polynomial is the first Krylov vector that does not raise the
+rank, solved for in those before it.
 
 Irreducible matrix representations are cut out of the regular module by
 the central idempotent of the character and split down to dimension d
-with seeded random module endomorphisms.  The regular-module operators are
-scattered from the group's multiplication table, one row (one array
-write) per element, so each cell is written once.
+with seeded random module endomorphisms, through the same eigenspace
+routine as the tables.  The regular-module operators are scattered from
+the group's multiplication table, one row (one array write) per element,
+so each cell is written once.  An irrep is one (|G|, d, d) stack, filled
+one word length at a time along the spanning tree of Group.words.
 """
 
 from __future__ import annotations
@@ -45,41 +49,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _factor(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _primitive_root(p: int) -> int:
-    factors = _factor(p - 1)
-    for c in range(2, p):
-        if all(pow(c, (p - 1) // q, p) != 1 for q in factors):
-            return c
-    raise AssertionError(f"no primitive root mod {p}")
-
-
 @dataclass(frozen=True)
 class FieldPrime:
-    """A splitting prime for a group: p = 1 (mod e) and p > 2|G|."""
+    """A splitting prime for a group: p = 1 (mod exponent) and p > 2|G|."""
 
     p: int
-    root_order: int       # exponent e of the group
-    primitive_root: int
-    zeta: int             # fixed primitive e-th root of unity, root^((p-1)/e)
-
-    @classmethod
-    def for_prime(cls, p: int, exponent: int) -> "FieldPrime":
-        root = _primitive_root(p)
-        return cls(p, exponent, root, pow(root, (p - 1) // exponent, p))
 
 
 def choose_prime(g: Group, min_bound: int = 0) -> FieldPrime:
@@ -93,7 +67,7 @@ def choose_prime(g: Group, min_bound: int = 0) -> FieldPrime:
         p = max(p, 2)
     while not _is_prime(p):
         p += e if e > 1 else 1
-    return FieldPrime.for_prime(p, e)
+    return FieldPrime(p)
 
 
 def validate_prime(g: Group, p: int) -> FieldPrime:
@@ -107,7 +81,7 @@ def validate_prime(g: Group, p: int) -> FieldPrime:
         raise InputError(f"prime {p} must exceed 2|G| = {2 * g.order}")
     if (p - 1) % g.exponent != 0:
         raise InputError(f"prime {p} is not 1 mod exponent {g.exponent}")
-    return FieldPrime.for_prime(p, g.exponent)
+    return FieldPrime(p)
 
 
 def next_primes(g: Group, count: int, start: Optional[FieldPrime] = None) -> list[FieldPrime]:
@@ -163,30 +137,13 @@ def _krylov_poly(s: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     """Coefficients c of the minimal polynomial x^m - sum_i c[i] x^i of the
     row vector u under u -> u @ s.
 
-    The Krylov vectors u s^j are reduced one at a time against the echelon
-    rows of those before, each row carrying its combination of the Krylov
-    vectors; the first that reduces to zero gives the relation, so only m
-    products with s are taken."""
-    n = s.shape[0]
-    echelon: list[tuple[int, np.ndarray, np.ndarray]] = []  # pivot, row, combination
-    v = linalg.asmod(u, p)
-    for j in range(n + 1):
-        w = v
-        c = np.zeros(n + 1, dtype=np.int64)
-        c[j] = 1
-        for pivot, row, comb in echelon:
-            f = int(w[pivot])
-            if f:
-                w = (w - f * row) % p
-                c = (c - f * comb) % p
-        nz = np.flatnonzero(w)
-        if nz.size == 0:
-            # u s^j = -sum_{i<j} c[i] u s^i
-            return (-c[:j]) % p
-        scale = pow(int(w[nz[0]]), p - 2, p)
-        echelon.append((int(nz[0]), w * scale % p, c * scale % p))
-        v = linalg.matmul(v[None, :], s, p)[0]
-    raise AssertionError("n + 1 vectors in F_p^n are dependent")
+    The Krylov vectors u s^j are taken while each raises the rank, so only
+    m products with s are made; the first dependent one is the combination
+    c of those before it."""
+    krylov = linalg.asmod(u, p)[None, :]
+    while linalg.rank(krylov, p) == len(krylov):
+        krylov = np.concatenate([krylov, linalg.matmul(krylov[-1:], s, p)])
+    return linalg.solve(krylov[:-1].T, krylov[-1], p)
 
 
 def _poly_roots(coeffs: np.ndarray, p: int) -> list[int]:
@@ -202,21 +159,22 @@ def _poly_roots(coeffs: np.ndarray, p: int) -> list[int]:
     return roots
 
 
-def _eigenspaces(r: np.ndarray, p: int) -> dict[int, np.ndarray]:
-    """Eigenvalue -> rows spanning its right eigenspace, over the F_p roots
-    of the minimal polynomials of e_0, e_1, ... under r, taken until the
-    eigenspaces fill F_p^d; their lcm is r's minimal polynomial, so fewer
-    than d dimensions means r does not split over F_p."""
-    d = r.shape[0]
+def _eigenspaces(s: np.ndarray, p: int, starts) -> dict[int, np.ndarray]:
+    """Eigenvalue -> rows spanning the left kernel of s - lambda, over the
+    F_p roots of the minimal polynomials of the vectors in starts under
+    u -> u @ s, taken until the spaces fill F_p^d.  Over a spanning set of
+    starts their lcm is s's minimal polynomial, so fewer than d dimensions
+    means s does not split over F_p."""
+    d = s.shape[0]
     spaces: dict[int, np.ndarray] = {}
     found = 0
-    for unit in linalg.identity(d):
+    for u in starts:
         if found == d:
             break
-        for lam in _poly_roots(_krylov_poly(r, unit, p), p):
+        for lam in _poly_roots(_krylov_poly(s, u, p), p):
             if lam not in spaces:
-                spaces[lam] = linalg.nullspace((r - lam * linalg.identity(d)) % p, p)
-                found += spaces[lam].shape[0]
+                spaces[lam] = linalg.nullspace(((s - lam * linalg.identity(d)) % p).T, p)
+                found += len(spaces[lam])
     return spaces
 
 
@@ -247,7 +205,7 @@ def character_table(g: Group, f: FieldPrime) -> CharTable:
             mv = linalg.matmul(mi, v, p)
             r = linalg.solve(v, mv, p)          # restriction of M_i to the subspace
             d = v.shape[1]
-            eigenspaces = _eigenspaces(r, p)
+            eigenspaces = _eigenspaces(r.T, p, linalg.identity(d))
             found = sum(ker.shape[0] for ker in eigenspaces.values())
             assert found == d, "class-sum matrix failed to split over F_p"
             for lam in sorted(eigenspaces):
@@ -293,24 +251,26 @@ def group_table(g: Group, f: FieldPrime) -> CharTable:
 class Irrep:
     """An irreducible matrix representation of a group over F_p.
 
-    matrices[i] is the image of element i; the convention is multiplicative,
+    matrices is one read-only (|G|, d, d) int64 stack, matrices[i] the
+    image of element i; the convention is multiplicative,
     rho(ab) = rho(a) @ rho(b), so rows give the right-module action
     x_j . a = sum_s rho(a)[j, s] x_s on row vectors.
     """
 
     def __init__(self, subgroup: Group, p: int, char_index: int,
-                 matrices: list[np.ndarray]):
+                 matrices: np.ndarray):
         self.subgroup = subgroup
         self.p = p
         self.char_index = char_index
         self.matrices = matrices
-        self.degree = int(matrices[0].shape[0]) if matrices else 1
+        self.matrices.flags.writeable = False
+        self.degree = matrices.shape[1]
 
     def matrix(self, a: int) -> np.ndarray:
         return self.matrices[a]
 
     def trace_vector(self) -> tuple[int, ...]:
-        return tuple(int(np.trace(m) % self.p) for m in self.matrices)
+        return tuple((np.trace(self.matrices, axis1=1, axis2=2) % self.p).tolist())
 
 
 def _right_mult_matrix(g: Group, coeffs: np.ndarray) -> np.ndarray:
@@ -322,15 +282,6 @@ def _right_mult_matrix(g: Group, coeffs: np.ndarray) -> np.ndarray:
     for x in range(g.order):
         r[x, g.products(x, every)] = coeffs
     return r
-
-
-def _min_poly_roots(s: np.ndarray, p: int, rng: random.Random) -> list[int]:
-    """Eigenvalues of s via the minimal polynomial of a random Krylov vector."""
-    m = s.shape[0]
-    u = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
-    if not u.any():
-        u[0] = 1
-    return _poly_roots(_krylov_poly(s, u, p), p)
 
 
 def irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int = 0) -> Irrep:
@@ -356,7 +307,7 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
     d = table.degrees[char_index]
     chi = np.array(row, dtype=np.int64)[class_of(g, np.arange(g.order))]
     if d == 1:
-        return Irrep(g, p, char_index, list(chi.reshape(-1, 1, 1)))
+        return Irrep(g, p, char_index, chi.reshape(-1, 1, 1))
 
     # central idempotent (d/|G|) sum chi(x^-1) x acting by left
     # multiplication; its transpose holds the coefficient of x at (y, x*y).
@@ -388,28 +339,27 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
         # endomorphism in basis coordinates acts on coefficient rows: c -> c @ s
         s = linalg.solve(basis.T, tb.T, p).T
         m = basis.shape[0]
-        best = None
-        for lam in _min_poly_roots(s, p, rng):
-            ker = linalg.nullspace(((s - lam * linalg.identity(m)) % p).T, p)
-            dim = ker.shape[0]
-            if 0 < dim < m and (best is None or dim < best[0]):
-                best = (dim, linalg.matmul(ker, basis, p))
-        if best is not None:
-            basis = linalg.row_space(best[1], p)
+        u = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
+        if not u.any():
+            u[0] = 1
+        proper = [ker for ker in _eigenspaces(s, p, [u]).values() if 0 < len(ker) < m]
+        if proper:
+            basis = linalg.row_space(linalg.matmul(min(proper, key=len), basis, p), p)
 
-    # matrices on generators by solving in the submodule basis, then words
-    gens, expr, order = g.generating_sequence()
-    mats: list[Optional[np.ndarray]] = [None] * g.order
-    mats[0] = linalg.identity(d)
-    gen_mats = []
-    for h in gens:
+    # matrices on generators by solving in the submodule basis, then one
+    # product per word level along the spanning tree of Group.words
+    gens = g.generating_sequence()
+    gen_mats = np.zeros((len(gens), d, d), dtype=np.int64)
+    for i, h in enumerate(gens):
         moved = np.zeros_like(basis)
         moved[:, g.products(h, every)] = basis  # left multiplication by h
-        gen_mats.append(linalg.solve(basis.T, moved.T, p))
-    for x in order:
-        prev, pos = expr[x]
-        mats[x] = linalg.matmul(mats[prev], gen_mats[pos], p)
-    rep = Irrep(g, p, char_index, mats)  # type: ignore[arg-type]
+        gen_mats[i] = linalg.solve(basis.T, moved.T, p)
+    prev, pos, levels = g.words(gens)
+    mats = np.zeros((g.order, d, d), dtype=np.int64)
+    mats[0] = linalg.identity(d)
+    for level in levels[1:]:
+        mats[level] = linalg.matmul(mats[prev[level]], gen_mats[pos[level]], p)
+    rep = Irrep(g, p, char_index, mats)
     assert rep.trace_vector() == tuple(chi.tolist()), \
         "trace of constructed representation does not match its character"
     return rep
@@ -442,8 +392,7 @@ def rep_twist(rep: Irrep, phi: ElementMap) -> Irrep:
     """The composite representation rho . phi on phi's source group."""
     if not np.array_equal(phi.dst.perms, rep.subgroup.perms):
         raise InputError("map target does not match the representation domain")
-    mats = [rep.matrices[phi.of(z)] for z in range(phi.src.order)]
-    return Irrep(phi.src, rep.p, -1, mats)
+    return Irrep(phi.src, rep.p, -1, rep.matrices[phi.table])
 
 
 def rep_equal(a: Irrep, b: Irrep) -> bool:

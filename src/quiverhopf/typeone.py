@@ -100,8 +100,11 @@ class TruncatedHopf:
         """Per local arrow l, the (l', coefficient) terms of l . h."""
         if h not in self._right_cache:
             cols = self.bim.right_stack([h])[0].T
-            self._right_cache[h] = [list(zip(np.flatnonzero(c).tolist(), c[c != 0].tolist()))
-                                    for c in cols]
+            # nonzero lists the arrows ascending: each arrow's terms are one slice
+            arrow, image = np.nonzero(cols)
+            terms = list(zip(image.tolist(), cols[arrow, image].tolist()))
+            bounds = np.searchsorted(arrow, np.arange(len(cols) + 1)).tolist()
+            self._right_cache[h] = [terms[a:b] for a, b in zip(bounds, bounds[1:])]
         return self._right_cache[h]
 
     def product_basis(self, pk: PathKey, qk: PathKey) -> Element:

@@ -91,7 +91,7 @@ def verify_yd(v: YDModule) -> Report:
     # (gs) |> a = g |> (s |> a) is a . (s^-1 g^-1) = (a . s^-1) . g^-1, the
     # zeta cocycle at (s^-1, g^-1) for all g at once; with e acting as 1
     # above, every pair by the lemma of Group.generating_sequence
-    gens = g.generating_sequence()[0] if v.dim else []
+    gens = g.generating_sequence() if v.dim else []
 
     def column_ok(s: int) -> np.ndarray:
         return np.all([m.cocycle(*key, theta, inv[s], inv) for key in m.blocks

@@ -119,10 +119,21 @@ def test_mutation_is_caught(s3):
             assert not verify_bimodule(m).passed
 
 
+def test_writing_a_block_leaves_the_cached_irrep_unchanged(s3):
+    rsr = make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)})
+    cached = rsr.irrep(1, 0).matrices
+    assert not cached.flags.writeable
+    before = cached.copy()
+    m = build_bimodule(rsr)
+    m.blocks[(1, 0)][1][0, 0] = (m.blocks[(1, 0)][1][0, 0] + 1) % m.p
+    assert (rsr.irrep(1, 0).matrices == before).all()
+    assert (build_bimodule(rsr).blocks[(1, 0)] == before).all()
+
+
 def _far_from_generators(g) -> int:
     """An element that is neither e, a generator nor a product of two: only
     the cases whose g or h ranges over all of G meet it."""
-    gens = g.generating_sequence()[0]
+    gens = g.generating_sequence()
     near = {0, *gens, *(g.mul(a, b) for a in gens for b in gens)}
     return next(h for h in range(g.order) if h not in near)
 
@@ -136,7 +147,7 @@ def test_reduced_counts_are_pairs_times_weight(spec, ram):
     r = parse_ramification(g, ram)
     rsr = rsr_from_type(g, r, enumerate_types(g, r)[-1])
     m = build_bimodule(rsr)
-    pairs = g.order * len(g.generating_sequence()[0])
+    pairs = g.order * len(g.generating_sequence())
     report = verify_bimodule(m)
     got = {c.name: c.checked for c in report.checks}
     assert report.passed and report.mode == "exhaustive"
@@ -179,7 +190,7 @@ def test_stacked_checks_name_the_first_failing_element(s3):
     # case covers all of G, fails on its first case and names the first g
     *_, (_, m) = _table_corruptions(s3)
     h = _far_from_generators(s3)
-    s = s3.generating_sequence()[0][0]
+    s = s3.generating_sequence()[0]
     checks = {c.name: c for c in verify_bimodule(m).checks}
     first_g = min(h, s3.mul(h, s3.inv(s)))
     assert checks["right-associativity"].to_json() == {
@@ -291,7 +302,7 @@ def test_changed_transversal_iso_entry_fails_action_intertwining(s3):
     t2 = {1: [t1[1][0], s3.mul(s3.find(Permutation((1, 0, 2))), t1[1][1]), t1[1][2]]}
     f = transversal_iso(rsr, t1, t2)
     report = f.verify()
-    gens = s3.generating_sequence()[0]
+    gens = s3.generating_sequence()
     assert {c.name: c.checked for c in report.checks}["action-intertwining"] == \
         2 * len(gens) * f.source.dim()
     assert report.passed, report.to_json()

@@ -180,6 +180,13 @@ def test_prime_past_int64_products_is_an_input_error(capsys, prime):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("prime", ["0", "1"])
+def test_prime_below_two_is_refused(capsys, prime):
+    code, out, err = run_cli(capsys, "chartab", "--group", "S3", "--prime", prime)
+    assert code == 2 and out == ""
+    assert err == f"error: {prime} is not prime\n"
+
+
 def test_csv_output(capsys):
     code, out, _ = run_cli(capsys, "rsr-enumerate", "--group", "S3",
                            "--ram", "e:2", "--format", "csv")

@@ -362,12 +362,13 @@ def test_subgroup_rows_match_closure(spec, classes):
 
 
 def test_generating_sequence_order_is_parent_first(s4):
-    gens, expr, order = s4.generating_sequence()
+    gens = s4.generating_sequence()
+    prev, pos, levels = s4.words(gens)
+    order = np.concatenate(levels)[1:].tolist()
     assert sorted(order) == list(range(1, s4.order))
     seen = {0}
     for e in order:
-        prev, pos = expr[e]
-        assert prev in seen and s4.mul(prev, gens[pos]) == e
+        assert prev[e] in seen and s4.mul(prev[e], gens[pos[e]]) == e
         seen.add(e)
 
 

@@ -23,7 +23,6 @@ from quiverhopf.modrep import (
     _eigenspaces,
     _is_prime,
     _krylov_poly,
-    _min_poly_roots,
     _poly_roots,
     character_table,
     group_table,
@@ -48,10 +47,6 @@ def test_choose_prime_invariants():
         assert _is_prime(f.p)
         assert f.p > 2 * g.order
         assert (f.p - 1) % g.exponent == 0
-        assert pow(f.zeta, g.exponent, f.p) == 1
-        if g.exponent > 1:
-            assert pow(f.zeta, g.exponent // 2 if g.exponent % 2 == 0 else 1,
-                       f.p) != 1 or g.exponent == 1
 
 
 def test_validate_prime(s3):
@@ -140,6 +135,19 @@ def test_irrep_multiplicative(spec, idx):
         ma = rep.matrix(a)
         for b in range(g.order):
             assert (rep.matrix(g.mul(a, b)) == (ma @ rep.matrix(b)) % f.p).all()
+
+
+@pytest.mark.parametrize("spec,idx", [("C2", 1), ("S4", 3)])
+def test_irrep_matrices_are_one_read_only_stack(spec, idx):
+    g = parse_group(spec)
+    rep = irrep_matrices(g, choose_prime(g), idx)
+    m = rep.matrices
+    assert isinstance(m, np.ndarray) and m.dtype == np.int64
+    assert m.shape == (g.order, rep.degree, rep.degree)
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0, 0] = 0
+    assert all(type(t) is int for t in rep.trace_vector())
 
 
 def test_irrep_deterministic(s4, s4_field):
@@ -275,10 +283,9 @@ def test_min_poly_root_scan_matches_scalar_evaluation(p):
             assert (powers[-1] == sum(int(c) * w for c, w in
                                       zip(coeffs, powers)) % p).all()
             assert _poly_roots(coeffs, p) == _scalar_roots(coeffs, p)
-            if u.any():
-                assert _min_poly_roots(s, p, random.Random(seed)) == \
-                    _scalar_roots(coeffs, p)
-        assert set(_min_poly_roots(conj, p, rng)) <= set(np.diag(diag).tolist())
+            assert list(_eigenspaces(s, p, [u])) == _scalar_roots(coeffs, p)
+        u = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
+        assert set(_eigenspaces(conj, p, [u])) <= set(np.diag(diag).tolist())
 
 
 def test_krylov_sequence_stops_at_the_first_dependence(monkeypatch):
@@ -293,6 +300,20 @@ def test_krylov_sequence_stops_at_the_first_dependence(monkeypatch):
     coeffs = _krylov_poly(s, u, p)
     assert coeffs.tolist() == [(-10) % p, 7]
     assert len(calls) == 2
+
+
+def test_krylov_relation_comes_from_rank_and_solve(monkeypatch):
+    p = 61
+    s = np.diag([2] * 3 + [5] * 3)
+    u = np.arange(1, 7, dtype=np.int64)
+    calls = []
+    for name in ("rank", "solve"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
+    assert _krylov_poly(s, u, p).tolist() == [(-10) % p, 7]
+    # one rank per Krylov vector up to the first dependent one, then one solve
+    assert calls == ["rank"] * 3 + ["solve"]
 
 
 @pytest.mark.parametrize("spec", ["S5", "S6"])
@@ -315,10 +336,10 @@ def test_eigenspaces_fall_short_when_a_matrix_does_not_split():
     p = 7
     # x^2 + 1 has no root mod 7; a Jordan block has a 1-dim eigenspace
     for r in (np.array([[0, p - 1], [1, 0]]), np.array([[3, 1], [0, 3]])):
-        spaces = _eigenspaces(r, p)
+        spaces = _eigenspaces(r.T, p, linalg.identity(2))
         assert sum(ker.shape[0] for ker in spaces.values()) < 2
     r = np.array([[2, 0, 0], [0, 5, 0], [0, 0, 2]])
-    spaces = _eigenspaces(r, p)
+    spaces = _eigenspaces(r.T, p, linalg.identity(3))
     assert {lam: ker.shape[0] for lam, ker in spaces.items()} == {2: 2, 5: 1}
     for lam, ker in spaces.items():
         assert (linalg.matmul(r, ker.T, p) == lam * ker.T % p).all()

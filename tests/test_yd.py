@@ -141,7 +141,7 @@ def test_verify_yd_catches_theta_prime_mutation(s3):
 
 def test_action_multiplicative_names_first_failing_pair(s3, sgn_module):
     g = s3
-    gens = g.generating_sequence()[0]
+    gens = g.generating_sequence()
     # (0 2) is neither a generator nor a product of two: only the pairs
     # (g, s) with g over all of G meet it
     far = g.find(Permutation((2, 1, 0)))
@@ -179,7 +179,7 @@ def dense_yd_checks(v):
     one = bool((acts[0] == np.eye(d, dtype=np.int64)).all())
     out = [("identity-acts-trivially", one, 1,
             None if one else "the identity does not act trivially")]
-    gens = g.generating_sequence()[0]
+    gens = g.generating_sequence()
     mult = ("action-multiplicative", True, g.order * len(gens), None)
     for i, s in enumerate(gens):
         ok = [(acts[g.mul(a, s)] == linalg.matmul(acts[a], acts[s], p)).all()
