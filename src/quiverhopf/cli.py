@@ -4,8 +4,8 @@ Verbs: group-info, chartab, rsr-count, rsr-enumerate, rsr-iso,
 bimodule-verify, yd-verify, nichols-dims, hopf-verify, hopf-dims, selftest.
 Output is JSON (sorted keys; byte-identical for identical argv + seed);
 CSV is available for the tabular census verbs.  Exit codes: 0 ok,
-1 verification failure, 2 input error or exceeded budget (a module or a
-working matrix over the Nichols budget, see `yd.nichols_dims`, or a path
+1 verification failure, 2 input error or exceeded budget (an array of a
+Nichols degree over `yd.CELL_CAP` cells, see `yd.nichols_dims`, or a path
 basis over `typeone.PATH_CAP`); errors are one `error: ...` line on stderr.
 """
 

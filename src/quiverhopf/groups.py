@@ -319,7 +319,11 @@ class Group:
         indices): x = prev[x] * gens[pos[x]] (-1 at e and off the subgroup
         gens generate), and the levels: the elements first reached at each
         word length, in the order a scan of the previous level times each
-        generator in turn meets them (level 0 is [0])."""
+        generator in turn meets them (level 0 is [0]).  Built once per
+        tuple of generators and kept in `caches`, read-only."""
+        key = ("words", tuple(int(s) for s in gens))
+        if key in self.caches:
+            return self.caches[key]
         gens = np.asarray(gens, dtype=np.intp)
         prev = np.full(self.order, -1)
         pos = np.full(self.order, -1)
@@ -334,7 +338,10 @@ class Group:
             prev[new] = levels[-1][first // gens.size]
             pos[new] = first % gens.size
             levels.append(new)
-        return prev, pos, levels
+        for a in (prev, pos, *levels):
+            a.flags.writeable = False
+        self.caches[key] = prev, pos, levels
+        return self.caches[key]
 
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"

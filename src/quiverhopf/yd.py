@@ -1,5 +1,5 @@
 """Coinvariant Yetter-Drinfeld module, braiding, and Nichols-algebra
-graded dimensions via quantum symmetrizer ranks.
+graded dimensions via skew derivations.
 
 The coinvariants of the arrow bimodule M = kG (x) V are V: the apv arrows
 out of the identity vertex, arrow numbers 0..apv-1 of x * apv + l.  The
@@ -12,19 +12,28 @@ YD modules over a group algebra,
 
     c(a (x) b) = (deg(a) |> b) (x) a,
 
-and the degree-n component of the Nichols algebra has dimension equal to
-the rank over F_p of the quantum symmetrizer S_n = sum_{sigma} T_sigma,
+and the degree-n component B^n of the Nichols algebra has dimension equal
+to the rank over F_p of the quantum symmetrizer S_n = sum_{sigma} T_sigma,
 where T_sigma lifts sigma through the braiding along a reduced word
 (well-defined by the braid relation).
 
-Production ranks never form S_n.  They come from the coset recursion
-S_n = B_n (S_{n-1} (x) id), B_n = sum_j c_j c_{j+1} ... c_{n-2}, the sum
-over minimal coset representatives of Sym(n-1) in Sym(n) (Schauenburg;
-Rosso's quantum shuffles): Im S_n = B_n (Im S_{n-1} (x) V), with B_n
-applied by braiding two tensor slots at a time.  The braiding preserves
-the G-degree of a tensor word, so each image is ranked one G-degree block
-at a time.  The dense sum over Sym(n) (`quantum_symmetrizer`) is kept as
-the test oracle.  Ranks are computed mod p; `nichols_dims_multiprime`
+Production ranks form neither S_n nor a tensor power of V.  The coset
+factorization S_n = (S_{n-1} (x) 1) T_n, T_n = sum_j c_{n-2} ... c_j (c_j
+applied first), gives S_n(x) = sum_i S_{n-1}(d_i x) (x) e_i for the skew
+derivations d_i(x (x) a) = a_i x + d_i(x) (x) (deg(i) |> a): x vanishes in
+B^n exactly when every d_i x vanishes in B^{n-1} (Milinski-Schneider 2000;
+Andruskiewitsch-Grana 2003).  B^n is spanned by the products e_k . a of a
+basis of B^{n-1} with the letters, whose derivations on that basis are
+
+    Phi[(k, a), (i, .)] = delta_ia e_k + sum_b (deg(i) |> e_a)_b (D_i R_b)[k, .]
+
+for D_i : B^{n-1} -> B^{n-2} and R_b : B^{n-2} -> B^{n-1} (right
+multiplication) on bases, so dim B^n = rank Phi.  The rref rows of Phi are
+the basis of B^n and their blocks i the next D_i; a product's entries at
+the pivots are its coordinates, the next R_a.  The recursion starts at
+B^0 = k, and as d_i maps G-degree h to h deg(i)^-1, Phi is ranked one
+G-degree block at a time.  The dense sum over Sym(n) (`quantum_symmetrizer`)
+is the test oracle.  Ranks are computed mod p; `nichols_dims_multiprime`
 reports the maximum over several valid primes and flags disagreement.
 """
 
@@ -38,20 +47,19 @@ import numpy as np
 
 from . import linalg
 from .bimodule import HopfBimodule, Report, build_bimodule, check, check_all
-from .groups import Group, InputError
+from .groups import InputError
 from .modrep import next_primes
 from .rsr import RSR, make_rsr
 
 BRAIDING_CONVENTION = "c(a(x)b) = (deg(a) |> b) (x) a"
 
-DEFAULT_DIM_CAP = 8
-# cells of the working matrix Im S_{n-1} (x) V: 2^25 int64 cells are 256 MiB,
-# and braiding it holds about three such arrays
-CELL_CAP = 1 << 25
+# cells of the largest array of a Nichols degree: 2^24 int64 cells are
+# 128 MiB, and building the derivation matrices holds about four such arrays
+CELL_CAP = 1 << 24
 
 
 class BudgetError(RuntimeError):
-    """The module or a working matrix exceeds the Nichols budget."""
+    """A working array exceeds the Nichols budget."""
 
 
 class YDModule:
@@ -200,82 +208,64 @@ def quantum_symmetrizer(c: Braiding, n: int,
     return s
 
 
-def _braid_slots(c: Braiding, x: np.ndarray, j: int) -> np.ndarray:
-    """c applied to tensor slots j, j+1 of every column of x (d^n rows): one
-    product of c.matrix with x viewed as (d^j, d^2, rest), no kron'd operator."""
-    y = linalg.matmul(c.matrix, x.reshape(c.dim ** j, c.dim * c.dim, -1), c.p)
-    return y.reshape(x.shape)
-
-
-def _word_degrees(g: Group, prev: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """G-degree of each word w.a (index w*d + a), the product deg(w) deg(a)."""
-    hs, where = np.unique(prev, return_inverse=True)
-    table = g.products(hs[:, None], letters[None, :]).astype(np.int64)
-    return table[where].reshape(-1)
-
-
 def nichols_dims(v: YDModule, max_deg: int) -> list[int]:
     """Graded dimensions of the Nichols algebra of v up to degree max_deg.
 
-    Im S_n is kept as one basis per G-degree h, stored on the rows of the
-    degree-h tensor words only; see the module docstring.  The budget:
-    BudgetError when the module dimension exceeds DEFAULT_DIM_CAP, or when
-    the working matrix of a degree, d^n words by the columns of
-    Im S_{n-1} (x) V, would exceed CELL_CAP cells.  It is checked before
-    that matrix is allocated, and a degree whose image is already zero
-    allocates nothing."""
+    D_i and R_a (module docstring) are kept per G-degree block of B^n,
+    padded to the largest block and stacked with a zero block last, for the
+    G-degrees with no element: deriv[K, k, (i, j)] is D_i of element k of
+    block K on element j of block K deg(i)^-1, and right[K, (a, j), k] is
+    R_a of element j of block K deg(a)^-1 on element k of block K.  The
+    budget: BudgetError when the blocks of a degree and the zero block, each
+    d*m by d*max(m, m0) cells for the largest blocks m, m0 of the two
+    degrees below, exceed CELL_CAP.  That bounds every array of the degree
+    and is checked first; a degree past a zero image allocates nothing."""
     if max_deg < 0:
         raise InputError("max_deg must be non-negative")
-    if v.dim > DEFAULT_DIM_CAP:
-        raise BudgetError(f"module dimension {v.dim} exceeds cap {DEFAULT_DIM_CAP}")
+    g, d, p = v.group, v.dim, v.p
+    letters = np.asarray(v.grading, dtype=np.intp)
+    act = v.action(letters).transpose(0, 2, 1)    # [i, a, b]: (deg(i) |> e_a)_b
+    # B^0 = k at G-degree e, over B^{-1} = 0
+    hs, sizes, m0, m = np.zeros(1, dtype=np.intp), np.array([1, 0]), 0, 1
+    deriv = np.zeros((2, m, d * m0), dtype=np.int64)
+    right = np.zeros((2, d * m0, m), dtype=np.int64)
     dims = [1]
-    if max_deg == 0:
-        return dims
-    dims.append(v.dim)
-    if v.dim == 0:
-        return dims + [0] * (max_deg - 1)
-    c = braiding(v)
-    d, p = v.dim, v.p
-    letters = np.asarray(v.grading, dtype=np.int64)
-    word_deg = letters
-    # Im S_1 = V: (G-degree, its rows, basis as rows over those rows)
-    blocks = []
-    for h in np.unique(letters):
-        rows = np.flatnonzero(letters == h)
-        blocks.append((int(h), rows, linalg.identity(len(rows))))
-    for n in range(2, max_deg + 1):
-        if not blocks:
-            dims.append(0)
-            continue
-        # Im S_{n-1} (x) V on the d^n words, each column tagged by G-degree
-        width = sum(len(basis) for _, _, basis in blocks) * d
-        if d ** n * width > CELL_CAP:
-            raise BudgetError(
-                f"degree {n} needs {d ** n} x {width} = {d ** n * width} "
-                f"cells, over the cap of {CELL_CAP}")
-        word_deg = _word_degrees(v.group, word_deg, letters)
-        x = np.zeros((d ** n, width), dtype=np.int64)
-        col_deg = np.empty(width, dtype=np.int64)
-        at = 0
-        for h, rows, basis in blocks:
-            k = len(basis)
-            for a in range(d):
-                x[rows * d + a, at:at + k] = basis.T
-                col_deg[at:at + k] = v.group.mul(h, int(letters[a]))
-                at += k
-        # B_n x = sum_j c_j ... c_{n-2} x, by braiding slots n-2, ..., 0
-        image, y = x, x
-        for j in range(n - 2, -1, -1):
-            y = _braid_slots(c, y, j)
-            image += y
-            image %= p
-        blocks = []
-        for h in np.unique(col_deg):
-            rows = np.flatnonzero(word_deg == h)
-            basis = linalg.row_space(image[np.ix_(rows, col_deg == h)].T, p)
-            if len(basis):
-                blocks.append((int(h), rows, basis))
-        dims.append(sum(len(basis) for _, _, basis in blocks))
+    for n in range(1, max_deg + 1):
+        # block H of B^n is spanned by e_k . a, k in block H deg(a)^-1 of B^{n-1}
+        new = np.unique(g.products(hs[:, None], letters[None, :]))
+        if not new.size:
+            return dims + [0] * (max_deg + 1 - n)
+        cells = (len(new) + 1) * d * m * d * max(m, m0)
+        if cells > CELL_CAP:
+            raise BudgetError(f"degree {n} needs {cells} cells, over the cap of {CELL_CAP}")
+        at = np.full(g.order, len(hs))
+        at[hs] = np.arange(len(hs))
+        down = at[g.products(new[:, None], g.inverses[letters][None, :])]
+        # phi[H, (a, k), (i, l)] = delta + sum_b (deg(i) |> e_a)_b (D_i R_b)[k, l]
+        dr = linalg.matmul(act, right[down].reshape(len(new), d, d, m0 * m), p)
+        dr = dr.reshape(len(new), d, d, m0, m).transpose(0, 2, 1, 3, 4)
+        dg = deriv[down].reshape(len(new), d, m, d, m0).transpose(0, 1, 3, 2, 4)
+        phi = linalg.matmul(dg, dr, p).transpose(0, 1, 3, 2, 4).reshape(len(new), d * m, -1)
+        valid = (np.arange(m) < sizes[down][:, :, None]).reshape(len(new), -1)
+        phi[:, np.arange(d * m), np.arange(d * m)] += valid
+        # the rref rows of a block are its basis, their blocks i its D_i, and
+        # a product's entries at the pivots its coordinates, its R_a row
+        found = []
+        for h in range(len(new)):
+            idx = np.flatnonzero(valid[h])
+            sub = phi[h][np.ix_(idx, idx)]
+            r, piv = linalg.rref(sub, p)
+            if piv:
+                found.append((h, idx, r[:len(piv)], sub[:, piv]))
+        m0, m = m, max((len(rows) for _, _, rows, _ in found), default=0)
+        deriv = np.zeros((len(found) + 1, m, d * m0), dtype=np.int64)
+        right = np.zeros((len(found) + 1, d * m0, m), dtype=np.int64)
+        for t, (_, idx, rows, cols) in enumerate(found):
+            deriv[t][:len(rows), idx] = rows
+            right[t][idx, :len(rows)] = cols
+        sizes = np.array([len(rows) for _, _, rows, _ in found] + [0])
+        hs = new[[h for h, _, _, _ in found]]
+        dims.append(int(sizes.sum()))
     return dims
 
 

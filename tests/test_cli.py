@@ -288,10 +288,10 @@ def test_hopf_verify_honours_exhaustive_flag(capsys):
 
 
 def test_budget_error_exit_code(capsys):
-    # the 12-dimensional module exceeds the default Nichols dimension cap
+    # degree 4 of the 12-dimensional module exceeds the Nichols cell budget
     for verb in ("hopf-dims", "nichols-dims"):
         code, out, err = run_cli(capsys, verb, "--group", "S4",
-                                 "--ram", "(0 1):2", "--max-degree", "3",
+                                 "--ram", "(0 1):2", "--max-degree", "4",
                                  "--type-index", "0")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -372,6 +372,16 @@ def test_generating_sequence_order_is_parent_first(s4):
         seen.add(e)
 
 
+def test_word_tree_is_built_once_per_generator_tuple():
+    # the tree generating_sequence() ends on is the one irreps are built
+    # along: a second call returns it without a new breadth-first search
+    g = parse_group("S4")
+    gens = g.generating_sequence()
+    tree = g.words(gens)
+    assert g.words(list(gens)) is tree
+    assert not any(a.flags.writeable for a in (tree[0], tree[1], *tree[2]))
+
+
 def test_exponent(s3, s4):
     assert s3.exponent == 6
     assert s4.exponent == 12

@@ -376,14 +376,16 @@ def test_zero_module_braiding_reports_no_empty_check(s3):
 
 
 def test_budget_error(monkeypatch, sgn_module):
-    # degree 3 needs 27 words x 12 columns = 324 cells
+    # degree 3 has 3 blocks and the zero block, each 6 x 6 cells: 144
     monkeypatch.setattr(yd, "CELL_CAP", 100)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="degree 3 needs 144 cells"):
         nichols_dims(sgn_module, 5)
 
 
-def test_budget_counts_allocated_cells_only(sgn_module):
-    # 3^11 words would pass no row cap, but Im S_5 = 0 allocates nothing
+def test_budget_counts_allocated_cells_only(monkeypatch, sgn_module):
+    # the 144 cells of degree 3 are the most any degree needs: past
+    # Im S_5 = 0 the degrees up to 11 allocate nothing
+    monkeypatch.setattr(yd, "CELL_CAP", 144)
     assert nichols_dims(sgn_module, 11) == [1, 3, 4, 3, 1] + [0] * 7
 
 
@@ -438,16 +440,13 @@ def test_same_type_pairs_share_dims(s3):
     assert nichols_dims(yd_from_rsr(a), 3) == nichols_dims(yd_from_rsr(b), 3)
 
 
-def test_dim_cap(monkeypatch, s4):
-    # a 12-dimensional module trips the default module-dimension cap
+def test_no_module_dimension_cap(s4):
+    # a 12-dimensional module needs no cap on its dimension
     ram = parse_ramification(s4, "(0 1):2")
     rsr = make_rsr(s4, ram, None, {1: (0, 1)})
     v = yd_from_rsr(rsr)
     assert v.dim == 12
-    with pytest.raises(BudgetError):
-        nichols_dims(v, 2)
-    monkeypatch.setattr(yd, "DEFAULT_DIM_CAP", 12)
-    assert nichols_dims(v, 2)[1] == 12
+    assert nichols_dims(v, 2) == dense_dims(v, 2) == [1, 12, 118]
 
 
 def test_trivially_braided_module_gives_symmetric_algebra(s4):
@@ -511,3 +510,30 @@ def test_fomin_kirillov_through_degree_5(index):
 
 def test_s3_transposition_to_degree_9(sgn_module):
     assert nichols_dims(sgn_module, 9) == [1, 3, 4, 3, 1, 0, 0, 0, 0, 0]
+
+
+def _q_series(parts):
+    """Coefficients of the product of the q-integers [n] = 1 + q + ... + q^(n-1)."""
+    series = np.ones(1, dtype=np.int64)
+    for n in parts:
+        series = np.convolve(series, np.ones(n, dtype=np.int64))
+    return series.tolist()
+
+
+@pytest.mark.parametrize("spec, ram, index", [("S4", "(0 1):1", 1),
+                                              ("S4", "(0 1):1", 3),
+                                              ("S4", "(0 1 2 3):1", 3)])
+def test_fomin_kirillov_whole_series(spec, ram, index):
+    # E_4 has Hilbert series [2]^2 [3]^2 [4]^2: top degree 12, dimension 576
+    _, v = _types(spec, ram)[index]
+    dims = nichols_dims(v, 13)
+    assert dims == _q_series([2, 2, 3, 3, 4, 4]) + [0]
+    assert dims[:13] == dims[12::-1] and sum(dims) == 576
+
+
+def test_s5_transposition_starts_like_e5():
+    # E_5 has Hilbert series [4]^4 [5]^2 [6]^4 (dimension 8,294,400)
+    _, v = _types("S5", "(0 1):1")[1]
+    assert v.dim == 10
+    assert nichols_dims(v, 5) == _q_series([4] * 4 + [5] * 2 + [6] * 4)[:6] == \
+        [1, 10, 55, 220, 711, 1960]
