@@ -10,6 +10,7 @@ from .bimodule import (
     verify_bimodule,
 )
 from .groups import (
+    BudgetError,
     ConjClassCtx,
     Group,
     InputError,
@@ -60,7 +61,6 @@ from .typeone import (
 )
 from .yd import (
     Braiding,
-    BudgetError,
     YDModule,
     braiding,
     coinvariant_yd,

@@ -6,6 +6,11 @@ i.e. the left factor acts first.  Elements are referred to by their index
 in the canonical element order (image tuples sorted lexicographically);
 index 0 is always the identity.  A group holds its elements once, as an
 array of image rows, and derives everything else from it as index arrays.
+
+Malformed input raises InputError; work over a budget raises its subclass
+BudgetError, here the order cap and AUT_BUDGET, downstream yd.CELL_CAP and
+typeone.PATH_CAP.  Aut G is searched within AUT_BUDGET; past it only the
+theorem Aut S_n = Inn S_n (n != 6) answers, in outer_representatives.
 """
 
 from __future__ import annotations
@@ -20,6 +25,11 @@ import numpy as np
 
 class InputError(ValueError):
     """Malformed user-facing input: group specs, ramifications, files."""
+
+
+class BudgetError(InputError):
+    """Work over a budget: the order cap, AUT_BUDGET, yd.CELL_CAP or
+    typeone.PATH_CAP."""
 
 
 DEFAULT_ORDER_CAP = 5040
@@ -164,7 +174,7 @@ def _generated(degree: int, generators: Sequence[Permutation],
         levels.append(reached[first])
         seen.update(_keys(levels[-1]).tolist())
         if len(seen) > order_cap:
-            raise InputError(f"group order exceeds cap {order_cap}")
+            raise BudgetError(f"group order exceeds cap {order_cap}")
     rows = np.concatenate(levels, dtype=width)
     by_key = np.argsort(_keys(rows))
     g = Group(rows[by_key], name=name, spec=spec, generators=generators)
@@ -285,12 +295,6 @@ class Group:
         """Boolean mask of the elements h with h*a == a*h."""
         every = np.arange(self.order)
         return self.products(every, a) == self.products(a, every)
-
-    def center(self) -> list[int]:
-        central = np.ones(self.order, dtype=bool)
-        for a in self.generating_sequence():
-            central &= self.commutes_with(a)
-        return np.flatnonzero(central).tolist()
 
     def generating_sequence(self) -> list[int]:
         """Greedy generating sequence: each element, in canonical order,
@@ -449,7 +453,7 @@ def automorphisms(g: Group) -> np.ndarray:
     extended along one spanning tree of words (Group.words) and kept when
     only e maps to e and phi(a s) = phi(a) phi(s) for every a and generator
     s: a multiplicative map with trivial kernel, so a bijection.  The work,
-    prod |candidates| * |G| cells, must fit AUT_BUDGET (else InputError
+    prod |candidates| * |G| cells, must fit AUT_BUDGET (else BudgetError
     before anything is built); it runs in blocks of _AUT_BLOCK cells.
     """
     if "automorphisms" in g.caches:
@@ -460,8 +464,8 @@ def automorphisms(g: Group) -> np.ndarray:
     cands = [np.flatnonzero((orders == orders[s]) & (sizes == sizes[s])) for s in gens]
     cells = math.prod(len(c) for c in cands) * g.order
     if cells > AUT_BUDGET:
-        raise InputError(f"{cells} cells of candidate automorphisms exceed "
-                         f"the automorphism budget of {AUT_BUDGET}")
+        raise BudgetError(f"{cells} cells of candidate automorphisms exceed "
+                          f"the automorphism budget of {AUT_BUDGET}")
     images = np.stack(np.meshgrid(*cands, indexing="ij"), -1).reshape(-1, len(gens))
     prev, pos, levels = g.words(gens)
     times_gen = g.products(np.arange(g.order)[:, None], np.array(gens)[None, :])
@@ -483,13 +487,27 @@ def automorphisms(g: Group) -> np.ndarray:
     return auts
 
 
+_SYM_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
+
+
 def outer_representatives(g: Group) -> list[np.ndarray]:
     """The first automorphism of each coset of Inn G in Aut G as an index
-    array, cached on g: phi c_h has phi's generator images conjugated by phi(h)."""
+    array, cached on g: phi c_h has phi's generator images conjugated by phi(h).
+
+    Past the budget of `automorphisms` the theorem Aut S_n = Inn S_n
+    (n != 6) answers a group named S_n with the identity alone; any other
+    group is refused with the BudgetError."""
     if "outer" not in g.caches:
+        try:
+            auts = automorphisms(g)
+        except BudgetError:
+            m = _SYM_RE.match(g.name or "")
+            if not (m and m.group(1) == "S" and int(m.group(2)) != 6):
+                raise
+            auts = np.arange(g.order)[None, :]
         gens, reps, seen = g.generating_sequence(), [], set()
         every = np.arange(g.order)[:, None]
-        for images in automorphisms(g):
+        for images in auts:
             if tuple(images[gens].tolist()) not in seen:
                 reps.append(images)
                 conj = g.products(g.products(g.inverses[every], images[gens]), every)
@@ -498,16 +516,9 @@ def outer_representatives(g: Group) -> list[np.ndarray]:
     return g.caches["outer"]
 
 
-_SYM_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
-
-
 def inner_only(g: Group) -> bool:
-    """Whether Aut G = Inn G, that is |Aut G| = |G/Z(G)|; S_n (n != 6) is
-    answered from its name."""
-    m = _SYM_RE.match(g.name or "")
-    if m and m.group(1) == "S" and int(m.group(2)) != 6:
-        return True
-    return len(automorphisms(g)) == g.order // len(g.center())
+    """Whether Aut G = Inn G: one coset in outer_representatives."""
+    return len(outer_representatives(g)) == 1
 
 
 def _sym_gens(n: int) -> list[Permutation]:

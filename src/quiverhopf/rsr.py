@@ -8,7 +8,8 @@ r_C.  The type (per-class multiplicity vector against the canonical
 character order of Z_u0(C)) is a complete isomorphism invariant whenever
 Aut G = Inn G.  The key (rsr_key), the least type of phi*rsr over all phi
 in Aut G, is a complete invariant for every group within the budget of
-groups.automorphisms: isomorphic(a, b, "search-aut") compares keys.
+groups.automorphisms, and for S_n past it (groups.outer_representatives):
+isomorphic compares keys in both of its modes.
 
 twist_rsr, rsr_type and rsr_key all move characters between centralizers
 through one pull-back along an ambient map z -> h phi(z) h^-1 (_pull_back).
@@ -235,7 +236,8 @@ def rsr_key(rsr: RSR) -> RSRType:
 
     Two RSRs on one group and prime are isomorphic exactly when their keys
     are equal, for every group whose automorphisms fit the budget of
-    groups.automorphisms (A5, S5 and S6 among them); past it InputError.
+    groups.automorphisms (A5, S5 and S6 among them) and for S_n past it;
+    any other group past it raises BudgetError.
     """
     if rsr._key is None:
         rsr._key = min((_type_along(rsr, phi)
@@ -245,23 +247,22 @@ def rsr_key(rsr: RSR) -> RSRType:
 
 
 def isomorphic(a: RSR, b: RSR, mode: str = "assume-inner") -> bool:
-    """RSR isomorphism test.
+    """RSR isomorphism test: both modes compare keys (rsr_key).
 
-    assume-inner compares types, which is complete only when Aut G = Inn G,
-    and raises InputError otherwise; search-aut compares keys (rsr_key),
-    which is complete for every group within the automorphism budget
-    (groups.AUT_BUDGET) and raises InputError past it.
+    assume-inner first requires Aut G = Inn G (groups.inner_only), where
+    the key is the type; search-aut has no precondition.  Both hold for
+    every group within the automorphism budget (groups.AUT_BUDGET) and for
+    S_n past it (groups.outer_representatives), and raise BudgetError
+    otherwise.
     """
     if a.group is not b.group:
         raise InputError("RSRs must live on the same group object")
     if a.field.p != b.field.p:
         raise InputError("RSRs must use the same prime")
-    if mode == "assume-inner":
-        if not inner_only(a.group):
-            raise InputError("assume-inner requires Aut G = Inn G")
-        return rsr_type(a) == rsr_type(b)
-    if mode != "search-aut":
+    if mode not in ("assume-inner", "search-aut"):
         raise InputError(f"unknown mode {mode!r}")
+    if mode == "assume-inner" and not inner_only(a.group):
+        raise InputError("assume-inner requires Aut G = Inn G")
     return rsr_key(a) == rsr_key(b)
 
 
@@ -277,7 +278,9 @@ def _tau(degrees: Sequence[int], r: int) -> int:
 
 def count_classes(g: Group, ram: Ramification,
                   field: Optional[FieldPrime] = None) -> int:
-    """Number of isomorphism classes of RSRs with this ramification."""
+    """Number of RSR types with this ramification: the number of
+    isomorphism classes only when Aut G = Inn G, and an overcount
+    otherwise (one class may hold several types, see rsr_key)."""
     field = field if field is not None else choose_prime(g)
     classes = conjugacy_classes(g)
     total = 1
@@ -307,7 +310,8 @@ def _multiplicity_vectors(degrees: Sequence[int], r: int) -> list[tuple[int, ...
 
 def enumerate_types(g: Group, ram: Ramification,
                     field: Optional[FieldPrime] = None) -> list[RSRType]:
-    """All RSR types for the ramification, one per isomorphism class."""
+    """All RSR types for the ramification: one per isomorphism class only
+    when Aut G = Inn G (otherwise see rsr_key)."""
     field = field if field is not None else choose_prime(g)
     classes = conjugacy_classes(g)
     per_class = []

@@ -36,9 +36,9 @@ from typing import Optional
 import numpy as np
 
 from .bimodule import HopfBimodule, Report, build_bimodule, cases, check, combine
-from .groups import InputError
+from .groups import BudgetError, InputError
 from .rsr import RSR
-from .yd import BudgetError, nichols_dims, yd_from_rsr
+from .yd import nichols_dims, yd_from_rsr
 
 # basis keys: (start vertex, l_1, ..., l_n), the path whose i-th arrow is
 # local arrow l_i at the end of the first i - 1; (x,) is the vertex x

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import linalg
 from .bimodule import HopfBimodule, Report, build_bimodule, check, check_all
-from .groups import InputError
+from .groups import BudgetError, InputError
 from .modrep import next_primes
 from .rsr import RSR, make_rsr
 
@@ -56,10 +56,6 @@ BRAIDING_CONVENTION = "c(a(x)b) = (deg(a) |> b) (x) a"
 # cells of the largest array of a Nichols degree: 2^24 int64 cells are
 # 128 MiB, and building the derivation matrices holds about four such arrays
 CELL_CAP = 1 << 24
-
-
-class BudgetError(RuntimeError):
-    """A working array exceeds the Nichols budget."""
 
 
 class YDModule:

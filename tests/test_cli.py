@@ -264,9 +264,10 @@ def test_explicit_exhaustive_flag(capsys):
     doc = json.loads(out)
     assert doc["results"][0]["report"]["mode"] == "exhaustive"
     for flag in ("--exhaustive", "--samples=5"):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(capsys, *argv, flag)
-        assert exc.value.code == 2 and flag.split("=")[0] in capsys.readouterr().err
+        code, out, err = run_cli(capsys, *argv, flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag.split("=")[0] in err
     code, out, _ = run_cli(capsys, "selftest", "--group", "C2", "--exhaustive")
     assert code == 0
     assert {s["hopf"]["mode"] for s in json.loads(out)["sections"]} == {"exhaustive"}
@@ -359,3 +360,40 @@ def test_samples_has_one_default(capsys):
                   "--max-degree", "2"),
                  ("selftest", "--group", "S4", "--ram", "(0 1):1")):
         assert cli.build_parser().parse_args(list(argv)).samples == 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-info", "--group", "S3", "--bogus"],
+    ["group-info", "--group", "S3", "--prime", "7"],
+    ["chartab", "--group", "S3", "--seed", "x"],
+    ["no-such-verb", "--group", "S3"],
+    [],
+])
+def test_argparse_rejections_are_one_error_line(capsys, argv):
+    # an unknown flag or verb, a flag the verb does not read and a value
+    # that is not an integer return 2 with one error line, as any input error
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["group-info", "--help"])
+    assert exc.value.code == 0 and "--group" in capsys.readouterr().out
+
+
+def test_rsr_iso_search_aut_on_s7(capsys, tmp_path):
+    # Aut S7 is past the automorphism budget; Aut S_n = Inn S_n (n != 6)
+    # answers it, so the twisted and the canonical RSR are isomorphic
+    g = parse_group("S7")
+    rsr = make_rsr(g, parse_ramification(g, "(0 1):1"), None, {1: (0,)})
+    canonical, twisted = rsr.to_json(), rsr.to_json()
+    twisted["u"] = [{"class": 1, "rep": "(1 2)"}]
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(canonical))
+    pb.write_text(json.dumps(twisted))
+    code, out, err = run_cli(capsys, "rsr-iso", str(pa), str(pb), "--mode", "search-aut")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["isomorphic"] is True

