@@ -10,7 +10,8 @@ array of image rows, and derives everything else from it as index arrays.
 Malformed input raises InputError; work over a budget raises its subclass
 BudgetError, here the order cap and AUT_BUDGET, downstream yd.CELL_CAP and
 typeone.PATH_CAP.  Aut G is searched within AUT_BUDGET; past it only the
-theorem Aut S_n = Inn S_n (n != 6) answers, in outer_representatives.
+theorem Aut S_n = Inn S_n (n != 6) answers, in outer_representatives, for
+a group of degree n and order n!.
 """
 
 from __future__ import annotations
@@ -487,22 +488,19 @@ def automorphisms(g: Group) -> np.ndarray:
     return auts
 
 
-_SYM_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
-
-
 def outer_representatives(g: Group) -> list[np.ndarray]:
     """The first automorphism of each coset of Inn G in Aut G as an index
     array, cached on g: phi c_h has phi's generator images conjugated by phi(h).
 
     Past the budget of `automorphisms` the theorem Aut S_n = Inn S_n
-    (n != 6) answers a group named S_n with the identity alone; any other
-    group is refused with the BudgetError."""
+    (n != 6) answers with the identity alone a group of degree n and order
+    n!, which is Sym(n) whatever its name; any other group is refused with
+    the BudgetError."""
     if "outer" not in g.caches:
         try:
             auts = automorphisms(g)
         except BudgetError:
-            m = _SYM_RE.match(g.name or "")
-            if not (m and m.group(1) == "S" and int(m.group(2)) != 6):
+            if g.degree == 6 or g.order != math.factorial(g.degree):
                 raise
             auts = np.arange(g.order)[None, :]
         gens, reps, seen = g.generating_sequence(), [], set()
@@ -557,6 +555,7 @@ def _q8_gens() -> list[Permutation]:
             Permutation((4, 5, 7, 6, 1, 0, 2, 3))]
 
 
+_NAME_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
 _NAMED = {"S": _sym_gens, "A": _alt_gens, "C": _cyc_gens, "Z": _cyc_gens,
           "D": _dih_gens}
 
@@ -567,7 +566,7 @@ def _named_generators(token: str) -> tuple[str, list[Permutation]]:
     token = token.strip()
     if token.upper() == "Q8":
         return "Q8", _q8_gens()
-    m = _SYM_RE.match(token)
+    m = _NAME_RE.match(token)
     if not m:
         raise InputError(f"unknown group name {token!r}")
     kind, n = m.group(1).upper(), int(m.group(2))

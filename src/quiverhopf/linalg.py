@@ -4,7 +4,10 @@ Matrices hold entries reduced mod p.  Products are numpy int64 matmuls,
 exact while (p-1)^2 times the inner dimension stays below 2^63 (checked).
 Rank and reduced row echelon form share one Gaussian elimination: the
 first nonzero entry at or below the current row is the pivot, and rank
-clears only the rows below it while rref clears every other row.
+clears only the rows below it while rref clears every other row.  An rref
+basis is kept with its pivot columns: `extend` grows it by rows without
+eliminating it again, and `coordinates` reads a vector's coordinates in
+it at the pivots, checked with one product.
 """
 
 from __future__ import annotations
@@ -98,10 +101,38 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def row_space(a: np.ndarray, p: int) -> np.ndarray:
-    """Canonical (rref) basis of the row space, zero rows dropped."""
-    r, pivots = rref(a, p)
-    return r[: len(pivots)].copy()
+def extend(basis: np.ndarray, pivots: list[int], rows: np.ndarray,
+           p: int) -> tuple[np.ndarray, list[int]]:
+    """The nonzero rows and pivot columns of the rref of basis stacked on
+    rows, where basis holds the nonzero rows of an rref with pivot columns
+    pivots.
+
+    rows are reduced by basis, only what is left is eliminated, and its
+    pivots are cleared from basis; an rref is canonical, so the result is
+    the one of the whole stack."""
+    rows = asmod(rows, p)
+    new, new_pivots = rref(rows - matmul(rows[:, pivots], basis, p), p)
+    if not new_pivots:
+        return basis, pivots
+    new = new[: len(new_pivots)]
+    basis = (basis - matmul(basis[:, new_pivots], new, p)) % p
+    order = np.argsort(pivots + new_pivots)
+    return np.concatenate([basis, new])[order], sorted(pivots + new_pivots)
+
+
+def coordinates(basis: np.ndarray, pivots: list[int], rows: np.ndarray,
+                p: int) -> np.ndarray:
+    """c with c @ basis = rows, where basis holds the nonzero rows of an
+    rref with pivot columns pivots: the entries of rows at the pivots.  A
+    basis not in that form or a row outside its span is a ValueError."""
+    rows = asmod(rows, p)
+    if basis.shape[0] != len(pivots) or not np.array_equal(
+            basis[:, pivots], identity(len(pivots))):
+        raise ValueError("basis is not a reduced row echelon form at its pivots")
+    coords = rows[:, pivots]
+    if not np.array_equal(matmul(coords, basis, p), rows):
+        raise ValueError("a row lies outside the span of the basis")
+    return coords
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -12,12 +12,15 @@ minimal polynomial is the first Krylov vector that does not raise the
 rank, solved for in those before it.
 
 Irreducible matrix representations are cut out of the regular module by
-the central idempotent of the character and split down to dimension d
-with seeded random module endomorphisms, through the same eigenspace
-routine as the tables.  The regular-module operators are scattered from
-the group's multiplication table, one row (one array write) per element,
-so each cell is written once.  An irrep is one (|G|, d, d) stack, filled
-one word length at a time along the spanning tree of Group.words.
+the central idempotent of the character, whose rows extend one rref
+echelon a block at a time, and split down to dimension d with seeded
+random module endomorphisms, through the same eigenspace routine as the
+tables.  The endomorphisms and the generators' matrices are read at the
+pivots of the rref basis, with no further elimination.  The
+regular-module operators are scattered from the group's multiplication
+table, one row (one array write) per element, so each cell is written
+once.  An irrep is one (|G|, d, d) stack, filled one word length at a
+time along the spanning tree of Group.words.
 """
 
 from __future__ import annotations
@@ -311,25 +314,25 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
 
     # central idempotent (d/|G|) sum chi(x^-1) x acting by left
     # multiplication; its transpose holds the coefficient of x at (y, x*y).
-    # Its rows are reduced 2d^2 at a time until they span the image, of
-    # dimension d^2: the rref of a row space is canonical, so the basis is
-    # the one of the whole matrix.
+    # Its rows extend one echelon 2d^2 at a time until it spans the image,
+    # of dimension d^2: the rref of a row space is canonical, so the basis
+    # is the one of the whole matrix.
     scale = d * pow(g.order % p, p - 2, p) % p
     coeffs = scale * chi[g.inverses] % p
     every = np.arange(g.order)
-    basis = np.zeros((0, g.order), dtype=np.int64)
+    basis, pivots = np.zeros((0, g.order), dtype=np.int64), []
     for lo in range(0, g.order, 2 * d * d):
         ys = every[lo:lo + 2 * d * d]
         e_t = np.zeros((len(ys), g.order), dtype=np.int64)
         e_t[np.arange(len(ys))[:, None], g.products(every[None, :], ys[:, None])] = coeffs
-        basis = linalg.row_space(np.concatenate([basis, e_t]), p)
-        if basis.shape[0] == d * d:
+        basis, pivots = linalg.extend(basis, pivots, e_t, p)
+        if len(pivots) == d * d:
             break
-    assert basis.shape[0] == d * d
+    assert len(pivots) == d * d
 
     rng = random.Random(f"irrep:{seed}:{g.order}:{p}:{char_index}")
     budget = 64
-    while basis.shape[0] > d:
+    while len(pivots) > d:
         budget -= 1
         if budget < 0:
             raise RuntimeError("irreducible splitting failed within retry budget")
@@ -337,23 +340,24 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
         rmat = _right_mult_matrix(g, coeffs)
         tb = linalg.matmul(basis, rmat, p)
         # endomorphism in basis coordinates acts on coefficient rows: c -> c @ s
-        s = linalg.solve(basis.T, tb.T, p).T
-        m = basis.shape[0]
+        s = linalg.coordinates(basis, pivots, tb, p)
+        m = len(pivots)
         u = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
         if not u.any():
             u[0] = 1
         proper = [ker for ker in _eigenspaces(s, p, [u]).values() if 0 < len(ker) < m]
         if proper:
-            basis = linalg.row_space(linalg.matmul(min(proper, key=len), basis, p), p)
+            sub, pivots = linalg.rref(linalg.matmul(min(proper, key=len), basis, p), p)
+            basis = sub[:len(pivots)]
 
-    # matrices on generators by solving in the submodule basis, then one
-    # product per word level along the spanning tree of Group.words
+    # matrices on generators read at the pivots of the submodule basis, then
+    # one product per word level along the spanning tree of Group.words
     gens = g.generating_sequence()
     gen_mats = np.zeros((len(gens), d, d), dtype=np.int64)
     for i, h in enumerate(gens):
         moved = np.zeros_like(basis)
         moved[:, g.products(h, every)] = basis  # left multiplication by h
-        gen_mats[i] = linalg.solve(basis.T, moved.T, p)
+        gen_mats[i] = linalg.coordinates(basis, pivots, moved, p).T
     prev, pos, levels = g.words(gens)
     mats = np.zeros((g.order, d, d), dtype=np.int64)
     mats[0] = linalg.identity(d)

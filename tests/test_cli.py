@@ -397,3 +397,20 @@ def test_rsr_iso_search_aut_on_s7(capsys, tmp_path):
     code, out, err = run_cli(capsys, "rsr-iso", str(pa), str(pb), "--mode", "search-aut")
     assert (code, err) == (0, "")
     assert json.loads(out)["isomorphic"] is True
+
+
+def test_unnamed_sym7_is_inner_only_by_its_order(capsys, tmp_path):
+    # S7 given by generators has no name; degree 7 and order 7! make it
+    # Sym(7), so Aut = Inn answers both rsr-count and search-aut
+    spec = "perm:(0 1);(0 1 2 3 4 5 6)"
+    code, out, err = run_cli(capsys, "rsr-count", "--group", spec, "--ram", "e:1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inner_only_assumed"] is True
+    g = parse_group(spec)
+    doc = make_rsr(g, parse_ramification(g, "(0 1):1"), None, {1: (0,)}).to_json()
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(doc))
+    pb.write_text(json.dumps({**doc, "u": [{"class": 1, "rep": "(1 2)"}]}))
+    code, out, err = run_cli(capsys, "rsr-iso", str(pa), str(pb), "--mode", "search-aut")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["isomorphic"] is True

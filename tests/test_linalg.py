@@ -122,3 +122,54 @@ def test_empty_matrices():
     p = 11
     assert linalg.rank(np.zeros((0, 3), dtype=np.int64), p) == 0
     assert linalg.nullspace(np.zeros((2, 0), dtype=np.int64), p).shape == (0, 0)
+
+
+def _nonzero_rref(a, p):
+    r, pivots = linalg.rref(a, p)
+    return r[: len(pivots)], pivots
+
+
+def _extend_cases(rng, p):
+    """(A, B) pairs: random, empty basis, zero rows, rank-deficient B and
+    B inside the row space of A."""
+    for _ in range(8):
+        rows, cols = rng.randrange(1, 9), rng.randrange(2, 12)
+        a = random_matrix(rng, rows, cols, p)
+        yield a, random_matrix(rng, rng.randrange(1, 9), cols, p)
+        yield np.zeros((0, cols), dtype=np.int64), random_matrix(rng, rows, cols, p)
+        yield a, np.zeros((rng.randrange(0, 3), cols), dtype=np.int64)
+        k = rng.randrange(1, 3)
+        yield a, random_matrix(rng, 6, k, p) @ random_matrix(rng, k, cols, p) % p
+        yield a, random_matrix(rng, 5, rows, p) @ a % p
+
+
+@pytest.mark.parametrize("p", [2, 13, 241])
+def test_extend_equals_rref_of_the_stack(p):
+    rng = random.Random(200 + p)
+    for a, b in _extend_cases(rng, p):
+        basis, pivots = _nonzero_rref(a, p)
+        got, got_pivots = linalg.extend(basis, pivots, b, p)
+        want, want_pivots = _nonzero_rref(np.concatenate([a, b]), p)
+        assert got_pivots == want_pivots
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [13, 241])
+def test_coordinates_equal_solve(p):
+    rng = random.Random(300 + p)
+    for _ in range(15):
+        rows, cols = rng.randrange(1, 8), rng.randrange(2, 12)
+        basis, pivots = _nonzero_rref(random_matrix(rng, rows, cols, p), p)
+        rows = random_matrix(rng, rng.randrange(1, 6), len(basis), p) @ basis % p
+        got = linalg.coordinates(basis, pivots, rows, p)
+        assert np.array_equal(got, linalg.solve(basis.T, rows.T, p).T)
+
+
+def test_coordinates_reject_a_row_outside_the_span():
+    p = 7
+    basis, pivots = _nonzero_rref(np.array([[1, 2, 0], [0, 0, 1]]), p)
+    assert linalg.coordinates(basis, pivots, np.array([[2, 4, 3]]), p).tolist() == [[2, 3]]
+    with pytest.raises(ValueError):
+        linalg.coordinates(basis, pivots, np.array([[0, 1, 0]]), p)
+    with pytest.raises(ValueError):
+        linalg.coordinates(basis[::-1], pivots, np.array([[2, 4, 3]]), p)

@@ -362,3 +362,22 @@ def test_s6_irreps_bit_identical(degree):
     rep = irrep_matrices(g, f, t.degrees.index(degree), seed=0)
     digest = hashlib.sha256(np.stack(rep.matrices).tobytes()).hexdigest()
     assert digest == S6_IRREP_SHA256[degree]
+
+
+# (degree, seed) -> SHA-256 as above, frozen before the split and the
+# generator matrices read coordinates at the pivots of the irrep basis
+S6_IRREP_SEED_SHA256 = {
+    (10, 0): "701dc610b4e43d4c61a8fb03879ff11581bd296fcbeb817c3d724b25376947e7",
+    (16, 0): "541b65927c7d7a46b9db7dc3fca980ebf70379c003618f97fd5e83bfece82b6f",
+    (16, 21): "34b5de543c36bf943ee111324a06062a3bd3d03ef793af000042149da307ef0b",
+}
+
+
+@pytest.mark.parametrize("degree, seed", sorted(S6_IRREP_SEED_SHA256))
+def test_s6_irreps_at_seeds_bit_identical(degree, seed):
+    g = parse_group("S6")
+    f = choose_prime(g)
+    t = group_table(g, f)
+    rep = irrep_matrices(g, f, t.degrees.index(degree), seed=seed)
+    digest = hashlib.sha256(np.stack(rep.matrices).tobytes()).hexdigest()
+    assert digest == S6_IRREP_SEED_SHA256[degree, seed]
