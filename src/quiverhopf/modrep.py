@@ -12,15 +12,16 @@ minimal polynomial is the first Krylov vector that does not raise the
 rank, solved for in those before it.
 
 Irreducible matrix representations are cut out of the regular module by
-the central idempotent of the character, whose rows extend one rref
-echelon a block at a time, and split down to dimension d with seeded
-random module endomorphisms, through the same eigenspace routine as the
-tables.  The endomorphisms and the generators' matrices are read at the
-pivots of the rref basis, with no further elimination.  The
-regular-module operators are scattered from the group's multiplication
-table, one row (one array write) per element, so each cell is written
-once.  An irrep is one (|G|, d, d) stack, filled one word length at a
-time along the spanning tree of Group.words.
+the central idempotent of the character, whose rows e*y, with the y
+spread over the group, extend one rref echelon a block at a time, and
+split down to dimension d with seeded random module endomorphisms (right
+multiplications), through the same eigenspace routine as the tables.
+The endomorphisms and the generators' matrices are read at the pivots of
+the rref basis, with no further elimination: an endomorphism is one
+(|G|, m) gather of its coefficients and one m x |G| x m product, with no
+|G| x |G| operator, once the span is checked closed under right
+multiplication by generators.  An irrep is one (|G|, d, d) stack, filled
+one word length at a time along the spanning tree of Group.words.
 """
 
 from __future__ import annotations
@@ -276,15 +277,82 @@ class Irrep:
         return tuple((np.trace(self.matrices, axis1=1, axis2=2) % self.p).tolist())
 
 
-def _right_mult_matrix(g: Group, coeffs: np.ndarray) -> np.ndarray:
-    """Right multiplication by sum_h coeffs[h]*h on row vectors: row x holds
-    coeffs[h] at column x*h, scattered along row x of the table, so each
-    cell is written once and no transient grows past one row."""
+def _ideal(g: Group, chi: np.ndarray, d: int, p: int) -> tuple[np.ndarray, list[int]]:
+    """The rref basis and pivots of the two-sided ideal e*kG (dimension
+    d^2) of the central idempotent e = (d/|G|) sum chi(x^-1) x, chi the
+    character of degree d on elements.
+
+    The row of e*y holds the coefficient of x at x*y.  The rows extend one
+    echelon 2d^2 at a time until they span e*kG; an rref is canonical, so
+    the basis is the one of the whole matrix.  The y are taken at stride
+    isqrt(|G|) through the elements: the first ones in order lie in a point
+    stabiliser and span little (S7, degree 6: 51 blocks, spread out 2)."""
+    scale = d * pow(g.order % p, p - 2, p) % p
+    coeffs = scale * chi[g.inverses] % p
     every = np.arange(g.order)
-    r = np.zeros((g.order, g.order), dtype=np.int64)
-    for x in range(g.order):
-        r[x, g.products(x, every)] = coeffs
-    return r
+    spread = np.argsort(every % math.isqrt(g.order), kind="stable")
+    basis, pivots = np.zeros((0, g.order), dtype=np.int64), []
+    for lo in range(0, g.order, 2 * d * d):
+        ys = spread[lo:lo + 2 * d * d]
+        e_y = np.zeros((len(ys), g.order), dtype=np.int64)
+        e_y[np.arange(len(ys))[:, None], g.products(every[None, :], ys[:, None])] = coeffs
+        basis, pivots = linalg.extend(basis, pivots, e_y, p)
+        if len(pivots) == d * d:
+            break
+    assert len(pivots) == d * d
+    return basis, pivots
+
+
+def _check_right_ideal(g: Group, basis: np.ndarray, pivots: list[int], p: int):
+    """ValueError unless the span of basis (rref rows, pivot columns
+    pivots) is closed under right multiplication by a generating set of g,
+    hence by every element of kG: one stacked coordinates check."""
+    gens = [g.find(s) for s in g.generators] or g.generating_sequence()
+    every = np.arange(g.order)
+    moved = np.zeros((len(gens),) + basis.shape, dtype=np.int64)
+    for i, h in enumerate(gens):
+        moved[i][:, g.products(every, h)] = basis   # right multiplication by h
+    linalg.coordinates(basis, pivots, moved.reshape(-1, g.order), p)
+
+
+def _right_mult(g: Group, basis: np.ndarray, pivots: list[int],
+                coeffs: np.ndarray, p: int) -> np.ndarray:
+    """Right multiplication by c = sum_h coeffs[h] h on a right ideal with
+    rref basis and pivots, in its coordinates (acting on coefficient rows,
+    v -> v @ s): the rows basis * c read at the pivots, where the entry of
+    v * c at z is sum_x v[x] c[x^-1 z], so s = basis @ c[x^-1 * pivots]."""
+    at = g.products(g.inverses[:, None], np.asarray(pivots)[None, :])
+    return linalg.matmul(basis, coeffs[at], p)
+
+
+def _split(g: Group, basis: np.ndarray, pivots: list[int], d: int,
+           rng: random.Random, p: int) -> tuple[np.ndarray, list[int]]:
+    """A d-dimensional irreducible left submodule of the ideal spanned by
+    basis: the smallest proper eigenspace of right multiplication by a
+    seeded random element of kG, drawn again while none is proper.  Right
+    multiplication is a module map only on a right ideal, checked once per
+    basis, so a split that leaves more than d dimensions is a ValueError."""
+    budget = 64
+    checked = False
+    while len(pivots) > d:
+        budget -= 1
+        if budget < 0:
+            raise RuntimeError("irreducible splitting failed within retry budget")
+        if not checked:
+            _check_right_ideal(g, basis, pivots, p)
+            checked = True
+        coeffs = np.array([rng.randrange(p) for _ in range(g.order)], dtype=np.int64)
+        s = _right_mult(g, basis, pivots, coeffs, p)
+        m = len(pivots)
+        u = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
+        if not u.any():
+            u[0] = 1
+        proper = [ker for ker in _eigenspaces(s, p, [u]).values() if 0 < len(ker) < m]
+        if proper:
+            sub, pivots = linalg.rref(linalg.matmul(min(proper, key=len), basis, p), p)
+            basis = sub[:len(pivots)]
+            checked = False
+    return basis, pivots
 
 
 def irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int = 0) -> Irrep:
@@ -312,47 +380,14 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
     if d == 1:
         return Irrep(g, p, char_index, chi.reshape(-1, 1, 1))
 
-    # central idempotent (d/|G|) sum chi(x^-1) x acting by left
-    # multiplication; its transpose holds the coefficient of x at (y, x*y).
-    # Its rows extend one echelon 2d^2 at a time until it spans the image,
-    # of dimension d^2: the rref of a row space is canonical, so the basis
-    # is the one of the whole matrix.
-    scale = d * pow(g.order % p, p - 2, p) % p
-    coeffs = scale * chi[g.inverses] % p
-    every = np.arange(g.order)
-    basis, pivots = np.zeros((0, g.order), dtype=np.int64), []
-    for lo in range(0, g.order, 2 * d * d):
-        ys = every[lo:lo + 2 * d * d]
-        e_t = np.zeros((len(ys), g.order), dtype=np.int64)
-        e_t[np.arange(len(ys))[:, None], g.products(every[None, :], ys[:, None])] = coeffs
-        basis, pivots = linalg.extend(basis, pivots, e_t, p)
-        if len(pivots) == d * d:
-            break
-    assert len(pivots) == d * d
-
+    basis, pivots = _ideal(g, chi, d, p)
     rng = random.Random(f"irrep:{seed}:{g.order}:{p}:{char_index}")
-    budget = 64
-    while len(pivots) > d:
-        budget -= 1
-        if budget < 0:
-            raise RuntimeError("irreducible splitting failed within retry budget")
-        coeffs = np.array([rng.randrange(p) for _ in range(g.order)], dtype=np.int64)
-        rmat = _right_mult_matrix(g, coeffs)
-        tb = linalg.matmul(basis, rmat, p)
-        # endomorphism in basis coordinates acts on coefficient rows: c -> c @ s
-        s = linalg.coordinates(basis, pivots, tb, p)
-        m = len(pivots)
-        u = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
-        if not u.any():
-            u[0] = 1
-        proper = [ker for ker in _eigenspaces(s, p, [u]).values() if 0 < len(ker) < m]
-        if proper:
-            sub, pivots = linalg.rref(linalg.matmul(min(proper, key=len), basis, p), p)
-            basis = sub[:len(pivots)]
+    basis, pivots = _split(g, basis, pivots, d, rng, p)
 
     # matrices on generators read at the pivots of the submodule basis, then
     # one product per word level along the spanning tree of Group.words
     gens = g.generating_sequence()
+    every = np.arange(g.order)
     gen_mats = np.zeros((len(gens), d, d), dtype=np.int64)
     for i, h in enumerate(gens):
         moved = np.zeros_like(basis)

@@ -20,10 +20,14 @@ from quiverhopf import (
 )
 from quiverhopf import linalg
 from quiverhopf.modrep import (
+    _check_right_ideal,
     _eigenspaces,
+    _ideal,
     _is_prime,
     _krylov_poly,
     _poly_roots,
+    _right_mult,
+    _split,
     character_table,
     group_table,
     next_primes,
@@ -381,3 +385,76 @@ def test_s6_irreps_at_seeds_bit_identical(degree, seed):
     rep = irrep_matrices(g, f, t.degrees.index(degree), seed=seed)
     digest = hashlib.sha256(np.stack(rep.matrices).tobytes()).hexdigest()
     assert digest == S6_IRREP_SEED_SHA256[degree, seed]
+
+
+# SHA-256 as above of the degree-6 irrep of S7 at seed 0, frozen before the
+# idempotent's rows were taken spread over the group
+S7_IRREP6_SHA256 = "119d63103e5d385ad1a4bf1dea85bc26767eddf5f64022b196849e5a18b39093"
+
+
+def test_s7_degree_six_irrep_from_two_idempotent_blocks(monkeypatch):
+    calls = []
+    extend = linalg.extend
+    monkeypatch.setattr(linalg, "extend",
+                        lambda *a: calls.append(a[2].shape) or extend(*a))
+    g = parse_group("S7")
+    f = choose_prime(g)
+    rep = irrep_matrices(g, f, group_table(g, f).degrees.index(6), seed=0)
+    digest = hashlib.sha256(np.stack(rep.matrices).tobytes()).hexdigest()
+    assert digest == S7_IRREP6_SHA256
+    # blocks of 2d^2 = 72 rows: 51 of them with the elements taken in order
+    assert 1 <= len(calls) <= 2
+    assert all(shape == (72, g.order) for shape in calls)
+
+
+def _right_mult_matrix(g, coeffs):
+    """Dense oracle: right multiplication by sum_h coeffs[h] h on row
+    vectors, the (|G|, |G|) matrix whose row x holds coeffs[h] at x*h."""
+    every = np.arange(g.order)
+    r = np.zeros((g.order, g.order), dtype=np.int64)
+    for x in range(g.order):
+        r[x, g.products(x, every)] = coeffs
+    return r
+
+
+def _two_sided_ideals(g):
+    """(degree, basis, pivots) of e*kG for every character of degree > 1."""
+    f = choose_prime(g)
+    t = group_table(g, f)
+    cls = class_of(g, np.arange(g.order))
+    return [(d, *_ideal(g, np.array(row, dtype=np.int64)[cls], d, f.p))
+            for d, row in zip(t.degrees, t.rows) if d > 1]
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "A5"])
+def test_right_mult_at_the_pivots_equals_the_dense_product(spec):
+    g = parse_group(spec)
+    p = choose_prime(g).p
+    rng = random.Random(spec)
+    ideals = _two_sided_ideals(g)
+    assert ideals
+    for d, basis, pivots in ideals:
+        assert basis.shape == (d * d, g.order)
+        for _ in range(4):
+            c = np.array([rng.randrange(p) for _ in range(g.order)], dtype=np.int64)
+            dense = linalg.matmul(basis, _right_mult_matrix(g, c), p)
+            expected = linalg.coordinates(basis, pivots, dense, p)
+            assert np.array_equal(_right_mult(g, basis, pivots, c, p), expected)
+
+
+def test_right_ideal_check_rejects_a_left_ideal(s3, s3_field):
+    p = s3_field.p
+    [(d, basis, pivots)] = _two_sided_ideals(s3)
+    _check_right_ideal(s3, basis, pivots, p)
+    left, left_pivots = _split(s3, basis, pivots, d, random.Random(0), p)
+    assert len(left_pivots) == d
+    # closed under left multiplication by every element, but not a right ideal
+    for h in range(s3.order):
+        moved = np.zeros_like(left)
+        moved[:, s3.products(h, np.arange(s3.order))] = left
+        linalg.coordinates(left, left_pivots, moved, p)
+    with pytest.raises(ValueError):
+        _check_right_ideal(s3, left, left_pivots, p)
+    # a split asked to go below a left ideal that is no right ideal refuses
+    with pytest.raises(ValueError):
+        _split(s3, left, left_pivots, 1, random.Random(0), p)
