@@ -491,6 +491,11 @@ def automorphisms(g: Group) -> np.ndarray:
 def outer_representatives(g: Group) -> list[np.ndarray]:
     """The first automorphism of each coset of Inn G in Aut G as an index
     array, cached on g: phi c_h has phi's generator images conjugated by phi(h).
+    The generators are the parsed ones if any, else the greedy sequence, as
+    in `automorphisms`: an automorphism is fixed by its images on any
+    generating set, so the cosets and their order do not depend on which.
+    The first entry is always the identity: the rows of `automorphisms`
+    ascend and arange is the least permutation row.
 
     Past the budget of `automorphisms` the theorem Aut S_n = Inn S_n
     (n != 6) answers with the identity alone a group of degree n and order
@@ -503,7 +508,8 @@ def outer_representatives(g: Group) -> list[np.ndarray]:
             if g.degree == 6 or g.order != math.factorial(g.degree):
                 raise
             auts = np.arange(g.order)[None, :]
-        gens, reps, seen = g.generating_sequence(), [], set()
+        gens = [g.find(s) for s in g.generators] or g.generating_sequence()
+        reps, seen = [], set()
         every = np.arange(g.order)[:, None]
         for images in auts:
             if tuple(images[gens].tolist()) not in seen:

@@ -12,7 +12,11 @@ groups.automorphisms, and for S_n past it (groups.outer_representatives):
 isomorphic compares keys in both of its modes.
 
 twist_rsr, rsr_type and rsr_key all move characters between centralizers
-through one pull-back along an ambient map z -> h phi(z) h^-1 (_pull_back).
+along ambient maps z -> h phi(z) h^-1 by character maps (_char_map), each
+built once per group, prime and map and kept in Group.caches.  A type reads
+a plan kept there per prime, ramified (class, u) pairs and phi (_plan): the
+conjugators and maps of every class, so typing an RSR is one list lookup
+per ramified character, with no conjugate search and no table search.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ from .quiver import HopfQuiver, Ramification
 class RSR:
     """A validated ramification system with irreducible representations.
 
-    Centralizers, their character tables and irreducible matrices come from
-    the caches on the group (centralizer_subgroup, group_table,
-    irrep_matrices).  The one cache on the instance is the isomorphism key,
-    filled by rsr_key on first use without locks.
+    Centralizers, their character tables and irreducible matrices, and the
+    character maps and plans that type it, come from the caches on the
+    group (centralizer_subgroup, group_table, irrep_matrices, _char_map,
+    _plan).  The one cache on the instance is the isomorphism key, filled
+    by rsr_key on first use without locks.
     """
 
     def __init__(self, group: Group, field: FieldPrime, ram: Ramification,
@@ -146,37 +151,40 @@ class RSRType:
         return [{"class": k, "multiplicities": list(v)} for k, v in self.entries]
 
 
-def _pull_back(rsr: RSR, cls: int, onto: int, h: int,
-               phi: Optional[np.ndarray] = None) -> list[int]:
-    """Where the characters of rsr's irreps at cls land, as row indices of
-    the canonical table of Z_onto, when pulled back along the ambient map
+def _char_map(g: Group, field: FieldPrime, u: int, onto: int, h: int,
+              phi: Optional[np.ndarray] = None) -> list[int]:
+    """Where every character of Z_u lands, as a row index of the canonical
+    table of Z_onto, when pulled back along the ambient map
     z -> h phi(z) h^-1 (phi an automorphism as an index array, by default
-    the identity), which must send Z_onto into Z_u(cls)."""
-    g = rsr.group
-    z_to = rsr.centralizer(cls)
-    rows = rsr.ztable(cls).rows
-    z_from = centralizer_subgroup(g, onto)
-    reps = z_from.embed[[c.rep for c in conjugacy_classes(z_from)]]
-    if phi is not None:
-        reps = phi[reps]
-    images = g.products(g.products(h, reps), g.inv(h))
-    at = class_of(z_to, z_to.local[images]).tolist()
-    table = group_table(z_from, rsr.field).rows
-    return [table.index(tuple(rows[idx][c] for c in at))
-            for idx in rsr.irreps[cls]]
+    the identity), which must send Z_onto onto Z_u.  Kept in g.caches per
+    (p, u, onto, h, phi), phi by its bytes and None for the identity."""
+    key = ("charmap", field.p, u, onto, h, None if phi is None else phi.tobytes())
+    if key not in g.caches:
+        z_to = centralizer_subgroup(g, u)
+        z_from = centralizer_subgroup(g, onto)
+        reps = z_from.embed[[c.rep for c in conjugacy_classes(z_from)]]
+        if phi is not None:
+            reps = phi[reps]
+        images = g.products(g.products(h, reps), g.inv(h))
+        at = class_of(z_to, z_to.local[images]).tolist()
+        index = {row: i for i, row in enumerate(group_table(z_from, field).rows)}
+        g.caches[key] = [index[tuple(row[c] for c in at)]
+                         for row in group_table(z_to, field).rows]
+    return g.caches[key]
 
 
 def twist_rsr(rsr: RSR, conjugators: dict[int, int]) -> RSR:
     """The isomorphic RSR with u'(C) = h_C^-1 u(C) h_C and representations
-    twisted accordingly: rho'(z) = rho(h_C z h_C^-1), looked up by character
-    in the canonical table of the new centralizer."""
+    twisted accordingly: rho'(z) = rho(h_C z h_C^-1), read off the character
+    map into the canonical table of the new centralizer."""
     g = rsr.group
     new_u = dict(rsr.u)
     new_irreps = dict(rsr.irreps)
     for cls, h in conjugators.items():
         new_u[cls] = g.conj(rsr.u[cls], h)
         if cls in rsr.irreps:
-            new_irreps[cls] = tuple(_pull_back(rsr, cls, new_u[cls], h))
+            chars = _char_map(g, rsr.field, rsr.u[cls], new_u[cls], h)
+            new_irreps[cls] = tuple(chars[i] for i in rsr.irreps[cls])
     return RSR(g, rsr.field, rsr.ram, new_u, new_irreps, seed=rsr.seed)
 
 
@@ -203,24 +211,42 @@ def normalize_u(rsr: RSR) -> RSR:
     return twist_rsr(rsr, conjugators)
 
 
+def _plan(rsr: RSR, phi: Optional[np.ndarray] = None
+          ) -> list[tuple[int, int, list[int], int]]:
+    """How every RSR with rsr's prime and ramified (class, u) pairs is typed
+    along phi, kept in g.caches: for each class C' whose phi(u0(C')) lies in
+    a ramified class C, the tuple (C', C, character map along
+    z -> h phi(z) h^-1 with h the first conjugator h^-1 u(C) h =
+    phi(u0(C')), the number of characters of Z_u0(C'))."""
+    g = rsr.group
+    key = ("rsr-plan", rsr.field.p, tuple((k, rsr.u[k]) for k in rsr.ram.support),
+           None if phi is None else phi.tobytes())
+    if key not in g.caches:
+        plan = []
+        for c in conjugacy_classes(g):
+            target = c.rep if phi is None else int(phi[c.rep])
+            cls = class_of(g, target)
+            if cls in rsr.irreps:
+                h = _first_conjugator(g, rsr.u[cls], target)
+                plan.append((c.class_index, cls,
+                             _char_map(g, rsr.field, rsr.u[cls], c.rep, h, phi),
+                             group_table(centralizer_subgroup(g, c.rep),
+                                         rsr.field).nchars))
+        g.caches[key] = plan
+    return g.caches[key]
+
+
 def _type_along(rsr: RSR, phi: Optional[np.ndarray] = None) -> RSRType:
     """The type of the RSR pulled back along the automorphism phi (by
     default the identity): class C' carries the characters of rsr at the
     class C of phi(u0(C')), pulled back along z -> h phi(z) h^-1 with
-    h^-1 u(C) h = phi(u0(C'))."""
-    g = rsr.group
+    h^-1 u(C) h = phi(u0(C')); one lookup per character in _plan."""
     entries = []
-    for c in conjugacy_classes(g):
-        target = c.rep if phi is None else int(phi[c.rep])
-        cls = class_of(g, target)
-        if cls not in rsr.irreps:
-            continue
-        h = _first_conjugator(g, rsr.u[cls], target)
-        mult = [0] * group_table(centralizer_subgroup(g, c.rep),
-                                 rsr.field).nchars
-        for idx in _pull_back(rsr, cls, c.rep, h, phi):
-            mult[idx] += 1
-        entries.append((c.class_index, tuple(mult)))
+    for c, cls, chars, nchars in _plan(rsr, phi):
+        mult = [0] * nchars
+        for idx in rsr.irreps[cls]:
+            mult[chars[idx]] += 1
+        entries.append((c, tuple(mult)))
     return RSRType(tuple(entries))
 
 
@@ -233,6 +259,8 @@ def rsr_type(rsr: RSR) -> RSRType:
 def rsr_key(rsr: RSR) -> RSRType:
     """The least type of phi*rsr over all phi in Aut G, cached in rsr._key:
     one phi per coset of Inn G, as phi c_h pulls back to the same type.
+    The first coset is Inn G itself (outer_representatives puts the
+    identity first), whose type is rsr_type.
 
     Two RSRs on one group and prime are isomorphic exactly when their keys
     are equal, for every group whose automorphisms fit the budget of
@@ -240,8 +268,8 @@ def rsr_key(rsr: RSR) -> RSRType:
     any other group past it raises BudgetError.
     """
     if rsr._key is None:
-        rsr._key = min((_type_along(rsr, phi)
-                        for phi in outer_representatives(rsr.group)),
+        outer = outer_representatives(rsr.group)[1:]
+        rsr._key = min([rsr_type(rsr), *(_type_along(rsr, phi) for phi in outer)],
                        key=lambda t: t.entries)
     return rsr._key
 

@@ -280,6 +280,33 @@ def test_automorphism_counts(spec, count, inner):
     assert automorphisms(g) is auts and not auts.flags.writeable
 
 
+def greedy_outer_representatives(g):
+    """outer_representatives keyed by the images of the greedy generating
+    sequence instead of the parsed generators."""
+    gens, reps, seen = g.generating_sequence(), [], set()
+    every = np.arange(g.order)[:, None]
+    for images in automorphisms(g):
+        if tuple(images[gens].tolist()) not in seen:
+            reps.append(images)
+            conj = g.products(g.products(g.inverses[every], images[gens]), every)
+            seen.update(map(tuple, conj.tolist()))
+    return reps
+
+
+@pytest.mark.parametrize("spec", ["D4", "Q8", "A4", "C2xC2", "S3xC2", "S6",
+                                  "perm:(0 1 2);(3 4 5)"])
+def test_outer_representatives_do_not_depend_on_the_generators(spec):
+    # an automorphism is fixed by its images on any generating set, so the
+    # parsed generators give the same cosets, in the same order, as the
+    # greedy sequence; the identity comes first
+    g = parse_group(spec)
+    reps = outer_representatives(g)
+    expected = greedy_outer_representatives(g)
+    assert len(reps) == len(expected) > 1
+    assert all((a == b).all() for a, b in zip(reps, expected))
+    assert (reps[0] == np.arange(g.order)).all()
+
+
 def test_automorphisms_are_multiplicative(s3):
     every = np.arange(s3.order)
     for phi in automorphisms(s3):

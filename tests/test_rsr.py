@@ -5,11 +5,15 @@ import random
 import numpy as np
 import pytest
 
+import quiverhopf.rsr
 from quiverhopf import (
+    Group,
     InputError,
     Permutation,
+    RSRType,
     centralizer_subgroup,
     choose_prime,
+    class_of,
     conjugacy_classes,
     count_classes,
     enumerate_types,
@@ -26,8 +30,37 @@ from quiverhopf import (
     twist_rsr,
 )
 from quiverhopf.groups import automorphisms, outer_representatives
-from quiverhopf.modrep import group_table
+from quiverhopf.modrep import group_table, next_primes
 from quiverhopf.rsr import _type_along
+
+
+def oracle_type_along(rsr, phi=None):
+    """The type of rsr pulled back along the automorphism phi, with no
+    character map or plan: per ramified class the first conjugator by a
+    full search of the conjugates, and each character found by its values
+    with tuple.index in the canonical table of Z_u0(C')."""
+    g = rsr.group
+    entries = []
+    for c in conjugacy_classes(g):
+        target = c.rep if phi is None else int(phi[c.rep])
+        cls = class_of(g, target)
+        if cls not in rsr.irreps:
+            continue
+        h = int(np.flatnonzero(g.conjugates(rsr.u[cls]) == target)[0])
+        z_to = centralizer_subgroup(g, rsr.u[cls])
+        z_from = centralizer_subgroup(g, c.rep)
+        reps = z_from.embed[[k.rep for k in conjugacy_classes(z_from)]]
+        if phi is not None:
+            reps = phi[reps]
+        images = g.products(g.products(h, reps), g.inv(h))
+        at = class_of(z_to, z_to.local[images]).tolist()
+        rows = group_table(z_to, rsr.field).rows
+        table = group_table(z_from, rsr.field)
+        mult = [0] * table.nchars
+        for idx in rsr.irreps[cls]:
+            mult[table.rows.index(tuple(rows[idx][k] for k in at))] += 1
+        entries.append((c.class_index, tuple(mult)))
+    return RSRType(tuple(entries))
 
 
 def brute_force_tau(degrees, r):
@@ -305,7 +338,7 @@ def test_rsr_key_is_the_least_type_over_all_of_aut(spec):
             ram = parse_ramification(g, f"{g.element_name(cls.rep)}:{r}")
             for t in enumerate_types(g, ram):
                 rsr = rsr_from_type(g, ram, t)
-                least = min((_type_along(rsr, phi) for phi in auts),
+                least = min((oracle_type_along(rsr, phi) for phi in auts),
                             key=lambda k: k.entries)
                 assert rsr_key(rsr) == least, (spec, ram.coeffs, t)
 
@@ -369,3 +402,97 @@ def test_search_aut_on_s6_matches_the_classes_the_outer_automorphism_swaps():
     assert not any(rsr_type(a) == rsr_type(b) for a in left for b in right)
     with pytest.raises(InputError, match="assume-inner"):
         isomorphic(left[0], right[0], "assume-inner")
+
+
+def ramifications(g):
+    """Every class at r_C = 1 and 2, and every pair of classes at 1."""
+    names = [g.element_name(c.rep) for c in conjugacy_classes(g)]
+    return ([f"{n}:{r}" for n in names for r in (1, 2)] +
+            [f"{a}:1,{b}:1" for a, b in itertools.combinations(names, 2)])
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "D4", "Q8", "A4", "C2xC2", "S3xC2", "C5"])
+def test_type_along_matches_the_uncached_oracle(spec):
+    # every type, every automorphism, two primes on one group object, and a
+    # twisted copy of every RSR (u not canonical); on C5 the automorphism
+    # z -> z^2 orders the characters differently at the two primes
+    g = parse_group(spec)
+    rng = random.Random(spec)
+    classes = conjugacy_classes(g)
+    auts = automorphisms(g)
+    for field in next_primes(g, 2):
+        for ram_spec in ramifications(g):
+            ram = parse_ramification(g, ram_spec)
+            for t in enumerate_types(g, ram, field):
+                rsr = rsr_from_type(g, ram, t, field=field)
+                twisted = twist_rsr(rsr, {k: rng.randrange(g.order)
+                                          for k in range(len(classes))})
+                assert oracle_type_along(twisted) == oracle_type_along(rsr) == t
+                for r in (rsr, twisted):
+                    for phi in auts:
+                        assert _type_along(r, phi) == oracle_type_along(r, phi), \
+                            (spec, field.p, ram_spec, t, r.u)
+
+
+def types_and_keys(g, field, ram_spec):
+    """Type and key of every type's RSR and of a twisted copy of each."""
+    ram = parse_ramification(g, ram_spec)
+    rng = random.Random(ram_spec)
+    conjugators = {k: rng.randrange(g.order) for k, _ in ram.coeffs}
+    rsrs = [rsr_from_type(g, ram, t, field=field)
+            for t in enumerate_types(g, ram, field)]
+    rsrs += [twist_rsr(r, conjugators) for r in rsrs]
+    return [(rsr_type(r), rsr_key(r)) for r in rsrs]
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "A4", "C5"])
+def test_one_group_at_two_primes_types_as_fresh_groups_do(spec):
+    shared = parse_group(spec)
+    for field in (choose_prime(shared), next_primes(shared, 2)[1]):
+        fresh = parse_group(spec)
+        for ram_spec in ramifications(shared):
+            assert types_and_keys(shared, field, ram_spec) == \
+                types_and_keys(fresh, field, ram_spec), (spec, field.p, ram_spec)
+
+
+@pytest.mark.parametrize("spec,ram_spec", [
+    ("S4", "e:2,(0 1):1"), ("S4", "(0 1)(2 3):2"), ("D4", "e:2"),
+    ("A4", "(0 1 2):1,(0 2 1):1"), ("S6", "(0 1):1,(0 1)(2 3)(4 5):1"),
+])
+def test_no_conjugate_or_table_search_per_rsr_once_the_plan_exists(
+        spec, ram_spec, monkeypatch):
+    g = parse_group(spec)
+    ram = parse_ramification(g, ram_spec)
+    rsrs = [rsr_from_type(g, ram, t) for t in enumerate_types(g, ram)]
+    conjugators = {k: g.order - 1 for k, _ in ram.coeffs}
+    twisted = [twist_rsr(r, conjugators) for r in rsrs]
+    for first in (rsrs[0], twisted[0]):
+        rsr_type(first)
+        rsr_key(first)
+    calls = []
+    conjugates, table = Group.conjugates, quiverhopf.rsr.group_table
+    monkeypatch.setattr(Group, "conjugates",
+                        lambda self, a: calls.append(a) or conjugates(self, a))
+    monkeypatch.setattr(quiverhopf.rsr, "group_table",
+                        lambda z, f: calls.append(z) or table(z, f))
+    for r in rsrs[1:] + twisted[1:]:
+        rsr_type(r)
+        rsr_key(r)
+    assert calls == []
+
+
+def test_s6_keys_across_the_swapped_classes_are_the_burnside_count():
+    # the outer automorphism of S6 swaps transpositions with triple
+    # transpositions; on the 16 types with one linear character on each,
+    # an involution fixing 4 of the pairs leaves (16 + 4) / 2 = 10 orbits
+    g = parse_group("S6")
+    ram = parse_ramification(g, "(0 1):1,(0 1)(2 3)(4 5):1")
+    rsrs = [rsr_from_type(g, ram, t) for t in enumerate_types(g, ram)]
+    assert len(rsrs) == 16
+    keys = [rsr_key(r) for r in rsrs]
+    assert len(set(keys)) == 10
+    auts = automorphisms(g)
+    assert len(auts) == 1440
+    for r, key in zip(rsrs, keys):
+        assert key == min((oracle_type_along(r, phi) for phi in auts),
+                          key=lambda k: k.entries)
