@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -273,9 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser as it was, so one serves every call of main
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         for flag in ("samples", "nprimes"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:

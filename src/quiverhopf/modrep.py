@@ -283,17 +283,19 @@ def _ideal(g: Group, chi: np.ndarray, d: int, p: int) -> tuple[np.ndarray, list[
     character of degree d on elements.
 
     The row of e*y holds the coefficient of x at x*y.  The rows extend one
-    echelon 2d^2 at a time until they span e*kG; an rref is canonical, so
-    the basis is the one of the whole matrix.  The y are taken at stride
-    isqrt(|G|) through the elements: the first ones in order lie in a point
-    stabiliser and span little (S7, degree 6: 51 blocks, spread out 2)."""
+    echelon d^2 + 4 at a time until they span e*kG, a block being barely
+    more rows than its rank; an rref is canonical, so the basis is the one
+    of the whole matrix.  The y are taken at stride isqrt(|G|) through the
+    elements: the first ones in order lie in a point stabiliser and span
+    little (S7, degree 6: 51 blocks of 2d^2, spread out 2 of d^2 + 4)."""
     scale = d * pow(g.order % p, p - 2, p) % p
     coeffs = scale * chi[g.inverses] % p
     every = np.arange(g.order)
     spread = np.argsort(every % math.isqrt(g.order), kind="stable")
     basis, pivots = np.zeros((0, g.order), dtype=np.int64), []
-    for lo in range(0, g.order, 2 * d * d):
-        ys = spread[lo:lo + 2 * d * d]
+    block = d * d + 4
+    for lo in range(0, g.order, block):
+        ys = spread[lo:lo + block]
         e_y = np.zeros((len(ys), g.order), dtype=np.int64)
         e_y[np.arange(len(ys))[:, None], g.products(every[None, :], ys[:, None])] = coeffs
         basis, pivots = linalg.extend(basis, pivots, e_y, p)

@@ -414,3 +414,33 @@ def test_unnamed_sym7_is_inner_only_by_its_order(capsys, tmp_path):
     code, out, err = run_cli(capsys, "rsr-iso", str(pa), str(pb), "--mode", "search-aut")
     assert (code, err) == (0, "")
     assert json.loads(out)["isomorphic"] is True
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, tmp_path):
+    # every call of a sequence answers as on a parser of its own: --out then
+    # stdout, csv then json, an argparse rejection then a valid argv
+    report = tmp_path / "report.json"
+    sequence = [
+        ("group-info", "--group", "S3", "--out", str(report)),
+        ("group-info", "--group", "S3"),
+        ("chartab", "--group", "S3", "--format", "csv"),
+        ("chartab", "--group", "S3"),
+        ("group-info", "--group", "S3", "--bogus"),
+        ("group-info", "--group", "S4"),
+    ]
+
+    def run_all():
+        runs = []
+        for argv in sequence:
+            code, out, err = run_cli(capsys, *argv)
+            runs.append((code, out, err, report.read_text() if report.exists() else None))
+            report.unlink(missing_ok=True)
+        return runs
+
+    hits = cli._parser.cache_info().hits
+    shared = run_all()
+    assert cli._parser.cache_info().hits >= hits + len(sequence) - 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == shared
+    assert shared[0][1] == "" and shared[0][3] == shared[1][1]
+    assert shared[4][0] == 2 and shared[4][2].startswith("error: ")

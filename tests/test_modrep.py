@@ -402,9 +402,10 @@ def test_s7_degree_six_irrep_from_two_idempotent_blocks(monkeypatch):
     rep = irrep_matrices(g, f, group_table(g, f).degrees.index(6), seed=0)
     digest = hashlib.sha256(np.stack(rep.matrices).tobytes()).hexdigest()
     assert digest == S7_IRREP6_SHA256
-    # blocks of 2d^2 = 72 rows: 51 of them with the elements taken in order
+    # blocks of d^2 + 4 = 40 rows, at most two of them (51 blocks of 2d^2
+    # with the elements taken in order)
     assert 1 <= len(calls) <= 2
-    assert all(shape == (72, g.order) for shape in calls)
+    assert all(shape == (40, g.order) for shape in calls)
 
 
 def _right_mult_matrix(g, coeffs):

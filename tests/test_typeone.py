@@ -1,11 +1,12 @@
 import itertools
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from quiverhopf import typeone
-from quiverhopf.bimodule import check
+from quiverhopf.bimodule import Report, cases, check, combine
 from quiverhopf.typeone import path_degree
 from quiverhopf import (
     TruncationError,
@@ -39,14 +40,26 @@ def hopf_c2_seven_loops():
 
 
 def checked_cases(monkeypatch, h, **kwargs):
-    """verify_hopf(h, **kwargs) and the cases each of its checks ran on."""
+    """verify_hopf(h, **kwargs) and the cases each of its checks ran on; the
+    batched checks' cases as PathKey tuples, grouped by degree composition."""
     cases = {}
 
     def recording(report, name, it, test, *args, **kw):
         cases[name] = list(it)
         check(report, name, cases[name], test, *args, **kw)
 
+    def batch_recording(name, test):
+        def run(h, degrees, *codes):
+            cases.setdefault(name, []).extend(zip(*(
+                [h.basis_by_degree[d][c] for c in cs] for d, cs in zip(degrees, codes))))
+            return test(h, degrees, *codes)
+        return run
+
     monkeypatch.setattr(typeone, "check", recording)
+    monkeypatch.setattr(typeone, "associative",
+                        batch_recording("associativity", typeone.associative))
+    monkeypatch.setattr(typeone, "multiplicative",
+                        batch_recording("coproduct-algebra-map", typeone.multiplicative))
     return verify_hopf(h, **kwargs), cases
 
 
@@ -86,6 +99,41 @@ def test_arrow_times_vertex_is_right_action(hopf_s3_sgn, s3):
                 {tuple(divmod(int(left[x0 * m.apv + l]), m.apv)): 1}
 
 
+def oracle_product(h, stack, pk, qk):
+    """The dict product rule: p * q = (s(p) s(q), word(q) ++ A_{t(q)}^(x)m
+    word(p)), the word of p acted on letterwise by the right action of
+    t(q), read from stack, the bimodule's right actions of every element."""
+    right = stack[h.vertices(qk)[-1]]
+    terms = [((h.group.mul(pk[0], qk[0]),) + qk[1:], 1)]
+    for l in pk[1:]:
+        terms = [(w + (r,), c * int(right[r, l])) for w, c in terms
+                 for r in np.flatnonzero(right[:, l]).tolist()]
+    return combine(terms, h.p)
+
+
+def two_dimensional_slot_hopf(max_deg):
+    # S4 "(0 1)(2 3):2" with the 2-dimensional irrep of the centralizer D4
+    g = parse_group("S4")
+    ram = parse_ramification(g, "(0 1)(2 3):2")
+    for t in enumerate_types(g, ram):
+        h = tensor_hopf(rsr_from_type(g, ram, t), max_deg)
+        if any(b.shape[1] == 2 for b in h.bim.blocks.values()):
+            return h
+    raise AssertionError("no type with a 2-dimensional slot")
+
+
+def test_product_basis_matches_the_oracle(hopf_s3_sgn, hopf_c2_seven_loops):
+    two_dim = two_dimensional_slot_hopf(2)
+    assert two_dim.action_table(1)[0].shape[-1] == 2        # k = 2
+    for h in (hopf_s3_sgn, two_dim, hopf_c2_seven_loops):
+        stack = h.bim.right_stack(np.arange(h.group.order))
+        for m, n in itertools.product(range(h.max_deg + 1), repeat=2):
+            if m + n <= h.max_deg:
+                for pk, qk in itertools.product(h.basis_by_degree[m], h.basis_by_degree[n]):
+                    expected = oracle_product(h, stack, pk, qk)
+                    assert h.product_basis(pk, qk) == expected, (pk, qk)
+
+
 def test_tensor_relation(hopf_s3_sgn, s3):
     # the defining relation of the tensor product over the group algebra:
     # (p . g) * q = p * (g . q)
@@ -119,23 +167,14 @@ def factor_product_coproduct(h, key):
     acc = None
     for x, l in reversed(list(zip(h.vertices(key), key[1:]))):
         factor = {}
-        for v, c in h._right_terms(h.group.inv(x))[l]:
+        right = h.bim.right_stack([h.group.inv(x)])[0]
+        for v in np.flatnonzero(right[:, l]).tolist():
+            c = int(right[v, l])
             factor[((h._elem[v],), (0, v))] = c
             factor[((0, v), (0,))] = c
         acc = factor if acc is None else h._tensor_mul(acc, factor)
     start = {(key[:1], key[:1]): 1}
     return start if acc is None else h._tensor_mul(acc, start)
-
-
-def two_dimensional_slot_hopf(max_deg):
-    # S4 "(0 1)(2 3):2" with the 2-dimensional irrep of the centralizer D4
-    g = parse_group("S4")
-    ram = parse_ramification(g, "(0 1)(2 3):2")
-    for t in enumerate_types(g, ram):
-        h = tensor_hopf(rsr_from_type(g, ram, t), max_deg)
-        if any(b.shape[1] == 2 for b in h.bim.blocks.values()):
-            return h
-    raise AssertionError("no type with a 2-dimensional slot")
 
 
 def test_coproduct_matches_the_factor_product(hopf_s3_sgn):
@@ -168,14 +207,13 @@ def test_corrupted_word_coproduct_fails_coassociativity_or_counit(s3, word, expe
 
 
 def test_corrupted_identity_action_fails_unit(s3):
-    # the identity's right action sends letter 0 to letter 1: the unit runs
-    # only on the paths at e, and (e, 0) . e is now (e, 1)
+    # T[1] of the identity sends letter 0 to letter 1: the unit runs only on
+    # the paths at e, and (e, 0) . e is now (e, 1)
     ram = parse_ramification(s3, "(0 1):1")
     h = tensor_hopf(make_rsr(s3, ram, None, {1: (1,)}), 2)
-    right = list(h._right_terms(0))
-    assert right[0] == [(0, 1)]
-    right[0] = [(1, 1)]
-    h._right_cache[0] = right
+    code, coef = h.action_table(1)
+    assert code[0, 0].tolist() == [0] and coef[0, 0].tolist() == [1]
+    code[0, 0, 0] = 1
     report = verify_hopf(h, seed=4)
     assert "unit" in {c.name for c in report.checks if not c.ok}, report.to_json()
 
@@ -225,6 +263,103 @@ def test_sampled_compositions_follow_their_tuple_counts(monkeypatch,
         assert abs(seen[comp] / samples - w / 648) < 0.03, (comp, seen[comp])
 
 
+# the hopf-verify operations of the benchmark's verify workload
+VERIFY_OPS = [("S3", 2), ("S4", 1)]
+
+
+def verify_op_hopf(spec, max_deg, corrupt=False):
+    """The first type of "(0 1):2" on spec, as hopf-verify builds it.  With
+    corrupt, one coefficient of T[1] is doubled: that of the right action
+    of y on letter l, for the first sampled triple ((x, l), (y,), r) at
+    seed 0, so that this triple fails associativity."""
+    g = parse_group(spec)
+    ram = parse_ramification(g, "(0 1):2")
+    h = tensor_hopf(rsr_from_type(g, ram, enumerate_types(g, ram)[0]), max_deg)
+    if corrupt:
+        triples = list(pathkey_cases(h, 3, random.Random("hopf:0")))
+        (_, l), (y,), _ = next(t for t in triples if len(t[0]) == 2 and len(t[1]) == 1)
+        coef = h.action_table(1)[1]
+        coef[y, l, 0] = 2 * coef[y, l, 0] % h.p
+    return h
+
+
+def pathkey_cases(h, arity, rng):
+    """Sampled tuples of PathKeys of total degree <= N, drawn from the
+    lists of each degree's paths."""
+    return cases([tuple(h.basis_by_degree[d] for d in c)
+                  for c in itertools.product(range(h.max_deg + 1), repeat=arity)
+                  if sum(c) <= h.max_deg], 300, rng)
+
+
+def per_case_associative(h, t):
+    """Oracle of `typeone.associative`: one triple of PathKeys through the
+    dict products."""
+    k1, k2, k3 = t
+    return (h.multiply(h.product_basis(k1, k2), {k3: 1}) ==
+            h.multiply({k1: 1}, h.product_basis(k2, k3)))
+
+
+def per_case_multiplicative(h, t):
+    """Oracle of `typeone.multiplicative`: one pair of PathKeys through the
+    dict products and coproducts."""
+    k1, k2 = t
+    cop = h.coproduct
+    return (combine(((pair, c * c2) for k, c in h.product_basis(k1, k2).items()
+                     for pair, c2 in cop(k).items()), h.p) ==
+            h._tensor_mul(cop(k1), cop(k2)))
+
+
+def batched_outcomes(h, test, tuples):
+    """test, one of the batched checks, on each tuple of PathKeys."""
+    by_degrees, ok = {}, {}
+    for t in tuples:
+        by_degrees.setdefault(tuple(map(path_degree, t)), []).append(t)
+    for degrees, group in by_degrees.items():
+        codes = [np.array([h.code(k) for k in column]) for column in zip(*group)]
+        ok.update(zip(group, test(h, degrees, *codes).tolist()))
+    return [ok[t] for t in tuples]
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("spec, max_deg", VERIFY_OPS)
+def test_batched_checks_match_the_per_case_checks(spec, max_deg, corrupt):
+    h = verify_op_hopf(spec, max_deg, corrupt)
+    rng = random.Random("hopf:0")
+    triples, pairs = list(pathkey_cases(h, 3, rng)), list(pathkey_cases(h, 2, rng))
+    expected = [per_case_associative(h, t) for t in triples]
+    assert batched_outcomes(h, typeone.associative, triples) == expected
+    assert all(expected) != corrupt
+    expected = [per_case_multiplicative(h, t) for t in pairs]
+    assert batched_outcomes(h, typeone.multiplicative, pairs) == expected
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("spec, max_deg", VERIFY_OPS)
+def test_batched_reports_match_the_per_case_reports(spec, max_deg, corrupt):
+    # counts, outcomes and witnesses as `check` gives them on the per-case
+    # tests; after a failure the algebra map's draws start where `check`
+    # stopped drawing triples
+    h = verify_op_hopf(spec, max_deg, corrupt)
+    batched = {c.name: c for c in verify_hopf(h, seed=0).checks}
+    per_case, rng = Report(), random.Random("hopf:0")
+    check(per_case, "associativity", pathkey_cases(h, 3, rng),
+          lambda t: per_case_associative(h, t))
+    check(per_case, "coproduct-algebra-map", pathkey_cases(h, 2, rng),
+          lambda t: per_case_multiplicative(h, t))
+    assert [batched[c.name] for c in per_case.checks] == per_case.checks
+    assert per_case.passed != corrupt
+
+
+@pytest.mark.parametrize("spec, max_deg", VERIFY_OPS)
+def test_code_sampling_draws_the_pathkey_tuples(monkeypatch, spec, max_deg):
+    h = verify_op_hopf(spec, max_deg)
+    report, recorded = checked_cases(monkeypatch, h, seed=3)
+    assert report.passed
+    rng = random.Random("hopf:3")
+    for name, arity in (("associativity", 3), ("coproduct-algebra-map", 2)):
+        assert Counter(recorded[name]) == Counter(pathkey_cases(h, arity, rng))
+
+
 def test_basis_is_lexicographic_in_vertex_and_word(hopf_s3_loops, hopf_s3_sgn):
     # oracle: extend each path of degree n - 1, in basis order, by the arrows
     # of the quiver out of its target, in arrow order
@@ -249,19 +384,32 @@ def test_truncation_overflow(hopf_s3_sgn):
 
 
 def test_mutated_product_fails_coproduct_map(s3):
+    # one coefficient of T[1], the right action of x on letter 0, doubled
     ram = parse_ramification(s3, "(0 1):1")
     rsr = make_rsr(s3, ram, None, {1: (1,)})
     h = tensor_hopf(rsr, 2)
-    k1 = h.basis_by_degree[1][0]
-    k2 = h.basis_by_degree[1][3]
-    mutated = h.product_basis(k1, k2)
-    target = next(iter(mutated))
-    mutated[target] = (mutated[target] + 2) % h.p
-    h._prod_cache[(k1, k2)] = {k: v for k, v in mutated.items() if v}
+    coef = h.action_table(1)[1]
+    x = 1
+    assert coef[x, 0, 0] != 0
+    coef[x, 0, 0] = 2 * coef[x, 0, 0] % h.p
     report = verify_hopf(h, seed=4)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.ok}
     assert "coproduct-algebra-map" in failed or "associativity" in failed
+
+
+def test_wrong_target_fails_a_product_check(s3):
+    # one degree-1 path ends at the wrong vertex: a product with it on the
+    # right is then acted on by the wrong element
+    ram = parse_ramification(s3, "(0 1):1")
+    h = tensor_hopf(make_rsr(s3, ram, None, {1: (1,)}), 2)
+    code = h.code((0, 0))
+    end = int(h.target[1][code])
+    assert end == h.vertices((0, 0))[-1]
+    h.target[1][code] = next(x for x in range(s3.order) if x not in (0, end))
+    report = verify_hopf(h, seed=4)
+    failed = {c.name for c in report.checks if not c.ok}
+    assert "coproduct-algebra-map" in failed or "associativity" in failed, report.to_json()
 
 
 def test_type_one_dims_c2():
