@@ -22,7 +22,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -82,15 +82,15 @@ def check(report: Report, name: str, cases: Iterable, test: Callable[..., bool],
 
 
 def check_all(report: Report, name: str, ok: np.ndarray,
-              witness: Callable[[int], str]) -> None:
+              witness: Callable[[int], str], weight: int = 1) -> None:
     """Add check `name` from `ok`, the outcome of each of its cases in
-    order, as `check` would record it: the count runs to the first failing
-    case and the witness is formatted for its index.  No cases, no check."""
+    order, as `check` would record it with the same weight: the count runs
+    to the first failing case and the witness is formatted for its index."""
     bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
     if bad.size:
-        report.add(name, False, int(bad[0]) + 1, witness(int(bad[0])))
-    elif len(ok):
-        report.add(name, True, len(ok))
+        report.add(name, False, weight * (int(bad[0]) + 1), witness(int(bad[0])))
+    elif weight * len(ok):
+        report.add(name, True, weight * len(ok))
 
 
 def cases(spaces: Sequence[tuple[Sequence, ...]], samples: int = 0,
@@ -110,15 +110,6 @@ def cases(spaces: Sequence[tuple[Sequence, ...]], samples: int = 0,
     if sum(weights):
         for space in rng.choices(spaces, weights, k=samples):
             yield tuple(rng.choice(s) for s in space)
-
-
-def combine(terms: Iterable[tuple[Hashable, int]], p: int) -> dict:
-    """The F_p-combination {key: coefficient} summing (key, coefficient)
-    pairs mod p, without the keys whose coefficient vanishes."""
-    out: dict = {}
-    for key, c in terms:
-        out[key] = out.get(key, 0) + c
-    return {key: r for key, c in out.items() if (r := c % p)}
 
 
 class HopfBimodule:

@@ -17,21 +17,22 @@ This two-sided rule is forced by associativity (the source-translated
 factors generate a free subalgebra and vertices act by the smash relation
 x v x^-1 = x |> v); it reduces to a plain right shift whenever s(p) = 1.
 
-The rule runs on integer codes: the degree-n path (x, l_1, ..., l_n) is
-code x apv^n + sum_i l_i apv^(n-i), its index in that degree's basis.
-Two tables hold everything it needs.  `target[n]` is the target vertex of
-every degree-n code.  `action_table(m)`, T[m], holds for every vertex h
-and word w of length m the k^m (code, coefficient) terms of A_h^(x)m w,
-zero-padded, k being the largest number of nonzeros in a column of any
-right action: |G| apv^m k^m cells, built on first use.  A batch of
-products is then gathers: the vertex s(p) s(q), word(q) as the prefix and
-T[m][t(q), word(p)] as the suffixes.  `product_basis` is the one-pair view
-of the same gathers.
+Elements are integer codes: the degree-n path (x, l_1, ..., l_n) is code
+x apv^n + sum_i l_i apv^(n-i), its index in that degree's basis, and
+PathKeys appear only in witnesses and JSON.  Two tables hold the product.
+`target[n]` is the target vertex of every degree-n code.
+`action_table(m)`, T[m], holds for every vertex h and word w of length m
+the k^m (code, coefficient) terms of A_h^(x)m w, zero-padded, k being the
+largest number of nonzeros in a column of any right action: |G| apv^m k^m
+cells, built on first use.  A batch of products is then gathers: the
+vertex s(p) s(q), word(q) as the prefix and T[m][t(q), word(p)] as the
+suffixes.  `product_basis` is the one-pair view of the same gathers.
 
 The coproduct is the multiplicative extension of Delta(x) = x (x) x on
 vertices and Delta(a) = t(a) (x) a + a (x) s(a) on arrows; arrows out of
-the identity vertex are therefore (1,y)-skew-primitive.  The antipode is
-computed by the graded convolution recursion and cached.
+the identity vertex are therefore (1,y)-skew-primitive.  Delta(e, w) and
+the antipode S(e, w) are tables over the words w at the identity, built
+degree by degree; (x, w) = x * (e, w) reads both at x by the group table.
 
 Graded dimensions of the type-one algebra are |G| times the Nichols
 dimensions of the coinvariant module; the cotensor coalgebra itself is
@@ -47,8 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bimodule import (HopfBimodule, Report, build_bimodule, cases, check, check_all,
-                       combine)
+from .bimodule import HopfBimodule, Report, build_bimodule, cases, check_all
 from .groups import BudgetError, InputError
 from .rsr import RSR
 from .yd import nichols_dims, yd_from_rsr
@@ -56,7 +56,6 @@ from .yd import nichols_dims, yd_from_rsr
 # basis keys: (start vertex, l_1, ..., l_n), the path whose i-th arrow is
 # local arrow l_i at the end of the first i - 1; (x,) is the vertex x
 PathKey = tuple[int, ...]
-Element = dict  # PathKey -> coefficient mod p
 
 # paths of degree <= N, sum_n |G| apv^n: 131,072 is 2.6 times the largest
 # basis in use (S5 "(0 1):2" at degree 2, 50,520 paths)
@@ -89,6 +88,30 @@ def _padded(run: np.ndarray, size: int, *values: np.ndarray) -> list[np.ndarray]
     return out
 
 
+def _canonical(p: int, bound: int, terms: list) -> tuple[np.ndarray, ...]:
+    """The F_p-combination per case of terms, a list of (keys, coefficients)
+    arrays, keys below bound, their first axis the case: the cases, keys
+    and coefficients of its nonzero terms, sorted by (case, key)."""
+    keys = np.concatenate([
+        (np.arange(len(k)).reshape((-1,) + (1,) * (k.ndim - 1)) * bound + k).ravel()
+        for k, _ in terms])
+    coefs = np.concatenate([np.broadcast_to(c, k.shape).ravel() for k, c in terms])
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(coefs[order], first) % p
+    nonzero = sums != 0
+    return (*np.divmod(keys[first[nonzero]], bound), sums[nonzero])
+
+
+def _agree(p: int, bound: int, ncases: int, lhs: list, rhs: list) -> np.ndarray:
+    """Per case, whether two sides, lists of terms as `_canonical` takes
+    them, agree as F_p-combinations: lhs - rhs has no term in the case."""
+    ok = np.ones(ncases, dtype=bool)
+    ok[_canonical(p, bound, lhs + [(k, -c) for k, c in rhs])[0]] = False
+    return ok
+
+
 class TruncatedHopf:
     """Degree-capped tensor Hopf algebra of the arrow bimodule of an RSR."""
 
@@ -101,43 +124,39 @@ class TruncatedHopf:
         self.p = rsr.field.p
         self.max_deg = max_deg
         self.bim = bim if bim is not None else build_bimodule(rsr)
-        order, apv = self.group.order, self.bim.apv
-        paths = sum(order * apv ** n for n in range(max_deg + 1))
+        paths = sum(self.dim(n) for n in range(max_deg + 1))
         if paths > PATH_CAP:
             raise BudgetError(f"{paths} paths up to degree {max_deg} exceed "
                               f"the cap of {PATH_CAP}")
-        # lexicographic in (vertex, word), the order of the arrow numbers
-        self.basis_by_degree: list[list[PathKey]] = [
-            list(itertools.product(range(order), *[range(apv)] * n))
-            for n in range(max_deg + 1)]
-        self._elem = self.bim.elem.tolist()
         # target[n][code]: the vertex where the degree-n path ends
-        self.target = [np.arange(order)]
+        self.target = [np.arange(self.group.order)]
         for _ in range(max_deg):
             self.target.append(self.group.products(
                 self.target[-1][:, None], self.bim.elem[None, :]).ravel())
-        self._tables: list[tuple[np.ndarray, np.ndarray]] = []
-        # Delta(e, w) per word w, built by coproduct's prefix recursion
-        self._word_cop: dict[tuple[int, ...], dict] = {(): {((0,), (0,)): 1}}
-        self._cop_tables: dict[int, list[np.ndarray]] = {}
-        self._antipode_cache: dict[PathKey, Element] = {}
+        # tables known outright: T[0] fixes the empty word, S(e) = e,
+        # Delta(e) = e (x) e and Delta(e, l) = t(l) (x) (e, l) + (e, l) (x) e
+        one = np.ones((self.group.order, 1, 1), dtype=np.int64)
+        self._tables = [(0 * one, one)]
+        l = np.arange(self.bim.apv)[:, None]
+        self._cop_tables = [[np.stack([0 * one[0], 0 * one[0], one[0]])],
+                            [np.stack([self.bim.elem[l], l, np.ones_like(l)]),
+                             np.stack([l, 0 * l, np.ones_like(l)])]]
+        self._antipode_tables = [(0 * one[0], one[0].copy())]
 
     # -- elements -------------------------------------------------------------
 
     def dim(self, n: int) -> int:
-        return len(self.basis_by_degree[n])
+        return self.group.order * self.bim.apv ** n
 
     def code(self, key: PathKey) -> int:
         """The index of a path in its degree's basis."""
-        code = key[0]
-        for l in key[1:]:
-            code = code * self.bim.apv + l
-        return code
+        shape = (self.group.order,) + (self.bim.apv,) * path_degree(key)
+        return int(np.ravel_multi_index(key, shape))
 
-    def vertices(self, key: PathKey) -> list[int]:
-        """The vertices a path passes, from its start to its target."""
-        return list(itertools.accumulate((self._elem[l] for l in key[1:]),
-                                         self.group.mul, initial=key[0]))
+    def key(self, n: int, code: int) -> PathKey:
+        """The degree-n path with the given code: the inverse of `code`."""
+        shape = (self.group.order,) + (self.bim.apv,) * n
+        return tuple(map(int, np.unravel_index(code, shape)))
 
     def action_table(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """T[m]: the codes and the coefficients, each (|G|, apv^m, k^m), of
@@ -147,15 +166,12 @@ class TruncatedHopf:
         T[1], the last letter's terms innermost."""
         while len(self._tables) <= m:
             n = len(self._tables)
-            if n == 0:
-                shape = (self.group.order, 1, 1)
-                self._tables.append((np.zeros(shape, dtype=np.int64),
-                                     np.ones(shape, dtype=np.int64)))
-            elif n == 1:
+            if n == 1:
                 self._tables.append(self._right_table())
             else:
                 (code, coef), (code1, coef1) = self._tables[-1], self._tables[1]
-                shape = (self.group.order, self.bim.apv ** n, -1)
+                shape = (self.group.order, self.bim.apv ** n,
+                         code.shape[-1] * code1.shape[-1])
                 self._tables.append((
                     (code[:, :, None, :, None] * self.bim.apv +
                      code1[:, None, :, None, :]).reshape(shape),
@@ -190,82 +206,68 @@ class TruncatedHopf:
         head = (self.group.products(sp, sq) * an + wq) * am
         return head[..., None] + code[t, wp], coef[t, wp]
 
-    def product_basis(self, pk: PathKey, qk: PathKey) -> Element:
+    def product_basis(self, pk: PathKey, qk: PathKey) -> dict:
         """p * q on two basis paths, from `products` on their codes."""
         m, n = path_degree(pk), path_degree(qk)
         if m + n > self.max_deg:
             raise TruncationError(
                 f"product of degrees {m}+{n} exceeds truncation {self.max_deg}")
         codes, coefs = self.products(m, n, self.code(pk), self.code(qk))
-        keys = self.basis_by_degree[m + n]
         # the nonzero terms have distinct codes: only the padding drops out
-        return {keys[c]: w for c, w in zip(codes.tolist(), coefs.tolist()) if w}
+        return {self.key(m + n, c): w for c, w in zip(codes.tolist(), coefs.tolist()) if w}
 
-    def multiply(self, e1: Element, e2: Element) -> Element:
-        return combine(((k, c1 * c2 * c) for k1, c1 in e1.items()
-                        for k2, c2 in e2.items()
-                        for k, c in self.product_basis(k1, k2).items()), self.p)
+    def tensor_products(self, m: int, n: int, ta: list, tb: list) -> list[tuple]:
+        """(a (x) b)(a' (x) b') = a a' (x) b b' on tensors of degrees m and n,
+        each a list over its left degree i of the (left codes, right codes,
+        coefficients) of its terms, (cases, terms) arrays: per pair (i, j)
+        of left degrees, (i + j, keys, coefficients), a tensor u (x) v of
+        left degree d being the key u dim_{m+n-d} + v."""
+        p, out = self.p, []
+        for (i, (ua, va, ca)), (j, (ub, vb, cb)) in itertools.product(enumerate(ta),
+                                                                      enumerate(tb)):
+            left, wl = self.products(i, j, ua[:, :, None], ub[:, None, :])
+            right, wr = self.products(m - i, n - j, va[:, :, None], vb[:, None, :])
+            key = left[..., :, None] * self.dim(m + n - i - j) + right[..., None, :]
+            out.append((i + j, key, (ca[:, :, None] * cb[:, None, :] % p)[..., None, None] *
+                        (wl[..., :, None] * wr[..., None, :] % p) % p))
+        return out
 
     # -- coalgebra --------------------------------------------------------------
 
-    def _tensor_mul(self, t1: dict, t2: dict) -> dict:
-        return combine((((ka, kb), c1 * c2 * ca * cb)
-                        for (a1, b1), c1 in t1.items() for (a2, b2), c2 in t2.items()
-                        for (ka, ca), (kb, cb) in itertools.product(
-                            self.product_basis(a1, a2).items(),
-                            self.product_basis(b1, b2).items())), self.p)
-
-    def coproduct(self, key: PathKey) -> dict:
-        """Delta on a basis path, as a dict {(left_key, right_key): coeff}.
-
-        Translation lemma: the product rule gives (x, w) = x * (e, w), and
-        Delta(x) = x (x) x, so Delta(x, w) is Delta(e, w) with both tensor
-        factors left-translated by x, (y, u) -> (x y, u).  Delta(e, w) is
-        built once per word by the prefix recursion Delta(e, w l) =
-        Delta(F) Delta(e, w), where (e, w l) = F * (e, w) for F = l . t^-1
-        with t = t(e, w), a combination of arrows v out of the identity,
-        each with Delta(v) = t(v) (x) v + v (x) 1.
-        """
-        x, cop = key[0], self._coproduct_at_e(key[1:])
-        mul = self.group.mul
-        return {((mul(x, a[0]),) + a[1:], (mul(x, b[0]),) + b[1:]): c
-                for (a, b), c in cop.items()}
-
-    def _coproduct_at_e(self, word: tuple[int, ...]) -> dict:
-        if word not in self._word_cop:
-            t = self.vertices((0,) + word[:-1])[-1]
-            factor = {}
-            # l . t^-1 = sum_v c (t^-1, v); F is sum_v c (e, v)
-            arrow = self.product_basis((0, word[-1]), (self.group.inv(t),))
-            for (_, v), c in arrow.items():
-                factor[((self._elem[v],), (0, v))] = c
-                factor[((0, v), (0,))] = c
-            self._word_cop[word] = self._tensor_mul(
-                factor, self._coproduct_at_e(word[:-1]))
-        return self._word_cop[word]
-
     def coproduct_terms(self, n: int, i: int, codes) -> tuple[np.ndarray, ...]:
-        """Delta of the degree-n paths in codes, restricted to the terms
-        whose left factor has degree i: the left codes, right codes (degree
-        n - i) and coefficients on a new last axis, padded with zero
-        coefficients.  Delta(e, w) is read into arrays once per degree and
-        translated to (x, w) by the group table."""
-        left, right, coef = self.coproduct_table(n)[i][:, codes % self.bim.apv ** n]
-        x = (codes // self.bim.apv ** n)[..., None]
-        return (self._translate(x, left, i), self._translate(x, right, n - i), coef)
+        """Delta of the degree-n paths in codes, its terms of left degree i:
+        the left codes, right codes and coefficients on a new last axis,
+        zero-padded.  (x, w) = x * (e, w) and Delta(x) = x (x) x, so
+        Delta(x, w) is Delta(e, w) with both factors moved from start y to
+        start x y."""
+        x, w = divmod(codes, self.bim.apv ** n)
+        left, right, coef = self.coproduct_table(n)[i][:, w]
+        return (self._translate(x[..., None], left, i),
+                self._translate(x[..., None], right, n - i), coef)
 
     def coproduct_table(self, n: int) -> list[np.ndarray]:
         """Per left degree i, Delta(e, w) for every word w of length n as one
-        (3, apv^n, width) array: left codes, right codes and coefficients."""
-        apv = self.bim.apv
-        if n not in self._cop_tables:
-            terms = [[] for _ in range(n + 1)]
-            for w, key in enumerate(self.basis_by_degree[n][:apv ** n]):
-                for (a, b), c in self._coproduct_at_e(key[1:]).items():
-                    terms[path_degree(a)].append((w, self.code(a), self.code(b), c))
-            rows = [np.array(t, dtype=np.int64).reshape(-1, 4) for t in terms]
-            self._cop_tables[n] = [np.stack(_padded(r[:, 0], apv ** n, *r[:, 1:].T))
-                                   for r in rows]
+        (3, apv^n, width) array of left codes, right codes and coefficients,
+        repeated tensors summed mod p and zeros dropped.  Past degree 1,
+        Delta(e, w l) = Delta(F) Delta(e, w), where (e, w l) = F * (e, w)
+        for F = l . t(e, w)^-1, the arrows sum_v c (e, v) read from T[1]."""
+        apv, p = self.bim.apv, self.p
+        while len(self._cop_tables) <= n:
+            d = len(self._cop_tables)
+            w, l = np.divmod(np.arange(apv ** d), apv)
+            code, coef = self.action_table(1)
+            inv = self.group.inverses[self.target[d - 1][w]]
+            v, c = code[inv, l], coef[inv, l]
+            factor = [(a[v, 0], b[v, 0], k[v, 0] * c % p) for a, b, k in self._cop_tables[1]]
+            terms = self.tensor_products(1, d - 1, factor,
+                                         [t[:, w] for t in self._cop_tables[d - 1]])
+            table = []
+            for i in range(d + 1):
+                run, key, k = _canonical(p, self.dim(i) * self.dim(d - i),
+                                         [t[1:] for t in terms if t[0] == i])
+                left, right = np.divmod(key, self.dim(d - i))
+                table.append(np.stack(_padded(run, len(w), left, right, k)))
+            self._cop_tables.append(table)
         return self._cop_tables[n]
 
     def _translate(self, x, codes, n: int) -> np.ndarray:
@@ -273,30 +275,48 @@ class TruncatedHopf:
         y, w = divmod(codes, self.bim.apv ** n)
         return self.group.products(x, y) * self.bim.apv ** n + w
 
-    def antipode(self, key: PathKey) -> Element:
-        """S on a basis path via the convolution recursion S * id = unit . counit."""
-        g = self.group
-        if len(key) == 1:
-            return {(g.inv(key[0]),): 1}
-        if key in self._antipode_cache:
-            return dict(self._antipode_cache[key])
-        n = len(key) - 1
-        # S(p) * x0 = -(the other terms), the single top term being S(p) * x0
-        rest = combine(((k, -c * cv) for (k1, k2), c in self.coproduct(key).items()
-                        if path_degree(k1) != n
-                        for k, cv in self.multiply(self.antipode(k1), {k2: 1}).items()),
-                       self.p)
-        out = self.multiply(rest, {(g.inv(key[0]),): 1})
-        self._antipode_cache[key] = out
-        return dict(out)
+    def antipode_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """S(e, w) for every word w of length n: the codes and coefficients,
+        each (apv^n, width), of its terms, zero-padded.  S * id = unit counit
+        at (e, w), whose one term of left degree n is S(e, w) e, gives
+        S(e, w) = -sum S(a) b over the other terms a (x) b of Delta(e, w)."""
+        while len(self._antipode_tables) <= n:
+            d = len(self._antipode_tables)
+            words = np.arange(self.bim.apv ** d)
+            run, key, c = _canonical(self.p, self.dim(d),
+                                     [(k, -c) for k, c in self.convolution(d, words, d)])
+            self._antipode_tables.append(tuple(_padded(run, len(words), key, c)))
+        return self._antipode_tables[n]
+
+    def antipode_terms(self, n: int, codes) -> tuple[np.ndarray, np.ndarray]:
+        """S of the degree-n paths in codes, its terms on a new last axis,
+        zero-padded: S(x, w) = S(e, w) S(x) = S(e, w) x^-1 by `products`."""
+        code, coef = self.antipode_table(n)
+        x, w = divmod(codes, self.bim.apv ** n)
+        out, c = self.products(n, 0, code[w], self.group.inverses[x][..., None])
+        return (out.reshape(*np.shape(codes), -1),
+                (coef[w][..., None] * c % self.p).reshape(*np.shape(codes), -1))
+
+    def convolution(self, n: int, codes, top: int) -> list[tuple]:
+        """sum S(a) b over the terms a (x) b of Delta of the degree-n paths in
+        codes whose left degree is below top: (codes, coefficients) arrays,
+        the case on the first axis, one pair per left degree."""
+        out = []
+        for i in range(top):
+            a, b, c = self.coproduct_terms(n, i, codes)
+            s, cs = self.antipode_terms(i, a)
+            prod, cp = self.products(i, n - i, s, b[..., None])
+            out.append((prod, (c[..., None] * cs % self.p)[..., None] * cp % self.p))
+        return out
 
 
 def path_key_json(key: PathKey, h: "TruncatedHopf") -> dict:
     g = h.group
     if len(key) == 1:
         return {"vertex": g.element_name(key[0])}
-    apv = h.bim.apv
-    arrows = [h.bim.quiver.arrow(x * apv + l) for x, l in zip(h.vertices(key), key[1:])]
+    # the i-th arrow leaves the target of the path's first i - 1 arrows
+    arrows = [h.bim.quiver.arrow(h.target[i][h.code(key[:i + 1])] * h.bim.apv + l)
+              for i, l in enumerate(key[1:])]
     return {"start": g.element_name(key[0]),
             "arrows": [{"y": g.element_name(a.y), "class": a.cls,
                         "slot": a.slot, "j": a.j} for a in arrows]}
@@ -308,38 +328,17 @@ def structure_json(h: TruncatedHopf) -> dict:
            "dims": [h.dim(n) for n in range(h.max_deg + 1)], "products": []}
     for m in range(h.max_deg + 1):
         for n in range(h.max_deg + 1 - m):
-            for pk in h.basis_by_degree[m]:
-                for qk in h.basis_by_degree[n]:
-                    terms = [{"path": path_key_json(k, h), "coeff": c}
-                             for k, c in sorted(h.product_basis(pk, qk).items())]
-                    doc["products"].append({
-                        "left": path_key_json(pk, h),
-                        "right": path_key_json(qk, h),
-                        "terms": terms,
-                    })
+            for pc, qc in itertools.product(range(h.dim(m)), range(h.dim(n))):
+                pk, qk = h.key(m, pc), h.key(n, qc)
+                terms = [{"path": path_key_json(k, h), "coeff": c}
+                         for k, c in sorted(h.product_basis(pk, qk).items())]
+                doc["products"].append({"left": path_key_json(pk, h),
+                                        "right": path_key_json(qk, h), "terms": terms})
     return doc
 
 
 def tensor_hopf(rsr: RSR, max_deg: int) -> TruncatedHopf:
     return TruncatedHopf(rsr, max_deg)
-
-
-def _agree(p: int, bound: int, ncases: int, lhs: list, rhs: list) -> np.ndarray:
-    """Per case, whether two sides agree as F_p-combinations.  A side is a
-    list of (keys, coefficients) arrays, keys below bound, their first axis
-    the case; they agree when the canonical form of lhs - rhs (sorted by
-    (case, key), summed mod p, zeros dropped) has no term in the case."""
-    terms = [(np.arange(ncases).reshape((-1,) + (1,) * (k.ndim - 1)) * bound + k,
-              sign * c) for side, sign in ((lhs, 1), (rhs, -1)) for k, c in side]
-    keys = np.concatenate([k.ravel() for k, _ in terms])
-    coefs = np.concatenate([np.broadcast_to(c, k.shape).ravel() for k, c in terms])
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    left = np.add.reduceat(coefs[order], first) % p != 0
-    ok = np.ones(ncases, dtype=bool)
-    ok[keys[first[left]] // bound] = False
-    return ok
 
 
 def associative(h: TruncatedHopf, degrees: tuple[int, ...], a, b, c) -> np.ndarray:
@@ -358,8 +357,7 @@ def multiplicative(h: TruncatedHopf, degrees: tuple[int, ...], a, b) -> np.ndarr
     """Per case, Delta(a b) = Delta(a) Delta(b) for the codes a, b of the
     given degrees.  A tensor of degree-i and degree-(d - i) codes u, v is
     the key off[i] + u dim_{d-i} + v.  Delta(a b) is sum c Delta(term) over
-    the terms of a b; Delta(a) Delta(b) multiplies the left and the right
-    factors of every pair of terms, one degree pair (i, j) at a time."""
+    the terms of a b; Delta(a) Delta(b) is `tensor_products`."""
     m, n = degrees
     d, p = m + n, h.p
     off = list(itertools.accumulate((h.dim(i) * h.dim(d - i) for i in range(d + 1)),
@@ -369,18 +367,61 @@ def multiplicative(h: TruncatedHopf, degrees: tuple[int, ...], a, b) -> np.ndarr
     for i in range(d + 1):
         u, v, c = h.coproduct_terms(d, i, ab)
         lhs.append((off[i] + u * h.dim(d - i) + v, w[..., None] * c % p))
-    rhs = []
-    terms_a = [h.coproduct_terms(m, i, a) for i in range(m + 1)]
-    terms_b = [h.coproduct_terms(n, j, b) for j in range(n + 1)]
-    for (i, (ua, va, ca)), (j, (ub, vb, cb)) in itertools.product(enumerate(terms_a),
-                                                                  enumerate(terms_b)):
-        left, wl = h.products(i, j, ua[:, :, None], ub[:, None, :])
-        right, wr = h.products(m - i, n - j, va[:, :, None], vb[:, None, :])
-        rhs.append((off[i + j] + left[..., :, None] * h.dim(d - i - j) +
-                    right[..., None, :],
-                    (ca[:, :, None] * cb[:, None, :] % p)[..., None, None] *
-                    (wl[..., :, None] * wr[..., None, :] % p) % p))
-    return _agree(p, off[-1], len(a), lhs, rhs)
+    rhs = h.tensor_products(m, n, [h.coproduct_terms(m, i, a) for i in range(m + 1)],
+                            [h.coproduct_terms(n, j, b) for j in range(n + 1)])
+    return _agree(p, off[-1], len(a), lhs, [(off[i] + k, c) for i, k, c in rhs])
+
+
+def _each_is(h: TruncatedHopf, bound: int, sides: list, key) -> np.ndarray:
+    """Per case, whether each of sides, (keys, coefficients) arrays with the
+    case on the first axis, sums to the one term key[case], coefficient 1."""
+    return np.logical_and.reduce(
+        [_agree(h.p, bound, len(key), [side], [(key[:, None], 1)]) for side in sides])
+
+
+def unital(h: TruncatedHopf, n: int, words) -> np.ndarray:
+    """Per path (e, w) of degree n, e (e, w) = (e, w) = (e, w) e."""
+    return _each_is(h, h.dim(n), [h.products(0, n, 0, words), h.products(n, 0, words, 0)],
+                    words)
+
+
+def counital(h: TruncatedHopf, n: int, words) -> np.ndarray:
+    """Per path (e, w) of degree n, (eps (x) id) Delta(e, w) = (e, w) =
+    (id (x) eps) Delta(e, w), eps being 1 on vertices and 0 on arrows."""
+    _, right, c0 = h.coproduct_terms(n, 0, words)
+    left, _, cn = h.coproduct_terms(n, n, words)
+    return _each_is(h, h.dim(n), [(right, c0), (left, cn)], words)
+
+
+def coassociative(h: TruncatedHopf, n: int, words) -> np.ndarray:
+    """Per path (e, w) of degree n, (Delta (x) id) Delta = (id (x) Delta)
+    Delta, a degree composition (i, j, l) and a chunk of about TERMS terms
+    at a time.  a (x) b (x) c is the key (a dim_j + b) dim_l + c: a case
+    times a key stays below apv^n dim_i dim_j dim_l = |G| dim_n^2, at most
+    2^51 under PATH_CAP."""
+    p, ok = h.p, np.ones(len(words), dtype=bool)
+    width = [[t.shape[-1] for t in h.coproduct_table(d)] for d in range(n + 1)]
+    for i, j, l in ((i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)):
+        step = max(1, TERMS // max(1, width[n][i + j] * width[i + j][i] +
+                                   width[n][i] * width[j + l][j]))
+        for lo in range(0, len(words), step):
+            at = words[lo:lo + step]
+            a, c, w = h.coproduct_terms(n, i + j, at)
+            a1, a2, w1 = h.coproduct_terms(i + j, i, a)
+            a, b, v = h.coproduct_terms(n, i, at)
+            b1, b2, v1 = h.coproduct_terms(j + l, j, b)
+            ok[at] &= _agree(
+                p, h.dim(i) * h.dim(j) * h.dim(l), len(at),
+                [((a1 * h.dim(j) + a2) * h.dim(l) + c[..., None], w[..., None] * w1 % p)],
+                [((a[..., None] * h.dim(j) + b1) * h.dim(l) + b2, v[..., None] * v1 % p)])
+    return ok
+
+
+def antipodal(h: TruncatedHopf, n: int, codes) -> np.ndarray:
+    """Per degree-n path, S * id = unit counit: sum S(a) b over all the
+    terms a (x) b of its coproduct is e in degree 0 and 0 above."""
+    unit = [(0 * codes[:, None], 1)] if n == 0 else []
+    return _agree(h.p, h.dim(n), len(codes), h.convolution(n, codes, n + 1), unit)
 
 
 def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
@@ -388,48 +429,38 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
     """Check Hopf axioms on basis elements within the truncation degree.
 
     Associativity runs on triples and Delta-is-an-algebra-map on pairs of
-    basis paths of total degree <= N.  Both come from one list of degree
-    compositions (d_1, ..., d_k) with sum <= N: exhaustive mode (the
-    default when the basis has at most 100 paths) takes every tuple of
-    each composition; sampled mode draws `samples` tuples, each by picking
-    a composition with probability proportional to its tuple count
-    prod dim_{d_i} and then one uniform path per degree, which is the
-    uniform law on all tuples of total degree <= N.  Both run batched, one
-    degree composition of a chunk of cases at a time, on the path codes:
-    associativity compares (p q) r with p (q r) by `products`, and the
-    algebra map compares sum c Delta(term) over the terms of p q with the
-    products of the left and of the right factors of Delta(p) Delta(q),
-    Delta(e, w) being read from `coproduct_table`.  Counts, outcomes and
-    witnesses are those of `check` on the same cases.  The remaining checks
-    cover every path in either mode: unit, coassociativity and counit all
-    basis paths, and the antipode convolution identity all paths of degree
-    <= N-1.  Unit, coassociativity and counit run on the paths at e, each
-    counted for its |G| translates: each holds at (x, w) exactly when it
-    holds at (e, w).  For the unit, the product rule gives e . (x, w) and
-    (x, w) . e as e . (e, w) and (e, w) . e with the start vertex moved to
-    x; for the others, the translation lemma of `TruncatedHopf.coproduct`,
-    translation by x being injective on tensors.
+    basis paths of total degree <= N, batched by degree composition
+    (d_1, ..., d_k), sum <= N: exhaustive mode (the default up to 100
+    basis paths) takes every tuple; sampled mode draws `samples` tuples,
+    each by picking a composition with probability proportional to its
+    tuple count prod dim_{d_i}, then one uniform path per degree: the
+    uniform law on all tuples.  Counts, outcomes and witnesses are those of
+    `check` on the same cases.  The other checks cover every path in either
+    mode, a degree with paths at a time: the antipode identity the paths of
+    degree <= N-1; unit, coassociativity and counit the paths (e, w), each
+    counted for its |G| translates (x, w), where it holds exactly when it
+    holds at (e, w), for e (x, w) and (x, w) e are e (e, w) and (e, w) e
+    moved to start x, and Delta(x, w) is Delta(e, w) moved to x.
     """
-    p = h.p
-    n_basis = sum(h.dim(n) for n in range(h.max_deg + 1))
+    dims = [h.dim(n) for n in range(h.max_deg + 1)]
     if exhaustive is None:
-        exhaustive = n_basis <= 100
+        exhaustive = sum(dims) <= 100
     report = Report(mode="exhaustive" if exhaustive else f"sampled({samples})")
     rng = None if exhaustive else random.Random(f"hopf:{seed}")
-
-    at_e = [k for n in range(h.max_deg + 1)
-            for k in h.basis_by_degree[n][:h.bim.apv ** n]]
     # the global index of each degree's code 0, and the end of the basis
-    offset = np.cumsum([0] + [h.dim(n) for n in range(h.max_deg + 1)])
+    offset = np.cumsum([0] + dims)
+
+    def path(i: int, sizes: list[int] = dims) -> PathKey:
+        """Case i's path, the cases being the codes below each sizes[n]."""
+        n = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
+        return h.key(n, i - sum(sizes[:n]))
 
     def batched(name: str, arity: int, terms: int, test) -> None:
         """check_all of test over the tuples of paths of total degree <= N,
-        a chunk at a time, each chunk split by degree composition.  A path
-        is drawn as its global index: degree d's codes follow those of the
-        degrees below, and `cases` picks from range objects exactly as from
-        the lists of their length.  The draws run on a copy of rng, which
-        then moves on as far as `check` would move it: through the first
-        failing case."""
+        a chunk at a time, split by degree composition.  A path is drawn as
+        its global index, and `cases` picks from range objects exactly as
+        from lists of their length.  The draws run on a copy of rng, which
+        then moves on as far as `check` would: through the first failure."""
         comps = [c for c in itertools.product(range(h.max_deg + 1), repeat=arity)
                  if sum(c) <= h.max_deg]
         spaces = [tuple(range(offset[d], offset[d + 1]) for d in c) for c in comps]
@@ -451,12 +482,7 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
                 break
             done += len(chunk)
         ok = np.concatenate(oks) if oks else np.ones(0, dtype=bool)
-
-        def witness(i: int) -> str:
-            paths = list(itertools.chain(*h.basis_by_degree))
-            return str(tuple(paths[j] for j in chunk[i - done]))
-
-        check_all(report, name, ok, witness)
+        check_all(report, name, ok, lambda i: str(tuple(map(path, chunk[i - done]))))
         if rng is not None:
             if ok.all():
                 rng.setstate(draw.getstate())
@@ -465,55 +491,38 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
                 for _ in itertools.islice(cases(spaces, samples, rng), drawn):
                     pass
 
+    def per_degree(name: str, sizes: list[int], test, weight: int = 1) -> None:
+        """check_all of test(h, n, codes) over the codes below sizes[n]."""
+        ok = [test(h, n, np.arange(s)) for n, s in enumerate(sizes) if s]
+        check_all(report, name, np.concatenate([np.ones(0, dtype=bool)] + ok),
+                  lambda i: str(path(i, sizes)), weight)
+
     # terms per case are at most about k^2N for associativity
     kmax = max(1, h.action_table(1)[1].shape[-1]) if h.max_deg else 1
     batched("associativity", 3, kmax ** (2 * h.max_deg) + kmax ** h.max_deg, associative)
-    check(report, "unit", at_e,
-          lambda k: h.product_basis((0,), k) == {k: 1} == h.product_basis(k, (0,)),
-          weight=h.group.order)
-
-    # every tensor factor of a coproduct is itself a basis path
-    cop = h.coproduct
-
-    def coassociative(k) -> bool:
-        return (combine((((a1, a2, b), c * c2) for (a, b), c in cop(k).items()
-                         for (a1, a2), c2 in cop(a).items()), p) ==
-                combine((((a, b1, b2), c * c2) for (a, b), c in cop(k).items()
-                         for (b1, b2), c2 in cop(b).items()), p))
-
-    def counital(k) -> bool:
-        return (combine(((b, c) for (a, b), c in cop(k).items()
-                         if len(a) == 1), p) == {k: 1} ==
-                combine(((a, c) for (a, b), c in cop(k).items()
-                         if len(b) == 1), p))
-
-    check(report, "coassociativity", at_e, coassociative, weight=h.group.order)
-    check(report, "counit", at_e, counital, weight=h.group.order)
-
+    at_e = [h.bim.apv ** n for n in range(h.max_deg + 1)]
+    per_degree("unit", at_e, unital, h.group.order)
+    per_degree("coassociativity", at_e, coassociative, h.group.order)
+    per_degree("counit", at_e, counital, h.group.order)
     width = max(sum(t.shape[-1] for t in h.coproduct_table(n))
-                for n in range(h.max_deg + 1))
+                for n in range(h.max_deg + 1) if at_e[n])
     batched("coproduct-algebra-map", 2, (width * width + width) * kmax ** h.max_deg,
             multiplicative)
-
-    def antipodal(k) -> bool:
-        return combine(((t, c * c2) for (a, b), c in cop(k).items()
-                        for t, c2 in h.multiply(h.antipode(a), {b: 1}).items()),
-                       p) == ({(0,): 1} if len(k) == 1 else {})
-
-    check(report, "antipode",
-          (k for n in range(h.max_deg) for k in h.basis_by_degree[n]), antipodal)
+    per_degree("antipode", dims[:-1], antipodal)
     return report
 
 
 def skew_primitive_report(h: TruncatedHopf) -> Report:
-    """Arrows out of the identity vertex must satisfy
-    Delta(a) = y (x) a + a (x) 1."""
+    """Arrows out of the identity vertex must satisfy Delta(a) = y (x) a +
+    a (x) 1: per left degree, one term, the key u dim_{1-i} + v of u (x) v."""
     report = Report(mode="exhaustive")
-    check(report, "skew-primitivity",
-          (key for key in (h.basis_by_degree[1] if h.max_deg >= 1 else [])
-           if key[0] == 0),
-          lambda key: h.coproduct(key) == {((h.vertices(key)[1],), key): 1,
-                                           (key, (0,)): 1})
+    if h.max_deg >= 1:
+        l = np.arange(h.bim.apv)
+        ok = np.ones(len(l), dtype=bool)
+        for i, key in enumerate([h.target[1][l] * h.dim(1) + l, l * h.dim(0)]):
+            a, b, c = h.coproduct_terms(1, i, l)
+            ok &= _each_is(h, h.dim(i) * h.dim(1 - i), [(a * h.dim(1 - i) + b, c)], key)
+        check_all(report, "skew-primitivity", ok, lambda i: str(h.key(1, i)))
     return report
 
 

@@ -19,7 +19,7 @@ from quiverhopf import (
     verify_bimodule,
     verify_yd,
 )
-from quiverhopf.bimodule import BimoduleMap, Report, cases, check, combine
+from quiverhopf.bimodule import BimoduleMap, Report, cases, check, check_all
 from quiverhopf.groups import coset_transversal
 
 
@@ -437,6 +437,19 @@ def test_check_records_first_failure_and_count():
     assert formatted == [3]
 
 
+@pytest.mark.parametrize("weight", [0, 1, 5])
+def test_check_all_records_what_check_records(weight):
+    # the count is weight times the cases through the first failure, the
+    # witness that of the first failure, and a check with a zero count
+    # that passes is left out
+    for outcomes in ([], [True] * 4, [True, True, False, True, False], [False]):
+        by_check, by_all = Report(), Report()
+        check(by_check, "c", range(len(outcomes)), lambda i: outcomes[i],
+              lambda i: f"i={i}", weight=weight)
+        check_all(by_all, "c", np.array(outcomes, dtype=bool), lambda i: f"i={i}", weight)
+        assert by_all.checks == by_check.checks
+
+
 def test_cases_lists_or_draws_the_tuples_of_every_space():
     spaces = [("ab", (0, 1)), ("c", (2,))]
     assert list(cases(spaces, 5, None)) == [
@@ -446,14 +459,3 @@ def test_cases_lists_or_draws_the_tuples_of_every_space():
     for rng in (None, random.Random(3)):
         assert list(cases([], 5, rng)) == []
         assert list(cases([("ab", ())], 5, rng)) == []
-
-
-def test_combine_sums_mod_p_and_drops_zeros():
-    # a and b cancel mod 7, c reduces, d keeps its first-seen position
-    terms = ((k, c) for k, c in [("a", 3), ("d", 2), ("b", 5), ("a", 4),
-                                 ("c", 8), ("b", -5), ("d", 7)])
-    out = combine(terms, 7)
-    assert out == {"d": 2, "c": 1}
-    assert list(out) == ["d", "c"]
-    assert combine([((1, "x"), 6), ((1, "x"), 6), ("y", 0)], 7) == {(1, "x"): 5}
-    assert combine([], 7) == {}
