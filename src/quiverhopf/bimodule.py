@@ -18,11 +18,8 @@ left out of the report.
 
 from __future__ import annotations
 
-import itertools
-import math
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,59 +54,23 @@ class Report:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def add(self, name: str, ok: bool, checked: int, witness: Optional[str] = None):
-        self.checks.append(Check(name, ok, checked, witness))
-
     def to_json(self) -> dict:
         return {"passed": self.passed, "mode": self.mode,
                 "checks": [c.to_json() for c in self.checks]}
 
 
-def check(report: Report, name: str, cases: Iterable, test: Callable[..., bool],
-          witness: Callable[..., str] = str, weight: int = 1) -> None:
-    """Add check `name` to report: test(case) for each case, stopping at the
-    first failure.  The count is weight times the cases tried; the witness
-    string is formatted for the failing case only.  A check that passes
-    with nothing checked is left out of the report."""
-    checked = 0
-    for case in cases:
-        checked += weight
-        if not test(case):
-            report.add(name, False, checked, witness(case))
-            return
-    if checked:
-        report.add(name, True, checked)
-
-
-def check_all(report: Report, name: str, ok: np.ndarray,
+def check_all(report: Report, name: str, ok: np.ndarray | list,
               witness: Callable[[int], str], weight: int = 1) -> None:
     """Add check `name` from `ok`, the outcome of each of its cases in
-    order, as `check` would record it with the same weight: the count runs
-    to the first failing case and the witness is formatted for its index."""
+    order: the count is weight times the cases through the first failure,
+    or all of them, and the witness is formatted for the failing index
+    only.  A check that passes with a zero count is left out."""
     bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
     if bad.size:
-        report.add(name, False, weight * (int(bad[0]) + 1), witness(int(bad[0])))
+        i = int(bad[0])
+        report.checks.append(Check(name, False, weight * (i + 1), witness(i)))
     elif weight * len(ok):
-        report.add(name, True, weight * len(ok))
-
-
-def cases(spaces: Sequence[tuple[Sequence, ...]], samples: int = 0,
-          rng: Optional[random.Random] = None) -> Iterator[tuple]:
-    """Cases for `check` from spaces, each the product of its sequences.
-
-    With rng None: every tuple of every space, in order.  Otherwise
-    `samples` tuples, each drawn by picking a space with probability
-    proportional to its size and then one uniform entry per coordinate,
-    which is the uniform law on all the tuples.  No spaces, or only empty
-    ones, give no cases."""
-    if rng is None:
-        for space in spaces:
-            yield from itertools.product(*space)
-        return
-    weights = [math.prod(len(s) for s in space) for space in spaces]
-    if sum(weights):
-        for space in rng.choices(spaces, weights, k=samples):
-            yield tuple(rng.choice(s) for s in space)
+        report.checks.append(Check(name, True, weight * len(ok)))
 
 
 class HopfBimodule:
@@ -278,23 +239,25 @@ def verify_bimodule(m: HopfBimodule) -> Report:
         return (m.left_perm(h).reshape(g.order, m.apv) ==
                 g.products(h, every)[:, None] * m.apv + local).all()
 
-    check(report, "left-associativity", range(g.order), translates,
-          lambda h: f"h={name(h)} is not a left translation of the arrows",
-          weight=narrows * len(gens))
+    check_all(report, "left-associativity", [translates(h) for h in range(g.order)],
+              lambda h: f"h={name(h)} is not a left translation of the arrows",
+              weight=narrows * len(gens))
 
     # right associativity: the zeta cocycle on (theta, g, s), s a generator,
-    # which covers every (theta, g, h); one case covers every g at once
-    def right_assoc(case) -> np.ndarray:
-        cls, theta, s, slot = case
-        return m.cocycle(cls, slot, theta, every, s)
+    # which covers every (theta, g, h); one case (class, theta, s, slot)
+    # covers every g at once
+    assoc = [(cls, theta, s, slot) for cls in support
+             for theta in range(len(m.transversal[cls])) for s in gens.tolist()
+             for slot in range(len(m.rsr.irreps[cls]))]
 
-    check(report, "right-associativity",
-          cases([((cls,), range(len(m.transversal[cls])), gens.tolist(),
-                  range(len(m.rsr.irreps[cls]))) for cls in support]),
-          lambda case: right_assoc(case).all(),
-          lambda case: f"class {case[0]} slot {case[3]} theta {case[1]} "
-                       f"g={name(int(np.argmin(right_assoc(case))))} h={name(case[2])}",
-          weight=g.order)
+    def assoc_witness(i: int) -> str:
+        cls, theta, s, slot = assoc[i]
+        bad = int(np.argmin(m.cocycle(cls, slot, theta, every, s)))
+        return f"class {cls} slot {slot} theta {theta} g={name(bad)} h={name(s)}"
+
+    check_all(report, "right-associativity",
+              [m.cocycle(cls, slot, theta, every, s).all() for cls, theta, s, slot in assoc],
+              assoc_witness, weight=g.order)
 
     # bimodule commutation and coaction grading: each arrow's class element
     # is c_theta = g_theta^-1 u g_theta for its theta, and on every (h,
@@ -323,17 +286,18 @@ def verify_bimodule(m: HopfBimodule) -> Report:
 
     # right action by h then h^-1 is that of e, the identity by unit: the
     # cocycle at (h, h^-1); one case is (class, slot, theta) over every h
-    def invertible(case) -> np.ndarray:
-        return m.cocycle(*case, every, g.inverses)
+    inverse = [(cls, slot, theta) for cls in support
+               for slot in range(len(m.rsr.irreps[cls]))
+               for theta in range(len(m.transversal[cls]))]
 
-    check(report, "right-invertibility",
-          ((cls, slot, theta) for cls in support
-           for slot in range(len(m.rsr.irreps[cls]))
-           for theta in range(len(m.transversal[cls]))),
-          lambda case: invertible(case).all(),
-          lambda case: f"class {case[0]} slot {case[1]} theta {case[2]} "
-                       f"h={name(int(np.argmin(invertible(case))))}",
-          weight=g.order)
+    def inverse_witness(i: int) -> str:
+        cls, slot, theta = inverse[i]
+        bad = int(np.argmin(m.cocycle(cls, slot, theta, every, g.inverses)))
+        return f"class {cls} slot {slot} theta {theta} h={name(bad)}"
+
+    check_all(report, "right-invertibility",
+              [m.cocycle(*case, every, g.inverses).all() for case in inverse],
+              inverse_witness, weight=g.order)
     return report
 
 
@@ -359,7 +323,8 @@ class BimoduleMap:
         m1, m2 = self.source, self.target
         g, q, f, p = m1.group, m1.quiver, self.matrix, self.p
         report = Report(mode="exhaustive")
-        report.add("bijective", self.is_bijective(), 1)
+        check_all(report, "bijective", [self.is_bijective()],
+                  lambda i: "the map is singular")
 
         # an arrow maps into the arrows with its own source and target
         a, b = np.nonzero(f)

@@ -41,14 +41,14 @@ never materialized.
 
 from __future__ import annotations
 
-import copy
 import itertools
+import math
 import random
 from typing import Optional
 
 import numpy as np
 
-from .bimodule import HopfBimodule, Report, build_bimodule, cases, check_all
+from .bimodule import HopfBimodule, Report, build_bimodule, check_all
 from .groups import BudgetError, InputError
 from .rsr import RSR
 from .yd import nichols_dims, yd_from_rsr
@@ -435,61 +435,72 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
     each by picking a composition with probability proportional to its
     tuple count prod dim_{d_i}, then one uniform path per degree: the
     uniform law on all tuples.  Counts, outcomes and witnesses are those of
-    `check` on the same cases.  The other checks cover every path in either
-    mode, a degree with paths at a time: the antipode identity the paths of
-    degree <= N-1; unit, coassociativity and counit the paths (e, w), each
-    counted for its |G| translates (x, w), where it holds exactly when it
-    holds at (e, w), for e (x, w) and (x, w) e are e (e, w) and (e, w) e
-    moved to start x, and Delta(x, w) is Delta(e, w) moved to x.
+    the per-case oracle, `check` in tests/percase.py, on the same cases.
+    The other checks cover every path in either mode, a degree with paths
+    at a time: the antipode identity the paths of degree <= N-1; unit,
+    coassociativity and counit the paths (e, w), each counted for its |G|
+    translates (x, w), where it holds exactly when it holds at (e, w), for
+    e (x, w) and (x, w) e are e (e, w) and (e, w) e moved to start x, and
+    Delta(x, w) is Delta(e, w) moved to x.
     """
     dims = [h.dim(n) for n in range(h.max_deg + 1)]
     if exhaustive is None:
         exhaustive = sum(dims) <= 100
     report = Report(mode="exhaustive" if exhaustive else f"sampled({samples})")
     rng = None if exhaustive else random.Random(f"hopf:{seed}")
-    # the global index of each degree's code 0, and the end of the basis
-    offset = np.cumsum([0] + dims)
 
-    def path(i: int, sizes: list[int] = dims) -> PathKey:
+    def path(i: int, sizes: list[int]) -> PathKey:
         """Case i's path, the cases being the codes below each sizes[n]."""
         n = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
         return h.key(n, i - sum(sizes[:n]))
 
     def batched(name: str, arity: int, terms: int, test) -> None:
         """check_all of test over the tuples of paths of total degree <= N,
-        a chunk at a time, split by degree composition.  A path is drawn as
-        its global index, and `cases` picks from range objects exactly as
-        from lists of their length.  The draws run on a copy of rng, which
-        then moves on as far as `check` would: through the first failure."""
+        a chunk at a time, split by degree composition.  A case is a row:
+        its composition's index, then one code per degree.  Exhaustive rows
+        list each composition's tuples in row-major order; a sampled row
+        picks a composition weighted by its tuple count, then one
+        `randrange` code per degree, the draws of `cases` in
+        tests/percase.py.  After a failure, rng is rewound and redrawn
+        through the failing row, as far as `check` draws."""
         comps = [c for c in itertools.product(range(h.max_deg + 1), repeat=arity)
                  if sum(c) <= h.max_deg]
-        spaces = [tuple(range(offset[d], offset[d + 1]) for d in c) for c in comps]
-        draw = copy.copy(rng)
-        stream = cases(spaces, samples, draw)
+        counts = [math.prod(dims[d] for d in c) for c in comps]
         size = max(1, min(CHUNK, TERMS // terms))
+
+        def draw(rows: int) -> list[tuple[int, ...]]:
+            picks = rng.choices(range(len(comps)), counts, k=samples)
+            return [(c, *(rng.randrange(dims[d]) for d in comps[c])) for c in picks[:rows]]
+
+        def chunks():
+            if rng is None:
+                for c, count in enumerate(counts):
+                    shape = [dims[d] for d in comps[c]]
+                    for lo in range(0, count, size):
+                        codes = np.unravel_index(np.arange(lo, min(lo + size, count)), shape)
+                        yield np.stack([np.full_like(codes[0], c), *codes], axis=1)
+            else:
+                rows = np.array(draw(samples), dtype=np.int64).reshape(-1, arity + 1)
+                for lo in range(0, len(rows), size):
+                    yield rows[lo:lo + size]
+
+        state = rng.getstate() if rng is not None else None
         oks, done = [], 0
-        while len(chunk := np.fromiter(itertools.islice(stream, size),
-                                       dtype=np.dtype((np.int64, arity)))):
-            deg = np.searchsorted(offset, chunk, side="right") - 1
-            comp = np.ravel_multi_index(deg.T, (h.max_deg + 1,) * arity)
+        for chunk in chunks():
             ok = np.ones(len(chunk), dtype=bool)
-            for c in np.flatnonzero(np.bincount(comp)):
-                at = np.flatnonzero(comp == c)
-                ok[at] = test(h, tuple(deg[at[0]].tolist()),
-                              *(chunk[at] - offset[deg[at]]).T)
+            for c in np.flatnonzero(np.bincount(chunk[:, 0])):
+                at = np.flatnonzero(chunk[:, 0] == c)
+                ok[at] = test(h, comps[c], *chunk[at, 1:].T)
             oks.append(ok)
             if not ok.all():
                 break
             done += len(chunk)
         ok = np.concatenate(oks) if oks else np.ones(0, dtype=bool)
-        check_all(report, name, ok, lambda i: str(tuple(map(path, chunk[i - done]))))
-        if rng is not None:
-            if ok.all():
-                rng.setstate(draw.getstate())
-            else:
-                drawn = int(np.argmin(ok)) + 1
-                for _ in itertools.islice(cases(spaces, samples, rng), drawn):
-                    pass
+        check_all(report, name, ok, lambda i: str(tuple(
+            map(h.key, comps[chunk[i - done, 0]], chunk[i - done, 1:].tolist()))))
+        if rng is not None and not ok.all():
+            rng.setstate(state)
+            draw(int(np.argmin(ok)) + 1)
 
     def per_degree(name: str, sizes: list[int], test, weight: int = 1) -> None:
         """check_all of test(h, n, codes) over the codes below sizes[n]."""

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .bimodule import HopfBimodule, Report, build_bimodule, check, check_all
+from .bimodule import HopfBimodule, Report, build_bimodule, check_all
 from .groups import BudgetError, InputError
 from .modrep import next_primes
 from .rsr import RSR, make_rsr
@@ -88,9 +88,9 @@ def verify_yd(v: YDModule) -> Report:
     zero-dimensional module gives no cases."""
     g, m, inv = v.group, v.bimodule, v.group.inverses
     report = Report(mode="exhaustive")
-    check(report, "identity-acts-trivially", [0] if v.dim else [],
-          lambda e: (v.action([e])[0] == linalg.identity(v.dim)).all(),
-          lambda e: "the identity does not act trivially")
+    check_all(report, "identity-acts-trivially",
+              [(v.action([0])[0] == linalg.identity(v.dim)).all()] if v.dim else [],
+              lambda i: "the identity does not act trivially")
 
     # (gs) |> a = g |> (s |> a) is a . (s^-1 g^-1) = (a . s^-1) . g^-1, the
     # zeta cocycle at (s^-1, g^-1) for all g at once; with e acting as 1
@@ -101,10 +101,10 @@ def verify_yd(v: YDModule) -> Report:
         return np.all([m.cocycle(*key, theta, inv[s], inv) for key in m.blocks
                        for theta in range(len(m.transversal[key[0]]))], axis=0)
 
-    check(report, "action-multiplicative", gens, lambda s: column_ok(s).all(),
-          lambda s: f"(g,h)=({g.element_name(int(np.argmin(column_ok(s))))},"
-                    f"{g.element_name(s)})",
-          weight=g.order)
+    check_all(report, "action-multiplicative", [column_ok(s).all() for s in gens],
+              lambda i: f"(g,h)=({g.element_name(int(np.argmin(column_ok(gens[i]))))},"
+                        f"{g.element_name(gens[i])})",
+              weight=g.order)
 
     # deg(h |> b_j) = h deg(b_j) h^-1 for every nonzero entry of h's matrix:
     # entry [j, s] of the block at (theta, h^-1) sends arrow (theta, j) to
@@ -134,19 +134,18 @@ class Braiding:
     def verify(self) -> Report:
         """Invertibility and the braid relation, one case each on d > 0."""
         report = Report(mode="exhaustive")
-        d, p = self.dim, self.p
-        one = [self.matrix] if d else []
-        check(report, "invertible", one, lambda c: linalg.rank(c, p) == d * d,
-              lambda c: "c is singular")
+        d, p, c = self.dim, self.p, self.matrix
+        check_all(report, "invertible", [linalg.rank(c, p) == d * d] if d else [],
+                  lambda i: "c is singular")
 
-        def braids(c: np.ndarray) -> bool:
+        def braids() -> bool:
             eye = linalg.identity(d)
             c1, c2 = np.kron(c, eye) % p, np.kron(eye, c) % p
             return (linalg.matmul(linalg.matmul(c1, c2, p), c1, p) ==
                     linalg.matmul(linalg.matmul(c2, c1, p), c2, p)).all()
 
-        check(report, "braid-relation", one, braids,
-              lambda c: "c1 c2 c1 != c2 c1 c2", weight=d ** 6)
+        check_all(report, "braid-relation", [braids()] if d else [],
+                  lambda i: "c1 c2 c1 != c2 c1 c2", weight=d ** 6)
         return report
 
 

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from percase import cases, check
 from quiverhopf import (
     ArrowId,
     InputError,
@@ -19,7 +20,7 @@ from quiverhopf import (
     verify_bimodule,
     verify_yd,
 )
-from quiverhopf.bimodule import BimoduleMap, Report, cases, check, check_all
+from quiverhopf.bimodule import BimoduleMap, Report, check_all
 from quiverhopf.groups import coset_transversal
 
 
@@ -311,6 +312,20 @@ def test_changed_transversal_iso_entry_fails_action_intertwining(s3):
         bad.matrix[i, i] = 2          # was +-1: still bijective and graded
         report = bad.verify()
         assert [c.name for c in report.checks if not c.ok] == ["action-intertwining"]
+
+
+def test_singular_map_fails_bijective(s3):
+    # the identity map with one arrow sent to zero: rank one short, and the
+    # one case of bijective fails with its witness
+    m = build_bimodule(make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)}))
+    f = np.eye(m.dim(), dtype=np.int64)
+    assert BimoduleMap(m, m, f).verify().checks[0].to_json() == {
+        "name": "bijective", "ok": True, "checked": 1}
+    f[0, 0] = 0
+    report = BimoduleMap(m, m, f).verify()
+    assert report.checks[0].to_json() == {"name": "bijective", "ok": False, "checked": 1,
+                                          "witness": "the map is singular"}
+    assert not report.passed
 
 
 def test_map_intertwining_only_the_left_action_fails(s3):

@@ -61,12 +61,10 @@ def test_no_check_passes_with_nothing_checked(capsys, argv):
 
 
 def test_verification_failure_exit_code(capsys, monkeypatch):
-    from quiverhopf.bimodule import Report
+    from quiverhopf.bimodule import Check, Report
 
     def fake_verify(m):
-        r = Report(mode="exhaustive")
-        r.add("left-associativity", False, 1, witness="g=e arrow=a h=e")
-        return r
+        return Report([Check("left-associativity", False, 1, "g=e arrow=a h=e")])
 
     monkeypatch.setattr(cli, "verify_bimodule", fake_verify)
     code, out, _ = run_cli(capsys, "bimodule-verify", "--group", "S3",

@@ -5,8 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from percase import cases, check
 from quiverhopf import typeone
-from quiverhopf.bimodule import Report, cases, check
+from quiverhopf.bimodule import Report
 from quiverhopf.typeone import path_degree
 from quiverhopf import (
     TruncationError,
@@ -483,19 +484,23 @@ def test_batched_checks_match_the_per_case_checks(spec, max_deg, corrupt):
 
 @pytest.mark.parametrize("corrupt", [False, True])
 @pytest.mark.parametrize("spec, max_deg", VERIFY_OPS)
-def test_batched_reports_match_the_per_case_reports(spec, max_deg, corrupt):
+def test_batched_reports_match_the_per_case_reports(monkeypatch, spec, max_deg,
+                                                     corrupt):
     # counts, outcomes and witnesses as `check` gives them on the per-case
     # tests; after a failure the algebra map's draws start where `check`
-    # stopped drawing triples
+    # stopped drawing triples.  Chunks of 2 cases put the corrupt triple,
+    # case 3 or 6, past the first chunk
     h = verify_op_hopf(spec, max_deg, corrupt)
-    batched = {c.name: c for c in verify_hopf(h, seed=0).checks}
     per_case, rng = Report(), random.Random("hopf:0")
     check(per_case, "associativity", pathkey_cases(h, 3, rng),
           lambda t: per_case_associative(h, t))
     check(per_case, "coproduct-algebra-map", pathkey_cases(h, 2, rng),
           lambda t: per_case_multiplicative(h, t))
-    assert [batched[c.name] for c in per_case.checks] == per_case.checks
     assert per_case.passed != corrupt
+    for chunk in (typeone.CHUNK, 2):
+        monkeypatch.setattr(typeone, "CHUNK", chunk)
+        batched = {c.name: c for c in verify_hopf(h, seed=0).checks}
+        assert [batched[c.name] for c in per_case.checks] == per_case.checks
 
 
 @pytest.mark.parametrize("spec, max_deg", VERIFY_OPS)
@@ -532,22 +537,26 @@ def test_truncation_overflow(hopf_s3_sgn):
         hopf_s3_sgn.product_basis(k1, k2)
 
 
-def test_mutated_product_fails_coproduct_map(s3):
+def test_mutated_product_fails_coproduct_map(monkeypatch, s3):
     # one coefficient of T[1], the right action of x on letter 0, doubled;
     # the failures, (checked, witness), are those of the dict products,
     # coproducts and antipode under the same corruption, the antipode first
-    # failing at (x, 0), off the identity
+    # failing at (x, 0), off the identity.  Chunks of 7 cases put the
+    # failing triple and pair past the first chunk
     h = s3_sgn_degree_two(s3)
     coef = h.action_table(1)[1]
     x = 1
     assert coef[x, 0, 0] != 0
     coef[x, 0, 0] = 2 * coef[x, 0, 0] % h.p
-    report = verify_hopf(h, seed=4)
-    failed = {c.name: (c.checked, c.witness) for c in report.checks if not c.ok}
-    assert failed == {"associativity": (7352, "((0, 0), (1,), (1,))"),
-                      "coassociativity": (30, "(0, 0, 0)"), "counit": (30, "(0, 0, 0)"),
-                      "coproduct-algebra-map": (577, "((0, 0), (0, 0))"),
-                      "antipode": (10, "(1, 0)")}, report.to_json()
+    for chunk in (typeone.CHUNK, 7):
+        monkeypatch.setattr(typeone, "CHUNK", chunk)
+        report = verify_hopf(h, seed=4)
+        assert report.mode == "exhaustive"
+        failed = {c.name: (c.checked, c.witness) for c in report.checks if not c.ok}
+        assert failed == {"associativity": (7352, "((0, 0), (1,), (1,))"),
+                          "coassociativity": (30, "(0, 0, 0)"), "counit": (30, "(0, 0, 0)"),
+                          "coproduct-algebra-map": (577, "((0, 0), (0, 0))"),
+                          "antipode": (10, "(1, 0)")}, report.to_json()
 
 
 def test_wrong_target_fails_a_product_check(s3):
