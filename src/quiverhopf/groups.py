@@ -8,7 +8,7 @@ index 0 is always the identity.  A group holds its elements once, as an
 array of image rows, and derives everything else from it as index arrays.
 
 Malformed input raises InputError; work over a budget raises its subclass
-BudgetError, here the order cap and AUT_BUDGET, downstream yd.CELL_CAP and
+BudgetError, here ORDER_CAP and AUT_BUDGET, downstream yd.CELL_CAP and
 typeone.PATH_CAP.  Aut G is searched within AUT_BUDGET; past it only the
 theorem Aut S_n = Inn S_n (n != 6) answers, in outer_representatives, for
 a group of degree n and order n!.
@@ -29,11 +29,12 @@ class InputError(ValueError):
 
 
 class BudgetError(InputError):
-    """Work over a budget: the order cap, AUT_BUDGET, yd.CELL_CAP or
+    """Work over a budget: ORDER_CAP, AUT_BUDGET, yd.CELL_CAP or
     typeone.PATH_CAP."""
 
 
-DEFAULT_ORDER_CAP = 5040
+# the largest order parse_group closes a group to
+ORDER_CAP = 5040
 # cells of candidate automorphisms (assignments times elements) that
 # `automorphisms` may extend and check: S6 on its parsed generators takes
 # 5.2e6, S7 on (0 1) and a 7-cycle would take 7.6e7
@@ -153,8 +154,7 @@ def _order_of(images: Sequence[int]) -> int:
 
 
 def _generated(degree: int, generators: Sequence[Permutation],
-               name: Optional[str] = None, order_cap: int = DEFAULT_ORDER_CAP,
-               spec: Optional[str] = None) -> "Group":
+               name: Optional[str] = None, spec: Optional[str] = None) -> "Group":
     """The group generated by permutations (each of this degree), closed
     breadth-first on image rows, one word length at a time.  Up to order
     _TABLE_CAP its table is built along the word tree of the search: the
@@ -174,8 +174,8 @@ def _generated(degree: int, generators: Sequence[Permutation],
         pos.append(first % len(gens))
         levels.append(reached[first])
         seen.update(_keys(levels[-1]).tolist())
-        if len(seen) > order_cap:
-            raise BudgetError(f"group order exceeds cap {order_cap}")
+        if len(seen) > ORDER_CAP:
+            raise BudgetError(f"group order exceeds cap {ORDER_CAP}")
     rows = np.concatenate(levels, dtype=width)
     by_key = np.argsort(_keys(rows))
     g = Group(rows[by_key], name=name, spec=spec, generators=generators)
@@ -268,9 +268,7 @@ class Group:
         return self.products(self.products(self.inverses, a), every)
 
     def mul(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return int(self._table[a, b])
-        return int(self._lookup(self.perms[b][self.perms[a]]))
+        return int(self.products(a, b))
 
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
@@ -318,6 +316,16 @@ class Group:
                 prev = self.words(gens)[0]
             self._gens = gens
         return self._gens
+
+    def generator_indices(self) -> list[int]:
+        """The element indices of the parsed generators, else the greedy
+        generating sequence: the generators `automorphisms`,
+        `outer_representatives` and modrep's right-ideal check extend maps
+        along.  Found once per group and kept in `caches`."""
+        if "generators" not in self.caches:
+            self.caches["generators"] = ([self.find(s) for s in self.generators]
+                                         or self.generating_sequence())
+        return self.caches["generators"]
 
     def words(self, gens: Sequence[int]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """Breadth-first spanning tree of the words in gens (element
@@ -448,10 +456,10 @@ def automorphisms(g: Group) -> np.ndarray:
     """Aut G as one read-only (|Aut G|, |G|) int array of element images,
     rows ascending, cached in g.caches.
 
-    Each generator (the parsed ones if any, else the greedy sequence: the
-    lemma of Group.generating_sequence holds for any generating set) may
-    go to any element of its order and class size.  Every assignment is
-    extended along one spanning tree of words (Group.words) and kept when
+    Each generator of Group.generator_indices (the lemma of
+    Group.generating_sequence holds for any generating set) may go to any
+    element of its order and class size.  Every assignment is extended
+    along one spanning tree of words (Group.words) and kept when
     only e maps to e and phi(a s) = phi(a) phi(s) for every a and generator
     s: a multiplicative map with trivial kernel, so a bijection.  The work,
     prod |candidates| * |G| cells, must fit AUT_BUDGET (else BudgetError
@@ -459,7 +467,7 @@ def automorphisms(g: Group) -> np.ndarray:
     """
     if "automorphisms" in g.caches:
         return g.caches["automorphisms"]
-    gens = [g.find(s) for s in g.generators] or g.generating_sequence() or [0]
+    gens = g.generator_indices() or [0]
     orders = g.orders
     sizes = np.array([c.size for c in conjugacy_classes(g)])[class_of(g, np.arange(g.order))]
     cands = [np.flatnonzero((orders == orders[s]) & (sizes == sizes[s])) for s in gens]
@@ -491,9 +499,9 @@ def automorphisms(g: Group) -> np.ndarray:
 def outer_representatives(g: Group) -> list[np.ndarray]:
     """The first automorphism of each coset of Inn G in Aut G as an index
     array, cached on g: phi c_h has phi's generator images conjugated by phi(h).
-    The generators are the parsed ones if any, else the greedy sequence, as
-    in `automorphisms`: an automorphism is fixed by its images on any
-    generating set, so the cosets and their order do not depend on which.
+    The generators are Group.generator_indices, as in `automorphisms`: an
+    automorphism is fixed by its images on any generating set, so the
+    cosets and their order do not depend on which.
     The first entry is always the identity: the rows of `automorphisms`
     ascend and arange is the least permutation row.
 
@@ -508,7 +516,7 @@ def outer_representatives(g: Group) -> list[np.ndarray]:
             if g.degree == 6 or g.order != math.factorial(g.degree):
                 raise
             auts = np.arange(g.order)[None, :]
-        gens = [g.find(s) for s in g.generators] or g.generating_sequence()
+        gens = g.generator_indices()
         reps, seen = [], set()
         every = np.arange(g.order)[:, None]
         for images in auts:
@@ -590,7 +598,7 @@ def _shift_perm(p: Permutation, offset: int, degree: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def parse_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
+def parse_group(spec: str) -> Group:
     """Build a group from a spec string.
 
     Grammar: NAME ("S3", "A4", "D4" = dihedral of order 8, "C6", "Q8"),
@@ -607,7 +615,7 @@ def parse_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
             raise InputError("empty generator list")
         degree = max(map(int, re.findall(r"\d+", body)), default=0) + 1
         gens = [parse_cycle_string(p, degree) for p in parts]
-        return _generated(degree, gens, order_cap=order_cap, spec=spec)
+        return _generated(degree, gens, spec=spec)
     tokens = re.split(r"\s*[xX]\s*(?![^()]*\))", spec)
     factors = [_named_generators(t) for t in tokens]
     degree = sum(f[1][0].degree for f in factors)
@@ -617,4 +625,4 @@ def parse_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
         gens.extend(_shift_perm(p, offset, degree) for p in fgens)
         offset += fgens[0].degree
     name = factors[0][0] if len(tokens) == 1 else "x".join(t.strip() for t in tokens)
-    return _generated(degree, gens, name=name, order_cap=order_cap, spec=spec)
+    return _generated(degree, gens, name=name, spec=spec)

@@ -2,12 +2,13 @@
 
 Matrices hold entries reduced mod p.  Products are numpy int64 matmuls,
 exact while (p-1)^2 times the inner dimension stays below 2^63 (checked).
-Rank and reduced row echelon form share one Gaussian elimination: the
-first nonzero entry at or below the current row is the pivot, and rank
-clears only the rows below it while rref clears every other row.  An rref
-basis is kept with its pivot columns: `extend` grows it by rows without
-eliminating it again, and `coordinates` reads a vector's coordinates in
-it at the pivots, checked with one product.
+Every elimination is `rref`, the one Gaussian elimination: the first
+nonzero entry at or below the current row is the pivot, and its column is
+cleared in every other row.  `rank` is its pivot count, and `nullspace`
+and `solve` read their results off it.  An rref basis is kept with its
+pivot columns: `extend` grows it by rows without eliminating it again, and
+`coordinates` reads a vector's coordinates in it at the pivots, checked
+with one product.
 """
 
 from __future__ import annotations
@@ -34,20 +35,20 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _eliminate(a: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]]:
-    """Gaussian elimination on a copy of a; returns (matrix, pivot columns).
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a; returns (matrix, pivot column list).
 
-    Each pivot row is scaled to 1 and its column cleared below the pivot,
-    or in every other row when full (giving the rref).  Whole rows are
-    updated: entries left of the pivot are zero in the pivot row, and
-    contiguous row operations beat column-sliced ones on the matrices the
-    package eliminates (up to |G| x |G| with a few dozen pivots).
+    The package's one Gaussian elimination.  Each pivot row is scaled to 1
+    and its column cleared in every other row.  Whole rows are updated:
+    entries left of the pivot are zero in the pivot row, and contiguous row
+    operations beat column-sliced ones on the matrices the package
+    eliminates (up to |G| x |G| with a few dozen pivots).
     """
-    m = a.copy()
+    m = asmod(a, p)     # a fresh array, eliminated in place
     rows, cols = m.shape
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         nz = m[r:, c].nonzero()[0]
@@ -59,45 +60,28 @@ def _eliminate(a: np.ndarray, p: int, full: bool) -> tuple[np.ndarray, list[int]
         row = m[r]
         row *= pow(int(row[c]), p - 2, p)
         row %= p
-        rest = m if full else m[r + 1:]
-        col = rest[:, c].copy()
-        if full:
-            col[r] = 0
-        rest -= col[:, None] * row
-        rest %= p
+        col = m[:, c].copy()
+        col[r] = 0
+        m -= col[:, None] * row
+        m %= p
         pivots.append(c)
-        r += 1
     return m, pivots
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    a = asmod(a, p)
-    if a.size == 0:
-        return a.copy(), []
-    return _eliminate(a, p, full=True)
-
-
 def rank(a: np.ndarray, p: int) -> int:
-    a = asmod(a, p)
-    if a.size == 0:
-        return 0
-    return len(_eliminate(a, p, full=False)[1])
+    """The number of pivots of the rref of a."""
+    return len(rref(a, p)[1])
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning the right kernel of a (a @ x = 0)."""
-    a = asmod(a, p)
-    rows, cols = a.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
+    """Rows spanning the right kernel of a (a @ x = 0): one per free column
+    of the rref r, 1 at that column, 0 at the other free columns and -r's
+    entries of that column at the pivots."""
     r, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for j, pc in enumerate(pivots):
-            basis[i, pc] = (-r[j, fc]) % p
+    free = np.delete(np.arange(r.shape[1]), pivots)
+    basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -r[: len(pivots), free].T % p
     return basis
 
 
@@ -136,22 +120,21 @@ def coordinates(basis: np.ndarray, pivots: list[int], rows: np.ndarray,
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Solve a @ x = b for x; a must have full column rank and b be consistent."""
-    a = asmod(a, p)
-    b = asmod(b, p)
+    """Solve a @ x = b for x; a must have full column rank and b be consistent.
+
+    Then the pivots of the rref of [a | b] are the columns of a, in order,
+    and x is the right block of its first rows."""
+    a, b = asmod(a, p), asmod(b, p)
     single = b.ndim == 1
     if single:
         b = b[:, None]
-    aug = np.concatenate([a, b], axis=1)
-    r, pivots = rref(aug, p)
+    r, pivots = rref(np.concatenate([a, b], axis=1), p)
     ncols = a.shape[1]
     if any(c >= ncols for c in pivots):
         raise ValueError("inconsistent linear system")
     if len(pivots) != ncols:
         raise ValueError("coefficient matrix does not have full column rank")
-    x = np.zeros((ncols, b.shape[1]), dtype=np.int64)
-    for j, pc in enumerate(pivots):
-        x[pc] = r[j, ncols:]
+    x = r[:ncols, ncols:]
     return x[:, 0] if single else x
 
 

@@ -309,7 +309,7 @@ def _check_right_ideal(g: Group, basis: np.ndarray, pivots: list[int], p: int):
     """ValueError unless the span of basis (rref rows, pivot columns
     pivots) is closed under right multiplication by a generating set of g,
     hence by every element of kG: one stacked coordinates check."""
-    gens = [g.find(s) for s in g.generators] or g.generating_sequence()
+    gens = g.generator_indices()
     every = np.arange(g.order)
     moved = np.zeros((len(gens),) + basis.shape, dtype=np.int64)
     for i, h in enumerate(gens):

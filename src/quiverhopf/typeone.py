@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bimodule import HopfBimodule, Report, build_bimodule, check_all
+from .bimodule import Report, build_bimodule, check_all
 from .groups import BudgetError, InputError
 from .rsr import RSR
 from .yd import nichols_dims, yd_from_rsr
@@ -115,15 +115,14 @@ def _agree(p: int, bound: int, ncases: int, lhs: list, rhs: list) -> np.ndarray:
 class TruncatedHopf:
     """Degree-capped tensor Hopf algebra of the arrow bimodule of an RSR."""
 
-    def __init__(self, rsr: RSR, max_deg: int,
-                 bim: Optional[HopfBimodule] = None):
+    def __init__(self, rsr: RSR, max_deg: int):
         if max_deg < 0:
             raise InputError("max_deg must be non-negative")
         self.rsr = rsr
         self.group = rsr.group
         self.p = rsr.field.p
         self.max_deg = max_deg
-        self.bim = bim if bim is not None else build_bimodule(rsr)
+        self.bim = build_bimodule(rsr)
         paths = sum(self.dim(n) for n in range(max_deg + 1))
         if paths > PATH_CAP:
             raise BudgetError(f"{paths} paths up to degree {max_deg} exceed "

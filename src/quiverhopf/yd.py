@@ -227,7 +227,8 @@ def nichols_dims(v: YDModule, max_deg: int) -> list[int]:
     dims = [1]
     for n in range(1, max_deg + 1):
         # block H of B^n is spanned by e_k . a, k in block H deg(a)^-1 of B^{n-1}
-        new = np.unique(g.products(hs[:, None], letters[None, :]))
+        new = np.flatnonzero(np.bincount(
+            g.products(hs[:, None], letters[None, :]).ravel(), minlength=g.order))
         if not new.size:
             return dims + [0] * (max_deg + 1 - n)
         cells = (len(new) + 1) * d * m * d * max(m, m0)

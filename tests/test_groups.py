@@ -98,9 +98,10 @@ def test_parse_generator_list():
         parse_group("X9")
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
+    monkeypatch.setattr(groups, "ORDER_CAP", 100)
     with pytest.raises(InputError):
-        parse_group("S5", order_cap=100)
+        parse_group("S5")
 
 
 def test_identity_is_element_zero(s3, s4):

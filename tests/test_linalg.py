@@ -69,6 +69,45 @@ def test_rank_matches_rref_pivots(p):
         assert pivots == sorted(pivots)
 
 
+@pytest.mark.parametrize("p", [2, 13, 241])
+def test_nullspace_and_solve_on_shaped_matrices(p):
+    rng, draws = random.Random(400 + p), random.Random(500 + p)
+    solved = 0
+    for a in _shaped_cases(rng, p):
+        cols = a.shape[1]
+        rank = oracle_rank(a, p)
+        free = [c for c in range(cols) if c not in linalg.rref(a, p)[1]]
+        ns = linalg.nullspace(a, p)
+        assert ns.shape == (cols - rank, cols)
+        assert np.array_equal(ns[:, free], np.eye(len(free), dtype=np.int64))
+        assert not linalg.matmul(a, ns.T, p).any()
+        if rank == cols:
+            x = random_matrix(draws, cols, 2, p)
+            b = linalg.matmul(a, x, p)
+            assert np.array_equal(linalg.matmul(a, linalg.solve(a, b, p), p), b)
+            assert np.array_equal(linalg.solve(a, b[:, 1], p), x[:, 1])
+            solved += 1
+    assert solved
+
+
+def test_rank_nullspace_and_solve_each_eliminate_once(monkeypatch):
+    calls = []
+    rref = linalg.rref
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return rref(a, p)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    p = 7
+    a = np.array([[1, 2], [3, 4], [5, 6]])
+    for run in (lambda: linalg.rank(a, p), lambda: linalg.nullspace(a.T, p),
+                lambda: linalg.solve(a, np.array([1, 0, 6]), p)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 def test_rref_properties():
     rng = random.Random(3)
     p = 23
