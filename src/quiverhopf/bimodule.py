@@ -7,7 +7,8 @@ where theta is the coset index of x^-1 y and zeta the centralizer factor of
 g_theta h: x goes to xh, and the local arrows by a block map independent of
 x.  Per class, the zeta and theta' tables are array expressions over all
 (theta, h), and the blocks, which depend only on (class, slot, zeta), are
-one (|Z|, d, d) stack per slot.  The verifier checks every axiom
+one (|Z|, d, d) stack per slot, put on arrows by `right_terms` alone, for
+`right_stack`, T[1] and the YD grading check.  The verifier checks every axiom
 completely: left-associativity as each left action being a translation,
 right-associativity on the pairs (g, s) with s a generator, which covers
 every pair (the lemma of `Group.generating_sequence`), the other checks on
@@ -92,8 +93,10 @@ class HopfBimodule:
         # tp[theta, h] = theta'
         self.zl: dict[int, np.ndarray] = {}
         self.tp: dict[int, np.ndarray] = {}
-        # coefficient blocks per (class, slot): an own (|Z|, d, d) stack
+        # coefficient blocks per (class, slot): an own (|Z|, d, d) stack, and
+        # the local arrows of (class, slot) as a (theta, j) array
         self.blocks: dict[tuple[int, int], np.ndarray] = {}
+        self.slot_arrows: dict[tuple[int, int], np.ndarray] = {}
 
         every = np.arange(g.order)
         for cls in rsr.ram.support:
@@ -119,16 +122,11 @@ class HopfBimodule:
             self.zl[cls] = z.local[g.products(w, g.inverses[t[tp]])]
             for slot in range(len(rsr.irreps[cls])):
                 self.blocks[(cls, slot)] = rsr.irrep(cls, slot).matrices.copy()
+                at = np.flatnonzero((self.cls == cls) & (self.slot == slot))
+                src = self.slot_arrows[(cls, slot)] = np.empty_like(at).reshape(len(t), -1)
+                src[self.theta[at], self.j[at]] = at
 
     # -- structure maps -----------------------------------------------------
-
-    def slot_arrows(self, cls: int, slot: int) -> np.ndarray:
-        """The local arrows of (class, slot) as a (theta, j) array."""
-        at = np.flatnonzero((self.cls == cls) & (self.slot == slot))
-        out = np.empty((len(self.transversal[cls]), self.blocks[(cls, slot)].shape[1]),
-                       dtype=np.intp)
-        out[self.theta[at], self.j[at]] = at
-        return out
 
     def left_perm(self, h: int) -> np.ndarray:
         """Left action as a permutation of arrow numbers: h moves arrow
@@ -136,18 +134,29 @@ class HopfBimodule:
         hx = self.group.products(h, np.arange(self.group.order, dtype=np.int32))
         return (hx[:, None] * self.apv + np.arange(self.apv, dtype=np.int32)).ravel()
 
+    def right_terms(self, hs) -> tuple[np.ndarray, ...]:
+        """The nonzero entries of the right actions of hs, four arrays (i, l,
+        l', c) sorted by (i, l, l'): c is the coefficient of arrow (x hs[i])
+        * apv + l' in (x * apv + l) . hs[i] for every vertex x, entry [j, s]
+        of a block at (theta, h) sending arrow (theta, j) to (theta', s)."""
+        hs = np.asarray(hs, dtype=np.intp)
+        d = max((b.shape[1] for b in self.blocks.values()), default=1)
+        image, coef = np.zeros((2, len(hs), self.apv, d), dtype=np.int64)
+        for (cls, slot), blocks in self.blocks.items():
+            src = self.slot_arrows[(cls, slot)]
+            image[:, src, :src.shape[1]] = src[self.tp[cls][:, hs]].swapaxes(0, 1)[:, :, None]
+            coef[:, src, :src.shape[1]] = blocks[self.zl[cls][:, hs]].swapaxes(0, 1)
+        # each arrow's images ascend in s, so the nonzeros come sorted
+        at = np.flatnonzero(coef)
+        return (*np.divmod(at // d, self.apv), image.ravel()[at], coef.ravel()[at])
+
     def right_stack(self, hs) -> np.ndarray:
         """The right action of each h in hs, a (len(hs), apv, apv) stack:
         entry [i, l', l] is the coefficient of arrow (xh) * apv + l' in
-        (x * apv + l) . h, for every vertex x, scattered per (class, slot)
-        from the blocks at (theta, h) to (theta', slot, s)."""
-        hs = np.asarray(hs, dtype=np.intp)
+        (x * apv + l) . h, for every vertex x, scattered from `right_terms`."""
+        i, l, image, coef = self.right_terms(hs)
         out = np.zeros((len(hs), self.apv, self.apv), dtype=np.int64)
-        at = np.arange(len(hs))[None, :, None, None]
-        for (cls, slot), blocks in self.blocks.items():
-            src = self.slot_arrows(cls, slot)
-            dst = src[self.tp[cls][:, hs]][:, :, None, :]
-            out[at, dst, src[:, None, :, None]] = blocks[self.zl[cls][:, hs]]
+        out[i, image, l] = coef
         return out
 
     def cocycle(self, cls: int, slot: int, theta: int, a, b) -> np.ndarray:
@@ -371,7 +380,7 @@ def transversal_iso(rsr: RSR, t1: dict[int, list[int]],
     m2 = build_bimodule(rsr, t2)
     local = np.zeros((m1.apv, m1.apv), dtype=np.int64)
     for (cls, slot), blocks in m1.blocks.items():
-        src = m1.slot_arrows(cls, slot)
+        src = m1.slot_arrows[(cls, slot)]
         z = rsr.centralizer(cls).local[g.products(m1.transversal[cls],
                                                   g.inverses[m2.transversal[cls]])]
         local[src[:, :, None], src[:, None, :]] = blocks[z]

@@ -12,6 +12,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from functools import cache, partial
@@ -29,6 +30,7 @@ from .rsr import (
     count_classes,
     enumerate_types,
     isomorphic,
+    iter_types,
     load_rsr,
     read_rsr_doc,
     rsr_from_json,
@@ -48,19 +50,20 @@ def _setting(args):
 
 
 def _rsrs_for(args) -> list[tuple[dict, RSR]]:
-    """The RSRs selected by --rsr FILE, or --group/--ram with --type-index,
-    each labelled {"rsr": its JSON}."""
+    """The RSRs of --rsr FILE, or of --group/--ram, only the type of
+    --type-index if given, each labelled {"rsr": its JSON}."""
     if args.rsr:
         rsrs = [load_rsr(args.rsr)]
     elif not args.group:
         raise InputError("need --rsr FILE or --group/--ram")
     else:
         g, field, ram = _setting(args)
-        types = enumerate_types(g, ram, field)
+        types = iter_types(g, ram, field)
         if args.type_index is not None:
-            if not 0 <= args.type_index < len(types):
-                raise InputError(f"--type-index out of range (0..{len(types) - 1})")
-            types = [types[args.type_index]]
+            count = count_classes(g, ram, field)
+            if not 0 <= args.type_index < count:
+                raise InputError(f"--type-index out of range (0..{count - 1})")
+            types = itertools.islice(types, args.type_index, args.type_index + 1)
         rsrs = [rsr_from_type(g, ram, t, field, seed=args.seed) for t in types]
     return [({"rsr": rsr.to_json()}, rsr) for rsr in rsrs]
 
@@ -200,7 +203,7 @@ def cmd_selftest(args) -> tuple[dict, int]:
                                    for c in conjugacy_classes(g)]
     labelled = (({"ramification": r.describe(g), "type": t.to_json()},
                  rsr_from_type(g, r, t, field, seed=args.seed))
-                for r in rams for t in enumerate_types(g, r, field)[:2])
+                for r in rams for t in itertools.islice(iter_types(g, r, field), 2))
     payload, code = _collect(args, _selftest_section, labelled, key="sections")
     return {**payload, "group": g.spec}, code
 

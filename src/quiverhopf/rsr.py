@@ -21,10 +21,9 @@ per ramified character, with no conjugate search and no table search.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -95,8 +94,7 @@ class RSR:
     def to_json(self) -> dict:
         g = self.group
         return {
-            "group": g.spec or "perm:" + ";".join(
-                p.cycle_string() for p in g.generators),
+            "group": g.spec,
             "prime": self.field.p,
             "seed": self.seed,
             "u": [{"class": k, "rep": g.element_name(self.u[k])}
@@ -318,38 +316,42 @@ def count_classes(g: Group, ram: Ramification,
     return total
 
 
-def _multiplicity_vectors(degrees: Sequence[int], r: int) -> list[tuple[int, ...]]:
-    """All (n_1..n_gamma) with sum n_i d_i = r, in descending lexicographic order."""
-    out: list[tuple[int, ...]] = []
+def _multiplicity_vectors(degrees: Sequence[int], r: int) -> Iterator[tuple[int, ...]]:
+    """All (n_1..n_gamma), gamma >= 1, with sum n_i d_i = r, in descending
+    lexicographic order."""
+    if len(degrees) == 1:
+        if r % degrees[0] == 0:
+            yield (r // degrees[0],)
+        return
+    for n in range(r // degrees[0], -1, -1):
+        for rest in _multiplicity_vectors(degrees[1:], r - n * degrees[0]):
+            yield (n, *rest)
 
-    def rec(pos: int, remaining: int, acc: list[int]):
-        if pos == len(degrees):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for n in range(remaining // degrees[pos], -1, -1):
-            acc.append(n)
-            rec(pos + 1, remaining - n * degrees[pos], acc)
-            acc.pop()
 
-    rec(0, r, [])
-    return out
+def iter_types(g: Group, ram: Ramification,
+               field: Optional[FieldPrime] = None) -> Iterator[RSRType]:
+    """The types of enumerate_types one at a time, in its order: each
+    class's vectors are listed anew under every choice for the classes before."""
+    field = field if field is not None else choose_prime(g)
+    per_class = [(k, group_table(centralizer_subgroup(g, conjugacy_classes(g)[k].rep),
+                                 field).degrees, r) for k, r in ram.coeffs]
+
+    def rec(pos: int, entries: tuple) -> Iterator[RSRType]:
+        k, degrees, r = per_class[pos]
+        for v in _multiplicity_vectors(degrees, r):
+            if pos + 1 < len(per_class):
+                yield from rec(pos + 1, entries + ((k, v),))
+            else:
+                yield RSRType(entries + ((k, v),))
+
+    return rec(0, ()) if per_class else iter([RSRType(())])
 
 
 def enumerate_types(g: Group, ram: Ramification,
                     field: Optional[FieldPrime] = None) -> list[RSRType]:
     """All RSR types for the ramification: one per isomorphism class only
     when Aut G = Inn G (otherwise see rsr_key)."""
-    field = field if field is not None else choose_prime(g)
-    classes = conjugacy_classes(g)
-    per_class = []
-    for k, r in ram.coeffs:
-        z = centralizer_subgroup(g, classes[k].rep)
-        degrees = group_table(z, field).degrees
-        per_class.append([(k, v) for v in _multiplicity_vectors(degrees, r)])
-    if not per_class:
-        return [RSRType(())]
-    return [RSRType(tuple(combo)) for combo in itertools.product(*per_class)]
+    return list(iter_types(g, ram, field))
 
 
 def rsr_from_type(g: Group, ram: Ramification, rtype: RSRType,

@@ -24,9 +24,10 @@ PathKeys appear only in witnesses and JSON.  Two tables hold the product.
 `action_table(m)`, T[m], holds for every vertex h and word w of length m
 the k^m (code, coefficient) terms of A_h^(x)m w, zero-padded, k being the
 largest number of nonzeros in a column of any right action: |G| apv^m k^m
-cells, built on first use.  A batch of products is then gathers: the
-vertex s(p) s(q), word(q) as the prefix and T[m][t(q), word(p)] as the
-suffixes.  `product_basis` is the one-pair view of the same gathers.
+cells, built on first use, T[1] from the bimodule's `right_terms`.  A
+batch of products is then gathers: the vertex s(p) s(q), word(q) as the
+prefix and T[m][t(q), word(p)] as the suffixes.  `product_basis` is the
+one-pair view of the same gathers.
 
 The coproduct is the multiplicative extension of Delta(x) = x (x) x on
 vertices and Delta(a) = t(a) (x) a + a (x) s(a) on arrows; arrows out of
@@ -60,8 +61,6 @@ PathKey = tuple[int, ...]
 # paths of degree <= N, sum_n |G| apv^n: 131,072 is 2.6 times the largest
 # basis in use (S5 "(0 1):2" at degree 2, 50,520 paths)
 PATH_CAP = 1 << 17
-# cells of one chunk of right actions read into T[1]
-STACK_CELLS = 1 << 18
 # the batched checks take at most CHUNK cases at once, and fewer when
 # their terms would pass about TERMS
 CHUNK = 1 << 16
@@ -160,9 +159,9 @@ class TruncatedHopf:
     def action_table(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """T[m]: the codes and the coefficients, each (|G|, apv^m, k^m), of
         the terms of A_h^(x)m w for every vertex h and word w of length m,
-        padded with zero coefficients at code 0.  T[1] reads the nonzeros of
-        the right actions, a chunk of h at a time; T[m] expands T[m - 1] by
-        T[1], the last letter's terms innermost."""
+        padded with zero coefficients at code 0.  T[1] pads the nonzeros of
+        the right actions, `HopfBimodule.right_terms` of every h; T[m]
+        expands T[m - 1] by T[1], the last letter's terms innermost."""
         while len(self._tables) <= m:
             n = len(self._tables)
             if n == 1:
@@ -180,17 +179,9 @@ class TruncatedHopf:
 
     def _right_table(self) -> tuple[np.ndarray, np.ndarray]:
         order, apv = self.group.order, self.bim.apv
-        rows = max(1, STACK_CELLS // max(1, apv * apv))
-        found = []
-        for lo in range(0, order, rows):
-            # entry [h, l, l'] is the coefficient of l' in l . h
-            hs = np.arange(lo, min(lo + rows, order))
-            cols = self.bim.right_stack(hs).transpose(0, 2, 1)
-            h, l, image = np.nonzero(cols)
-            found.append(((lo + h) * apv + l, image, cols[h, l, image]))
-        run, image, coef = map(np.concatenate, zip(*found))
+        h, l, image, coef = self.bim.right_terms(np.arange(order))
         return tuple(a.reshape(order, apv, a.shape[-1])
-                     for a in _padded(run, order * apv, image, coef))
+                     for a in _padded(h * apv + l, order * apv, image, coef))
 
     def products(self, m: int, n: int, pc, qc) -> tuple[np.ndarray, np.ndarray]:
         """p * q = (s(p) s(q), word(q) ++ A_{t(q)}^(x)m word(p)) for the

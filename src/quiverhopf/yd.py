@@ -4,10 +4,11 @@ graded dimensions via skew derivations.
 The coinvariants of the arrow bimodule M = kG (x) V are V: the apv arrows
 out of the identity vertex, arrow numbers 0..apv-1 of x * apv + l.  The
 group acts by conjugation, g |> a = g.a.g^-1: the bimodule's right action
-of g^-1, read off its (theta', zeta) tables only for the elements asked
-for.  The grading is the target vertex.  `verify_yd` checks every axiom on
-those tables, the action's multiplicativity on the pairs (g, s) with s a
-generator, which covers every pair.  The braiding is the standard one for
+of g^-1, its `right_terms` only for the elements asked for.  The grading
+is the target vertex.  `verify_yd` checks every axiom on the bimodule's
+tables, the action's multiplicativity on the pairs (g, s) with s a
+generator, which covers every pair, and the grading on every nonzero
+entry of `right_terms`.  The braiding is the standard one for
 YD modules over a group algebra,
 
     c(a (x) b) = (deg(a) |> b) (x) a,
@@ -106,16 +107,9 @@ def verify_yd(v: YDModule) -> Report:
                         f"{g.element_name(gens[i])})",
               weight=g.order)
 
-    # deg(h |> b_j) = h deg(b_j) h^-1 for every nonzero entry of h's matrix:
-    # entry [j, s] of the block at (theta, h^-1) sends arrow (theta, j) to
-    # (theta', s).  Cases in the order (h, column, row)
-    found = [np.zeros((3, 0), dtype=np.intp)]
-    for (cls, slot), blocks in m.blocks.items():
-        src = m.slot_arrows(cls, slot)
-        theta, h, j, s = np.nonzero(blocks[m.zl[cls][:, inv]])
-        found.append(np.stack([h, src[theta, j], src[m.tp[cls][theta, inv[h]], s]]))
-    found = np.concatenate(found, axis=1)
-    h, col, row = found[:, np.lexsort(found[::-1])]
+    # deg(h |> b_j) = h deg(b_j) h^-1 for every nonzero entry of h's matrix,
+    # the right action of h^-1.  Cases in the order (h, column, row)
+    h, col, row, _ = m.right_terms(inv)
     grading = np.asarray(v.grading, dtype=np.intp)
     check_all(report, "grading-equivariance",
               grading[row] == g.products(g.products(h, grading[col]), inv[h]),

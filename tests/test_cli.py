@@ -296,6 +296,20 @@ def test_budget_error_exit_code(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_type_index_builds_only_its_type(capsys):
+    # C12 on "e:40" has 47,626,016,970 types: the index is checked against
+    # their count and only type 0, forty copies of the trivial character, is
+    # built, so the listing of all of them never starts
+    argv = ("nichols-dims", "--group", "C12", "--ram", "e:40", "--max-degree", "1",
+            "--nprimes", "1", "--type-index")
+    code, out, _ = run_cli(capsys, *argv, "0")
+    assert code == 0
+    assert json.loads(out)["results"][0]["dims"] == [1, 40]
+    code, out, err = run_cli(capsys, *argv, "47626016970")
+    assert (code, out) == (2, "")
+    assert err == "error: --type-index out of range (0..47626016969)\n"
+
+
 def test_path_budget_exit_code(capsys, monkeypatch):
     # S3 "(0 1):1" to degree 2 has 6 + 18 + 54 = 78 paths: one over the cap
     # is an input error before any path is built, the cap itself passes

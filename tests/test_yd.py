@@ -402,9 +402,10 @@ def test_multiprime(s3):
 def test_coinvariant_matches_bimodule():
     # oracle: g |> a = g . a . g^-1 for each arrow a out of e, named by the
     # quiver: a translated to g, then acted on by g^-1 through the scalar
-    # coset factorization g_theta g^-1 = zeta g_theta' and rho(zeta)
+    # coset factorization g_theta g^-1 = zeta g_theta' and rho(zeta); the
+    # bimodule's right_terms of g^-1 are exactly its nonzero entries
     for spec, ram in [("S3", "(0 1):1"), ("S3", "e:2"), ("D4", "(0 1)(2 3):1"),
-                      ("S4", "(0 1)(2 3):2")]:
+                      ("S4", "(0 1)(2 3):2"), ("S3", "")]:
         g = parse_group(spec)
         r = parse_ramification(g, ram)
         classes = conjugacy_classes(g)
@@ -413,8 +414,10 @@ def test_coinvariant_matches_bimodule():
             rsr = rsr_from_type(g, r, t)
             q = rsr.quiver()
             arrows = [q.arrow(a) for a in range(q.arrows_per_vertex)]
-            v = coinvariant_yd(build_bimodule(rsr))
+            m = build_bimodule(rsr)
+            v = coinvariant_yd(m)
             acts = v.action(range(g.order))
+            terms = []
             for h in range(g.order):
                 for col, a in enumerate(arrows):
                     ctx = classes[a.cls]
@@ -425,10 +428,16 @@ def test_coinvariant_matches_bimodule():
                     y = g.conj(a.y, g.inv(h))
                     expected = np.zeros(v.dim, dtype=np.int64)
                     for s in range(rho.shape[1]):
-                        expected[arrows.index(ArrowId(0, y, a.cls, a.slot, s))] = \
-                            rho[a.j, s] % v.p
+                        row = arrows.index(ArrowId(0, y, a.cls, a.slot, s))
+                        expected[row] = rho[a.j, s] % v.p
+                        if expected[row]:
+                            terms.append((h, col, row, int(expected[row])))
                     assert theta_of[a.cls][y] == theta
                     assert (acts[h][:, col] == expected).all(), (spec, ram, h, a)
+            # sorted by (h, arrow, image), with no zero coefficient
+            i, l, image, c = m.right_terms([g.inv(h) for h in range(g.order)])
+            assert list(zip(i.tolist(), l.tolist(), image.tolist(), c.tolist())) == \
+                sorted(terms), (spec, ram, t)
 
 
 def test_same_type_pairs_share_dims(s3):
