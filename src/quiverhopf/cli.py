@@ -58,12 +58,13 @@ def _rsrs_for(args) -> list[tuple[dict, RSR]]:
         raise InputError("need --rsr FILE or --group/--ram")
     else:
         g, field, ram = _setting(args)
-        types = iter_types(g, ram, field)
-        if args.type_index is not None:
-            count = count_classes(g, ram, field)
-            if not 0 <= args.type_index < count:
-                raise InputError(f"--type-index out of range (0..{count - 1})")
-            types = itertools.islice(types, args.type_index, args.type_index + 1)
+        i = args.type_index
+        if i is None:
+            types = enumerate_types(g, ram, field)
+        elif not 0 <= i < (count := count_classes(g, ram, field)):
+            raise InputError(f"--type-index out of range (0..{count - 1})")
+        else:
+            types = itertools.islice(iter_types(g, ram, field), i, i + 1)
         rsrs = [rsr_from_type(g, ram, t, field, seed=args.seed) for t in types]
     return [({"rsr": rsr.to_json()}, rsr) for rsr in rsrs]
 

@@ -29,8 +29,8 @@ class InputError(ValueError):
 
 
 class BudgetError(InputError):
-    """Work over a budget: ORDER_CAP, AUT_BUDGET, yd.CELL_CAP or
-    typeone.PATH_CAP."""
+    """Work over a budget: ORDER_CAP, AUT_BUDGET, rsr.TYPE_CAP, yd.CELL_CAP
+    or typeone.PATH_CAP."""
 
 
 # the largest order parse_group closes a group to

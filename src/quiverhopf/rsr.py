@@ -28,6 +28,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .groups import (
+    BudgetError,
     Group,
     InputError,
     centralizer_subgroup,
@@ -48,6 +49,9 @@ from .modrep import (
     validate_prime,
 )
 from .quiver import HopfQuiver, Ramification
+
+# types a full listing may hold: C6 "e:30" has 324,632, C12 "e:40" 47,626,016,970
+TYPE_CAP = 1 << 19
 
 
 class RSR:
@@ -350,7 +354,11 @@ def iter_types(g: Group, ram: Ramification,
 def enumerate_types(g: Group, ram: Ramification,
                     field: Optional[FieldPrime] = None) -> list[RSRType]:
     """All RSR types for the ramification: one per isomorphism class only
-    when Aut G = Inn G (otherwise see rsr_key)."""
+    when Aut G = Inn G (otherwise see rsr_key).  More than TYPE_CAP types,
+    counted by count_classes before any is listed, raise BudgetError."""
+    count = count_classes(g, ram, field)
+    if count > TYPE_CAP:
+        raise BudgetError(f"{count} RSR types exceed the listing cap of {TYPE_CAP}")
     return list(iter_types(g, ram, field))
 
 
@@ -422,5 +430,5 @@ def read_rsr_doc(path: str) -> dict:
     return doc
 
 
-def load_rsr(path: str, group: Optional[Group] = None) -> RSR:
-    return rsr_from_json(read_rsr_doc(path), group=group)
+def load_rsr(path: str) -> RSR:
+    return rsr_from_json(read_rsr_doc(path))

@@ -35,6 +35,9 @@ the identity vertex are therefore (1,y)-skew-primitive.  Delta(e, w) and
 the antipode S(e, w) are tables over the words w at the identity, built
 degree by degree; (x, w) = x * (e, w) reads both at x by the group table.
 
+`verify_hopf` samples tuples of paths as uniform indices into the list of
+all of them, one random stream per check.
+
 Graded dimensions of the type-one algebra are |G| times the Nichols
 dimensions of the coinvariant module; the cotensor coalgebra itself is
 never materialized.
@@ -419,13 +422,11 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
     """Check Hopf axioms on basis elements within the truncation degree.
 
     Associativity runs on triples and Delta-is-an-algebra-map on pairs of
-    basis paths of total degree <= N, batched by degree composition
-    (d_1, ..., d_k), sum <= N: exhaustive mode (the default up to 100
-    basis paths) takes every tuple; sampled mode draws `samples` tuples,
-    each by picking a composition with probability proportional to its
-    tuple count prod dim_{d_i}, then one uniform path per degree: the
-    uniform law on all tuples.  Counts, outcomes and witnesses are those of
-    the per-case oracle, `check` in tests/percase.py, on the same cases.
+    basis paths of total degree <= N, each an index into the list of all
+    such tuples, ordered by degree composition (d_1, ..., d_k) and then
+    row-major: exhaustive mode (the default up to 100 basis paths) takes
+    every index, sampled mode `samples` uniform indices taken from
+    random.Random(f"hopf:{seed}:{name}"), one stream per check.
     The other checks cover every path in either mode, a degree with paths
     at a time: the antipode identity the paths of degree <= N-1; unit,
     coassociativity and counit the paths (e, w), each counted for its |G|
@@ -437,66 +438,55 @@ def verify_hopf(h: TruncatedHopf, seed: int = 0, samples: int = 300,
     if exhaustive is None:
         exhaustive = sum(dims) <= 100
     report = Report(mode="exhaustive" if exhaustive else f"sampled({samples})")
-    rng = None if exhaustive else random.Random(f"hopf:{seed}")
-
-    def path(i: int, sizes: list[int]) -> PathKey:
-        """Case i's path, the cases being the codes below each sizes[n]."""
-        n = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
-        return h.key(n, i - sum(sizes[:n]))
 
     def batched(name: str, arity: int, terms: int, test) -> None:
         """check_all of test over the tuples of paths of total degree <= N,
-        a chunk at a time, split by degree composition.  A case is a row:
-        its composition's index, then one code per degree.  Exhaustive rows
-        list each composition's tuples in row-major order; a sampled row
-        picks a composition weighted by its tuple count, then one
-        `randrange` code per degree, the draws of `cases` in
-        tests/percase.py.  After a failure, rng is rewound and redrawn
-        through the failing row, as far as `check` draws."""
+        listed by composition, then row-major: index i is tuple i - off[c] of
+        composition c.  Case j is index j, or pick j in sampled mode; cases
+        run a chunk at a time, batched by composition."""
         comps = [c for c in itertools.product(range(h.max_deg + 1), repeat=arity)
                  if sum(c) <= h.max_deg]
-        counts = [math.prod(dims[d] for d in c) for c in comps]
+        off = np.cumsum([0] + [math.prod(dims[d] for d in c) for c in comps])
+        total = int(off[-1])
+        rng = random.Random(f"hopf:{seed}:{name}")
+        picks = None if exhaustive else np.array(
+            [rng.randrange(total) for _ in range(samples)], dtype=np.int64)
         size = max(1, min(CHUNK, TERMS // terms))
 
-        def draw(rows: int) -> list[tuple[int, ...]]:
-            picks = rng.choices(range(len(comps)), counts, k=samples)
-            return [(c, *(rng.randrange(dims[d]) for d in comps[c])) for c in picks[:rows]]
+        def decode(cases: np.ndarray):
+            """Per composition among the cases: its degrees, the positions of
+            its cases among them and their codes, one array per degree."""
+            index = cases if exhaustive else picks[cases]
+            comp = np.searchsorted(off, index, side="right") - 1
+            for c in np.flatnonzero(np.bincount(comp)):
+                pos = np.flatnonzero(comp == c)
+                yield comps[c], pos, np.unravel_index(index[pos] - off[c],
+                                                      [dims[d] for d in comps[c]])
 
-        def chunks():
-            if rng is None:
-                for c, count in enumerate(counts):
-                    shape = [dims[d] for d in comps[c]]
-                    for lo in range(0, count, size):
-                        codes = np.unravel_index(np.arange(lo, min(lo + size, count)), shape)
-                        yield np.stack([np.full_like(codes[0], c), *codes], axis=1)
-            else:
-                rows = np.array(draw(samples), dtype=np.int64).reshape(-1, arity + 1)
-                for lo in range(0, len(rows), size):
-                    yield rows[lo:lo + size]
-
-        state = rng.getstate() if rng is not None else None
-        oks, done = [], 0
-        for chunk in chunks():
-            ok = np.ones(len(chunk), dtype=bool)
-            for c in np.flatnonzero(np.bincount(chunk[:, 0])):
-                at = np.flatnonzero(chunk[:, 0] == c)
-                ok[at] = test(h, comps[c], *chunk[at, 1:].T)
-            oks.append(ok)
-            if not ok.all():
+        oks, count = [], total if exhaustive else samples
+        for lo in range(0, count, size):
+            cases = np.arange(lo, min(lo + size, count))
+            oks.append(np.ones(len(cases), dtype=bool))
+            for degrees, pos, codes in decode(cases):
+                oks[-1][pos] = test(h, degrees, *codes)
+            if not oks[-1].all():
                 break
-            done += len(chunk)
-        ok = np.concatenate(oks) if oks else np.ones(0, dtype=bool)
-        check_all(report, name, ok, lambda i: str(tuple(
-            map(h.key, comps[chunk[i - done, 0]], chunk[i - done, 1:].tolist()))))
-        if rng is not None and not ok.all():
-            rng.setstate(state)
-            draw(int(np.argmin(ok)) + 1)
+
+        def witness(i: int) -> str:
+            (degrees, _, codes), = decode(np.array([i]))
+            return str(tuple(map(h.key, degrees, np.concatenate(codes).tolist())))
+
+        check_all(report, name, np.concatenate([np.ones(0, dtype=bool)] + oks), witness)
 
     def per_degree(name: str, sizes: list[int], test, weight: int = 1) -> None:
         """check_all of test(h, n, codes) over the codes below sizes[n]."""
         ok = [test(h, n, np.arange(s)) for n, s in enumerate(sizes) if s]
-        check_all(report, name, np.concatenate([np.ones(0, dtype=bool)] + ok),
-                  lambda i: str(path(i, sizes)), weight)
+
+        def witness(i: int) -> str:
+            n = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
+            return str(h.key(n, i - sum(sizes[:n])))
+
+        check_all(report, name, np.concatenate([np.ones(0, dtype=bool)] + ok), witness, weight)
 
     # terms per case are at most about k^2N for associativity
     kmax = max(1, h.action_table(1)[1].shape[-1]) if h.max_deg else 1

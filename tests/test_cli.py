@@ -3,6 +3,7 @@ import json
 import pytest
 
 from quiverhopf import cli, make_rsr, parse_group, parse_ramification, typeone
+from quiverhopf.rsr import TYPE_CAP
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +309,16 @@ def test_type_index_builds_only_its_type(capsys):
     code, out, err = run_cli(capsys, *argv, "47626016970")
     assert (code, out) == (2, "")
     assert err == "error: --type-index out of range (0..47626016969)\n"
+
+
+def test_full_type_listing_over_the_cap_exits_2(capsys):
+    # without --type-index both verbs list every type: C12 on "e:40" has
+    # 47,626,016,970, counted and refused before any is listed
+    for verb in ("rsr-enumerate", "nichols-dims"):
+        code, out, err = run_cli(capsys, verb, "--group", "C12", "--ram", "e:40")
+        assert (code, out) == (2, "")
+        assert err == ("error: 47626016970 RSR types exceed the listing cap "
+                       f"of {TYPE_CAP}\n")
 
 
 def test_path_budget_exit_code(capsys, monkeypatch):

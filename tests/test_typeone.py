@@ -420,25 +420,28 @@ VERIFY_OPS = [("S3", 2), ("S4", 1)]
 def verify_op_hopf(spec, max_deg, corrupt=False):
     """The first type of "(0 1):2" on spec, as hopf-verify builds it.  With
     corrupt, one coefficient of T[1] is doubled: that of the right action
-    of y on letter l, for the first sampled triple ((x, l), (y,), r) at
-    seed 0, so that this triple fails associativity."""
+    of y on letter l, for the first sampled associativity triple
+    ((x, l), (y,), r) at seed 0, so that this triple fails associativity."""
     g = parse_group(spec)
     ram = parse_ramification(g, "(0 1):2")
     h = tensor_hopf(rsr_from_type(g, ram, enumerate_types(g, ram)[0]), max_deg)
     if corrupt:
-        triples = list(pathkey_cases(h, 3, random.Random("hopf:0")))
+        triples = pathkey_cases(h, 3, 0, "associativity")
         (_, l), (y,), _ = next(t for t in triples if len(t[0]) == 2 and len(t[1]) == 1)
         coef = h.action_table(1)[1]
         coef[y, l, 0] = 2 * coef[y, l, 0] % h.p
     return h
 
 
-def pathkey_cases(h, arity, rng):
-    """Sampled tuples of PathKeys of total degree <= N, drawn from the
-    lists of each degree's paths."""
-    return cases([tuple(basis(h, d) for d in c)
-                  for c in itertools.product(range(h.max_deg + 1), repeat=arity)
-                  if sum(c) <= h.max_deg], 300, rng)
+def pathkey_cases(h, arity, seed, name):
+    """The 300 sampled tuples of PathKeys of total degree <= N of check
+    name: uniform indices into the list of every such tuple, drawn from
+    the check's own rng."""
+    every = list(cases([tuple(basis(h, d) for d in c)
+                        for c in itertools.product(range(h.max_deg + 1), repeat=arity)
+                        if sum(c) <= h.max_deg]))
+    rng = random.Random(f"hopf:{seed}:{name}")
+    return [every[rng.randrange(len(every))] for _ in range(300)]
 
 
 def per_case_associative(h, t):
@@ -473,8 +476,8 @@ def batched_outcomes(h, test, tuples):
 @pytest.mark.parametrize("spec, max_deg", VERIFY_OPS)
 def test_batched_checks_match_the_per_case_checks(spec, max_deg, corrupt):
     h = verify_op_hopf(spec, max_deg, corrupt)
-    rng = random.Random("hopf:0")
-    triples, pairs = list(pathkey_cases(h, 3, rng)), list(pathkey_cases(h, 2, rng))
+    triples = pathkey_cases(h, 3, 0, "associativity")
+    pairs = pathkey_cases(h, 2, 0, "coproduct-algebra-map")
     expected = [per_case_associative(h, t) for t in triples]
     assert batched_outcomes(h, typeone.associative, triples) == expected
     assert all(expected) != corrupt
@@ -487,14 +490,13 @@ def test_batched_checks_match_the_per_case_checks(spec, max_deg, corrupt):
 def test_batched_reports_match_the_per_case_reports(monkeypatch, spec, max_deg,
                                                      corrupt):
     # counts, outcomes and witnesses as `check` gives them on the per-case
-    # tests; after a failure the algebra map's draws start where `check`
-    # stopped drawing triples.  Chunks of 2 cases put the corrupt triple,
-    # case 3 or 6, past the first chunk
+    # tests, each check on its own draws.  Chunks of 2 cases put the
+    # corrupt triple, case 7 on S3 and case 4 on S4, past the first chunk
     h = verify_op_hopf(spec, max_deg, corrupt)
-    per_case, rng = Report(), random.Random("hopf:0")
-    check(per_case, "associativity", pathkey_cases(h, 3, rng),
+    per_case = Report()
+    check(per_case, "associativity", pathkey_cases(h, 3, 0, "associativity"),
           lambda t: per_case_associative(h, t))
-    check(per_case, "coproduct-algebra-map", pathkey_cases(h, 2, rng),
+    check(per_case, "coproduct-algebra-map", pathkey_cases(h, 2, 0, "coproduct-algebra-map"),
           lambda t: per_case_multiplicative(h, t))
     assert per_case.passed != corrupt
     for chunk in (typeone.CHUNK, 2):
@@ -508,9 +510,23 @@ def test_code_sampling_draws_the_pathkey_tuples(monkeypatch, spec, max_deg):
     h = verify_op_hopf(spec, max_deg)
     report, recorded = checked_cases(monkeypatch, h, seed=3)
     assert report.passed
-    rng = random.Random("hopf:3")
     for name, arity in (("associativity", 3), ("coproduct-algebra-map", 2)):
-        assert Counter(recorded[name]) == Counter(pathkey_cases(h, arity, rng))
+        assert Counter(recorded[name]) == Counter(pathkey_cases(h, arity, 3, name))
+
+
+def test_a_failing_check_leaves_the_next_checks_draws(monkeypatch):
+    # each tuple check draws from its own rng: associativity failing at its
+    # first case changes none of the algebra map's tuples
+    h = verify_op_hopf("S3", 2)
+    with pytest.MonkeyPatch.context() as unpatched:
+        report, passing = checked_cases(unpatched, h, seed=3)
+    assert report.passed
+    monkeypatch.setattr(typeone, "associative",
+                        lambda h, degrees, a, b, c: np.zeros(len(a), dtype=bool))
+    report, failing = checked_cases(monkeypatch, h, seed=3)
+    assert [(c.name, c.checked) for c in report.checks if not c.ok] == [("associativity", 1)]
+    assert failing["coproduct-algebra-map"] == passing["coproduct-algebra-map"]
+    assert len(failing["coproduct-algebra-map"]) == 300
 
 
 def test_basis_is_lexicographic_in_vertex_and_word(hopf_s3_loops, hopf_s3_sgn):
