@@ -46,6 +46,9 @@ _TABLE_CAP = 2048
 # products composed from image rows are taken this many at a time, which
 # bounds the transient (chunk, degree) arrays
 _PRODUCT_CHUNK = 1 << 14
+# image rows are converted to Python lists about this many entries at a
+# time, which bounds the transient lists
+_LIST_CELLS = 1 << 13
 # candidate automorphisms are extended and checked this many cells at a time
 _AUT_BLOCK = 1 << 18
 
@@ -150,7 +153,18 @@ def _keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _order_of(images: Sequence[int]) -> int:
-    return math.lcm(1, *(len(c) for c in _cycles_of(images)))
+    # the lcm of the cycle lengths, each cycle walked once
+    seen = [False] * len(images)
+    order = 1
+    for start in range(len(images)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        if length > 1:
+            order = math.lcm(order, length)
+    return order
 
 
 def _generated(degree: int, generators: Sequence[Permutation],
@@ -183,7 +197,9 @@ def _generated(degree: int, generators: Sequence[Permutation],
     np.put_along_axis(inverse_images, g.perms, np.arange(degree, dtype=width)[None, :],
                       axis=1)
     g.inverses = g._lookup(inverse_images)
-    g.orders = np.array([_order_of(row.tolist()) for row in g.perms])
+    step = max(1, _LIST_CELLS // degree)
+    g.orders = np.array([_order_of(row) for lo in range(0, g.order, step)
+                         for row in g.perms[lo:lo + step].tolist()])
     if g.order <= _TABLE_CAP:
         index = np.argsort(by_key)      # search number -> element index
         prev, pos = np.concatenate(prev), np.concatenate(pos)
@@ -400,7 +416,8 @@ def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
         class_of[g.conjugates(seed)] = idx
         members = np.flatnonzero(class_of == idx).tolist()
         # u0: the member least in canonical cycle form
-        rep = min(members, key=lambda a: _cycles_of(g.perms[a].tolist()))
+        rows = g.perms[members].tolist()
+        rep = members[min(range(len(rows)), key=lambda i: _cycles_of(rows[i]))]
         classes.append(ConjClassCtx(idx, tuple(members), rep))
     g._classes = classes
     g._class_of = class_of

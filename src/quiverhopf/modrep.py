@@ -4,12 +4,15 @@ Character tables come from the Burnside-Dixon class-sum method: the class
 multiplication constants give commuting matrices over F_p whose common
 eigenvectors are the central characters; degrees are recovered from the
 orthogonality relation and rows sorted into a canonical order (degree,
-then value tuple lifted to {0..p-1}).  Eigenvalues are found as the roots
-of minimal polynomials of Krylov sequences (one vectorized Horner pass
-over F_p each), so a nullspace is computed only at an actual eigenvalue,
-never for every element of F_p.  All elimination is linalg's: the
-minimal polynomial is the first Krylov vector that does not raise the
-rank, solved for in those before it.
+then value tuple lifted to {0..p-1}).  As in Schneider's refinement, the
+matrix of a class is built from that class's products alone, and only
+when the split first reads it.  Eigenvalues are found as the roots of
+minimal polynomials of Krylov sequences (one vectorized Horner pass over
+F_p each).  The Krylov stack doubles and is eliminated once per doubling,
+as columns, and its first dependent vector gives the minimal polynomial.
+A simple spectrum takes its eigenvectors from the Krylov quotients, with
+no further elimination; otherwise a nullspace is computed at each root,
+never for every element of F_p.
 
 Irreducible matrix representations are cut out of the regular module by
 the central idempotent of the character, whose rows e*y, with the y
@@ -123,31 +126,36 @@ class CharTable:
         }
 
 
-def _class_constants(g: Group) -> tuple[np.ndarray, list[int]]:
-    """a[i,j,k] = #{x in C_i : x^-1 z_k in C_j} and the inverse-class map."""
+def _class_matrix(g: Group, i: int) -> np.ndarray:
+    """M_i[j, k] = #{x in C_i : x^-1 z_k in C_j}, z_k the representative of
+    class k: the matrix of the class sum of C_i, counted from the |C_i| k
+    products x^-1 z_k of its members alone."""
     classes = conjugacy_classes(g)
     k = len(classes)
-    reps = [c.rep for c in classes]
-    cls = class_of(g, np.arange(g.order))
-    # the class of x^-1 z_kk for every element x and class representative z_kk
-    j = cls[g.products(g.inverses[:, None], np.array(reps)[None, :])]
-    a = np.zeros((k, k, k), dtype=np.int64)
-    np.add.at(a, (cls[:, None], j, np.arange(k)[None, :]), 1)
-    inv_class = cls[g.inverses[reps]].tolist()
-    return a, inv_class
+    reps = np.array([c.rep for c in classes])
+    members = g.inverses[list(classes[i].elements)]
+    j = class_of(g, g.products(members[:, None], reps[None, :]))
+    return np.bincount((j * k + np.arange(k)).reshape(-1),
+                       minlength=k * k).reshape(k, k)
 
 
-def _krylov_poly(s: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
+def _krylov_poly(s: np.ndarray, u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients c of the minimal polynomial x^m - sum_i c[i] x^i of the
-    row vector u under u -> u @ s.
+    row vector u under u -> u @ s, and the Krylov rows u s^i, i < m.
 
-    The Krylov vectors u s^j are taken while each raises the rank, so only
-    m products with s are made; the first dependent one is the combination
-    c of those before it."""
-    krylov = linalg.asmod(u, p)[None, :]
-    while linalg.rank(krylov, p) == len(krylov):
-        krylov = np.concatenate([krylov, linalg.matmul(krylov[-1:], s, p)])
-    return linalg.solve(krylov[:-1].T, krylov[-1], p)
+    The Krylov stack doubles, to 2, 4, 8, ... vectors and at most d + 1,
+    one product with s per vector, and is eliminated once per doubling, as
+    columns: the first non-pivot column is the first vector u s^m that
+    depends on those before it, and its entries in the rref are c."""
+    krylov = [linalg.asmod(u, p)[None, :]]
+    while True:
+        for _ in range(min(len(krylov), s.shape[0] + 1 - len(krylov))):
+            krylov.append(linalg.matmul(krylov[-1], s, p))
+        stack = np.concatenate(krylov)
+        r, pivots = linalg.rref(stack.T, p)
+        m = len(pivots)
+        if m < len(stack):
+            return r[:m, m], stack[:m]
 
 
 def _poly_roots(coeffs: np.ndarray, p: int) -> list[int]:
@@ -168,14 +176,33 @@ def _eigenspaces(s: np.ndarray, p: int, starts) -> dict[int, np.ndarray]:
     F_p roots of the minimal polynomials of the vectors in starts under
     u -> u @ s, taken until the spaces fill F_p^d.  Over a spanning set of
     starts their lcm is s's minimal polynomial, so fewer than d dimensions
-    means s does not split over F_p."""
+    means s does not split over F_p.
+
+    When a start's minimal polynomial m_u has d distinct roots, and no
+    earlier start found a root, the spectrum is simple and the eigenvector
+    at lambda is u q(s), with q = m_u / (x - lambda) by synthetic division:
+    one product of the quotients with the Krylov rows, each row scaled to
+    end in 1, as the nullspace row of a 1-dim kernel does.  Otherwise each
+    root costs one nullspace."""
     d = s.shape[0]
     spaces: dict[int, np.ndarray] = {}
     found = 0
     for u in starts:
         if found == d:
             break
-        for lam in _poly_roots(_krylov_poly(s, u, p), p):
+        coeffs, krylov = _krylov_poly(s, u, p)
+        roots = _poly_roots(coeffs, p)
+        if not spaces and len(roots) == d:
+            lam = np.array(roots, dtype=np.int64)
+            q = np.zeros((d, d), dtype=np.int64)
+            q[:, d - 1] = 1
+            for i in range(d - 1, 0, -1):
+                q[:, i - 1] = (lam * q[:, i] - coeffs[i]) % p
+            vecs = linalg.matmul(q, krylov, p)
+            last = vecs[np.arange(d), d - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)]
+            vecs = vecs * np.array([pow(int(x), p - 2, p) for x in last])[:, None] % p
+            return {root: vecs[i:i + 1] for i, root in enumerate(roots)}
+        for lam in roots:
             if lam not in spaces:
                 spaces[lam] = linalg.nullspace(((s - lam * linalg.identity(d)) % p).T, p)
                 found += len(spaces[lam])
@@ -191,24 +218,23 @@ def character_table(g: Group, f: FieldPrime) -> CharTable:
     k = len(classes)
     if k == 1:
         return CharTable(p, (1,), ((1,),))
-    a, inv_class = _class_constants(g)
-    mats = [np.ascontiguousarray(a[i] % p) for i in range(k)]
+    inv_class = class_of(g, g.inverses[[c.rep for c in classes]])
 
-    # split F_p^k into common eigenspaces of the class-sum matrices;
-    # bases are stored as columns
+    # split F_p^k into common eigenspaces of the class-sum matrices, built
+    # only for the classes read; bases are stored as columns
     spaces = [linalg.identity(k)]
     for i in range(1, k):
         if all(s.shape[1] == 1 for s in spaces):
             break
-        mi = mats[i]
+        mi = _class_matrix(g, i)
         new_spaces = []
         for v in spaces:
             if v.shape[1] == 1:
                 new_spaces.append(v)
                 continue
-            mv = linalg.matmul(mi, v, p)
-            r = linalg.solve(v, mv, p)          # restriction of M_i to the subspace
+            # the restriction of M_i to the subspace; on all of F_p^k, M_i
             d = v.shape[1]
+            r = mi if d == k else linalg.solve(v, linalg.matmul(mi, v, p), p)
             eigenspaces = _eigenspaces(r.T, p, linalg.identity(d))
             found = sum(ker.shape[0] for ker in eigenspaces.values())
             assert found == d, "class-sum matrix failed to split over F_p"
@@ -218,7 +244,7 @@ def character_table(g: Group, f: FieldPrime) -> CharTable:
     if any(s.shape[1] != 1 for s in spaces):
         raise AssertionError("non-splitting prime: common eigenspaces not all 1-dim")
 
-    sizes = [c.size for c in classes]
+    inv_sizes = np.array([pow(c.size, p - 2, p) for c in classes])
     rows = []
     degrees = []
     order_mod = g.order % p
@@ -227,14 +253,11 @@ def character_table(g: Group, f: FieldPrime) -> CharTable:
         w = s[:, 0] % p
         assert w[0] != 0
         w = (w * pow(int(w[0]), p - 2, p)) % p   # normalize: identity-class entry 1
-        acc = 0
-        for i in range(k):
-            acc += int(w[i]) * int(w[inv_class[i]]) * pow(sizes[i], p - 2, p)
-        acc %= p
+        acc = int((w * w[inv_class] % p * inv_sizes % p).sum() % p)
         d2 = (order_mod * pow(acc, p - 2, p)) % p
         deg = next((d for d in range(1, sqrt_cap + 1) if d * d % p == d2), None)
         assert deg is not None, "character degree not an integer square root"
-        row = tuple(int(deg * int(w[i]) * pow(sizes[i], p - 2, p) % p) for i in range(k))
+        row = tuple((deg * w % p * inv_sizes % p).tolist())
         rows.append(row)
         degrees.append(deg)
     order = sorted(range(k), key=lambda i: (degrees[i], rows[i]))

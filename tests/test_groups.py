@@ -104,6 +104,18 @@ def test_order_cap(monkeypatch):
         parse_group("S5")
 
 
+@pytest.mark.parametrize("spec", ["S5", "D4", "Q8", "C12", "S3xC2", "C4xC6xS3"])
+def test_element_orders_are_the_least_powers_at_the_identity(spec):
+    g = parse_group(spec)
+    ident = tuple(range(g.degree))
+    for a, row in enumerate(rows_of(g)):
+        power, n = row, 1
+        while power != ident:
+            power, n = compose(power, row), n + 1
+        assert g.orders[a] == n
+        assert Permutation(row).order() == n
+
+
 def test_identity_is_element_zero(s3, s4):
     for g in (s3, s4):
         rows = rows_of(g)

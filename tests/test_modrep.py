@@ -21,6 +21,7 @@ from quiverhopf import (
 from quiverhopf import linalg
 from quiverhopf.modrep import (
     _check_right_ideal,
+    _class_matrix,
     _eigenspaces,
     _ideal,
     _is_prime,
@@ -279,7 +280,7 @@ def test_min_poly_root_scan_matches_scalar_evaluation(p):
             seed = rng.randrange(1000)
             draw = random.Random(seed)
             u = np.array([draw.randrange(p) for _ in range(m)], dtype=np.int64)
-            coeffs = _krylov_poly(s, u, p)
+            coeffs, _ = _krylov_poly(s, u, p)
             # u s^deg is the combination of the lower powers given by coeffs
             powers = [u]
             for _ in range(len(coeffs)):
@@ -301,23 +302,26 @@ def test_krylov_sequence_stops_at_the_first_dependence(monkeypatch):
     matmul = linalg.matmul
     monkeypatch.setattr(linalg, "matmul",
                         lambda a, b, p: calls.append(a.shape) or matmul(a, b, p))
-    coeffs = _krylov_poly(s, u, p)
+    coeffs, krylov = _krylov_poly(s, u, p)
     assert coeffs.tolist() == [(-10) % p, 7]
-    assert len(calls) == 2
+    assert krylov.tolist() == [u.tolist(), (u * np.diag(s) % p).tolist()]
+    # the stack doubles to 2, then to 4 vectors, where u s^2 depends on the
+    # first two: one vector product for each vector past u
+    assert calls == [(1, 40)] * 3
 
 
-def test_krylov_relation_comes_from_rank_and_solve(monkeypatch):
+def test_krylov_relation_comes_from_one_rref_per_doubling(monkeypatch):
     p = 61
     s = np.diag([2] * 3 + [5] * 3)
     u = np.arange(1, 7, dtype=np.int64)
     calls = []
-    for name in ("rank", "solve"):
+    for name in ("rank", "solve", "rref"):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *a, name=name, real=real:
-                            calls.append(name) or real(*a))
-    assert _krylov_poly(s, u, p).tolist() == [(-10) % p, 7]
-    # one rank per Krylov vector up to the first dependent one, then one solve
-    assert calls == ["rank"] * 3 + ["solve"]
+                            calls.append((name, a[0].shape)) or real(*a))
+    assert _krylov_poly(s, u, p)[0].tolist() == [(-10) % p, 7]
+    # the stack of 2 vectors, then of 4, eliminated as columns
+    assert calls == [("rref", (6, 2)), ("rref", (6, 4))]
 
 
 @pytest.mark.parametrize("spec", ["S5", "S6"])
@@ -331,9 +335,14 @@ def test_character_table_nullspaces_only_at_eigenvalues(spec, monkeypatch):
                         lambda a, p: calls.append(a.shape) or nullspace(a, p))
     t = character_table(g, f)
     assert sum(d * d for d in t.degrees) == g.order
-    # one call per eigenvalue of each split, where a scan of F_p made about
-    # p (241 for S5, 1621 for S6)
-    assert 0 < len(calls) <= 2 * k
+    if spec == "S5":
+        # S5 splits on one class with a simple spectrum: every eigenvector is
+        # a Krylov quotient
+        assert calls == []
+    else:
+        # S6's first split has repeated roots: one call per eigenvalue of each
+        # such split, where a scan of F_p made about p (1621)
+        assert 0 < len(calls) <= 2 * k
 
 
 def test_eigenspaces_fall_short_when_a_matrix_does_not_split():
@@ -347,6 +356,77 @@ def test_eigenspaces_fall_short_when_a_matrix_does_not_split():
     assert {lam: ker.shape[0] for lam, ker in spaces.items()} == {2: 2, 5: 1}
     for lam, ker in spaces.items():
         assert (linalg.matmul(r, ker.T, p) == lam * ker.T % p).all()
+
+
+@pytest.mark.parametrize("p", [13, 61, 1621])
+def test_krylov_quotient_eigenvectors_equal_the_nullspace_rows(p, monkeypatch):
+    rng = random.Random(f"quotients:{p}")
+    nullspace = linalg.nullspace
+    quotients = 0
+    for _ in range(200):
+        d = rng.randrange(1, 9)
+        # a diagonalizable matrix with d distinct eigenvalues, in a random basis
+        while True:
+            q = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)])
+            if linalg.rank(q, p) == d:
+                break
+        lams = sorted(rng.sample(range(p), d))
+        s = linalg.matmul(linalg.matmul(linalg.inverse(q, p), np.diag(lams), p), q, p)
+        expected = [nullspace(((s - lam * linalg.identity(d)) % p).T, p) for lam in lams]
+        u = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
+        simple = len(_krylov_poly(s, u, p)[0]) == d
+        calls = []
+        monkeypatch.setattr(linalg, "nullspace",
+                            lambda a, p: calls.append(a.shape) or nullspace(a, p))
+        spaces = _eigenspaces(s, p, [u] + list(linalg.identity(d)))
+        monkeypatch.setattr(linalg, "nullspace", nullspace)
+        assert sorted(spaces) == lams
+        for lam, ker in zip(lams, expected):
+            assert spaces[lam].dtype == ker.dtype
+            assert spaces[lam].tolist() == ker.tolist()
+        # a start whose minimal polynomial has every root takes no nullspace
+        assert calls == [] or not simple
+        quotients += simple
+    assert quotients >= 100
+
+
+def _class_constants(g):
+    """Oracle: a[i, j, k] = #{x in C_i : x^-1 z_k in C_j} for all classes at
+    once, from all |G| k products x^-1 z_k."""
+    classes = conjugacy_classes(g)
+    k = len(classes)
+    reps = [c.rep for c in classes]
+    cls = class_of(g, np.arange(g.order))
+    j = cls[g.products(g.inverses[:, None], np.array(reps)[None, :])]
+    a = np.zeros((k, k, k), dtype=np.int64)
+    np.add.at(a, (cls[:, None], j, np.arange(k)[None, :]), 1)
+    return a
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "D4", "Q8", "A5", "S3xC2", "C12", "S6"])
+def test_class_matrices_equal_the_class_constants(spec):
+    g = parse_group(spec)
+    a = _class_constants(g)
+    for i in range(len(a)):
+        m = _class_matrix(g, i)
+        assert m.dtype == np.int64
+        assert np.array_equal(m, a[i])
+
+
+@pytest.mark.parametrize("n", [12, 100])
+def test_cyclic_character_table_is_the_closed_form(n):
+    g = parse_group(f"C{n}")
+    f = choose_prime(g)
+    p = f.p
+    # the class of g^b is {g^b}, and g^b maps 0 to b for g = (0 1 ... n-1)
+    powers = [int(g.perms[c.rep][0]) for c in conjugacy_classes(g)]
+    # a primitive n-th root of unity: z^n = 1 and z^(n/q) != 1 for each prime q | n
+    zeta = next(z for z in range(2, p) if pow(z, n, p) == 1 and all(
+        pow(z, n // q, p) != 1 for q in range(2, n + 1)
+        if n % q == 0 and all(q % r for r in range(2, q))))
+    expected = {tuple(pow(zeta, a * b, p) for b in powers) for a in range(n)}
+    assert len(expected) == n
+    assert set(character_table(g, f).rows) == expected
 
 
 # SHA-256 of np.stack(matrices).tobytes() for the degree-5 and degree-9
