@@ -193,11 +193,11 @@ def _eigenspaces(s: np.ndarray, p: int, starts) -> dict[int, np.ndarray]:
         coeffs, krylov = _krylov_poly(s, u, p)
         roots = _poly_roots(coeffs, p)
         if not spaces and len(roots) == d:
-            lam = np.array(roots, dtype=np.int64)
+            lams = np.array(roots, dtype=np.int64)
             q = np.zeros((d, d), dtype=np.int64)
             q[:, d - 1] = 1
             for i in range(d - 1, 0, -1):
-                q[:, i - 1] = (lam * q[:, i] - coeffs[i]) % p
+                q[:, i - 1] = (lams * q[:, i] - coeffs[i]) % p
             vecs = linalg.matmul(q, krylov, p)
             last = vecs[np.arange(d), d - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)]
             vecs = vecs * np.array([pow(int(x), p - 2, p) for x in last])[:, None] % p
