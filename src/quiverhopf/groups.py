@@ -279,9 +279,21 @@ class Group:
         return out.reshape(shape)
 
     def conjugates(self, a: int) -> np.ndarray:
-        """h^-1 * a * h for every h, in canonical order."""
+        """h^-1 * a * h for every h, in canonical order.
+
+        Without a table each chunk of h is one gather of image rows,
+        (h^-1 a h)(x) = h(a(h^-1(x))), and one lookup."""
         every = np.arange(self.order)
-        return self.products(self.products(self.inverses, a), every)
+        if self._table is not None:
+            return self.products(self.products(self.inverses, a), every)
+        out = np.empty(self.order, dtype=np.intp)
+        image = self.perms[a]
+        for lo in range(0, self.order, _PRODUCT_CHUNK):
+            h = every[lo:lo + _PRODUCT_CHUNK]
+            rows = np.take_along_axis(self.perms[h], image[self.perms[self.inverses[h]]],
+                                      axis=1)
+            out[lo:lo + _PRODUCT_CHUNK] = self._lookup(rows)
+        return out
 
     def mul(self, a: int, b: int) -> int:
         return int(self.products(a, b))

@@ -2,11 +2,19 @@
 
 Matrices hold entries reduced mod p.  Products are numpy int64 matmuls,
 exact while (p-1)^2 times the inner dimension stays below 2^63 (checked).
-Every elimination is `rref`, the one Gaussian elimination: the first
-nonzero entry at or below the current row is the pivot, and its column is
-cleared in every other row.  `rank` is its pivot count, and `nullspace`
-and `solve` read their results off it.  An rref basis is kept with its
-pivot columns: `extend` grows it by rows without eliminating it again, and
+Every elimination is `rref`, the one Gaussian elimination.  Its kernel
+takes the first nonzero entry at or below the current row as the pivot
+and clears its column in every other row, one pivot at a time; it
+eliminates every matrix at most _PANEL = 64 columns wide.  A wider matrix
+goes through a panel driver, after FFLAS-FFPACK (Dumas, Giorgi and
+Pernet 2008): the kernel finds a panel's pivots on a copy of 64 columns,
+and two products make the new pivot rows and clear their columns, only in
+the rows with a nonzero there.  The products split their inner dimension
+so that (p-1)^2 times each piece stays below 2^63, and they stay int64
+rather than float64 BLAS, whose worker threads spin on a small machine
+(see `rref`).  `rank` is the rref's pivot count, and `nullspace` and
+`solve` read their results off it.  An rref basis is kept with its pivot
+columns: `extend` grows it by rows without eliminating it again, and
 `coordinates` reads a vector's coordinates in it at the pivots, checked
 with one product.
 """
@@ -14,6 +22,9 @@ with one product.
 from __future__ import annotations
 
 import numpy as np
+
+_PANEL = 64     # the widest matrix the kernel eliminates whole
+_REST_CELLS = 2 * _PANEL ** 2   # see rref
 
 
 def asmod(a, p: int) -> np.ndarray:
@@ -35,16 +46,16 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of a; returns (matrix, pivot column list).
+def _kernel(m: np.ndarray, p: int, order: np.ndarray | None = None) -> list[int]:
+    """Eliminate the reduced matrix m in place, one pivot at a time, and
+    return its pivot columns; order, if given, has m's row swaps applied.
 
-    The package's one Gaussian elimination.  Each pivot row is scaled to 1
-    and its column cleared in every other row.  Whole rows are updated:
-    entries left of the pivot are zero in the pivot row, and contiguous row
-    operations beat column-sliced ones on the matrices the package
-    eliminates (up to |G| x |G| with a few dozen pivots).
-    """
-    m = asmod(a, p)     # a fresh array, eliminated in place
+    The first nonzero entry at or below the current row is the pivot; its
+    row is scaled to 1 and its column cleared in every other row.  Whole
+    rows are updated: entries left of the pivot are zero in the pivot row,
+    and contiguous row operations beat column-sliced ones on the matrices
+    `rref` gives the kernel: at most _PANEL columns wide, a pivot block
+    [B | I], or a rest of at most _REST_CELLS cells past its first panel."""
     rows, cols = m.shape
     pivots: list[int] = []
     for c in range(cols):
@@ -57,6 +68,8 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         k = r + int(nz[0])
         if k != r:
             m[[r, k]] = m[[k, r]]
+            if order is not None:
+                order[[r, k]] = order[[k, r]]
         row = m[r]
         row *= pow(int(row[c]), p - 2, p)
         row %= p
@@ -65,6 +78,97 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         m -= col[:, None] * row
         m %= p
         pivots.append(c)
+    return pivots
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, the inner dimension cut into chunks whose int64
+    products are exact, (p-1)^2 * chunk < 2^63, and the chunks summed mod p."""
+    step = max(1, (2 ** 63 - 1) // max((p - 1) ** 2, 1))
+    out = matmul(a[:, :step], b[:step], p)
+    for lo in range(step, a.shape[1], step):
+        out += matmul(a[:, lo:lo + step], b[lo:lo + step], p)
+        out %= p
+    return out
+
+
+def _clear(m: np.ndarray, touch: np.ndarray, piv: list[int], new: np.ndarray,
+           p: int):
+    """Clear the pivot columns piv of the rows touch of m with the pivot
+    rows new, which hold m's columns from piv[0]'s panel on."""
+    if touch.size:
+        c0 = m.shape[1] - new.shape[1]
+        cleared = m[touch, c0:]
+        cleared -= _product(m[np.ix_(touch, piv)], new, p)
+        cleared %= p
+        m[touch, c0:] = cleared
+
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a; returns (matrix, pivot column list).
+
+    The package's one Gaussian elimination.  A matrix at most _PANEL
+    columns wide goes to the per-pivot kernel.  A wider one is eliminated
+    one panel of _PANEL columns at a time, with r rows already holding
+    pivots:
+      - the kernel runs on a copy of the panel's rows r:, which gives the
+        panel's pivot columns and the k rows S they come from;
+      - the kernel on [B | I] inverts the k x k block B of rows S at those
+        columns;
+      - one product B^-1 m[S] gives the k new pivot rows, moved in place to
+        rows r:r+k, and one product clears their columns, only in the rows
+        with a nonzero there (most rows of a sparse matrix have none).
+    Once the rows r: times the columns past the panel hold at most
+    _REST_CELLS = 2 _PANEL^2 cells, copying a panel and inverting its
+    block (2 k^2 cells a pivot) would cost more than it saves, and the
+    kernel eliminates the rest in place (the last panel always); one
+    product clears its pivot columns in the rows above.  Without that rule
+    the 81 x 81 Krylov stack of the degree-9 irrep of S6 took twice as
+    long.  An rref is canonical, so the result is the kernel's on the
+    whole matrix, bit for bit.
+
+    The products stay int64, their inner dimension cut so that
+    (p-1)^2 * chunk < 2^63: the chunk is 9 at p = 10^9 + 7, 2 at 2^31 - 1
+    and at least 1 wherever the kernel's own products are exact.  Float64
+    BLAS products gave about the same wall time, but on two cores their
+    worker threads spin: the character table of S7 and two S6 irreps took
+    0.35-0.37 s of CPU time a pass against 0.24 s, and 2.6 MB more memory.
+    On two cores (Python 3.11, numpy 2.4) the 85 x 720 ideal of the
+    degree-9 irrep of S6 takes 15 ms (35 ms in the kernel alone), a
+    494 x 494 matrix at 1 % fill 0.16 s (0.8-1.1 s) and a 641 x 641 one at
+    1 % fill 0.25-0.36 s (1.9-2.4 s)."""
+    m = asmod(a, p)     # a fresh array, eliminated in place
+    rows, cols = m.shape
+    if cols <= _PANEL:
+        return m, _kernel(m, p)
+    pivots: list[int] = []
+    for c0 in range(0, cols, _PANEL):
+        r = len(pivots)
+        rest = m[r:, c0:]
+        if not rest.any():
+            break
+        if (rows - r) * (cols - c0 - _PANEL) <= _REST_CELLS:
+            piv = [c0 + c for c in _kernel(rest, p)]
+            _clear(m, np.flatnonzero(m[:r, piv].any(axis=1)), piv,
+                   m[r:r + len(piv), c0:], p)
+            return m, pivots + piv
+        order = np.arange(r, rows)
+        piv = [c0 + c for c in _kernel(m[r:, c0:c0 + _PANEL].copy(), p, order)]
+        k = len(piv)
+        if not k:
+            continue
+        took = order[:k]
+        block = np.concatenate([m[np.ix_(took, piv)], identity(k)], axis=1)
+        _kernel(block, p)
+        new = _product(block[:, k:], m[took, c0:], p)
+        # the rows r:r+k that were not taken move to the taken rows below
+        taken = np.zeros(rows, dtype=bool)
+        taken[took] = True
+        m[took[took >= r + k]] = m[r:r + k][~taken[r:r + k]]
+        m[r:r + k, c0:] = new
+        touch = np.flatnonzero(m[:, piv].any(axis=1))
+        _clear(m, touch[(touch < r) | (touch >= r + k)], piv, new, p)
+        pivots += piv
     return m, pivots
 
 

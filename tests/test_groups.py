@@ -516,6 +516,20 @@ def test_s6_table_is_built_along_the_word_tree(monkeypatch):
     assert calls == []
 
 
+def test_s7_conjugates_are_one_gather_and_one_lookup(monkeypatch):
+    # past the table cap h^-1 a h is gathered from image rows for every h
+    # at once, (h^-1 a h)(x) = h(a(h^-1(x))), and looked up once
+    g = parse_group("S7")
+    assert g._table is None
+    for cycles in ("(0 1)", "(0 1 2)(3 4)", "(0 1 2 3 4 5 6)"):
+        a = g.find(groups.parse_cycle_string(cycles, g.degree))
+        calls = count_lookups(monkeypatch)
+        got = g.conjugates(a)
+        assert calls == [g.order]
+        monkeypatch.undo()
+        assert got.tolist() == [g.conj(a, h) for h in range(g.order)]
+
+
 @pytest.mark.parametrize("spec, reps", [
     ("S3", None), ("S4", None), ("D4", None), ("Q8", None), ("A4", None),
     ("S3xC2", None), ("S6", None),

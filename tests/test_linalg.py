@@ -212,3 +212,73 @@ def test_coordinates_reject_a_row_outside_the_span():
         linalg.coordinates(basis, pivots, np.array([[0, 1, 0]]), p)
     with pytest.raises(ValueError):
         linalg.coordinates(basis[::-1], pivots, np.array([[2, 4, 3]]), p)
+
+
+def _kernel_rref(a, p):
+    """The per-pivot kernel run on the whole matrix."""
+    m = linalg.asmod(a, p)
+    return m, linalg._kernel(m, p)
+
+
+def _fill_cases(rng, rows, cols, p):
+    """Zero, rank-deficient, dense and 1 %-fill matrices of one shape."""
+    yield np.zeros((rows, cols), dtype=np.int64)
+    k = min(rows, cols) // 3
+    yield rng.integers(0, p, (rows, k)) @ rng.integers(0, 2, (k, cols)) % p
+    yield rng.integers(0, p, (rows, cols))
+    yield rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols)) < 0.01)
+
+
+# widths 63 and 64 go to the kernel, 65 to the in-place rest, and 128, 129
+# and 720 to 64-wide panels (140 rows, so the rest rule does not take them)
+@pytest.mark.parametrize("rows, cols", [(70, 63), (70, 64), (140, 65), (140, 128),
+                                        (140, 129), (85, 720)])
+@pytest.mark.parametrize("p", [2, 3, 61, 1621, 10501, 1000000007, 2147483647])
+def test_rref_equals_the_kernel_on_the_whole_matrix(rows, cols, p):
+    rng = np.random.default_rng([rows, cols, p])
+    for a in _fill_cases(rng, rows, cols, p):
+        want, want_pivots = _kernel_rref(a, p)
+        got, got_pivots = linalg.rref(a, p)   # no OverflowError where the kernel has none
+        assert got_pivots == want_pivots
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [1000000007, 2147483647])
+def test_panel_products_split_their_inner_dimension(p, monkeypatch):
+    # a dense 100 x 300 matrix goes through 64-wide panels; each matmul's
+    # inner dimension keeps (p-1)^2 * inner < 2^63
+    inner = []
+    matmul = linalg.matmul
+
+    def checked(a, b, q):
+        inner.append(a.shape[-1])
+        return matmul(a, b, q)
+
+    monkeypatch.setattr(linalg, "matmul", checked)
+    a = np.random.default_rng(p).integers(0, p, (100, 300))
+    got, pivots = linalg.rref(a, p)
+    assert pivots == list(range(100))
+    assert inner and all((p - 1) ** 2 * n < 2 ** 63 for n in inner)
+    monkeypatch.undo()
+    assert np.array_equal(got, _kernel_rref(a, p)[0])
+
+
+def test_panel_clears_only_the_rows_it_touches(monkeypatch):
+    # two diagonal blocks: the rows of one block have no nonzero at the
+    # other's pivot columns, so each panel's clearing product skips them
+    p, rng = 61, np.random.default_rng(7)
+    a = np.zeros((300, 400), dtype=np.int64)
+    a[:150, :200] = rng.integers(0, p, (150, 200))
+    a[150:, 200:] = rng.integers(0, p, (150, 200))
+    cleared = []
+    clear = linalg._clear
+
+    def counted(m, touch, piv, new, q):
+        cleared.append(len(touch))
+        return clear(m, touch, piv, new, q)
+
+    monkeypatch.setattr(linalg, "_clear", counted)
+    got, pivots = linalg.rref(a, p)
+    assert len(pivots) == 300
+    assert cleared and max(cleared) <= 150
+    assert np.array_equal(got, _kernel_rref(a, p)[0])
