@@ -19,20 +19,16 @@ from .groups import (
     centralizer_subgroup,
     class_of,
     conjugacy_classes,
-    coset_factor,
     inner_only,
     parse_group,
 )
 from .modrep import (
     CharTable,
-    ElementMap,
     FieldPrime,
     Irrep,
     character_table,
     choose_prime,
     irrep_matrices,
-    rep_equal,
-    rep_twist,
     validate_prime,
 )
 from .quiver import ArrowId, HopfQuiver, Ramification, parse_ramification
@@ -44,7 +40,6 @@ from .rsr import (
     isomorphic,
     load_rsr,
     make_rsr,
-    normalize_u,
     rsr_from_json,
     rsr_from_type,
     rsr_key,

@@ -4,9 +4,9 @@ Each verb is one row of VERBS: a handler from the parsed arguments to its
 payload and exit code, and the flags it reads.  `main` adds the tool
 version and seed and writes the payload as JSON (sorted keys; byte-identical
 for identical argv + seed), or CSV for the tabular census verbs.  Exit
-codes: 0 ok, 1 verification failure, 2 input error, argparse rejection or
-exceeded budget (groups.BudgetError); errors are one `error: ...` line on
-stderr.
+codes: 0 ok, 1 verification failure, 2 input error, argparse rejection,
+exceeded budget (groups.BudgetError) or an --out path that cannot be
+written; errors are one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -297,8 +297,12 @@ def main(argv=None) -> int:
     text = (_to_csv(payload) if args.format == "csv"
             else json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

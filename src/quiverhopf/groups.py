@@ -8,10 +8,10 @@ index 0 is always the identity.  A group holds its elements once, as an
 array of image rows, and derives everything else from it as index arrays.
 
 Malformed input raises InputError; work over a budget raises its subclass
-BudgetError, here ORDER_CAP and AUT_BUDGET, downstream yd.CELL_CAP and
-typeone.PATH_CAP.  Aut G is searched within AUT_BUDGET; past it only the
-theorem Aut S_n = Inn S_n (n != 6) answers, in outer_representatives, for
-a group of degree n and order n!.
+BudgetError, here ORDER_CAP and AUT_BUDGET, downstream rsr.TYPE_CAP,
+rsr.RAM_CAP, yd.CELL_CAP and typeone.PATH_CAP.  Aut G is searched within
+AUT_BUDGET; past it only the theorem Aut S_n = Inn S_n (n != 6) answers,
+in outer_representatives, for a group of degree n and order n!.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ class InputError(ValueError):
 
 
 class BudgetError(InputError):
-    """Work over a budget: ORDER_CAP, AUT_BUDGET, rsr.TYPE_CAP, yd.CELL_CAP
-    or typeone.PATH_CAP."""
+    """Work over a budget: ORDER_CAP, AUT_BUDGET, rsr.TYPE_CAP, rsr.RAM_CAP,
+    yd.CELL_CAP or typeone.PATH_CAP."""
 
 
 # the largest order parse_group closes a group to
@@ -84,13 +84,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # apply self first, then other
-        return Permutation(tuple(other.images[x] for x in self.images))
-
-    def order(self) -> int:
-        return _order_of(self.images)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its minimum, sorted by first point."""
@@ -441,20 +434,6 @@ def class_of(g: Group, a):
     conjugacy_classes(g)
     k = g._class_of[a]  # type: ignore[index]
     return k if isinstance(k, np.ndarray) else int(k)
-
-
-def coset_factor(g: Group, ctx: ConjClassCtx, theta: int, h: int) -> tuple[int, int]:
-    """Factor g_theta*h = zeta*g_theta' with zeta in the centralizer and
-    g_theta from `coset_transversal`; returns (zeta, theta')."""
-    transversal, theta_of = coset_transversal(g, ctx.rep)
-    if not 0 <= theta < len(transversal):
-        raise InputError(f"theta {theta} out of range")
-    if not 0 <= h < g.order:
-        raise InputError(f"element index {h} out of range")
-    w = g.mul(transversal[theta], h)
-    theta_p = theta_of[g.conj(ctx.rep, w)]
-    zeta = g.mul(w, g.inv(transversal[theta_p]))
-    return zeta, theta_p
 
 
 def centralizer_subgroup(g: Group, ctx_or_elt) -> Group:

@@ -242,10 +242,5 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return x[:, 0] if single else x
 
 
-def inverse(a: np.ndarray, p: int) -> np.ndarray:
-    n = a.shape[0]
-    return solve(a, np.eye(n, dtype=np.int64), p)
-
-
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)

@@ -68,12 +68,9 @@ def choose_prime(g: Group, min_bound: int = 0) -> FieldPrime:
     e = g.exponent
     p = max(min_bound, 2 * g.order + 1)
     # step to the residue class 1 mod e
-    if e > 1:
-        p += (1 - p) % e
-    else:
-        p = max(p, 2)
+    p += (1 - p) % e
     while not _is_prime(p):
-        p += e if e > 1 else 1
+        p += e
     return FieldPrime(p)
 
 
@@ -216,8 +213,6 @@ def character_table(g: Group, f: FieldPrime) -> CharTable:
         raise InputError("field is not a splitting prime for this group")
     classes = conjugacy_classes(g)
     k = len(classes)
-    if k == 1:
-        return CharTable(p, (1,), ((1,),))
     inv_class = class_of(g, g.inverses[[c.rep for c in classes]])
 
     # split F_p^k into common eigenspaces of the class-sum matrices, built
@@ -428,39 +423,3 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
         "trace of constructed representation does not match its character"
     return rep
 
-
-class ElementMap:
-    """A multiplicative map between (sub)groups, stored on element indices."""
-
-    def __init__(self, src: Group, dst: Group, table: list[int]):
-        self.src = src
-        self.dst = dst
-        self.table = table
-
-    def of(self, a: int) -> int:
-        return self.table[a]
-
-    @classmethod
-    def conjugation(cls, ambient: Group, h: int, src: Group, dst: Group) -> "ElementMap":
-        """z -> h z h^-1 from src to dst, both centralizer subgroups of
-        ambient (see groups.centralizer_subgroup); an image outside dst is
-        an InputError."""
-        table = dst.local[ambient.products(ambient.products(h, src.embed), ambient.inv(h))]
-        if (table < 0).any():
-            raise InputError(f"conjugation by {ambient.element_name(h)} does "
-                             f"not map {src.name} into {dst.name}")
-        return cls(src, dst, table.tolist())
-
-
-def rep_twist(rep: Irrep, phi: ElementMap) -> Irrep:
-    """The composite representation rho . phi on phi's source group."""
-    if not np.array_equal(phi.dst.perms, rep.subgroup.perms):
-        raise InputError("map target does not match the representation domain")
-    return Irrep(phi.src, rep.p, -1, rep.matrices[phi.table])
-
-
-def rep_equal(a: Irrep, b: Irrep) -> bool:
-    """Isomorphism test: equal character vectors (faithful mod a splitting prime)."""
-    if not np.array_equal(a.subgroup.perms, b.subgroup.perms) or a.p != b.p:
-        raise InputError("representations live over different domains or fields")
-    return a.trace_vector() == b.trace_vector()

@@ -105,10 +105,6 @@ class HopfQuiver:
     ram: Ramification
     slot_degrees: tuple[tuple[int, ...], ...]   # per support position: degrees
 
-    def class_slots(self, cls: int) -> tuple[int, ...]:
-        pos = self.ram.support.index(cls)
-        return self.slot_degrees[pos]
-
     @cached_property
     def local(self) -> np.ndarray:
         """The arrows out of the identity in local order, one row
@@ -131,11 +127,6 @@ class HopfQuiver:
         x, l = divmod(int(n), self.arrows_per_vertex)
         cls, c, slot, j = self.local[l].tolist()
         return ArrowId(x, self.group.mul(x, c), cls, slot, j)
-
-    def arrows_between(self, x: int, y: int) -> list[ArrowId]:
-        c = self.group.mul(self.group.inv(x), y)
-        return [ArrowId(x, y, cls, slot, j)
-                for cls, cc, slot, j in self.local.tolist() if cc == c]
 
     def arrows(self) -> Iterator[ArrowId]:
         """All arrows, in the order of their numbers."""

@@ -1,5 +1,5 @@
 """Ramification systems with irreducible representations: construction,
-normalization, types, isomorphism keys, counting and enumeration.
+twists, types, isomorphism keys, counting and enumeration.
 
 An RSR fixes a group, a splitting prime, a ramification, a class
 representative u(C) per class, and for each ramified class an ordered list
@@ -52,6 +52,9 @@ from .quiver import HopfQuiver, Ramification
 
 # types a full listing may hold: C6 "e:30" has 324,632, C12 "e:40" 47,626,016,970
 TYPE_CAP = 1 << 19
+# the largest r_C count_classes counts, 4,096: its coin DP keeps r_C + 1
+# counters; the goldens, CI and tests reach r_C = 40
+RAM_CAP = 1 << 12
 
 
 class RSR:
@@ -195,24 +198,6 @@ def _first_conjugator(g: Group, a: int, target: int) -> int:
     return int(np.flatnonzero(g.conjugates(a) == target)[0])
 
 
-def normalize_u(rsr: RSR) -> RSR:
-    """Equivalent RSR on the canonical representatives u0.
-
-    For each class with u(C) != u0(C) the first conjugator in canonical
-    element order with h^-1 u(C) h = u0(C) is used for the twist.
-    """
-    g = rsr.group
-    classes = conjugacy_classes(g)
-    conjugators = {}
-    for c in classes:
-        u_old = rsr.u[c.class_index]
-        if u_old != c.rep:
-            conjugators[c.class_index] = _first_conjugator(g, u_old, c.rep)
-    if not conjugators:
-        return rsr
-    return twist_rsr(rsr, conjugators)
-
-
 def _plan(rsr: RSR, phi: Optional[np.ndarray] = None
           ) -> list[tuple[int, int, list[int], int]]:
     """How every RSR with rsr's prime and ramified (class, u) pairs is typed
@@ -310,11 +295,14 @@ def count_classes(g: Group, ram: Ramification,
                   field: Optional[FieldPrime] = None) -> int:
     """Number of RSR types with this ramification: the number of
     isomorphism classes only when Aut G = Inn G, and an overcount
-    otherwise (one class may hold several types, see rsr_key)."""
+    otherwise (one class may hold several types, see rsr_key).  An r_C
+    past RAM_CAP (4,096) raises BudgetError before its DP allocates."""
     field = field if field is not None else choose_prime(g)
     classes = conjugacy_classes(g)
     total = 1
     for k, r in ram.coeffs:
+        if r > RAM_CAP:
+            raise BudgetError(f"r_C = {r} of class {k} exceeds the counting cap of {RAM_CAP}")
         z = centralizer_subgroup(g, classes[k].rep)
         total *= _tau(group_table(z, field).degrees, r)
     return total

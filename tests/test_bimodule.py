@@ -31,6 +31,19 @@ def sgn_bimodule(s3):
     return build_bimodule(rsr)
 
 
+def every_class_bimodule(spec):
+    """The bimodule of the RSR ramified once at every class, each with the
+    trivial character of its centralizer."""
+    g = parse_group(spec)
+    classes = conjugacy_classes(g)
+    ram = parse_ramification(g, ",".join(f"{g.element_name(c.rep)}:1" for c in classes))
+    return build_bimodule(make_rsr(g, ram, None, {c.class_index: (0,) for c in classes}))
+
+
+def centralizer_of(g, a):
+    return np.flatnonzero(g.commutes_with(a)).tolist()
+
+
 def right_action(m, a: ArrowId, h: int) -> list[tuple[ArrowId, int]]:
     """The terms of a . h read off the module's local stack, by name."""
     x, l = divmod(list(m.quiver.arrows()).index(a), m.apv)
@@ -235,6 +248,56 @@ def test_swapped_left_perm_entry_fails_both_modes(monkeypatch, s4):
         failed = [c.name for c in report.checks if not c.ok]
         assert failed == ["unit"] * (bad == 0) + ["left-associativity"], \
             (bad, report.to_json())
+
+
+def test_zeta_tables_trivial_cases():
+    m = every_class_bimodule("S3")
+    for cls, t in m.transversal.items():
+        z = m.rsr.centralizer(cls)
+        assert t[0] == 0
+        # h in the centralizer, theta = 0: zeta = h
+        for h in centralizer_of(m.group, m.rsr.u[cls]):
+            assert (z.embed[m.zl[cls][0, h]], m.tp[cls][0, h]) == (h, 0)
+        # h = identity: zeta = identity, theta unchanged
+        assert (m.zl[cls][:, 0] == 0).all()
+        assert m.tp[cls][:, 0].tolist() == list(range(len(t)))
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "D4"])
+def test_zeta_tables_factor_g_theta_h(spec):
+    # g_theta h = zeta g_theta' with zeta in the centralizer, for every (theta, h)
+    m = every_class_bimodule(spec)
+    g = m.group
+    for ctx in conjugacy_classes(g):
+        t, zl, tp = m.transversal[ctx.class_index], m.zl[ctx.class_index], m.tp[ctx.class_index]
+        z = m.rsr.centralizer(ctx.class_index)
+        zset = set(centralizer_of(g, ctx.rep))
+        assert len(t) == ctx.size
+        for theta in range(len(t)):
+            for h in range(g.order):
+                assert zl[theta, h] >= 0
+                zeta = int(z.embed[zl[theta, h]])
+                assert zeta in zset
+                assert g.mul(t[theta], h) == g.mul(zeta, t[tp[theta, h]])
+
+
+def test_zeta_tables_cocycle():
+    # factoring for h1 then h2 agrees with factoring for h1*h2
+    for spec in ("S3", "S4"):
+        m = every_class_bimodule(spec)
+        g = m.group
+        rng = random.Random(7)
+        for cls, t in m.transversal.items():
+            zl, tp = m.zl[cls], m.tp[cls]
+            embed = m.rsr.centralizer(cls).embed
+            for _ in range(40):
+                theta = rng.randrange(len(t))
+                h1 = rng.randrange(g.order)
+                h2 = rng.randrange(g.order)
+                t1, h12 = tp[theta, h1], g.mul(h1, h2)
+                assert tp[theta, h12] == tp[t1, h2]
+                assert embed[zl[theta, h12]] == g.mul(int(embed[zl[theta, h1]]),
+                                                      int(embed[zl[t1, h2]]))
 
 
 def test_transversal_iso_identity(s3):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quiverhopf import cli, make_rsr, parse_group, parse_ramification, typeone
+from quiverhopf import __version__, cli, make_rsr, parse_group, parse_ramification, typeone
 from quiverhopf.rsr import TYPE_CAP
 
 
@@ -161,6 +161,14 @@ def test_group_info_and_chartab(capsys):
     assert json.loads(out)["degrees"] == [1, 1, 2, 3, 3]
 
 
+def test_chartab_of_the_trivial_group(capsys):
+    code, out, _ = run_cli(capsys, "chartab", "--group", "C1")
+    assert code == 0
+    doc = {"classes": [{"rep": "e", "size": 1}], "degrees": [1], "p": 3, "prime": 3,
+           "rows": [[1]], "seed": 0, "tool_version": __version__}
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_chartab_custom_prime(capsys):
     code, out, _ = run_cli(capsys, "chartab", "--group", "S3",
                            "--prime", "19")
@@ -204,6 +212,20 @@ def test_out_file(capsys, tmp_path):
                            "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["order"] == 6
+
+
+def test_out_into_a_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "group-info", "--group", "S3", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_rsr_count_past_the_ramification_cap_exits_2(capsys):
+    # refused before the coin DP would allocate 10^12 + 1 counters
+    code, out, err = run_cli(capsys, "rsr-count", "--group", "C2", "--ram", "e:1000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_selftest(capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from quiverhopf import (
@@ -46,7 +48,7 @@ def test_quiver_loops_for_identity_class(s3):
     q = rsr.quiver()
     assert q.arrow_count() == 12                 # |G| * r_C * |C| = 6*2*1
     for x in range(s3.order):
-        loops = q.arrows_between(x, x)
+        loops = [a for a in q.arrows() if a.x == a.y == x]
         assert len(loops) == 2
         assert {(a.slot, a.j) for a in loops} == {(0, 0), (0, 1)}
 
@@ -70,13 +72,14 @@ def test_arrow_counts_between_vertices(s3):
     rsr = make_rsr(s3, ram, None, {1: (0,), 2: (0, 1)})
     q = rsr.quiver()
     classes = conjugacy_classes(s3)
+    between = Counter((a.x, a.y) for a in q.arrows())
     for x in range(s3.order):
         for y in range(s3.order):
             cls = class_of(s3, s3.mul(s3.inv(x), y))
-            assert len(q.arrows_between(x, y)) == ram.r_of(cls)
+            assert between[(x, y)] == ram.r_of(cls)
     # slot widths sum to r_C
-    for k in ram.support:
-        assert sum(q.class_slots(k)) == ram.r_of(k)
+    for k, degrees in zip(ram.support, q.slot_degrees):
+        assert sum(degrees) == ram.r_of(k)
     total = sum(v * classes[k].size for k, v in ram.coeffs)
     assert q.arrows_per_vertex == total
     assert len(list(q.arrows())) == q.arrow_count() == s3.order * total

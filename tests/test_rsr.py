@@ -7,6 +7,7 @@ import pytest
 
 import quiverhopf.rsr
 from quiverhopf import (
+    BudgetError,
     Group,
     InputError,
     Permutation,
@@ -20,7 +21,6 @@ from quiverhopf import (
     inner_only,
     isomorphic,
     make_rsr,
-    normalize_u,
     parse_group,
     parse_ramification,
     rsr_from_json,
@@ -94,29 +94,17 @@ def test_make_rsr_u_validation(s3):
         make_rsr(s3, ram, {1: 0}, {1: (1,)})  # identity not in the class
 
 
-def test_normalize_u_fixed_point(s3):
-    ram = parse_ramification(s3, "e:2")
-    rsr = make_rsr(s3, ram, None, {0: (0, 1)})
-    assert normalize_u(rsr) is rsr
-
-
-def test_normalize_u_transposition_example(s3):
-    # u({transpositions}) = (0 2) with the sign character normalizes to
-    # u0 = (0 1) with the sign character of Z_{(0 1)}
+def test_sign_on_a_noncanonical_transposition_is_the_sign_on_u0(s3):
+    # u({transpositions}) = (0 2) with the sign character of Z_{(0 2)} is
+    # isomorphic to u0 = (0 1) with the sign character of Z_{(0 1)}
     ram = parse_ramification(s3, "(0 1):1")
     u02 = s3.find(Permutation((2, 1, 0)))
     rsr = make_rsr(s3, ram, {1: u02}, {1: (1,)})
-    norm = normalize_u(rsr)
-    assert norm.u[1] == conjugacy_classes(s3)[1].rep
-    assert norm.irreps[1] == (1,)
-    # idempotent
-    assert rsr_type(normalize_u(norm)) == rsr_type(norm)
-
-
-def test_normalize_u_identity_class_unchanged(s3):
-    ram = parse_ramification(s3, "e:2")
-    rsr = make_rsr(s3, ram, {0: 0}, {0: (2,)})
-    assert normalize_u(rsr).u[0] == 0
+    on_u0 = make_rsr(s3, ram, None, {1: (1,)})
+    assert on_u0.u[1] == conjugacy_classes(s3)[1].rep != u02
+    assert rsr_type(rsr) == rsr_type(on_u0)
+    assert isomorphic(rsr, on_u0)
+    assert not isomorphic(rsr, make_rsr(s3, ram, None, {1: (0,)}))
 
 
 def test_rsr_type_example(s3):
@@ -173,6 +161,14 @@ def test_isomorphic_mode_errors(s3):
         isomorphic(b, b, "assume-inner")   # Aut != Inn for the Klein group
     with pytest.raises(InputError):
         isomorphic(a, a, "no-such-mode")
+
+
+def test_count_classes_refuses_r_past_the_cap():
+    g = parse_group("C2")
+    cap = quiverhopf.rsr.RAM_CAP
+    assert count_classes(g, parse_ramification(g, f"e:{cap}")) == cap + 1
+    with pytest.raises(BudgetError):
+        count_classes(g, parse_ramification(g, f"e:{cap + 1}"))
 
 
 def test_count_classes_examples(s3):

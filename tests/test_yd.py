@@ -13,7 +13,6 @@ from quiverhopf import (
     choose_prime,
     coinvariant_yd,
     conjugacy_classes,
-    coset_factor,
     enumerate_types,
     make_rsr,
     nichols_dims,
@@ -401,15 +400,17 @@ def test_multiprime(s3):
 
 def test_coinvariant_matches_bimodule():
     # oracle: g |> a = g . a . g^-1 for each arrow a out of e, named by the
-    # quiver: a translated to g, then acted on by g^-1 through the scalar
-    # coset factorization g_theta g^-1 = zeta g_theta' and rho(zeta); the
-    # bimodule's right_terms of g^-1 are exactly its nonzero entries
+    # quiver: a translated to g, then acted on by g^-1 through the coset
+    # factorization g_theta g^-1 = zeta g_theta', g_theta' found by search
+    # over the transversal, and rho(zeta); the bimodule's right_terms of
+    # g^-1 are exactly its nonzero entries
     for spec, ram in [("S3", "(0 1):1"), ("S3", "e:2"), ("D4", "(0 1)(2 3):1"),
                       ("S4", "(0 1)(2 3):2"), ("S3", "")]:
         g = parse_group(spec)
         r = parse_ramification(g, ram)
         classes = conjugacy_classes(g)
-        theta_of = [coset_transversal(g, c.rep)[1] for c in classes]
+        transversals = [coset_transversal(g, c.rep) for c in classes]
+        zsets = [set(np.flatnonzero(g.commutes_with(c.rep)).tolist()) for c in classes]
         for t in enumerate_types(g, r):
             rsr = rsr_from_type(g, r, t)
             q = rsr.quiver()
@@ -422,7 +423,11 @@ def test_coinvariant_matches_bimodule():
                 for col, a in enumerate(arrows):
                     ctx = classes[a.cls]
                     assert rsr.u[a.cls] == ctx.rep
-                    zeta, theta = coset_factor(g, ctx, theta_of[a.cls][a.y], g.inv(h))
+                    t, theta_of = transversals[a.cls]
+                    w = g.mul(t[theta_of[a.y]], g.inv(h))
+                    theta = next(s for s in range(len(t))
+                                 if g.mul(w, g.inv(t[s])) in zsets[a.cls])
+                    zeta = g.mul(w, g.inv(t[theta]))
                     rho = rsr.irrep(a.cls, a.slot).matrix(
                         int(rsr.centralizer(a.cls).local[zeta]))
                     y = g.conj(a.y, g.inv(h))
@@ -432,7 +437,7 @@ def test_coinvariant_matches_bimodule():
                         expected[row] = rho[a.j, s] % v.p
                         if expected[row]:
                             terms.append((h, col, row, int(expected[row])))
-                    assert theta_of[a.cls][y] == theta
+                    assert theta_of[y] == theta
                     assert (acts[h][:, col] == expected).all(), (spec, ram, h, a)
             # sorted by (h, arrow, image), with no zero coefficient
             i, l, image, c = m.right_terms([g.inv(h) for h in range(g.order)])
