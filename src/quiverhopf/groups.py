@@ -7,11 +7,20 @@ in the canonical element order (image tuples sorted lexicographically);
 index 0 is always the identity.  A group holds its elements once, as an
 array of image rows, and derives everything else from it as index arrays.
 
+Element orders, and the conjugacy classes of a group without a
+multiplication table, come from whole-array passes: pointer doubling on
+the image rows finds the least point and length of every cycle;
+conjugation by each generator is one gather and one lookup of all rows,
+whose orbits are the classes; and the class representatives come from one
+lexsort of canonical cycle forms.  A group with a table scans its classes
+one `conjugates` at a time instead (see conjugacy_classes).
+
 Malformed input raises InputError; work over a budget raises its subclass
-BudgetError, here ORDER_CAP and AUT_BUDGET, downstream rsr.TYPE_CAP,
-rsr.RAM_CAP, yd.CELL_CAP and typeone.PATH_CAP.  Aut G is searched within
-AUT_BUDGET; past it only the theorem Aut S_n = Inn S_n (n != 6) answers,
-in outer_representatives, for a group of degree n and order n!.
+BudgetError, here ORDER_CAP, ROW_CELLS_CAP and AUT_BUDGET, downstream
+rsr.TYPE_CAP, rsr.RAM_CAP, yd.CELL_CAP and typeone.PATH_CAP.  Aut G is
+searched within AUT_BUDGET; past it only the theorem Aut S_n = Inn S_n
+(n != 6) answers, in outer_representatives, for a group of degree n and
+order n!.
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,12 +39,17 @@ class InputError(ValueError):
 
 
 class BudgetError(InputError):
-    """Work over a budget: ORDER_CAP, AUT_BUDGET, rsr.TYPE_CAP, rsr.RAM_CAP,
+    """Work over a budget: ORDER_CAP, ROW_CELLS_CAP (2^25 cells of element
+    rows, order x degree), AUT_BUDGET, rsr.TYPE_CAP, rsr.RAM_CAP,
     yd.CELL_CAP or typeone.PATH_CAP."""
 
 
 # the largest order parse_group closes a group to
 ORDER_CAP = 5040
+# the most cells of element rows (order x degree) parse_group builds: the
+# degree is checked before any permutation is built, the order as the
+# closure grows; C5040 takes 25.4e6
+ROW_CELLS_CAP = 1 << 25
 # cells of candidate automorphisms (assignments times elements) that
 # `automorphisms` may extend and check: S6 on its parsed generators takes
 # 5.2e6, S7 on (0 1) and a 7-cycle would take 7.6e7
@@ -46,9 +61,9 @@ _TABLE_CAP = 2048
 # products composed from image rows are taken this many at a time, which
 # bounds the transient (chunk, degree) arrays
 _PRODUCT_CHUNK = 1 << 14
-# image rows are converted to Python lists about this many entries at a
-# time, which bounds the transient lists
-_LIST_CELLS = 1 << 13
+# the cycle passes (orders, cycle-form keys) take image rows about this
+# many cells at a time, which bounds their transient index arrays
+_CYCLE_CELLS = 1 << 13
 # candidate automorphisms are extended and checked this many cells at a time
 _AUT_BLOCK = 1 << 18
 
@@ -145,28 +160,73 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(width).reshape(rows.shape[:-1])
 
 
-def _order_of(images: Sequence[int]) -> int:
-    # the lcm of the cycle lengths, each cycle walked once
-    seen = [False] * len(images)
-    order = 1
-    for start in range(len(images)):
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-            length += 1
-        if length > 1:
-            order = math.lcm(order, length)
-    return order
+def _cycles(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pointer doubling on image rows (c, n) as one flat successor array:
+    the array, the flat index of each point's least cycle point, and each
+    cycle's length at its least point (0 elsewhere).  Round k takes the
+    least point within 2^k steps ahead, so ceil(log2 n) rounds of gathers
+    cover every cycle."""
+    c, n = rows.shape
+    succ = (rows.astype(np.intp) + np.arange(0, c * n, n)[:, None]).reshape(-1)
+    least, jump = np.arange(c * n), succ
+    for _ in range((n - 1).bit_length()):
+        np.minimum(least, least[jump], out=least)
+        jump = jump[jump]
+    return succ, least, np.bincount(least, minlength=c * n)
+
+
+def _orders(rows: np.ndarray) -> np.ndarray:
+    """Element orders of image rows: the lcm of each row's cycle lengths."""
+    c, n = rows.shape
+    _, _, length = _cycles(rows)
+    at = np.flatnonzero(length)     # least points; each row's point 0 is one
+    return np.lcm.reduceat(length[at], np.searchsorted(at, np.arange(0, c * n, n)))
+
+
+def _cycle_keys(rows: np.ndarray) -> np.ndarray:
+    """Canonical cycle forms of image rows (c, n) as key rows of n + n // 2
+    columns: each moved cycle from its least point, closed by -1, cycles by
+    least point, padded with -1.  Rows of one cycle type compare like their
+    _cycles_of tuples: -1 ends a cycle before any point continues one."""
+    c, n = rows.shape
+    succ, least, length = _cycles(rows)
+    flat = np.arange(c * n)
+    # steps from each point forward to its least point: list ranking on the
+    # cycles cut there, ceil(log2 n) rounds of gathers
+    steps = (flat != least).astype(np.intp)
+    jump = np.where(steps == 1, succ, flat)
+    for _ in range((n - 1).bit_length()):
+        steps += steps[jump]
+        jump = jump[jump]
+    # a moved cycle takes its length plus one -1, after the cycles of lesser
+    # least points
+    width = np.where(length > 1, length + 1, 0).reshape(c, n)
+    start = (np.cumsum(width, axis=1) - width).reshape(-1)
+    cycle = length[least]
+    at = np.flatnonzero(cycle > 1)
+    row, point = np.divmod(at, n)
+    slot = start[least[at]] + (cycle[at] - steps[at]) % cycle[at]
+    # int16 while points fit: lexsort sorts 16-bit keys by radix
+    keys = np.full((c, n + n // 2), -1, dtype=np.int16 if n <= 1 << 15 else np.int32)
+    keys.reshape(-1)[row * keys.shape[1] + slot] = point
+    return keys
+
+
+def _check_row_cells(order: int, degree: int) -> None:
+    if order * degree > ROW_CELLS_CAP:
+        raise BudgetError(f"element rows of {order} x {degree} cells exceed the cap "
+                          f"of {ROW_CELLS_CAP}")
 
 
 def _generated(degree: int, generators: Sequence[Permutation],
                name: Optional[str] = None, spec: Optional[str] = None) -> "Group":
     """The group generated by permutations (each of this degree), closed
-    breadth-first on image rows, one word length at a time.  Up to order
-    _TABLE_CAP its table is built along the word tree of the search: the
-    generators' rows by lookup, and the row of x*s as the gather
-    T[x*s][b] = T[x][T[s][b]], one take_along_axis per word length."""
+    breadth-first on image rows, one word length at a time, within
+    ORDER_CAP and ROW_CELLS_CAP.  Element orders come from _orders,
+    _CYCLE_CELLS at a time.  Up to order _TABLE_CAP its table is built
+    along the word tree of the search: the generators' rows by lookup, and
+    the row of x*s as the gather T[x*s][b] = T[x][T[s][b]], one
+    take_along_axis per word length."""
     width = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
     gens = np.array([s.images for s in generators], dtype=width).reshape(-1, degree)
     # the search numbers the elements as it reaches them, x = prev[x] * gens[pos[x]]
@@ -183,6 +243,7 @@ def _generated(degree: int, generators: Sequence[Permutation],
         seen.update(_keys(levels[-1]).tolist())
         if len(seen) > ORDER_CAP:
             raise BudgetError(f"group order exceeds cap {ORDER_CAP}")
+        _check_row_cells(len(seen), degree)
     rows = np.concatenate(levels, dtype=width)
     by_key = np.argsort(_keys(rows))
     g = Group(rows[by_key], name=name, spec=spec, generators=generators)
@@ -190,9 +251,9 @@ def _generated(degree: int, generators: Sequence[Permutation],
     np.put_along_axis(inverse_images, g.perms, np.arange(degree, dtype=width)[None, :],
                       axis=1)
     g.inverses = g._lookup(inverse_images)
-    step = max(1, _LIST_CELLS // degree)
-    g.orders = np.array([_order_of(row) for lo in range(0, g.order, step)
-                         for row in g.perms[lo:lo + step].tolist()])
+    step = max(1, _CYCLE_CELLS // degree)
+    g.orders = np.concatenate([_orders(g.perms[lo:lo + step])
+                               for lo in range(0, g.order, step)])
     if g.order <= _TABLE_CAP:
         index = np.argsort(by_key)      # search number -> element index
         prev, pos = np.concatenate(prev), np.concatenate(pos)
@@ -218,6 +279,9 @@ class Group:
     and `orders` are arrays over the elements.  `products(a, b)` multiplies
     broadcast index arrays from the dense table, kept up to order
     _TABLE_CAP (2048), and otherwise composes image rows and looks them up.
+    The table also picks the route of `conjugacy_classes`: with it, one
+    `conjugates` scan per class; without it (S7, A7, C5040), the orbits of
+    conjugation by the generators, each one lookup of every row.
     Two constructors fill inverses, orders and table: `_generated` closes
     the generators of a parsed group (the only groups with `generators`),
     and `centralizer_subgroup` restricts its ambient group's.  Derived data
@@ -409,9 +473,25 @@ def coset_transversal(g: Group, u: int) -> tuple[list[int], dict[int, int]]:
 
 
 def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
-    """Conjugacy classes in canonical order (by minimal member index)."""
+    """Conjugacy classes in canonical order (by minimal member index), each
+    with u0, its member least in canonical cycle form.
+
+    The route follows the table, as `products` and `conjugates` do.  With a
+    table (order <= _TABLE_CAP) each class is one `conjugates` of its least
+    unclassed element, a gather of the table, and u0 is picked in Python:
+    such groups are small and classed often (every centralizer of an RSR
+    census), and on them array set-up costs more than the scan.
+    Without a table a `conjugates` costs a lookup of every row, once per
+    class, so the classes are the orbits of x -> s^-1 x s over
+    `generator_indices`: one gather and one lookup of all rows per
+    generator, then min-label propagation with pointer jumping.  There u0
+    comes from one lexsort of the _cycle_keys of the members of classes of
+    more than one element; within a cycle type key order is the order of
+    _cycles_of tuples, so both routes pick the same u0."""
     if g._classes is not None:
         return g._classes
+    if g._table is None:
+        return _conjugation_orbits(g)
     classes: list[ConjClassCtx] = []
     class_of = np.full(g.order, -1)
     for seed in range(g.order):
@@ -427,6 +507,43 @@ def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
     g._classes = classes
     g._class_of = class_of
     return classes
+
+
+def _conjugation_orbits(g: Group) -> list[ConjClassCtx]:
+    """The table-less route of conjugacy_classes."""
+    # (s^-1 x s)(p) = s(x(s^-1(p))) for every x at once
+    conj = [g._lookup(g.perms[s][g.perms[:, g.perms[g.inverses[s]]]])
+            for s in g.generator_indices()]
+    # label[x] stays a member of x's orbit no greater than x; at the fixed
+    # point it is constant along every generator's cycles, so on each
+    # orbit, and equal to the orbit's least member
+    label = np.arange(g.order)
+    while True:
+        low = label
+        for c in conj:
+            low = np.minimum(low, low[c])
+        low = low[low]
+        if (low == label).all():
+            break
+        label = low
+    least, class_of, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    by_class = np.argsort(class_of, kind="stable")
+    members = np.split(by_class, np.cumsum(sizes)[:-1])
+    reps = least        # the member of each singleton class
+    # u0 of each class of more than one element: the first member of its
+    # class in one lexsort of class and cycle-form key
+    shared = by_class[sizes[class_of[by_class]] > 1]
+    if shared.size:
+        step = max(1, _CYCLE_CELLS // g.degree)
+        keys = np.concatenate([_cycle_keys(g.perms[shared[lo:lo + step]])
+                               for lo in range(0, shared.size, step)])
+        ranked = shared[np.lexsort((*keys.T[::-1], class_of[shared]))]
+        first = ranked[np.flatnonzero(np.diff(class_of[ranked], prepend=-1))]
+        reps[class_of[first]] = first
+    g._classes = [ConjClassCtx(k, tuple(m.tolist()), r)
+                  for k, (m, r) in enumerate(zip(members, reps.tolist()))]
+    g._class_of = class_of
+    return g._classes
 
 
 def class_of(g: Group, a):
@@ -582,12 +699,12 @@ _NAMED = {"S": _sym_gens, "A": _alt_gens, "C": _cyc_gens, "Z": _cyc_gens,
           "D": _dih_gens}
 
 
-def _named_generators(token: str) -> tuple[str, list[Permutation]]:
-    """The name and generators of a named group, of degree n for S_n, A_n,
-    C_n (alias Z_n) and D_n, and 8 for Q8."""
+def _named_factor(token: str) -> tuple[str, int, Callable[[], list[Permutation]]]:
+    """The name, degree and generator builder of a named group: degree n
+    for S_n, A_n, C_n (alias Z_n) and D_n, and 8 for Q8."""
     token = token.strip()
     if token.upper() == "Q8":
-        return "Q8", _q8_gens()
+        return "Q8", 8, _q8_gens
     m = _NAME_RE.match(token)
     if not m:
         raise InputError(f"unknown group name {token!r}")
@@ -596,7 +713,7 @@ def _named_generators(token: str) -> tuple[str, list[Permutation]]:
         raise InputError(f"bad group size in {token!r}")
     if kind not in _NAMED:
         raise InputError(f"unknown group name {token!r}")
-    return ("C" if kind == "Z" else kind) + str(n), _NAMED[kind](n)
+    return ("C" if kind == "Z" else kind) + str(n), n, partial(_NAMED[kind], n)
 
 
 def _shift_perm(p: Permutation, offset: int, degree: int) -> Permutation:
@@ -612,6 +729,8 @@ def parse_group(spec: str) -> Group:
     Grammar: NAME ("S3", "A4", "D4" = dihedral of order 8, "C6", "Q8"),
     a generator list "perm:(0 1 2)(3 4);(0 1)" in 0-based cycle notation,
     or a direct product "A x B" of named groups acting on disjoint points.
+    The degree is checked against ROW_CELLS_CAP before any permutation is
+    built.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise InputError("empty group spec")
@@ -622,15 +741,17 @@ def parse_group(spec: str) -> Group:
         if not parts:
             raise InputError("empty generator list")
         degree = max(map(int, re.findall(r"\d+", body)), default=0) + 1
+        _check_row_cells(1, degree)
         gens = [parse_cycle_string(p, degree) for p in parts]
         return _generated(degree, gens, spec=spec)
     tokens = re.split(r"\s*[xX]\s*(?![^()]*\))", spec)
-    factors = [_named_generators(t) for t in tokens]
-    degree = sum(f[1][0].degree for f in factors)
+    factors = [_named_factor(t) for t in tokens]
+    degree = sum(f[1] for f in factors)
+    _check_row_cells(1, degree)
     gens: list[Permutation] = []
     offset = 0
-    for _, fgens in factors:
-        gens.extend(_shift_perm(p, offset, degree) for p in fgens)
-        offset += fgens[0].degree
+    for _, n, build in factors:
+        gens.extend(_shift_perm(p, offset, degree) for p in build())
+        offset += n
     name = factors[0][0] if len(tokens) == 1 else "x".join(t.strip() for t in tokens)
     return _generated(degree, gens, name=name, spec=spec)

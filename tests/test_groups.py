@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quiverhopf import (
+    BudgetError,
     InputError,
     Permutation,
     automorphisms,
@@ -19,6 +20,7 @@ from quiverhopf import groups
 from quiverhopf.groups import (
     _TABLE_CAP,
     Group,
+    _cycles_of,
     _generated,
     coset_transversal,
     outer_representatives,
@@ -104,7 +106,27 @@ def test_order_cap(monkeypatch):
         parse_group("S5")
 
 
-@pytest.mark.parametrize("spec", ["S5", "D4", "Q8", "C12", "S3xC2", "C4xC6xS3"])
+def test_row_cells_cap_is_checked_before_any_permutation(monkeypatch):
+    # a degree past the cap is refused before its image list is built
+    def refuse(*args):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(Permutation, "from_cycles", refuse)
+    monkeypatch.setattr(Permutation, "identity", refuse)
+    for spec in ("perm:(0 99999999)", "C40000000", "C20000000xC20000000"):
+        with pytest.raises(BudgetError, match="exceed the cap of 33554432"):
+            parse_group(spec)
+    monkeypatch.undo()
+    # order x degree is checked as the closure grows: S5 on 60 points does
+    # not fit a cap of 100 elements of degree 60
+    monkeypatch.setattr(groups, "ROW_CELLS_CAP", 100 * 60)
+    parse_group("C60")
+    with pytest.raises(BudgetError, match="exceed the cap of 6000"):
+        parse_group("S5xC55")
+
+
+@pytest.mark.parametrize("spec", ["S5", "D4", "Q8", "C12", "S3xC2", "C4xC6xS3",
+                                  "S7", "A7", "C400"])
 def test_element_orders_are_the_least_powers_at_the_identity(spec):
     g = parse_group(spec)
     assert g.orders.tolist() == [order_by_powers(row) for row in rows_of(g)]
@@ -125,6 +147,27 @@ def test_s3_classes_match_example(s3):
     assert s3.element_name(classes[0].rep) == "e"
     assert s3.element_name(classes[1].rep) == "(0 1)"
     assert s3.element_name(classes[2].rep) == "(0 1 2)"
+
+
+@pytest.mark.parametrize("spec", ["S7", "A7", "perm:(0 1 2 3 4 5 6);(0 1 2)", "Z(e) of S7"])
+def test_tableless_classes_are_conjugation_orbits(spec):
+    # past the table cap classes are orbits under the generators and u0
+    # comes from sorted cycle-form keys; the oracle is one `conjugates`
+    # scan per class and the least member in `_cycles_of` order.  Z(e) of
+    # S7 has no table and no parsed generators, so its orbits run over the
+    # greedy generating sequence.
+    g = (centralizer_subgroup(parse_group("S7"), 0) if spec.startswith("Z")
+         else parse_group(spec))
+    assert g._table is None
+    classes = conjugacy_classes(g)
+    assert sorted(e for c in classes for e in c.elements) == list(range(g.order))
+    assert [c.elements[0] for c in classes] == sorted(c.elements[0] for c in classes)
+    rows = rows_of(g)
+    for k, c in enumerate(classes):
+        assert c.class_index == k and list(c.elements) == sorted(c.elements)
+        assert np.unique(g.conjugates(c.elements[0])).tolist() == list(c.elements)
+        assert c.rep == min(c.elements, key=lambda e: _cycles_of(rows[e]))
+        assert (class_of(g, np.array(c.elements)) == k).all()
 
 
 def test_trivial_group_single_class():
@@ -473,6 +516,15 @@ def test_s7_conjugates_are_one_gather_and_one_lookup(monkeypatch):
         assert calls == [g.order]
         monkeypatch.undo()
         assert got.tolist() == [g.conj(a, h) for h in range(g.order)]
+
+
+def test_s7_classes_look_up_every_row_once_per_generator(monkeypatch):
+    # one lookup of all 5,040 conjugated rows per generator, none per class
+    g = parse_group("S7")
+    gens = g.generator_indices()
+    calls = count_lookups(monkeypatch)
+    assert len(conjugacy_classes(g)) == 15
+    assert calls == [g.order] * len(gens)
 
 
 @pytest.mark.parametrize("spec, reps", [
