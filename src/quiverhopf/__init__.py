@@ -14,7 +14,6 @@ from .groups import (
     ConjClassCtx,
     Group,
     InputError,
-    Permutation,
     automorphisms,
     centralizer_subgroup,
     class_of,

@@ -102,7 +102,7 @@ class HopfBimodule:
         for cls in rsr.ram.support:
             u = rsr.u[cls]
             z = rsr.centralizer(cls)
-            default_t, theta_of = coset_transversal(g, u)
+            default_t, theta_at = coset_transversal(g, u)
             t = np.array([int(x) for x in (transversals or {}).get(cls, default_t)])
             if len(t) != len(default_t):
                 raise InputError("transversal has wrong length")
@@ -112,8 +112,6 @@ class HopfBimodule:
             if off.size:
                 raise InputError(f"coset mismatch at theta={off[0]} for class {cls}")
             self.transversal[cls] = t.tolist()
-            theta_at = np.full(g.order, -1)
-            theta_at[list(theta_of)] = list(theta_of.values())
             self.theta[self.cls == cls] = theta_at[self.elem[self.cls == cls]]
             # g_theta h = zeta g_theta' with theta' the coset of
             # (g_theta h)^-1 u (g_theta h), over every (theta, h) at once

@@ -6,6 +6,8 @@ i.e. the left factor acts first.  Elements are referred to by their index
 in the canonical element order (image tuples sorted lexicographically);
 index 0 is always the identity.  A group holds its elements once, as an
 array of image rows, and derives everything else from it as index arrays.
+Elements are image rows only: parse_cycle_string validates a user's cycle
+notation into a row, the named groups are built as rows, cycle_string names one.
 
 Element orders, and the conjugacy classes of a group without a
 multiplication table, come from whole-array passes: pointer doubling on
@@ -29,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -73,11 +75,8 @@ def _cycles_of(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     out = []
     for start in range(len(images)):
         if seen[start] or images[start] == start:
-            seen[start] = True
             continue
-        cyc = [start]
-        seen[start] = True
-        x = images[start]
+        cyc, x = [start], images[start]
         while x != start:
             cyc.append(x)
             seen[x] = True
@@ -86,71 +85,40 @@ def _cycles_of(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0..degree-1}, stored as its image tuple."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise InputError(f"not a permutation: {self.images}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycles, each starting at its minimum, sorted by first point."""
-        return _cycles_of(self.images)
-
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "e"
-        return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
-
-    @classmethod
-    def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> "Permutation":
-        images = list(range(degree))
-        for cyc in cycles:
-            if len(set(cyc)) != len(cyc):
-                raise InputError(f"repeated point in cycle {cyc}")
-            for a in cyc:
-                if not 0 <= a < degree:
-                    raise InputError(f"point {a} out of range for degree {degree}")
-            for i, a in enumerate(cyc):
-                images[a] = cyc[(i + 1) % len(cyc)]
-        if sorted(images) != list(range(degree)):
-            raise InputError(f"cycles {list(cycles)} overlap")
-        return cls(tuple(images))
+def cycle_string(images: Sequence[int]) -> str:
+    """Cycle notation of an image row: its moved cycles, each from its least
+    point, by least point; "e" for the identity."""
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in _cycles_of(images)) or "e"
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycle_string(text: str, degree: int) -> Permutation:
-    """Parse 0-based cycle notation like "(0 1 2)(3 4)"; "e" or "()" is the identity."""
+def parse_cycle_string(text: str, degree: int) -> np.ndarray:
+    """The image row of 0-based cycle notation like "(0 1 2)(3 4)" on
+    degree points; "e" or "()" is the identity.  InputError on text that
+    is not cycles of integers, on a point outside 0..degree-1 and on a
+    point given twice, within one cycle or across two."""
     text = text.strip()
+    images = np.arange(degree)
     if text in ("e", "", "()", "id", "1"):
-        return Permutation.identity(degree)
-    stripped = _CYCLE_RE.sub("", text)
-    if stripped.strip():
+        return images
+    if _CYCLE_RE.sub("", text).strip():
         raise InputError(f"cannot parse cycle notation {text!r}")
-    cycles = []
+    seen: set[int] = set()
     for body in _CYCLE_RE.findall(text):
-        pts = [p for p in re.split(r"[,\s]+", body.strip()) if p]
         try:
-            cyc = [int(p) for p in pts]
+            cyc = [int(p) for p in re.split(r"[,\s]+", body.strip()) if p]
         except ValueError:
             raise InputError(f"bad point in cycle {body!r}") from None
-        if cyc:
-            cycles.append(cyc)
-    return Permutation.from_cycles(cycles, degree)
+        for a in cyc:
+            if not 0 <= a < degree:
+                raise InputError(f"point {a} out of range for degree {degree}")
+            if a in seen:
+                raise InputError(f"point {a} given twice in {text!r}")
+            seen.add(a)
+        images[cyc] = cyc[1:] + cyc[:1]
+    return images
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
@@ -218,9 +186,9 @@ def _check_row_cells(order: int, degree: int) -> None:
                           f"of {ROW_CELLS_CAP}")
 
 
-def _generated(degree: int, generators: Sequence[Permutation],
+def _generated(degree: int, generators: np.ndarray,
                name: Optional[str] = None, spec: Optional[str] = None) -> "Group":
-    """The group generated by permutations (each of this degree), closed
+    """The group generated by image rows (k, degree), closed
     breadth-first on image rows, one word length at a time, within
     ORDER_CAP and ROW_CELLS_CAP.  Element orders come from _orders,
     _CYCLE_CELLS at a time.  Up to order _TABLE_CAP its table is built
@@ -228,7 +196,7 @@ def _generated(degree: int, generators: Sequence[Permutation],
     the row of x*s as the gather T[x*s][b] = T[x][T[s][b]], one
     take_along_axis per word length."""
     width = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
-    gens = np.array([s.images for s in generators], dtype=width).reshape(-1, degree)
+    gens = np.asarray(generators, dtype=width)
     # the search numbers the elements as it reaches them, x = prev[x] * gens[pos[x]]
     levels, prev, pos = [np.arange(degree, dtype=width)[None, :]], [[-1]], [[-1]]
     seen = set(_keys(levels[0]).tolist())
@@ -246,7 +214,7 @@ def _generated(degree: int, generators: Sequence[Permutation],
         _check_row_cells(len(seen), degree)
     rows = np.concatenate(levels, dtype=width)
     by_key = np.argsort(_keys(rows))
-    g = Group(rows[by_key], name=name, spec=spec, generators=generators)
+    g = Group(rows[by_key], name=name, spec=spec, generators=gens)
     inverse_images = np.empty_like(g.perms)
     np.put_along_axis(inverse_images, g.perms, np.arange(degree, dtype=width)[None, :],
                       axis=1)
@@ -283,18 +251,20 @@ class Group:
     `conjugates` scan per class; without it (S7, A7, C5040), the orbits of
     conjugation by the generators, each one lookup of every row.
     Two constructors fill inverses, orders and table: `_generated` closes
-    the generators of a parsed group (the only groups with `generators`),
-    and `centralizer_subgroup` restricts its ambient group's.  Derived data
-    (classes, the generating sequence and the `caches` dict other modules
-    fill) is computed on first use without locks: not thread-safe.
+    the read-only (k, degree) array `generators` of a parsed group (other
+    groups have k = 0), and `centralizer_subgroup` restricts its ambient
+    group's.  Derived data (classes, the generating sequence and the
+    `caches` dict other modules fill) is computed on first use without
+    locks: not thread-safe.
     """
 
     def __init__(self, perms: np.ndarray, name: Optional[str] = None,
                  spec: Optional[str] = None,
-                 generators: Sequence[Permutation] = ()):
+                 generators: Sequence = ()):
         self.perms = perms
         self.order, self.degree = perms.shape
-        self.generators = tuple(generators)
+        self.generators = np.asarray(generators, dtype=perms.dtype).reshape(-1, self.degree)
+        self.generators.flags.writeable = False
         self.name = name
         self.spec = spec if spec is not None else name
         self._keys = _keys(perms)
@@ -362,18 +332,20 @@ class Group:
         """h^-1 * a * h."""
         return self.mul(self.mul(self.inv(h), a), h)
 
-    def element(self, a: int) -> Permutation:
-        return Permutation(tuple(self.perms[a].tolist()))
-
     def element_name(self, a: int) -> str:
-        return self.element(a).cycle_string()
+        return cycle_string(self.perms[a].tolist())
 
-    def find(self, p: Permutation) -> int:
-        if p.degree == self.degree:
-            a = int(self._lookup(np.array(p.images)))
-            if a < self.order and self.perms[a].tolist() == list(p.images):
+    def find(self, images: Sequence[int]) -> int:
+        """The element index of an image row, any sequence of points; else
+        InputError, naming the row in cycle notation only if it is a permutation."""
+        row = np.asarray(images)
+        if row.shape == (self.degree,):
+            a = int(self._lookup(row))
+            if a < self.order and (self.perms[a] == row).all():
                 return a
-        raise InputError(f"{p.cycle_string()} is not in the group")
+        if row.ndim != 1 or (np.sort(row) != np.arange(row.size)).any():
+            raise InputError(f"not a permutation: {row.tolist()}")
+        raise InputError(f"{cycle_string(row.tolist())} is not in the group")
 
     def commutes_with(self, a: int) -> np.ndarray:
         """Boolean mask of the elements h with h*a == a*h."""
@@ -408,7 +380,7 @@ class Group:
         `outer_representatives` and modrep's right-ideal check extend maps
         along.  Found once per group and kept in `caches`."""
         if "generators" not in self.caches:
-            self.caches["generators"] = ([self.find(s) for s in self.generators]
+            self.caches["generators"] = (self._lookup(self.generators).tolist()
                                          or self.generating_sequence())
         return self.caches["generators"]
 
@@ -460,16 +432,17 @@ class ConjClassCtx:
         return len(self.elements)
 
 
-def coset_transversal(g: Group, u: int) -> tuple[list[int], dict[int, int]]:
+def coset_transversal(g: Group, u: int) -> tuple[list[int], np.ndarray]:
     """Right-coset transversal of Z_u scanning canonical order; g_0 = identity.
 
-    Returns (transversal, theta_of) with theta_of[g_theta^-1 u g_theta] = theta.
+    Returns (transversal, theta_at): theta_at is an array over the elements
+    with theta_at[g_theta^-1 u g_theta] = theta, and -1 off the class of u.
     """
     conj, first = np.unique(g.conjugates(u), return_index=True)
     by_first = np.argsort(first)
-    transversal = first[by_first].tolist()
-    theta_of = {c: theta for theta, c in enumerate(conj[by_first].tolist())}
-    return transversal, theta_of
+    theta_at = np.full(g.order, -1)
+    theta_at[conj[by_first]] = np.arange(len(conj))
+    return first[by_first].tolist(), theta_at
 
 
 def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
@@ -658,40 +631,35 @@ def inner_only(g: Group) -> bool:
     return len(outer_representatives(g)) == 1
 
 
-def _sym_gens(n: int) -> list[Permutation]:
-    if n <= 1:
-        return [Permutation.identity(max(n, 1))]
-    if n == 2:
-        return [Permutation.from_cycles([[0, 1]], 2)]
-    return [Permutation.from_cycles([[0, 1]], n),
-            Permutation.from_cycles([list(range(n))], n)]
+def _sym_gens(n: int) -> np.ndarray:
+    # (0 1) and the n-cycle; the one generator of S1 and S2 is the n-cycle
+    cycle = (np.arange(n) + 1) % n
+    swap = np.concatenate(([1, 0], np.arange(2, n)))
+    return cycle[None] if n <= 2 else np.array([swap, cycle])
 
 
-def _alt_gens(n: int) -> list[Permutation]:
-    if n <= 2:
-        return [Permutation.identity(max(n, 1))]
-    return [Permutation.from_cycles([[i, i + 1, i + 2]], n) for i in range(n - 2)]
+def _alt_gens(n: int) -> np.ndarray:
+    # the 3-cycles (i i+1 i+2); the identity for n <= 2
+    rows = np.arange(n)[None].repeat(max(n - 2, 1), axis=0)
+    i = np.arange(n - 2)[:, None]
+    rows[i, i + [0, 1, 2]] = i + [1, 2, 0]
+    return rows
 
 
-def _cyc_gens(n: int) -> list[Permutation]:
-    if n == 1:
-        return [Permutation.identity(1)]
-    return [Permutation.from_cycles([list(range(n))], n)]
+def _cyc_gens(n: int) -> np.ndarray:
+    return (np.arange(n)[None] + 1) % n
 
 
-def _dih_gens(n: int) -> list[Permutation]:
-    # dihedral group of the n-gon, order 2n ("D4" = order 8)
+def _dih_gens(n: int) -> np.ndarray:
+    # dihedral group of the n-gon, order 2n ("D4" = order 8): i -> i+1, i -> -i
     if n < 3:
         raise InputError("dihedral groups need n >= 3")
-    rot = Permutation.from_cycles([list(range(n))], n)
-    refl = Permutation(tuple((n - i) % n for i in range(n)))
-    return [rot, refl]
+    return np.array([(np.arange(n) + 1) % n, -np.arange(n) % n])
 
 
-def _q8_gens() -> list[Permutation]:
+def _q8_gens() -> np.ndarray:
     # left-regular action on {1,-1,i,-i,j,-j,k,-k}
-    return [Permutation((2, 3, 1, 0, 6, 7, 5, 4)),
-            Permutation((4, 5, 7, 6, 1, 0, 2, 3))]
+    return np.array([[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]])
 
 
 _NAME_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
@@ -699,7 +667,7 @@ _NAMED = {"S": _sym_gens, "A": _alt_gens, "C": _cyc_gens, "Z": _cyc_gens,
           "D": _dih_gens}
 
 
-def _named_factor(token: str) -> tuple[str, int, Callable[[], list[Permutation]]]:
+def _named_factor(token: str) -> tuple[str, int, Callable[[], np.ndarray]]:
     """The name, degree and generator builder of a named group: degree n
     for S_n, A_n, C_n (alias Z_n) and D_n, and 8 for Q8."""
     token = token.strip()
@@ -716,21 +684,14 @@ def _named_factor(token: str) -> tuple[str, int, Callable[[], list[Permutation]]
     return ("C" if kind == "Z" else kind) + str(n), n, partial(_NAMED[kind], n)
 
 
-def _shift_perm(p: Permutation, offset: int, degree: int) -> Permutation:
-    images = list(range(degree))
-    for i, x in enumerate(p.images):
-        images[offset + i] = offset + x
-    return Permutation(tuple(images))
-
-
 def parse_group(spec: str) -> Group:
     """Build a group from a spec string.
 
     Grammar: NAME ("S3", "A4", "D4" = dihedral of order 8, "C6", "Q8"),
     a generator list "perm:(0 1 2)(3 4);(0 1)" in 0-based cycle notation,
     or a direct product "A x B" of named groups acting on disjoint points.
-    The degree is checked against ROW_CELLS_CAP before any permutation is
-    built.
+    The degree is checked against ROW_CELLS_CAP before any generator row
+    is built.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise InputError("empty group spec")
@@ -742,16 +703,20 @@ def parse_group(spec: str) -> Group:
             raise InputError("empty generator list")
         degree = max(map(int, re.findall(r"\d+", body)), default=0) + 1
         _check_row_cells(1, degree)
-        gens = [parse_cycle_string(p, degree) for p in parts]
+        gens = np.array([parse_cycle_string(p, degree) for p in parts])
         return _generated(degree, gens, spec=spec)
     tokens = re.split(r"\s*[xX]\s*(?![^()]*\))", spec)
     factors = [_named_factor(t) for t in tokens]
     degree = sum(f[1] for f in factors)
     _check_row_cells(1, degree)
-    gens: list[Permutation] = []
-    offset = 0
+    # each factor's rows act on its own block of points, the rest fixed
+    blocks, offset = [], 0
     for _, n, build in factors:
-        gens.extend(_shift_perm(p, offset, degree) for p in build())
+        own = build()
+        rows = np.arange(degree)[None].repeat(len(own), axis=0)
+        rows[:, offset:offset + n] = own + offset
+        blocks.append(rows)
         offset += n
+    gens = np.concatenate(blocks)
     name = factors[0][0] if len(tokens) == 1 else "x".join(t.strip() for t in tokens)
     return _generated(degree, gens, name=name, spec=spec)

@@ -79,8 +79,7 @@ def parse_ramification(g: Group, spec: str) -> Ramification:
             raise InputError(f"bad count in {part!r}") from None
         if count < 0:
             raise InputError(f"negative count in {part!r}")
-        perm = parse_cycle_string(rep_text.strip(), g.degree)
-        cls = class_of(g, g.find(perm))
+        cls = class_of(g, g.find(parse_cycle_string(rep_text.strip(), g.degree)))
         if cls in out:
             raise InputError(f"class of {rep_text.strip()!r} given twice")
         out[cls] = count

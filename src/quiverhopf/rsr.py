@@ -379,8 +379,7 @@ def rsr_from_json(doc: dict, group: Optional[Group] = None) -> RSR:
             k = int(entry["class"])
             if k in u_choice:
                 raise InputError(f"class {k} given twice in u")
-            perm = parse_cycle_string(str(entry["rep"]), g.degree)
-            u_choice[k] = g.find(perm)
+            u_choice[k] = g.find(parse_cycle_string(str(entry["rep"]), g.degree))
         irreps: dict[int, Sequence[int]] = {}
         ram_coeffs: dict[int, int] = {}
         for entry in doc["rho"]:

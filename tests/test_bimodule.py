@@ -7,7 +7,6 @@ from percase import cases, check
 from quiverhopf import (
     ArrowId,
     InputError,
-    Permutation,
     build_bimodule,
     coinvariant_yd,
     conjugacy_classes,
@@ -82,7 +81,7 @@ def test_right_action_centralizer_case(s3):
 def test_right_action_sign_flip(sgn_bimodule, s3):
     # a_{(0 1), e} . (0 1) = (p-1) a_{e, (0 1)}
     m = sgn_bimodule
-    t01 = s3.find(Permutation((1, 0, 2)))
+    t01 = s3.find((1, 0, 2))
     a = ArrowId(0, t01, 1, 0, 0)
     assert right_action(m, a, t01) == [(ArrowId(t01, 0, 1, 0, 0), m.p - 1)]
 
@@ -363,7 +362,7 @@ def test_changed_transversal_iso_entry_fails_action_intertwining(s3):
     ram = parse_ramification(s3, "(0 1):1")
     rsr = make_rsr(s3, ram, None, {1: (1,)})
     t1 = {1: list(coset_transversal(s3, conjugacy_classes(s3)[1].rep)[0])}
-    t2 = {1: [t1[1][0], s3.mul(s3.find(Permutation((1, 0, 2))), t1[1][1]), t1[1][2]]}
+    t2 = {1: [t1[1][0], s3.mul(s3.find((1, 0, 2)), t1[1][1]), t1[1][2]]}
     f = transversal_iso(rsr, t1, t2)
     report = f.verify()
     gens = s3.generating_sequence()
@@ -395,7 +394,7 @@ def test_map_intertwining_only_the_left_action_fails(s3):
     # scaling the arrows with x^-1 y = (0 1) by 2 commutes with the left
     # action and the coaction, but a . h moves x^-1 y to h^-1 x^-1 y h
     m = build_bimodule(make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)}))
-    t01 = s3.find(Permutation((1, 0, 2)))
+    t01 = s3.find((1, 0, 2))
     scale = [2 if s3.mul(s3.inv(a.x), a.y) == t01 else 1 for a in m.quiver.arrows()]
     report = BimoduleMap(m, m, np.diag(scale).astype(np.int64)).verify()
     failed = [c for c in report.checks if not c.ok]
@@ -444,7 +443,7 @@ def test_bimodule_json_dump(sgn_bimodule):
 
 def test_bimodule_with_noncanonical_u(s3):
     ram = parse_ramification(s3, "(0 1):1")
-    u02 = s3.find(Permutation((2, 1, 0)))
+    u02 = s3.find((2, 1, 0))
     rsr = make_rsr(s3, ram, {1: u02}, {1: (1,)})
     m = build_bimodule(rsr)
     assert m.dim() == 18
@@ -454,7 +453,7 @@ def test_bimodule_with_noncanonical_u(s3):
 
 def test_transversal_iso_with_noncanonical_u(s3):
     ram = parse_ramification(s3, "(0 1):1")
-    u02 = s3.find(Permutation((2, 1, 0)))
+    u02 = s3.find((2, 1, 0))
     rsr = make_rsr(s3, ram, {1: u02}, {1: (1,)})
     t1 = {1: list(coset_transversal(s3, u02)[0])}
     t2 = {1: list(t1[1])}
@@ -481,7 +480,7 @@ def test_product_group_pipeline():
     )
     g = parse_group("S3xC2")
     f = choose_prime(g)
-    rep = g.find(Permutation((1, 0, 2, 4, 3)))
+    rep = g.find((1, 0, 2, 4, 3))
     cls = class_of(g, rep)
     classes = conjugacy_classes(g)
     ram = parse_ramification(g, f"{g.element_name(classes[cls].rep)}:1")

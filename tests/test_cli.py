@@ -423,6 +423,18 @@ def test_argparse_rejections_are_one_error_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rsr-count", "--group", "S3", "--ram", "(0 1)(1 0):1"],
+    ["group-info", "--group", "perm:(0 1 2)(0 1 2)"],
+])
+def test_a_point_in_two_cycles_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "given twice" in lines[0]
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["group-info", "--help"])

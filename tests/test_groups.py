@@ -7,7 +7,6 @@ import pytest
 from quiverhopf import (
     BudgetError,
     InputError,
-    Permutation,
     automorphisms,
     centralizer_subgroup,
     choose_prime,
@@ -15,6 +14,7 @@ from quiverhopf import (
     conjugacy_classes,
     inner_only,
     parse_group,
+    parse_ramification,
 )
 from quiverhopf import groups
 from quiverhopf.groups import (
@@ -100,6 +100,23 @@ def test_parse_generator_list():
         parse_group("X9")
 
 
+@pytest.mark.parametrize("cycles, message", [
+    ("(0 1)x", "cannot parse"),             # junk text
+    ("(0 a)", "bad point"),                 # a point that is no integer
+    ("(0 -1)", "out of range"),
+    ("(0 1 0)", "given twice"),             # a repeat inside one cycle
+    ("(0 1 2)(0 1 2)", "given twice"),      # a point in two cycles: repeated
+    ("(0 1)(1 0)", "given twice"),
+    ("(0 1)(1 2)", "given twice"),          # and crossing
+])
+def test_cycle_parser_rejections(s3, cycles, message):
+    # as a generator and as a class rep: every rejection is an InputError
+    with pytest.raises(InputError, match=message):
+        parse_group("perm:" + cycles)
+    with pytest.raises(InputError, match=message):
+        parse_ramification(s3, cycles + ":1")
+
+
 def test_order_cap(monkeypatch):
     monkeypatch.setattr(groups, "ORDER_CAP", 100)
     with pytest.raises(InputError):
@@ -107,13 +124,18 @@ def test_order_cap(monkeypatch):
 
 
 def test_row_cells_cap_is_checked_before_any_permutation(monkeypatch):
-    # a degree past the cap is refused before its image list is built
+    # a degree past the cap is refused before any generator row is built:
+    # by the cycle parser (perm: specs) or a named builder (named groups and
+    # the factors of products)
     def refuse(*args):
-        raise AssertionError("a permutation was built")
+        raise AssertionError("a generator row was built")
 
-    monkeypatch.setattr(Permutation, "from_cycles", refuse)
-    monkeypatch.setattr(Permutation, "identity", refuse)
-    for spec in ("perm:(0 99999999)", "C40000000", "C20000000xC20000000"):
+    monkeypatch.setattr(groups, "parse_cycle_string", refuse)
+    monkeypatch.setattr(groups, "_q8_gens", refuse)
+    for kind in groups._NAMED:
+        monkeypatch.setitem(groups._NAMED, kind, refuse)
+    for spec in ("perm:(0 99999999)", "C40000000", "C20000000xC20000000",
+                 "S40000000", "Q8xA40000000"):
         with pytest.raises(BudgetError, match="exceed the cap of 33554432"):
             parse_group(spec)
     monkeypatch.undo()
@@ -192,13 +214,15 @@ def test_class_counting_identities(spec):
     assert sum(c.size for c in classes) == g.order
     for c in classes:
         centralizer = centralizer_of(g, c.rep)
-        transversal, theta_of = coset_transversal(g, c.rep)
+        transversal, theta_at = coset_transversal(g, c.rep)
         assert len(centralizer) * c.size == g.order
         assert len(transversal) == c.size
         assert transversal[0] == 0
-        # theta_of inverts the transversal conjugation
-        for elt, theta in theta_of.items():
-            assert g.conj(c.rep, transversal[theta]) == elt
+        # theta_at inverts the transversal conjugation on the class, and is
+        # -1 off it
+        assert np.flatnonzero(theta_at >= 0).tolist() == sorted(c.elements)
+        for elt in c.elements:
+            assert g.conj(c.rep, transversal[theta_at[elt]]) == elt
         # cosets Z*g_theta partition G
         seen = set()
         for t in transversal:
@@ -363,7 +387,7 @@ def test_centralizer_embedding_maps(spec):
         # local is defined exactly on embed, and -1 off Z
         assert np.flatnonzero(sub.local >= 0).tolist() == sub.embed.tolist()
         assert (sub.local[np.setdiff1d(np.arange(g.order), sub.embed)] == -1).all()
-        assert sub.generators == ()
+        assert sub.generators.shape == (0, sub.degree)
         every = np.arange(sub.order)
         assert (sub.embed[sub.products(every[:, None], every[None, :])] ==
                 g.products(sub.embed[:, None], sub.embed[None, :])).all()
@@ -380,7 +404,7 @@ def test_subgroup_rows_match_closure(spec, classes):
     ctxs = conjugacy_classes(g)
     for ctx in ctxs if classes is None else [ctxs[k] for k in classes]:
         sub = centralizer_subgroup(g, ctx)
-        oracle = _generated(g.degree, [g.element(h) for h in centralizer_of(g, ctx.rep)])
+        oracle = _generated(g.degree, g.perms[centralizer_of(g, ctx.rep)])
         assert rows_of(sub) == rows_of(oracle)
         assert (sub.perms == oracle.perms).all()
         assert (sub.inverses == oracle.inverses).all()
@@ -423,11 +447,14 @@ def test_exponent(s3, s4):
 
 
 def test_cycle_string_round_trip(s4):
-    for e in range(s4.order):
-        name = s4.element_name(e)
-        p = Permutation(rows_of(s4)[e])
-        assert s4.find(p) == e
-        assert p.cycle_string() == name
+    # name -> parse_cycle_string -> find, for every element of S4 and S5
+    for g in (s4, parse_group("S5")):
+        for e in range(g.order):
+            name = g.element_name(e)
+            row = groups.parse_cycle_string(name, g.degree)
+            assert row.tolist() == list(rows_of(g)[e])
+            assert g.find(row) == e
+            assert groups.cycle_string(rows_of(g)[e]) == name
 
 
 def test_class_of_consistency(s4):
@@ -551,11 +578,19 @@ def test_centralizer_restricts_its_ambient(spec, reps):
 
 def test_find_rejects_other_degrees_and_non_members(s3):
     with pytest.raises(InputError, match="not in the group"):
-        s3.find(Permutation.identity(4))
+        s3.find((0, 1, 2, 3))
     with pytest.raises(InputError, match="not in the group"):
-        s3.find(Permutation.identity(2))
+        s3.find((0, 1))
     with pytest.raises(InputError, match="not in the group"):
-        parse_group("A4").find(Permutation.from_cycles([[0, 1]], 4))
+        parse_group("A4").find(groups.parse_cycle_string("(0 1)", 4))
     # C3's rows are (0 1 2), (1 2 0), (2 0 1): (2 1 0) sorts past the last
     with pytest.raises(InputError, match="not in the group"):
-        parse_group("C3").find(Permutation((2, 1, 0)))
+        parse_group("C3").find((2, 1, 0))
+
+
+@pytest.mark.parametrize("images", [(0, 0, 1), (0, 1, 3), (0, 0), ((0, 1, 2),)])
+def test_find_refuses_a_row_that_is_no_permutation(s3, images):
+    # such a row is refused before it is named in cycle notation, which
+    # would not end on it
+    with pytest.raises(InputError, match="not a permutation"):
+        s3.find(images)

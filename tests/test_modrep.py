@@ -6,7 +6,6 @@ import pytest
 
 from quiverhopf import (
     InputError,
-    Permutation,
     choose_prime,
     class_of,
     conjugacy_classes,
@@ -131,7 +130,7 @@ def test_irrep_trivial_character(s3, s3_field):
 def test_irrep_s3_two_dimensional(s3, s3_field):
     rep = irrep_matrices(s3, s3_field, 2, seed=0)
     assert rep.degree == 2
-    three_cycle = s3.find(Permutation((1, 2, 0)))
+    three_cycle = s3.find((1, 2, 0))
     assert int(np.trace(rep.matrix(three_cycle)) % s3_field.p) == s3_field.p - 1
 
 

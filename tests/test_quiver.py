@@ -26,8 +26,8 @@ def test_parse_ramification_empty(s3):
 def test_parse_ramification_two_classes(s3):
     ram = parse_ramification(s3, "(0 1):1,(0 1 2):2")
     # oracle: look the classes up through class_of directly
-    t = s3.find(type(s3.element(0))((1, 0, 2)))
-    c = s3.find(type(s3.element(0))((1, 2, 0)))
+    t = s3.find((1, 0, 2))
+    c = s3.find((1, 2, 0))
     assert dict(ram.coeffs) == {class_of(s3, t): 1, class_of(s3, c): 2}
 
 

@@ -10,7 +10,6 @@ from quiverhopf import (
     BudgetError,
     Group,
     InputError,
-    Permutation,
     RSRType,
     centralizer_subgroup,
     choose_prime,
@@ -88,7 +87,7 @@ def test_make_rsr_examples(s3):
 
 def test_make_rsr_u_validation(s3):
     ram = parse_ramification(s3, "(0 1):1")
-    t12 = s3.find(Permutation((0, 2, 1)))
+    t12 = s3.find((0, 2, 1))
     make_rsr(s3, ram, {1: t12}, {1: (1,)})
     with pytest.raises(InputError):
         make_rsr(s3, ram, {1: 0}, {1: (1,)})  # identity not in the class
@@ -98,7 +97,7 @@ def test_sign_on_a_noncanonical_transposition_is_the_sign_on_u0(s3):
     # u({transpositions}) = (0 2) with the sign character of Z_{(0 2)} is
     # isomorphic to u0 = (0 1) with the sign character of Z_{(0 1)}
     ram = parse_ramification(s3, "(0 1):1")
-    u02 = s3.find(Permutation((2, 1, 0)))
+    u02 = s3.find((2, 1, 0))
     rsr = make_rsr(s3, ram, {1: u02}, {1: (1,)})
     on_u0 = make_rsr(s3, ram, None, {1: (1,)})
     assert on_u0.u[1] == conjugacy_classes(s3)[1].rep != u02
@@ -250,7 +249,7 @@ def test_json_round_trip(s3):
 
 def test_json_with_noncanonical_u(s3):
     ram = parse_ramification(s3, "(0 1):1")
-    u02 = s3.find(Permutation((2, 1, 0)))
+    u02 = s3.find((2, 1, 0))
     rsr = make_rsr(s3, ram, {1: u02}, {1: (1,)})
     back = rsr_from_json(rsr.to_json())
     assert back.u[1] == u02
@@ -373,7 +372,7 @@ def test_search_aut_on_s7_agrees_with_types():
     ram = parse_ramification(g, "(0 1):1")
     canonical = rsr_from_type(g, ram, enumerate_types(g, ram)[0])
     (k, _), = ram.coeffs
-    twisted = twist_rsr(canonical, {k: g.find(Permutation.from_cycles([[0, 1, 2]], 7))})
+    twisted = twist_rsr(canonical, {k: g.find((1, 2, 0, 3, 4, 5, 6))})
     others = [rsr_from_type(g, ram, t) for t in enumerate_types(g, ram)[1:3]]
     assert twisted.u != canonical.u
     for b in [canonical, twisted, *others]:

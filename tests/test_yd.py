@@ -6,7 +6,6 @@ import pytest
 from quiverhopf import (
     ArrowId,
     BudgetError,
-    Permutation,
     YDModule,
     braiding,
     build_bimodule,
@@ -130,7 +129,7 @@ def test_verify_yd_catches_theta_prime_mutation(s3):
     # half of the shared cocycle sees it, in both verifiers
     m = build_bimodule(make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (0,)}))
     assert (m.blocks[(1, 0)] == 1).all()
-    h = s3.find(Permutation((2, 1, 0)))
+    h = s3.find((2, 1, 0))
     m.tp[1][0, h] = (m.tp[1][0, h] + 1) % len(m.transversal[1])
     assert "action-multiplicative" in [
         c.name for c in verify_yd(coinvariant_yd(m)).checks if not c.ok]
@@ -143,7 +142,7 @@ def test_action_multiplicative_names_first_failing_pair(s3, sgn_module):
     gens = g.generating_sequence()
     # (0 2) is neither a generator nor a product of two: only the pairs
     # (g, s) with g over all of G meet it
-    far = g.find(Permutation((2, 1, 0)))
+    far = g.find((2, 1, 0))
     assert far not in gens and far not in {g.mul(a, b) for a in gens for b in gens}
     # the zeta of (theta 0, far^-1) becomes the other element of Z = C2, so
     # of the whole action only the matrix of far changes
