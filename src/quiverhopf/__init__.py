@@ -1,6 +1,11 @@
 """quiverhopf: Hopf quivers, Yetter-Drinfeld modules and Nichols-algebra
 graded dimensions for finite permutation groups over splitting prime fields."""
 
+import os
+
+# one BLAS thread unless the caller chose (see linalg); read when numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bimodule import (
     BimoduleMap,
     HopfBimodule,

@@ -190,7 +190,9 @@ def _generated(degree: int, generators: np.ndarray,
                name: Optional[str] = None, spec: Optional[str] = None) -> "Group":
     """The group generated by image rows (k, degree), closed
     breadth-first on image rows, one word length at a time, within
-    ORDER_CAP and ROW_CELLS_CAP.  Element orders come from _orders,
+    ORDER_CAP and ROW_CELLS_CAP; the rows a word length reaches, the
+    generators times the rows of the level before, are checked against
+    ROW_CELLS_CAP before they are built.  Element orders come from _orders,
     _CYCLE_CELLS at a time.  Up to order _TABLE_CAP its table is built
     along the word tree of the search: the generators' rows by lookup, and
     the row of x*s as the gather T[x*s][b] = T[x][T[s][b]], one
@@ -201,6 +203,7 @@ def _generated(degree: int, generators: np.ndarray,
     levels, prev, pos = [np.arange(degree, dtype=width)[None, :]], [[-1]], [[-1]]
     seen = set(_keys(levels[0]).tolist())
     while len(levels[-1]):
+        _check_row_cells(len(gens) * len(levels[-1]), degree)
         # (x*s)(i) = s(x(i)) for every x of the level and s of gens, x-major
         reached = np.swapaxes(gens[:, levels[-1]], 0, 1).reshape(-1, degree)
         keys, first = np.unique(_keys(reached), return_index=True)
@@ -474,8 +477,11 @@ def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
         class_of[g.conjugates(seed)] = idx
         members = np.flatnonzero(class_of == idx).tolist()
         # u0: the member least in canonical cycle form
-        rows = g.perms[members].tolist()
-        rep = members[min(range(len(rows)), key=lambda i: _cycles_of(rows[i]))]
+        if len(members) == 1:
+            rep = seed
+        else:
+            rows = g.perms[members].tolist()
+            rep = members[min(range(len(rows)), key=lambda i: _cycles_of(rows[i]))]
         classes.append(ConjClassCtx(idx, tuple(members), rep))
     g._classes = classes
     g._class_of = class_of
@@ -665,14 +671,18 @@ def _q8_gens() -> np.ndarray:
 _NAME_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
 _NAMED = {"S": _sym_gens, "A": _alt_gens, "C": _cyc_gens, "Z": _cyc_gens,
           "D": _dih_gens}
+# how many generator rows each builder of _NAMED makes for degree n
+_NAMED_ROWS = {"S": lambda n: 1 if n <= 2 else 2, "A": lambda n: max(n - 2, 1),
+               "C": lambda n: 1, "Z": lambda n: 1, "D": lambda n: 2}
 
 
-def _named_factor(token: str) -> tuple[str, int, Callable[[], np.ndarray]]:
-    """The name, degree and generator builder of a named group: degree n
-    for S_n, A_n, C_n (alias Z_n) and D_n, and 8 for Q8."""
+def _named_factor(token: str) -> tuple[str, int, int, Callable[[], np.ndarray]]:
+    """The name, degree, generator row count and generator builder of a
+    named group: degree n for S_n, A_n, C_n (alias Z_n) and D_n, and 8 for
+    Q8."""
     token = token.strip()
     if token.upper() == "Q8":
-        return "Q8", 8, _q8_gens
+        return "Q8", 8, 2, _q8_gens
     m = _NAME_RE.match(token)
     if not m:
         raise InputError(f"unknown group name {token!r}")
@@ -681,7 +691,8 @@ def _named_factor(token: str) -> tuple[str, int, Callable[[], np.ndarray]]:
         raise InputError(f"bad group size in {token!r}")
     if kind not in _NAMED:
         raise InputError(f"unknown group name {token!r}")
-    return ("C" if kind == "Z" else kind) + str(n), n, partial(_NAMED[kind], n)
+    name = ("C" if kind == "Z" else kind) + str(n)
+    return name, n, _NAMED_ROWS[kind](n), partial(_NAMED[kind], n)
 
 
 def parse_group(spec: str) -> Group:
@@ -690,8 +701,8 @@ def parse_group(spec: str) -> Group:
     Grammar: NAME ("S3", "A4", "D4" = dihedral of order 8, "C6", "Q8"),
     a generator list "perm:(0 1 2)(3 4);(0 1)" in 0-based cycle notation,
     or a direct product "A x B" of named groups acting on disjoint points.
-    The degree is checked against ROW_CELLS_CAP before any generator row
-    is built.
+    The generator rows, their count times the degree, are checked against
+    ROW_CELLS_CAP before any of them is built.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise InputError("empty group spec")
@@ -702,16 +713,16 @@ def parse_group(spec: str) -> Group:
         if not parts:
             raise InputError("empty generator list")
         degree = max(map(int, re.findall(r"\d+", body)), default=0) + 1
-        _check_row_cells(1, degree)
+        _check_row_cells(len(parts), degree)
         gens = np.array([parse_cycle_string(p, degree) for p in parts])
         return _generated(degree, gens, spec=spec)
     tokens = re.split(r"\s*[xX]\s*(?![^()]*\))", spec)
     factors = [_named_factor(t) for t in tokens]
     degree = sum(f[1] for f in factors)
-    _check_row_cells(1, degree)
+    _check_row_cells(sum(f[2] for f in factors), degree)
     # each factor's rows act on its own block of points, the rest fixed
     blocks, offset = [], 0
-    for _, n, build in factors:
+    for _, n, _, build in factors:
         own = build()
         rows = np.arange(degree)[None].repeat(len(own), axis=0)
         rows[:, offset:offset + n] = own + offset

@@ -1,22 +1,29 @@
 """Dense exact linear algebra over a prime field F_p, on numpy int64 arrays.
 
-Matrices hold entries reduced mod p.  Products are numpy int64 matmuls,
-exact while (p-1)^2 times the inner dimension stays below 2^63 (checked).
+Matrices hold entries reduced mod p.  `matmul` multiplies on float64 BLAS
+while (p-1)^2 times the inner dimension stays below 2^53, where every
+float64 product and partial sum is an exact integer, as FFLAS-FFPACK
+(Dumas, Giorgi and Pernet 2008) does, unless the product is too small to
+gain from BLAS; otherwise it multiplies in int64, exact while (p-1)^2
+times the inner dimension stays below 2^63 (checked).  numpy's int64 `@`
+is a plain loop, not BLAS.  `import quiverhopf` sets OPENBLAS_NUM_THREADS
+to 1 unless the caller set it, so the products run on one BLAS thread:
+with more, the idle workers spin, and on two cores CPU time rose to twice
+the wall time.  OpenBLAS reads the variable when numpy loads, so a caller
+that imports numpy first keeps its own thread count.
 Every elimination is `rref`, the one Gaussian elimination.  Its kernel
 takes the first nonzero entry at or below the current row as the pivot
 and clears its column in every other row, one pivot at a time; it
 eliminates every matrix at most _PANEL = 64 columns wide.  A wider matrix
-goes through a panel driver, after FFLAS-FFPACK (Dumas, Giorgi and
-Pernet 2008): the kernel finds a panel's pivots on a copy of 64 columns,
-and two products make the new pivot rows and clear their columns, only in
-the rows with a nonzero there.  The products split their inner dimension
-so that (p-1)^2 times each piece stays below 2^63, and they stay int64
-rather than float64 BLAS, whose worker threads spin on a small machine
-(see `rref`).  `rank` is the rref's pivot count, and `nullspace` and
-`solve` read their results off it.  An rref basis is kept with its pivot
-columns: `extend` grows it by rows without eliminating it again, and
-`coordinates` reads a vector's coordinates in it at the pivots, checked
-with one product.
+goes through a panel driver, after FFLAS-FFPACK: the kernel finds a
+panel's pivots on a copy of 64 columns, and two products make the new
+pivot rows and clear their columns, only in the rows with a nonzero
+there.  Past the float64 bound the products split their inner dimension
+so that (p-1)^2 times each piece stays below 2^63.  `rank` is the rref's
+pivot count, and `nullspace` and `solve` read their results off it.  An
+rref basis is kept with its pivot columns: `extend` grows it by rows
+without eliminating it again, and `coordinates` reads a vector's
+coordinates in it at the pivots, checked with one product.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ import numpy as np
 
 _PANEL = 64     # the widest matrix the kernel eliminates whole
 _REST_CELLS = 2 * _PANEL ** 2   # see rref
+# fewer multiply-adds than this stay int64 (see matmul)
+_BLAS_MACS = 10_000
 
 
 def asmod(a, p: int) -> np.ndarray:
@@ -38,10 +47,30 @@ def _check_mul(n_inner: int, p: int):
         raise OverflowError(f"modulus {p} too large for int64 matmul")
 
 
+def _exact_in_float(n_inner: int, p: int) -> bool:
+    # float64 products stay exact while (p-1)^2 * n_inner < 2^53
+    return (p - 1) ** 2 * n_inner < 2 ** 53
+
+
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p; stacked operands multiply as numpy's matmul does."""
-    _check_mul(a.shape[-1], p)
-    out = a @ b
+    """a @ b mod p; stacked operands multiply as numpy's matmul does.
+
+    a and b must hold entries reduced mod p, in [0, p): the exactness
+    bounds below rest on it.  While (p-1)^2 * inner < 2^53 a product of
+    at least _BLAS_MACS multiply-adds is taken on float64 BLAS, cast to
+    int64 and reduced there (an int64 % beats a float64 one about
+    threefold).  Smaller products, and every product past that bound, are
+    int64 (checked): below about 10^4 multiply-adds the casts and the BLAS
+    call cost more than numpy's int64 loop (3.3 against 1.8 us for 2 x 2
+    matrices on two cores), and the verifiers, RSR censuses and low
+    Nichols degrees take thousands of products that small."""
+    # the multiply-adds, exact unless both operands broadcast
+    macs = max(a.size * b.shape[-1], b.size * (a.shape[-2] if a.ndim > 1 else 1))
+    if macs >= _BLAS_MACS and _exact_in_float(a.shape[-1], p):
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    else:
+        _check_mul(a.shape[-1], p)
+        out = a @ b
     out %= p
     return out
 
@@ -82,8 +111,11 @@ def _kernel(m: np.ndarray, p: int, order: np.ndarray | None = None) -> list[int]
 
 
 def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, the inner dimension cut into chunks whose int64
-    products are exact, (p-1)^2 * chunk < 2^63, and the chunks summed mod p."""
+    """a @ b mod p: one `matmul` below the float64 bound, and past it the
+    inner dimension cut into chunks whose int64 products are exact,
+    (p-1)^2 * chunk < 2^63, and the chunks summed mod p."""
+    if _exact_in_float(a.shape[1], p):
+        return matmul(a, b, p)
     step = max(1, (2 ** 63 - 1) // max((p - 1) ** 2, 1))
     out = matmul(a[:, :step], b[:step], p)
     for lo in range(step, a.shape[1], step):
@@ -127,16 +159,15 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     long.  An rref is canonical, so the result is the kernel's on the
     whole matrix, bit for bit.
 
-    The products stay int64, their inner dimension cut so that
+    The products are `matmul`s, on float64 BLAS below its bound; past it
+    they stay int64, their inner dimension cut so that
     (p-1)^2 * chunk < 2^63: the chunk is 9 at p = 10^9 + 7, 2 at 2^31 - 1
-    and at least 1 wherever the kernel's own products are exact.  Float64
-    BLAS products gave about the same wall time, but on two cores their
-    worker threads spin: the character table of S7 and two S6 irreps took
-    0.35-0.37 s of CPU time a pass against 0.24 s, and 2.6 MB more memory.
-    On two cores (Python 3.11, numpy 2.4) the 85 x 720 ideal of the
-    degree-9 irrep of S6 takes 15 ms (35 ms in the kernel alone), a
-    494 x 494 matrix at 1 % fill 0.16 s (0.8-1.1 s) and a 641 x 641 one at
-    1 % fill 0.25-0.36 s (1.9-2.4 s)."""
+    and at least 1 wherever the kernel's own products are exact.  On two
+    cores (Python 3.11, numpy 2.4, one BLAS thread, p = 1621; medians of
+    9) the 85 x 720 ideal of the degree-9 irrep of S6 takes 8.4 ms (10.6 ms
+    with int64 products, 35 ms in the kernel alone), a 494 x 494 matrix at
+    1 % fill 0.10 s (0.12 s; 0.8-1.1 s) and a 641 x 641 one at 1 % fill
+    0.16 s (0.22 s; 1.9-2.4 s)."""
     m = asmod(a, p)     # a fresh array, eliminated in place
     rows, cols = m.shape
     if cols <= _PANEL:

@@ -19,7 +19,8 @@ import sys
 
 import pytest
 
-from quiverhopf import cli
+from quiverhopf import choose_prime, cli, irrep_matrices, linalg, parse_group
+from quiverhopf.modrep import group_table
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -123,6 +124,28 @@ def test_golden_cli(name):
     code, out = run_case(name)
     assert code == _exit_codes()[name]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_matmul_operands_are_reduced(monkeypatch):
+    # linalg.matmul is exact only on entries in [0, p): every product the
+    # corpus and the S6 irreps of degree 5 and 9 take has them
+    outside, calls = [], []
+    matmul = linalg.matmul
+
+    def checked(a, b, p):
+        calls.append(p)
+        if any(x.size and (x.min() < 0 or x.max() >= p) for x in (a, b)):
+            outside.append((a.shape, b.shape, p))
+        return matmul(a, b, p)
+
+    monkeypatch.setattr(linalg, "matmul", checked)
+    for name in sorted(CASES):
+        assert run_case(name)[0] == _exit_codes()[name]
+    g = parse_group("S6")
+    f = choose_prime(g)
+    for degree in (5, 9):
+        irrep_matrices(g, f, group_table(g, f).degrees.index(degree), seed=0)
+    assert calls and not outside
 
 
 def test_corpus_files_are_the_cases():

@@ -147,6 +147,29 @@ def test_row_cells_cap_is_checked_before_any_permutation(monkeypatch):
         parse_group("S5xC55")
 
 
+def test_generator_rows_are_checked_before_they_are_built(monkeypatch):
+    # A_n has n - 2 generator rows of n points: A20000 needs 19,998 x 20,000
+    # cells, refused before its builder runs, as are several perm: rows
+    def refuse(*args):
+        raise AssertionError("a generator row was built")
+
+    monkeypatch.setattr(groups, "parse_cycle_string", refuse)
+    for kind in groups._NAMED:
+        monkeypatch.setitem(groups._NAMED, kind, refuse)
+    for spec, cells in [("A20000", "19998 x 20000"), ("A5000xA5000", "9996 x 10000"),
+                        ("C3xA6000", "5999 x 6003"),
+                        ("perm:(0 12000000);(0 1);(0 2)", "3 x 12000001")]:
+        with pytest.raises(BudgetError, match=f"of {cells} cells exceed the cap"):
+            parse_group(spec)
+    monkeypatch.undo()
+    # the rows a word length reaches, generators times the level before,
+    # are checked before they are built: A40's 38 x 38 products of 40
+    # points are refused while 1 + 38 elements fit 40 x 40 cells
+    monkeypatch.setattr(groups, "ROW_CELLS_CAP", 40 * 40)
+    with pytest.raises(BudgetError, match="of 1444 x 40 cells exceed the cap of 1600"):
+        parse_group("A40")
+
+
 @pytest.mark.parametrize("spec", ["S5", "D4", "Q8", "C12", "S3xC2", "C4xC6xS3",
                                   "S7", "A7", "C400"])
 def test_element_orders_are_the_least_powers_at_the_identity(spec):
@@ -169,6 +192,22 @@ def test_s3_classes_match_example(s3):
     assert s3.element_name(classes[0].rep) == "e"
     assert s3.element_name(classes[1].rep) == "(0 1)"
     assert s3.element_name(classes[2].rep) == "(0 1 2)"
+
+
+@pytest.mark.parametrize("spec", ["perm:(0 99999)", "D4", "S4"])
+def test_singleton_classes_take_their_member_as_u0(spec, monkeypatch):
+    # with a table, u0 of a class of one element is that element, found
+    # without a cycle form; larger classes take their least cycle form
+    g = parse_group(spec)
+    assert g._table is not None
+    formed = []
+    monkeypatch.setattr(groups, "_cycles_of",
+                        lambda images: formed.append(len(images)) or _cycles_of(images))
+    classes = conjugacy_classes(g)
+    assert len(formed) == sum(c.size for c in classes if c.size > 1)
+    rows = rows_of(g)
+    for c in classes:
+        assert c.rep == min(c.elements, key=lambda e: _cycles_of(rows[e]))
 
 
 @pytest.mark.parametrize("spec", ["S7", "A7", "perm:(0 1 2 3 4 5 6);(0 1 2)", "Z(e) of S7"])

@@ -1,9 +1,16 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from math import isqrt
 
 import numpy as np
 import pytest
 
+import quiverhopf
 from quiverhopf import linalg
+from quiverhopf.modrep import _is_prime
 
 
 def random_matrix(rng, rows, cols, p):
@@ -282,3 +289,75 @@ def test_panel_clears_only_the_rows_it_touches(monkeypatch):
     assert len(pivots) == 300
     assert cleared and max(cleared) <= 150
     assert np.array_equal(got, _kernel_rref(a, p)[0])
+
+
+def _seam_primes(inner):
+    """The largest prime p with (p-1)^2 * inner < 2^53, where matmul's
+    float64 products are exact, and the least prime past it."""
+    below = above = isqrt((2 ** 53 - 1) // inner) + 1
+    while not _is_prime(below):
+        below -= 1
+    above += 1
+    while not _is_prime(above):
+        above += 1
+    return below, above
+
+
+# operand shapes, 0 standing for the inner dimension: 2-D, stacked and
+# broadcast, and the 3-D by 4-D and 5-D ones of the Nichols engine in yd
+SEAM_SHAPES = [((3, 0), (0, 4)), ((2, 3, 0), (0, 4)), ((2, 3, 0), (2, 0, 4)),
+               ((3, 3, 0), (2, 3, 0, 5)), ((2, 3, 3, 0), (2, 3, 0, 5)),
+               ((2, 3, 2, 2, 0), (2, 3, 2, 0, 3))]
+
+
+@pytest.mark.parametrize("inner", [1, 7, 64, 300])
+def test_products_at_the_float64_seam_equal_python_integers(inner, monkeypatch):
+    # entries within 2 of p - 1 put most sums past 2^53 above the seam, odd
+    # and even, so a float64 product taken there would round them; every
+    # product below the seam takes float64, however small
+    monkeypatch.setattr(linalg, "_BLAS_MACS", 0)
+    rng = np.random.default_rng(inner)
+    below, above = _seam_primes(inner)
+    assert linalg._exact_in_float(inner, below)
+    assert not linalg._exact_in_float(inner, above)
+    for p in (below, above):
+        for sa, sb in SEAM_SHAPES:
+            a = p - 1 - rng.integers(0, 3, [n or inner for n in sa])
+            b = p - 1 - rng.integers(0, 3, [n or inner for n in sb])
+            want = (a.astype(object) @ b.astype(object)) % p
+            got = linalg.matmul(a, b, p)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want.astype(np.int64))
+        m = p - 1 - rng.integers(0, 3, (5, inner))
+        n = p - 1 - rng.integers(0, 3, (inner, 6))
+        want = (m.astype(object) @ n.astype(object)) % p
+        assert np.array_equal(linalg._product(m, n, p), want.astype(np.int64))
+
+
+def _blas_threads(preset):
+    """OPENBLAS_NUM_THREADS when numpy is first imported and after `import
+    quiverhopf`, in a fresh interpreter whose environment sets it to preset
+    (None: unset)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(pathlib.Path(quiverhopf.__file__).parents[1])
+    probe = """
+import builtins, os
+real, seen = builtins.__import__, []
+def spy(name, *args, **kwargs):
+    if name == "numpy" and not seen:
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+    return real(name, *args, **kwargs)
+builtins.__import__ = spy
+import quiverhopf
+print(seen[0], os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return done.stdout.split()
+
+
+def test_import_sets_one_blas_thread_unless_the_caller_chose():
+    assert _blas_threads(None) == ["1", "1"]
+    assert _blas_threads("2") == ["2", "2"]
