@@ -9,13 +9,22 @@ array of image rows, and derives everything else from it as index arrays.
 Elements are image rows only: parse_cycle_string validates a user's cycle
 notation into a row, the named groups are built as rows, cycle_string names one.
 
+A row is found by one binary search on its key (_keys): up to degree 16
+its points packed into one uint64, past it the row's bytes.  A parsed group
+is built once (_generated): one breadth-first search over its generators
+reaches every element, and that search is also the group's word tree on
+those generators (Group.words) and the order in which its multiplication
+table is filled.
+
 Element orders, and the conjugacy classes of a group without a
 multiplication table, come from whole-array passes: pointer doubling on
-the image rows finds the least point and length of every cycle;
-conjugation by each generator is one gather and one lookup of all rows,
-whose orbits are the classes; and the class representatives come from one
-lexsort of canonical cycle forms.  A group with a table scans its classes
-one `conjugates` at a time instead (see conjugacy_classes).
+the image rows finds the least point and length of every cycle, in no more
+rounds than the rows' moved points need; conjugation by each generator is
+one gather and one lookup of all rows, whose orbits are the classes; and
+the class representatives come from one lexsort of canonical cycle forms.
+A group with a table scans its classes one `conjugates` at a time instead
+(see conjugacy_classes).  cycle_string walks a row that fixes most of its
+points over the moved ones alone.
 
 Malformed input raises InputError; work over a budget raises its subclass
 BudgetError, here ORDER_CAP, ROW_CELLS_CAP and AUT_BUDGET, downstream
@@ -30,7 +39,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,27 +77,44 @@ _PRODUCT_CHUNK = 1 << 14
 _CYCLE_CELLS = 1 << 13
 # candidate automorphisms are extended and checked this many cells at a time
 _AUT_BLOCK = 1 << 18
+# rows of up to this many points are keyed by one uint64: bits(n - 1) <= 4
+# bits a point, n of them
+_PACKED_DEGREE = 16
 
 
-def _cycles_of(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * len(images)
+def _cycles_of(images: Sequence[int] | dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The moved cycles of an image row, each from its least point, by least
+    point.  images holds the image of every point, as a sequence, or of the
+    moved points alone, as a dict in ascending order.  The walk marks each
+    point it visits fixed, in a copy."""
+    if isinstance(images, dict):
+        left, starts = dict(images), list(images)
+    else:
+        left, starts = list(images), range(len(images))
     out = []
-    for start in range(len(images)):
-        if seen[start] or images[start] == start:
+    for start in starts:
+        x = left[start]
+        if x == start:
             continue
-        cyc, x = [start], images[start]
+        cyc = [start]
+        left[start] = start
         while x != start:
             cyc.append(x)
-            seen[x] = True
-            x = images[x]
+            left[x], x = x, left[x]
         out.append(tuple(cyc))
     return tuple(out)
 
 
 def cycle_string(images: Sequence[int]) -> str:
     """Cycle notation of an image row: its moved cycles, each from its least
-    point, by least point; "e" for the identity."""
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in _cycles_of(images)) or "e"
+    point, by least point; "e" for the identity.  A row that fixes most of
+    its points is walked over the moved ones alone."""
+    row = np.asarray(images)
+    moved = np.flatnonzero(row != np.arange(row.size))
+    walk = (row.tolist() if 2 * moved.size > row.size
+            else dict(zip(moved.tolist(), row[moved].tolist())))
+    # a cycle's tuple repr without its commas is its notation: "(0, 1)" -> "(0 1)"
+    return "".join(repr(c).replace(",", "") for c in _cycles_of(walk)) or "e"
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -121,8 +147,21 @@ def parse_cycle_string(text: str, degree: int) -> np.ndarray:
     return images
 
 
+@lru_cache(maxsize=_PACKED_DEGREE)
+def _key_weights(n: int) -> np.ndarray:
+    # 2^(b * (n - 1 - i)) at point i of n <= _PACKED_DEGREE, b = bits(n - 1)
+    bits = max(1, (n - 1).bit_length())
+    weights = np.uint64(1) << np.arange(bits * (n - 1), -1, -bits, dtype=np.uint64)
+    weights.flags.writeable = False
+    return weights
+
+
 def _keys(rows: np.ndarray) -> np.ndarray:
-    # one void scalar per image row; bytewise order is tuple order
+    """One key per image row of n points, ordered like the row's tuple: up
+    to _PACKED_DEGREE points, the points packed into one uint64, bits(n - 1)
+    bits each; past it, the row's big-endian bytes as one void scalar."""
+    if rows.shape[-1] <= _PACKED_DEGREE:
+        return rows @ _key_weights(rows.shape[-1])
     rows = np.ascontiguousarray(rows)
     width = np.dtype((np.void, rows.dtype.itemsize * rows.shape[-1]))
     return rows.view(width).reshape(rows.shape[:-1])
@@ -132,12 +171,16 @@ def _cycles(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pointer doubling on image rows (c, n) as one flat successor array:
     the array, the flat index of each point's least cycle point, and each
     cycle's length at its least point (0 elsewhere).  Round k takes the
-    least point within 2^k steps ahead, so ceil(log2 n) rounds of gathers
-    cover every cycle."""
+    least point within 2^k steps ahead, so ceil(log2 m) rounds of gathers
+    cover every cycle, m the longest a cycle can be: n, or the number of
+    points the rows move if that is less (one round for a transposition on
+    2^24 points)."""
     c, n = rows.shape
-    succ = (rows.astype(np.intp) + np.arange(0, c * n, n)[:, None]).reshape(-1)
-    least, jump = np.arange(c * n), succ
-    for _ in range((n - 1).bit_length()):
+    least = np.arange(c * n)
+    succ = (rows.astype(np.intp) + least[::n, None]).reshape(-1)
+    longest = min(n, int(np.count_nonzero(succ != least)))
+    jump = succ
+    for _ in range((longest - 1).bit_length()):
         np.minimum(least, least[jump], out=least)
         jump = jump[jump]
     return succ, least, np.bincount(least, minlength=c * n)
@@ -192,32 +235,45 @@ def _generated(degree: int, generators: np.ndarray,
     breadth-first on image rows, one word length at a time, within
     ORDER_CAP and ROW_CELLS_CAP; the rows a word length reaches, the
     generators times the rows of the level before, are checked against
-    ROW_CELLS_CAP before they are built.  Element orders come from _orders,
-    _CYCLE_CELLS at a time.  Up to order _TABLE_CAP its table is built
-    along the word tree of the search: the generators' rows by lookup, and
-    the row of x*s as the gather T[x*s][b] = T[x][T[s][b]], one
-    take_along_axis per word length."""
+    ROW_CELLS_CAP before they are built.  A level's new rows are the first
+    of each key (_keys) not seen before, in the order an element-major scan
+    meets them.  This search is the word tree of the generators: it is kept
+    on the group as `_search`, and Group.words reads it on first use.
+    Element orders come from _orders, _CYCLE_CELLS at a time.  Up to order
+    _TABLE_CAP the table is built along the tree: the generators' rows by
+    lookup, then each row of x*s as the column gather T[x*s] = T[x][:, T[s]],
+    one per word length and generator."""
     width = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
     gens = np.asarray(generators, dtype=width)
     # the search numbers the elements as it reaches them, x = prev[x] * gens[pos[x]]
     levels, prev, pos = [np.arange(degree, dtype=width)[None, :]], [[-1]], [[-1]]
     seen = set(_keys(levels[0]).tolist())
+    ends = [1]      # the search number past each level
     while len(levels[-1]):
         _check_row_cells(len(gens) * len(levels[-1]), degree)
-        # (x*s)(i) = s(x(i)) for every x of the level and s of gens, x-major
-        reached = np.swapaxes(gens[:, levels[-1]], 0, 1).reshape(-1, degree)
-        keys, first = np.unique(_keys(reached), return_index=True)
-        first = np.sort(first[[k not in seen for k in keys.tolist()]])
-        prev.append(len(seen) - len(levels[-1]) + first // len(gens))
-        pos.append(first % len(gens))
-        levels.append(reached[first])
-        seen.update(_keys(levels[-1]).tolist())
+        # reached[s, x] = x*s, (x*s)(i) = s(x(i)); keys taken x-major
+        reached = gens[:, levels[-1]]
+        keys = _keys(reached).T.reshape(-1)
+        found, first = np.unique(keys, return_index=True)
+        first = np.sort(first[np.array([k not in seen for k in found.tolist()], dtype=bool)])
+        x, s = np.divmod(first, len(gens))
+        prev.append(len(seen) - len(levels[-1]) + x)
+        pos.append(s)
+        levels.append(reached[s, x])
+        seen.update(keys[first].tolist())
+        ends.append(len(seen))
         if len(seen) > ORDER_CAP:
             raise BudgetError(f"group order exceeds cap {ORDER_CAP}")
         _check_row_cells(len(seen), degree)
     rows = np.concatenate(levels, dtype=width)
     by_key = np.argsort(_keys(rows))
     g = Group(rows[by_key], name=name, spec=spec, generators=gens)
+    index = np.empty(g.order, dtype=np.intp)     # search number -> element index
+    index[by_key] = np.arange(g.order)
+    at = g._lookup(gens)
+    ends = np.array(ends[:-1])
+    g.caches["generators"] = at.tolist()
+    g._search = index, np.concatenate(prev), np.concatenate(pos), ends
     inverse_images = np.empty_like(g.perms)
     np.put_along_axis(inverse_images, g.perms, np.arange(degree, dtype=width)[None, :],
                       axis=1)
@@ -226,17 +282,20 @@ def _generated(degree: int, generators: np.ndarray,
     g.orders = np.concatenate([_orders(g.perms[lo:lo + step])
                                for lo in range(0, g.order, step)])
     if g.order <= _TABLE_CAP:
-        index = np.argsort(by_key)      # search number -> element index
-        prev, pos = np.concatenate(prev), np.concatenate(pos)
         table = np.empty((g.order, g.order), dtype=np.int32)
         table[0] = np.arange(g.order)
         # (s*b)(i) = b(s(i)): a generator's row gathers every row at s
-        at = g._lookup(gens)
         table[at] = g._lookup(np.swapaxes(g.perms[:, gens], 0, 1))
-        ends = np.cumsum([len(level) for level in levels])
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            table[index[lo:hi]] = np.take_along_axis(
-                table[index[prev[lo:hi]]], table[at[pos[lo:hi]]], axis=1)
+        # level 1 holds the generators other than e; the search numbers of
+        # the later levels go in blocks of one word length and generator
+        _, parent, gen, _ = g._search
+        lo = ends[min(1, len(ends) - 1)]
+        block = np.repeat(np.arange(len(ends) - 2), np.diff(ends[1:])) * len(gens) + gen[lo:]
+        by_block = lo + np.argsort(block, kind="stable")
+        for part in np.split(by_block, np.flatnonzero(np.diff(block[by_block - lo])) + 1):
+            if part.size:
+                table[index[part]] = table[index[parent[part]][:, None],
+                                           table[at[gen[part[0]]]]]
         g._table = table
     return g
 
@@ -245,18 +304,22 @@ class Group:
     """A fully enumerated permutation group, held as index arrays.
 
     `perms` holds the elements once: their image rows, sorted, as big-endian
-    uint16 (uint32 past degree 65536), so the bytes of a row compare like
-    its tuple and `_lookup` finds rows by one binary search.  `inverses`
-    and `orders` are arrays over the elements.  `products(a, b)` multiplies
-    broadcast index arrays from the dense table, kept up to order
-    _TABLE_CAP (2048), and otherwise composes image rows and looks them up.
-    The table also picks the route of `conjugacy_classes`: with it, one
-    `conjugates` scan per class; without it (S7, A7, C5040), the orbits of
-    conjugation by the generators, each one lookup of every row.
+    uint16 (uint32 past degree 65536).  `_keys` holds one key per row in
+    the same order, and `_lookup` finds rows by one binary search on it: up
+    to degree 16 the row's points packed into one uint64, bits(degree - 1)
+    bits each, past it the row's bytes as one void scalar; either compares
+    like the row's tuple.  `inverses` and `orders` are arrays over the
+    elements.  `products(a, b)` multiplies broadcast index arrays from the
+    dense table, kept up to order _TABLE_CAP (2048), and otherwise composes
+    image rows and looks them up.  The table also picks the route of
+    `conjugacy_classes`: with it, one `conjugates` scan per class; without
+    it (S7, A7, C5040), the orbits of conjugation by the generators, each
+    one lookup of every row.
     Two constructors fill inverses, orders and table: `_generated` closes
     the read-only (k, degree) array `generators` of a parsed group (other
-    groups have k = 0), and `centralizer_subgroup` restricts its ambient
-    group's.  Derived data (classes, the generating sequence and the
+    groups have k = 0) and keeps its search as the word tree of those
+    generators, and `centralizer_subgroup` restricts its ambient group's.
+    Derived data (classes, the generating sequence and the
     `caches` dict other modules fill) is computed on first use without
     locks: not thread-safe.
     """
@@ -275,6 +338,10 @@ class Group:
         self._classes: Optional[list[ConjClassCtx]] = None
         self._class_of: Optional[np.ndarray] = None
         self._gens: Optional[list[int]] = None
+        # set by _generated: its search over the parsed generators, as the
+        # element index of each search number, prev and pos by search number
+        # (x = prev[x] * gens[pos[x]]) and the search number past each level
+        self._search: Optional[tuple] = None
         self.caches: dict = {}
         # set by centralizer_subgroup: embed[i] is the ambient index of
         # element i, local[x] the element index of ambient x (-1 off the
@@ -336,7 +403,7 @@ class Group:
         return self.mul(self.mul(self.inv(h), a), h)
 
     def element_name(self, a: int) -> str:
-        return cycle_string(self.perms[a].tolist())
+        return cycle_string(self.perms[a])
 
     def find(self, images: Sequence[int]) -> int:
         """The element index of an image row, any sequence of points; else
@@ -348,7 +415,7 @@ class Group:
                 return a
         if row.ndim != 1 or (np.sort(row) != np.arange(row.size)).any():
             raise InputError(f"not a permutation: {row.tolist()}")
-        raise InputError(f"{cycle_string(row.tolist())} is not in the group")
+        raise InputError(f"{cycle_string(row)} is not in the group")
 
     def commutes_with(self, a: int) -> np.ndarray:
         """Boolean mask of the elements h with h*a == a*h."""
@@ -392,25 +459,33 @@ class Group:
         indices): x = prev[x] * gens[pos[x]] (-1 at e and off the subgroup
         gens generate), and the levels: the elements first reached at each
         word length, in the order a scan of the previous level times each
-        generator in turn meets them (level 0 is [0]).  Built once per
-        tuple of generators and kept in `caches`, read-only."""
+        generator in turn meets them (level 0 is [0]).  On a parsed group's
+        generators this is the closure's own search, renumbered; any other
+        tuple takes a search of its own.  Built once per tuple of generators
+        and kept in `caches`, read-only."""
         key = ("words", tuple(int(s) for s in gens))
         if key in self.caches:
             return self.caches[key]
-        gens = np.asarray(gens, dtype=np.intp)
         prev = np.full(self.order, -1)
         pos = np.full(self.order, -1)
-        levels = [np.zeros(1, dtype=np.intp)]
-        while gens.size:
-            reached = self.products(levels[-1][:, None], gens[None, :]).reshape(-1)
-            new, first = np.unique(reached, return_index=True)
-            first = np.sort(first[(pos[new] == -1) & (new != 0)])
-            if not first.size:
-                break
-            new = reached[first]
-            prev[new] = levels[-1][first // gens.size]
-            pos[new] = first % gens.size
-            levels.append(new)
+        if self._search is not None and list(key[1]) == self.generator_indices():
+            index, prev_s, pos_s, ends = self._search
+            prev[index[1:]] = index[prev_s[1:]]
+            pos[index[1:]] = pos_s[1:]
+            levels = np.split(index, ends[:-1])
+        else:
+            gens = np.asarray(gens, dtype=np.intp)
+            levels = [np.zeros(1, dtype=np.intp)]
+            while gens.size:
+                reached = self.products(levels[-1][:, None], gens[None, :]).reshape(-1)
+                new, first = np.unique(reached, return_index=True)
+                first = np.sort(first[(pos[new] == -1) & (new != 0)])
+                if not first.size:
+                    break
+                new = reached[first]
+                prev[new] = levels[-1][first // gens.size]
+                pos[new] = first % gens.size
+                levels.append(new)
         for a in (prev, pos, *levels):
             a.flags.writeable = False
         self.caches[key] = prev, pos, levels

@@ -24,7 +24,14 @@ the rref basis, with no further elimination: an endomorphism is one
 (|G|, m) gather of its coefficients and one m x |G| x m product, with no
 |G| x |G| operator, once the span is checked closed under right
 multiplication by generators.  An irrep is one (|G|, d, d) stack, filled
-one word length at a time along the spanning tree of Group.words.
+one word length at a time along the spanning tree of Group.words on
+Group.generator_indices: for a parsed group its own generators, whose tree
+the closure already built (S6: 2 generators, against 5 in the greedy
+generating sequence, each of those a breadth-first search).  A homomorphism
+is fixed by its images of any generating set, so the stack does not depend
+on which.  The verifiers (yd, bimodule) keep the greedy
+Group.generating_sequence, because the `checked` counts they report follow
+its length.
 """
 
 from __future__ import annotations
@@ -406,7 +413,7 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
 
     # matrices on generators read at the pivots of the submodule basis, then
     # one product per word level along the spanning tree of Group.words
-    gens = g.generating_sequence()
+    gens = g.generator_indices()
     every = np.arange(g.order)
     gen_mats = np.zeros((len(gens), d, d), dtype=np.int64)
     for i, h in enumerate(gens):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -477,6 +478,79 @@ def test_word_tree_is_built_once_per_generator_tuple():
     tree = g.words(gens)
     assert g.words(list(gens)) is tree
     assert not any(a.flags.writeable for a in (tree[0], tree[1], *tree[2]))
+
+
+def fresh_words(g, gens):
+    """Independent oracle: a breadth-first search on the words in gens that
+    takes the products of each level with every generator and keeps each
+    element where a scan, element-major, first meets it."""
+    prev, pos, levels, seen = [-1] * g.order, [-1] * g.order, [[0]], {0}
+    while True:
+        grid = g.products(np.array(levels[-1])[:, None], np.array(gens)[None, :])
+        level = []
+        for x, row in zip(levels[-1], grid.tolist()):
+            for i, y in enumerate(row):
+                if y not in seen:
+                    seen.add(y)
+                    prev[y], pos[y] = x, i
+                    level.append(y)
+        if not level:
+            return prev, pos, levels
+        levels.append(level)
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"S{n}" for n in range(1, 8)), *(f"A{n}" for n in range(4, 8)),
+    "C1", "C6", "C12", "C5040", "D4", "D8", "Q8", "S3xC2", "C4xC6xS3", "S1xS2",
+    # a repeated generator, and one that is e on the points S3 acts on
+    "perm:(0 1);(0 1)", "perm:(0 1 2)(3 4);(0 1)",
+])
+def test_closure_search_is_the_word_tree_of_the_parsed_generators(spec, monkeypatch):
+    g = parse_group(spec)
+    gens = g.generator_indices()
+    calls = []
+    products = Group.products
+    monkeypatch.setattr(Group, "products",
+                        lambda self, a, b: calls.append(1) or products(self, a, b))
+    prev, pos, levels = g.words(gens)
+    assert calls == []
+    monkeypatch.undo()
+    assert (prev.tolist(), pos.tolist(), [level.tolist() for level in levels]) == \
+        fresh_words(g, gens)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 15, 16, 17])
+def test_key_order_is_tuple_order(degree):
+    # rows of up to 16 points pack into one uint64, wider ones are bytes
+    rng = np.random.default_rng(degree)
+    rows = np.concatenate([rng.integers(0, degree, (100, degree)),
+                           [rng.permutation(degree) for _ in range(100)]]).astype(">u2")
+    keys = groups._keys(rows)
+    assert (keys.dtype == np.uint64) == (degree <= 16)
+    tuples = [tuple(r) for r in rows.tolist()]
+    assert [tuples[i] for i in np.argsort(keys, kind="stable")] == sorted(tuples)
+    assert len(np.unique(keys)) == len(set(tuples))
+
+
+@pytest.mark.parametrize("spec", ["C16", "C17"])
+def test_find_on_both_key_paths(spec):
+    g = parse_group(spec)
+    assert [g.find(row) for row in g.perms] == list(range(g.order))
+    assert g.find(list(range(g.degree))) == 0
+    with pytest.raises(InputError, match="is not in the group"):
+        g.find(groups.parse_cycle_string("(0 1)", g.degree))
+
+
+@pytest.mark.parametrize("spec, images", [
+    ("S4", (0, 1, 2, 7)), ("S4", (0, 1, 2, 65535)), ("S4", (0, 1, 2, -1)),
+    # 6 overflows its 2-bit field into the next: the row's key is the
+    # identity's, 0*64 + 1*16 + 2*4 + 3
+    ("S4", (0, 0, 6, 3)),
+    ("C16", tuple(range(15)) + (16,)), ("C17", tuple(range(16)) + (65535,)),
+])
+def test_find_refuses_a_point_past_its_key_field(spec, images):
+    with pytest.raises(InputError, match=re.escape(f"not a permutation: {list(images)}")):
+        parse_group(spec).find(images)
 
 
 def test_exponent(s3, s4):

@@ -419,6 +419,25 @@ def test_s6_irreps_at_seeds_bit_identical(degree, seed):
 S7_IRREP6_SHA256 = "119d63103e5d385ad1a4bf1dea85bc26767eddf5f64022b196849e5a18b39093"
 
 
+# one SHA-256 over the character table and every irrep at seeds 0 and 3 of
+# each group below, frozen before the irreps were filled along the parsed
+# generators instead of the greedy generating sequence
+TABLES_AND_IRREPS_SHA256 = "4ca6a81f0f18dcc0a42c738ed83d9919cf61f176e04f57d17f0ecad3cb23a3bb"
+
+
+def test_tables_and_irreps_bit_identical():
+    digest = hashlib.sha256()
+    for spec in ("S3", "S4", "D4", "Q8", "A4", "S3xC2", "A5", "S5", "S6"):
+        g = parse_group(spec)
+        f = choose_prime(g)
+        table = group_table(g, f)
+        digest.update(repr((spec, table.p, table.degrees, table.rows)).encode())
+        for seed in (0, 3):
+            for i in range(table.nchars):
+                digest.update(irrep_matrices(g, f, i, seed=seed).matrices.tobytes())
+    assert digest.hexdigest() == TABLES_AND_IRREPS_SHA256
+
+
 def test_s7_degree_six_irrep_from_two_idempotent_blocks(monkeypatch):
     calls = []
     extend = linalg.extend
