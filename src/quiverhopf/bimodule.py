@@ -6,9 +6,10 @@ a^{(i,j)}_{y,x} . h = sum_s rho^{(i)}(zeta_theta(h))[j,s] a^{(i,s)}_{yh,xh},
 where theta is the coset index of x^-1 y and zeta the centralizer factor of
 g_theta h: x goes to xh, and the local arrows by a block map independent of
 x.  Per class, the zeta and theta' tables are array expressions over all
-(theta, h), and the blocks, which depend only on (class, slot, zeta), are
-one (|Z|, d, d) stack per slot, put on arrows by `right_terms` alone, for
-`right_stack`, T[1] and the YD grading check.  The verifier checks every axiom
+(theta, h), theta' read off the conjugation row Group.conjugates(u), and
+the blocks, which depend only on (class, slot, zeta), are one (|Z|, d, d)
+stack per slot, put on arrows by `right_terms` alone, for `right_stack`,
+T[1] and the YD grading check.  The verifier checks every axiom
 completely: left-associativity as each left action being a translation,
 right-associativity on the pairs (g, s) with s a generator, which covers
 every pair (the lemma of `Group.generating_sequence`), the other checks on
@@ -116,7 +117,7 @@ class HopfBimodule:
             # g_theta h = zeta g_theta' with theta' the coset of
             # (g_theta h)^-1 u (g_theta h), over every (theta, h) at once
             w = g.products(t[:, None], every[None, :])
-            self.tp[cls] = tp = theta_at[g.products(g.products(g.inverses[w], u), w)]
+            self.tp[cls] = tp = theta_at[g.conjugates(u)[w]]
             self.zl[cls] = z.local[g.products(w, g.inverses[t[tp]])]
             for slot in range(len(rsr.irreps[cls])):
                 self.blocks[(cls, slot)] = rsr.irrep(cls, slot).matrices.copy()
@@ -275,7 +276,7 @@ def verify_bimodule(m: HopfBimodule) -> Report:
     per_h = [np.zeros((g.order, 0), dtype=bool)]
     for cls in support:
         t, tp = np.asarray(m.transversal[cls]), m.tp[cls]
-        c = g.products(g.products(g.inverses[t], m.rsr.u[cls]), t)
+        c = g.conjugates(m.rsr.u[cls])[t]
         consistent[m.cls == cls] = m.elem[m.cls == cls] == c[m.theta[m.cls == cls]]
         zeta = m.rsr.centralizer(cls).embed[m.zl[cls]]
         per_h.append((g.products(t[:, None], every) == g.products(zeta, t[tp])).T)

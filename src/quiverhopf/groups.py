@@ -26,6 +26,10 @@ A group with a table scans its classes one `conjugates` at a time instead
 (see conjugacy_classes).  cycle_string walks a row that fixes most of its
 points over the moved ones alone.
 
+Conjugation of one element by every h is Group.conjugates, the row
+h -> h^-1 a h, read by centralizers, transversals, Inn-cosets, rsr's
+conjugators and the bimodule's theta' tables; by one h it is Group.conj.
+
 Malformed input raises InputError; work over a budget raises its subclass
 BudgetError, here ORDER_CAP, ROW_CELLS_CAP and AUT_BUDGET, downstream
 rsr.TYPE_CAP, rsr.RAM_CAP, yd.CELL_CAP and typeone.PATH_CAP.  Aut G is
@@ -311,10 +315,10 @@ class Group:
     like the row's tuple.  `inverses` and `orders` are arrays over the
     elements.  `products(a, b)` multiplies broadcast index arrays from the
     dense table, kept up to order _TABLE_CAP (2048), and otherwise composes
-    image rows and looks them up.  The table also picks the route of
-    `conjugacy_classes`: with it, one `conjugates` scan per class; without
-    it (S7, A7, C5040), the orbits of conjugation by the generators, each
-    one lookup of every row.
+    image rows and looks them up.  `conjugates(a)` is the row h^-1 a h over
+    every h.  The table also picks the route of `conjugacy_classes`: with
+    it, one `conjugates` scan per class; without it (S7, A7, C5040), the
+    orbits of conjugation by the generators, each one lookup of every row.
     Two constructors fill inverses, orders and table: `_generated` closes
     the read-only (k, degree) array `generators` of a parsed group (other
     groups have k = 0) and keeps its search as the word tree of those
@@ -382,7 +386,7 @@ class Group:
         (h^-1 a h)(x) = h(a(h^-1(x))), and one lookup."""
         every = np.arange(self.order)
         if self._table is not None:
-            return self.products(self.products(self.inverses, a), every)
+            return self._table[self._table[self.inverses, a], every]
         out = np.empty(self.order, dtype=np.intp)
         image = self.perms[a]
         for lo in range(0, self.order, _PRODUCT_CHUNK):
@@ -417,11 +421,6 @@ class Group:
             raise InputError(f"not a permutation: {row.tolist()}")
         raise InputError(f"{cycle_string(row)} is not in the group")
 
-    def commutes_with(self, a: int) -> np.ndarray:
-        """Boolean mask of the elements h with h*a == a*h."""
-        every = np.arange(self.order)
-        return self.products(every, a) == self.products(a, every)
-
     def generating_sequence(self) -> list[int]:
         """Greedy generating sequence: each element, in canonical order,
         that the earlier ones do not generate.  Maps defined on generators
@@ -445,13 +444,12 @@ class Group:
         return self._gens
 
     def generator_indices(self) -> list[int]:
-        """The element indices of the parsed generators, else the greedy
-        generating sequence: the generators `automorphisms`,
-        `outer_representatives` and modrep's right-ideal check extend maps
-        along.  Found once per group and kept in `caches`."""
+        """The element indices of the parsed generators, which _generated
+        keeps in `caches`, else the greedy generating sequence: the
+        generators `automorphisms`, `outer_representatives` and modrep's
+        right-ideal check extend maps along."""
         if "generators" not in self.caches:
-            self.caches["generators"] = (self._lookup(self.generators).tolist()
-                                         or self.generating_sequence())
+            self.caches["generators"] = self.generating_sequence()
         return self.caches["generators"]
 
     def words(self, gens: Sequence[int]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -618,7 +616,7 @@ def centralizer_subgroup(g: Group, ctx_or_elt) -> Group:
     key = ("centralizer", elt)
     if key in g.caches:
         return g.caches[key]
-    members = np.flatnonzero(g.commutes_with(elt))
+    members = np.flatnonzero(g.conjugates(elt) == elt)
     sub = Group(g.perms[members], name=f"Z({g.element_name(elt)})")
     sub.embed = members
     sub.local = np.full(g.order, -1, dtype=np.intp)
@@ -697,11 +695,10 @@ def outer_representatives(g: Group) -> list[np.ndarray]:
             auts = np.arange(g.order)[None, :]
         gens = g.generator_indices()
         reps, seen = [], set()
-        every = np.arange(g.order)[:, None]
         for images in auts:
             if tuple(images[gens].tolist()) not in seen:
                 reps.append(images)
-                conj = g.products(g.products(g.inverses[every], images[gens]), every)
+                conj = np.stack([g.conjugates(x) for x in images[gens]], axis=1)
                 seen.update(map(tuple, conj.tolist()))
         g.caches["outer"] = reps
     return g.caches["outer"]
@@ -792,6 +789,8 @@ def parse_group(spec: str) -> Group:
         gens = np.array([parse_cycle_string(p, degree) for p in parts])
         return _generated(degree, gens, spec=spec)
     tokens = re.split(r"\s*[xX]\s*(?![^()]*\))", spec)
+    if not all(tokens):
+        raise InputError(f"empty factor in group spec {spec!r}")
     factors = [_named_factor(t) for t in tokens]
     degree = sum(f[1] for f in factors)
     _check_row_cells(sum(f[2] for f in factors), degree)

@@ -15,8 +15,9 @@ twist_rsr, rsr_type and rsr_key all move characters between centralizers
 along ambient maps z -> h phi(z) h^-1 by character maps (_char_map), each
 built once per group, prime and map and kept in Group.caches.  A type reads
 a plan kept there per prime, ramified (class, u) pairs and phi (_plan): the
-conjugators and maps of every class, so typing an RSR is one list lookup
-per ramified character, with no conjugate search and no table search.
+conjugators and maps of every class, each conjugator the first h where the
+row Group.conjugates(u) meets its target, so typing an RSR is one list
+lookup per ramified character, with no conjugate search and no table search.
 """
 
 from __future__ import annotations
@@ -193,11 +194,6 @@ def twist_rsr(rsr: RSR, conjugators: dict[int, int]) -> RSR:
     return RSR(g, rsr.field, rsr.ram, new_u, new_irreps, seed=rsr.seed)
 
 
-def _first_conjugator(g: Group, a: int, target: int) -> int:
-    """The first h in canonical order with h^-1 a h = target."""
-    return int(np.flatnonzero(g.conjugates(a) == target)[0])
-
-
 def _plan(rsr: RSR, phi: Optional[np.ndarray] = None
           ) -> list[tuple[int, int, list[int], int]]:
     """How every RSR with rsr's prime and ramified (class, u) pairs is typed
@@ -214,7 +210,7 @@ def _plan(rsr: RSR, phi: Optional[np.ndarray] = None
             target = c.rep if phi is None else int(phi[c.rep])
             cls = class_of(g, target)
             if cls in rsr.irreps:
-                h = _first_conjugator(g, rsr.u[cls], target)
+                h = int(np.argmax(g.conjugates(rsr.u[cls]) == target))
                 plan.append((c.class_index, cls,
                              _char_map(g, rsr.field, rsr.u[cls], c.rep, h, phi),
                              group_table(centralizer_subgroup(g, c.rep),

@@ -207,7 +207,8 @@ def test_criterion_5_transversal_change():
         rep = conjugacy_classes(g)[1].rep
         t1 = {1: list(coset_transversal(g, rep)[0])}
         t2 = {1: list(t1[1])}
-        z_nontrivial = np.flatnonzero(g.commutes_with(rep))[1]
+        every = np.arange(g.order)
+        z_nontrivial = np.flatnonzero(g.products(every, rep) == g.products(rep, every))[1]
         t2[1][1] = g.mul(z_nontrivial, t2[1][1])
         t2[1][2] = g.mul(z_nontrivial, t2[1][2])
         fmap = transversal_iso(rsr, t1, t2)

@@ -206,6 +206,13 @@ def test_csv_output(capsys):
     assert out.splitlines()[1].startswith("1,")
 
 
+def test_csv_of_the_zero_ramification(capsys):
+    # the one type of the zero ramification has no class and no multiplicities
+    code, out, _ = run_cli(capsys, "rsr-enumerate", "--group", "S3", "--ram", "",
+                           "--format", "csv")
+    assert (code, out) == (0, "type_index,class,multiplicities\n0,,\n")
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "group-info", "--group", "S3",
@@ -251,6 +258,18 @@ def test_rsr_file_input(capsys, tmp_path):
 def test_missing_rsr_file(capsys):
     code, _, err = run_cli(capsys, "nichols-dims", "--rsr", "/nonexistent.json")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"u": [{"class": 9, "rep": "(0 1)"}], "rho": [{"class": 1, "irreps": [0]}]},
+     "class index 9 out of range"),
+    ({"rho": [{"class": 1, "irreps": [2]}]}, "character index 2 out of range"),
+])
+def test_rsr_file_indices_out_of_range_exit_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "rsr.json"
+    path.write_text(json.dumps({"group": "S3", "prime": 13, **doc}))
+    code, out, err = run_cli(capsys, "bimodule-verify", "--rsr", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_rsr_iso_prime_mismatch(capsys, tmp_path):
@@ -435,6 +454,19 @@ def test_a_point_in_two_cycles_exits_2(capsys, argv):
     assert "given twice" in lines[0]
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("D2", "dihedral groups need n >= 3"),
+    ("S0", "bad group size in 'S0'"),
+    ("perm:;", "empty generator list"),
+    *[(spec, f"empty factor in group spec {spec!r}")
+      for spec in ("S3x", "xS3", "S3xxS3", "C2X", "X5")],
+])
+def test_malformed_group_specs_are_one_error_line(capsys, spec, message):
+    # an empty product factor names the whole spec, not an empty name
+    code, out, err = run_cli(capsys, "group-info", "--group", spec)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["group-info", "--help"])
@@ -454,6 +486,15 @@ def test_rsr_iso_search_aut_on_s7(capsys, tmp_path):
     code, out, err = run_cli(capsys, "rsr-iso", str(pa), str(pb), "--mode", "search-aut")
     assert (code, err) == (0, "")
     assert json.loads(out)["isomorphic"] is True
+
+
+def test_inner_only_is_unknown_past_the_budget_for_a7(capsys):
+    # Aut A7 is past the automorphism budget, and A7 is no S_n, so
+    # outer_representatives re-raises and rsr-count reports null
+    code, out, err = run_cli(capsys, "rsr-count", "--group", "A7", "--ram", "e:1")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["count"] == 1 and doc["inner_only_assumed"] is None
 
 
 def test_unnamed_sym7_is_inner_only_by_its_order(capsys, tmp_path):

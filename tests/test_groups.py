@@ -56,7 +56,8 @@ def rows_of(g):
 
 
 def centralizer_of(g, a):
-    return np.flatnonzero(g.commutes_with(a)).tolist()
+    every = np.arange(g.order)
+    return np.flatnonzero(g.products(every, a) == g.products(a, every)).tolist()
 
 
 def center_order(g):

@@ -40,6 +40,12 @@ def test_parse_ramification_errors(s3):
         parse_ramification(s3, "(0 1):1,(0 2):1")  # same class twice
     with pytest.raises(InputError):
         parse_ramification(s3, "(0 1)")
+    with pytest.raises(InputError, match=r"bad count in '\(0 1\):x'"):
+        parse_ramification(s3, "(0 1):x")
+
+
+def test_parse_ramification_skips_empty_entries(s3):
+    assert parse_ramification(s3, "(0 1):1,,e:1") == parse_ramification(s3, "(0 1):1,e:1")
 
 
 def test_quiver_loops_for_identity_class(s3):

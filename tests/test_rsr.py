@@ -160,6 +160,11 @@ def test_isomorphic_mode_errors(s3):
         isomorphic(b, b, "assume-inner")   # Aut != Inn for the Klein group
     with pytest.raises(InputError):
         isomorphic(a, a, "no-such-mode")
+    zero = parse_ramification(s3, "")
+    first, second = next_primes(s3, 2)
+    with pytest.raises(InputError, match="same prime"):
+        isomorphic(make_rsr(s3, zero, None, {}, field=first),
+                   make_rsr(s3, zero, None, {}, field=second))
 
 
 def test_count_classes_refuses_r_past_the_cap():

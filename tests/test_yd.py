@@ -409,7 +409,9 @@ def test_coinvariant_matches_bimodule():
         r = parse_ramification(g, ram)
         classes = conjugacy_classes(g)
         transversals = [coset_transversal(g, c.rep) for c in classes]
-        zsets = [set(np.flatnonzero(g.commutes_with(c.rep)).tolist()) for c in classes]
+        every = np.arange(g.order)
+        zsets = [set(np.flatnonzero(g.products(every, c.rep) == g.products(c.rep, every)).tolist())
+                 for c in classes]
         for t in enumerate_types(g, r):
             rsr = rsr_from_type(g, r, t)
             q = rsr.quiver()
