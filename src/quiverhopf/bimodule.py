@@ -6,11 +6,12 @@ a^{(i,j)}_{y,x} . h = sum_s rho^{(i)}(zeta_theta(h))[j,s] a^{(i,s)}_{yh,xh},
 where theta is the coset index of x^-1 y and zeta the centralizer factor of
 g_theta h: x goes to xh, and the local arrows by a block map independent of
 x.  Per class, the zeta and theta' tables are array expressions over all
-(theta, h), theta' read off the conjugation row Group.conjugates(u), and
-the blocks, which depend only on (class, slot, zeta), are one (|Z|, d, d)
-stack per slot, put on arrows by `right_terms` alone, for `right_stack`,
-T[1] and the YD grading check.  The verifier checks every axiom
-completely: left-associativity as each left action being a translation,
+(theta, h): theta, theta' and the class elements are read off the
+transversal, theta_at and conj_row that centralizer_subgroup keeps, and the
+blocks, which depend only on (class, slot, zeta), are one (|Z|, d, d) stack
+per slot, put on arrows by `right_terms` alone, for `right_stack`, T[1] and
+the YD grading check.  The verifier checks every axiom completely:
+left-associativity as each left action being a translation,
 right-associativity on the pairs (g, s) with s a generator, which covers
 every pair (the lemma of `Group.generating_sequence`), the other checks on
 every case.  The stacked checks (right-associativity, right-invertibility)
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .groups import InputError, coset_transversal
+from .groups import InputError
 from .quiver import HopfQuiver
 from .rsr import RSR
 
@@ -101,23 +102,21 @@ class HopfBimodule:
 
         every = np.arange(g.order)
         for cls in rsr.ram.support:
-            u = rsr.u[cls]
             z = rsr.centralizer(cls)
-            default_t, theta_at = coset_transversal(g, u)
-            t = np.array([int(x) for x in (transversals or {}).get(cls, default_t)])
-            if len(t) != len(default_t):
+            t = np.array([int(x) for x in (transversals or {}).get(cls, z.transversal)])
+            if len(t) != len(z.transversal):
                 raise InputError("transversal has wrong length")
             if ((t < 0) | (t >= g.order)).any():
                 raise InputError(f"transversal entry out of range 0..{g.order - 1}")
-            off = np.flatnonzero(z.local[g.products(t, g.inverses[default_t])] < 0)
+            off = np.flatnonzero(z.local[g.products(t, g.inverses[z.transversal])] < 0)
             if off.size:
                 raise InputError(f"coset mismatch at theta={off[0]} for class {cls}")
             self.transversal[cls] = t.tolist()
-            self.theta[self.cls == cls] = theta_at[self.elem[self.cls == cls]]
+            self.theta[self.cls == cls] = z.theta_at[self.elem[self.cls == cls]]
             # g_theta h = zeta g_theta' with theta' the coset of
             # (g_theta h)^-1 u (g_theta h), over every (theta, h) at once
             w = g.products(t[:, None], every[None, :])
-            self.tp[cls] = tp = theta_at[g.conjugates(u)[w]]
+            self.tp[cls] = tp = z.theta_at[z.conj_row[w]]
             self.zl[cls] = z.local[g.products(w, g.inverses[t[tp]])]
             for slot in range(len(rsr.irreps[cls])):
                 self.blocks[(cls, slot)] = rsr.irrep(cls, slot).matrices.copy()
@@ -275,11 +274,11 @@ def verify_bimodule(m: HopfBimodule) -> Report:
     consistent = np.zeros(m.apv, dtype=bool)
     per_h = [np.zeros((g.order, 0), dtype=bool)]
     for cls in support:
-        t, tp = np.asarray(m.transversal[cls]), m.tp[cls]
-        c = g.conjugates(m.rsr.u[cls])[t]
-        consistent[m.cls == cls] = m.elem[m.cls == cls] == c[m.theta[m.cls == cls]]
-        zeta = m.rsr.centralizer(cls).embed[m.zl[cls]]
-        per_h.append((g.products(t[:, None], every) == g.products(zeta, t[tp])).T)
+        t, z = np.asarray(m.transversal[cls]), m.rsr.centralizer(cls)
+        own = m.cls == cls
+        consistent[own] = m.elem[own] == z.conj_row[t[m.theta[own]]]
+        per_h.append((g.products(t[:, None], every) ==
+                      g.products(z.embed[m.zl[cls]], t[m.tp[cls]])).T)
     thetas = [(cls, th) for cls in support for th in range(len(m.transversal[cls]))]
 
     def commutes_witness(i: int) -> str:

@@ -1,5 +1,5 @@
 """Finite permutation groups as index arrays: closure, conjugacy
-structure, coset transversals, automorphisms.
+structure, centralizers with their cosets, automorphisms.
 
 Composition convention, fixed for the whole package: (a*b)(x) = b(a(x)),
 i.e. the left factor acts first.  Elements are referred to by their index
@@ -26,9 +26,9 @@ A group with a table scans its classes one `conjugates` at a time instead
 (see conjugacy_classes).  cycle_string walks a row that fixes most of its
 points over the moved ones alone.
 
-Conjugation of one element by every h is Group.conjugates, the row
-h -> h^-1 a h, read by centralizers, transversals, Inn-cosets, rsr's
-conjugators and the bimodule's theta' tables; by one h it is Group.conj.
+Group.conjugates is the row h -> h^-1 a h of one element a over every h,
+Group.conj its entry at one h; a centralizer takes its element's row once,
+keeping it with its cosets for the bimodule and rsr (centralizer_subgroup).
 
 Malformed input raises InputError; work over a budget raises its subclass
 BudgetError, here ORDER_CAP, ROW_CELLS_CAP and AUT_BUDGET, downstream
@@ -316,16 +316,17 @@ class Group:
     elements.  `products(a, b)` multiplies broadcast index arrays from the
     dense table, kept up to order _TABLE_CAP (2048), and otherwise composes
     image rows and looks them up.  `conjugates(a)` is the row h^-1 a h over
-    every h.  The table also picks the route of `conjugacy_classes`: with
-    it, one `conjugates` scan per class; without it (S7, A7, C5040), the
-    orbits of conjugation by the generators, each one lookup of every row.
-    Two constructors fill inverses, orders and table: `_generated` closes
-    the read-only (k, degree) array `generators` of a parsed group (other
-    groups have k = 0) and keeps its search as the word tree of those
-    generators, and `centralizer_subgroup` restricts its ambient group's.
-    Derived data (classes, the generating sequence and the
-    `caches` dict other modules fill) is computed on first use without
-    locks: not thread-safe.
+    every h; centralizer_subgroup takes it once and keeps it, as `conj_row`,
+    with `transversal` and `theta_at` for the bimodule and rsr to read.
+    The table also picks the route of `conjugacy_classes`: with it, one
+    `conjugates` scan per class; without it (S7, A7, C5040), the orbits of
+    conjugation by the generators, each one lookup of every row.  Two
+    constructors fill inverses, orders and table: `_generated` closes the
+    read-only (k, degree) array `generators` of a parsed group (other groups
+    have k = 0) and keeps its search as the word tree of those generators,
+    and `centralizer_subgroup` restricts its ambient group's.  Derived data
+    (classes, the generating sequence and the `caches` dict other modules
+    fill) is computed on first use without locks: not thread-safe.
     """
 
     def __init__(self, perms: np.ndarray, name: Optional[str] = None,
@@ -347,11 +348,7 @@ class Group:
         # (x = prev[x] * gens[pos[x]]) and the search number past each level
         self._search: Optional[tuple] = None
         self.caches: dict = {}
-        # set by centralizer_subgroup: embed[i] is the ambient index of
-        # element i, local[x] the element index of ambient x (-1 off the
-        # subgroup)
-        self.embed: Optional[np.ndarray] = None
-        self.local: Optional[np.ndarray] = None
+        self.embed = self.local = self.conj_row = self.transversal = self.theta_at = None
 
     @property
     def exponent(self) -> int:
@@ -508,19 +505,6 @@ class ConjClassCtx:
         return len(self.elements)
 
 
-def coset_transversal(g: Group, u: int) -> tuple[list[int], np.ndarray]:
-    """Right-coset transversal of Z_u scanning canonical order; g_0 = identity.
-
-    Returns (transversal, theta_at): theta_at is an array over the elements
-    with theta_at[g_theta^-1 u g_theta] = theta, and -1 off the class of u.
-    """
-    conj, first = np.unique(g.conjugates(u), return_index=True)
-    by_first = np.argsort(first)
-    theta_at = np.full(g.order, -1)
-    theta_at[conj[by_first]] = np.arange(len(conj))
-    return first[by_first].tolist(), theta_at
-
-
 def conjugacy_classes(g: Group) -> list[ConjClassCtx]:
     """Conjugacy classes in canonical order (by minimal member index), each
     with u0, its member least in canonical cycle form.
@@ -606,19 +590,26 @@ def class_of(g: Group, a):
 
 
 def centralizer_subgroup(g: Group, ctx_or_elt) -> Group:
-    """The centralizer of a class representative (or explicit element) as a
-    Group on the ambient rows of its members: no closure, no generators.
-    sub.embed is the int array of the members' ambient indices (ascending:
-    both orders are lexicographic); sub.local inverts it over the ambient
-    group, -1 off the subgroup.  Inverses, orders and table are the
-    ambient's, read through them with no lookup where the ambient has a table."""
+    """The centralizer Z_u of a class representative (or explicit element)
+    u as a Group on the ambient rows of its members, with its right cosets.
+    g.conjugates(u) is taken once, as sub.conj_row; sub.embed holds the
+    members' ambient indices (ascending, as both orders are lexicographic),
+    sub.local inverts it (-1 off Z_u), sub.transversal the first h of each
+    conjugate, ascending (g_0 = e), and sub.theta_at the theta of
+    g_theta^-1 u g_theta (-1 off the class).  The bimodule reads
+    conj_row, transversal and theta_at, rsr._plan the last two.  Inverses,
+    orders and table are the ambient's, read with no closure or generators."""
     elt = ctx_or_elt.rep if isinstance(ctx_or_elt, ConjClassCtx) else ctx_or_elt
     key = ("centralizer", elt)
     if key in g.caches:
         return g.caches[key]
-    members = np.flatnonzero(g.conjugates(elt) == elt)
+    conj = g.conjugates(elt)
+    members = np.flatnonzero(conj == elt)
     sub = Group(g.perms[members], name=f"Z({g.element_name(elt)})")
-    sub.embed = members
+    sub.conj_row, sub.embed = conj, members
+    sub.transversal = np.sort(np.unique(conj, return_index=True)[1])
+    sub.theta_at = np.full(g.order, -1)
+    sub.theta_at[conj[sub.transversal]] = np.arange(len(sub.transversal))
     sub.local = np.full(g.order, -1, dtype=np.intp)
     sub.local[members] = np.arange(len(members))
     sub.inverses = sub.local[g.inverses[members]]
@@ -776,7 +767,9 @@ def parse_group(spec: str) -> Group:
     The generator rows, their count times the degree, are checked against
     ROW_CELLS_CAP before any of them is built.
     """
-    if not isinstance(spec, str) or not spec.strip():
+    if not isinstance(spec, str):
+        raise InputError(f"group spec must be a string, not {type(spec).__name__}")
+    if not spec.strip():
         raise InputError("empty group spec")
     spec = spec.strip()
     if spec.startswith("perm:"):

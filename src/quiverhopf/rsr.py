@@ -15,9 +15,10 @@ twist_rsr, rsr_type and rsr_key all move characters between centralizers
 along ambient maps z -> h phi(z) h^-1 by character maps (_char_map), each
 built once per group, prime and map and kept in Group.caches.  A type reads
 a plan kept there per prime, ramified (class, u) pairs and phi (_plan): the
-conjugators and maps of every class, each conjugator the first h where the
-row Group.conjugates(u) meets its target, so typing an RSR is one list
-lookup per ramified character, with no conjugate search and no table search.
+conjugators and maps of every class, each conjugator the first h taking u to
+its target, read as transversal[theta_at[target]] off the centralizer of u
+(whose row is taken once), so typing an RSR is one list lookup per ramified
+character, with no conjugate search and no table search.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def _plan(rsr: RSR, phi: Optional[np.ndarray] = None
             target = c.rep if phi is None else int(phi[c.rep])
             cls = class_of(g, target)
             if cls in rsr.irreps:
-                h = int(np.argmax(g.conjugates(rsr.u[cls]) == target))
+                z = rsr.centralizer(cls)
+                h = int(z.transversal[z.theta_at[target]])
                 plan.append((c.class_index, cls,
                              _char_map(g, rsr.field, rsr.u[cls], c.rep, h, phi),
                              group_table(centralizer_subgroup(g, c.rep),
@@ -363,31 +365,36 @@ def rsr_from_type(g: Group, ram: Ramification, rtype: RSRType,
 def rsr_from_json(doc: dict, group: Optional[Group] = None) -> RSR:
     """Build an RSR from its JSON document (see RSR.to_json).
 
-    A class given twice in "u" or in "rho" is an InputError.
+    A class given twice in "u" or in "rho", or a value of the wrong JSON
+    type (`typed`, under which no bool is an int), is an InputError.
     """
+    def typed(value, kind: type, what: str):
+        if type(value) is not kind:
+            raise InputError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
+        return value
     try:
         g = group if group is not None else parse_group(doc["group"])
         classes = conjugacy_classes(g)
-        field = validate_prime(g, int(doc["prime"]))
-        seed = int(doc.get("seed", 0))
+        field = validate_prime(g, typed(doc["prime"], int, "prime"))
+        seed = typed(doc.get("seed", 0), int, "seed")
         u_choice = {}
-        for entry in doc.get("u", []):
-            k = int(entry["class"])
+        for entry in typed(doc.get("u", []), list, "u"):
+            k = typed(entry["class"], int, "class")
             if k in u_choice:
                 raise InputError(f"class {k} given twice in u")
-            u_choice[k] = g.find(parse_cycle_string(str(entry["rep"]), g.degree))
+            rep = typed(entry["rep"], str, "rep")
+            u_choice[k] = g.find(parse_cycle_string(rep, g.degree))
         irreps: dict[int, Sequence[int]] = {}
         ram_coeffs: dict[int, int] = {}
-        for entry in doc["rho"]:
-            k = int(entry["class"])
+        for entry in typed(doc["rho"], list, "rho"):
+            k = typed(entry["class"], int, "class")
             if k in irreps:
                 raise InputError(f"class {k} given twice in rho")
-            idxs = tuple(int(i) for i in entry["irreps"])
-            irreps[k] = idxs
+            irreps[k] = idxs = tuple(typed(i, int, "character index")
+                                     for i in typed(entry["irreps"], list, "irreps"))
             if not 0 <= k < len(classes):
                 raise InputError(f"class index {k} out of range")
-            rep = u_choice.get(k, classes[k].rep)
-            z = centralizer_subgroup(g, rep)
+            z = centralizer_subgroup(g, u_choice.get(k, classes[k].rep))
             table = group_table(z, field)
             for i in idxs:
                 if not 0 <= i < table.nchars:

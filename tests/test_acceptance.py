@@ -41,7 +41,6 @@ from quiverhopf import (
     verify_yd,
     yd_from_rsr,
 )
-from quiverhopf.groups import coset_transversal
 from quiverhopf.modrep import character_table, group_table, next_primes
 from quiverhopf.quiver import Ramification
 from quiverhopf.yd import (
@@ -205,7 +204,7 @@ def test_criterion_5_transversal_change():
         ram = parse_ramification(g, "(0 1):1")
         rsr = make_rsr(g, ram, None, {1: (1,)})
         rep = conjugacy_classes(g)[1].rep
-        t1 = {1: list(coset_transversal(g, rep)[0])}
+        t1 = {1: centralizer_subgroup(g, rep).transversal.tolist()}
         t2 = {1: list(t1[1])}
         every = np.arange(g.order)
         z_nontrivial = np.flatnonzero(g.products(every, rep) == g.products(rep, every))[1]

@@ -6,8 +6,10 @@ import pytest
 from percase import cases, check
 from quiverhopf import (
     ArrowId,
+    Group,
     InputError,
     build_bimodule,
+    centralizer_subgroup,
     coinvariant_yd,
     conjugacy_classes,
     enumerate_types,
@@ -20,7 +22,6 @@ from quiverhopf import (
     verify_yd,
 )
 from quiverhopf.bimodule import BimoduleMap, Report, check_all
-from quiverhopf.groups import coset_transversal
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +305,7 @@ def test_transversal_iso_identity(s3):
     ram = parse_ramification(s3, "(0 1):1")
     rsr = make_rsr(s3, ram, None, {1: (1,)})
     ctx = conjugacy_classes(s3)[1]
-    t = {1: list(coset_transversal(s3, ctx.rep)[0])}
+    t = {1: centralizer_subgroup(s3, ctx).transversal.tolist()}
     f = transversal_iso(rsr, t, t)
     assert (f.matrix == np.eye(f.matrix.shape[0], dtype=np.int64)).all()
     assert f.verify().passed
@@ -314,7 +315,7 @@ def test_transversal_iso_sign_diagonal(s3):
     ram = parse_ramification(s3, "(0 1):1")
     rsr = make_rsr(s3, ram, None, {1: (1,)})
     ctx = conjugacy_classes(s3)[1]
-    t1 = {1: list(coset_transversal(s3, ctx.rep)[0])}
+    t1 = {1: centralizer_subgroup(s3, ctx).transversal.tolist()}
     t2 = {1: list(t1[1])}
     z_nontrivial = centralizer_of(s3, ctx.rep)[1]
     t2[1][1] = s3.mul(z_nontrivial, t2[1][1])
@@ -340,7 +341,7 @@ def test_transversal_coset_mismatch(s3):
     ram = parse_ramification(s3, "(0 1):1")
     rsr = make_rsr(s3, ram, None, {1: (1,)})
     ctx = conjugacy_classes(s3)[1]
-    t1 = {1: list(coset_transversal(s3, ctx.rep)[0])}
+    t1 = {1: centralizer_subgroup(s3, ctx).transversal.tolist()}
     bad = {1: [t1[1][1], t1[1][0], t1[1][2]]}    # reordered cosets
     with pytest.raises(InputError):
         transversal_iso(rsr, t1, bad)
@@ -350,7 +351,7 @@ def test_transversal_entries_out_of_range(s3):
     # negative entries are not wrapped-around aliases, and entries past
     # |G| - 1 are input errors, not IndexErrors
     rsr = make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)})
-    t = {1: list(coset_transversal(s3, conjugacy_classes(s3)[1].rep)[0])}
+    t = {1: centralizer_subgroup(s3, conjugacy_classes(s3)[1]).transversal.tolist()}
     assert t == {1: [0, 1, 3]}
     for bad in ([-6, -5, -3], [0, 1, 3 + s3.order], [0, s3.order, 3]):
         with pytest.raises(InputError, match="out of range"):
@@ -362,7 +363,7 @@ def test_transversal_entries_out_of_range(s3):
 def test_changed_transversal_iso_entry_fails_action_intertwining(s3):
     ram = parse_ramification(s3, "(0 1):1")
     rsr = make_rsr(s3, ram, None, {1: (1,)})
-    t1 = {1: list(coset_transversal(s3, conjugacy_classes(s3)[1].rep)[0])}
+    t1 = {1: centralizer_subgroup(s3, conjugacy_classes(s3)[1]).transversal.tolist()}
     t2 = {1: [t1[1][0], s3.mul(s3.find((1, 0, 2)), t1[1][1]), t1[1][2]]}
     f = transversal_iso(rsr, t1, t2)
     report = f.verify()
@@ -456,7 +457,7 @@ def test_transversal_iso_with_noncanonical_u(s3):
     ram = parse_ramification(s3, "(0 1):1")
     u02 = s3.find((2, 1, 0))
     rsr = make_rsr(s3, ram, {1: u02}, {1: (1,)})
-    t1 = {1: list(coset_transversal(s3, u02)[0])}
+    t1 = {1: centralizer_subgroup(s3, u02).transversal.tolist()}
     t2 = {1: list(t1[1])}
     z = [h for h in range(s3.order)
          if s3.mul(h, u02) == s3.mul(u02, h) and h][0]
@@ -537,3 +538,33 @@ def test_cases_lists_or_draws_the_tuples_of_every_space():
     for rng in (None, random.Random(3)):
         assert list(cases([], 5, rng)) == []
         assert list(cases([("ab", ())], 5, rng)) == []
+
+
+def test_trivial_table_of_e_is_the_unit_witness(s3):
+    # zeta of (theta 0, h = e) made the other element of Z = C2: the unit
+    # check fails on its first case, the tables, and the cocycle checks too
+    m = build_bimodule(make_rsr(s3, parse_ramification(s3, "(0 1):1"), None, {1: (1,)}))
+    m.zl[1][0, 0] = 1 - m.zl[1][0, 0]
+    checks = {c.name: c for c in verify_bimodule(m).checks}
+    assert checks["unit"].to_json() == {"name": "unit", "ok": False, "checked": 1,
+                                        "witness": "the tables of e are not trivial"}
+    assert [name for name, c in checks.items() if not c.ok] == [
+        "unit", "right-associativity", "commutation-and-coaction", "right-invertibility"]
+
+
+@pytest.mark.parametrize("spec, ram", [("S4", "(0 1)(2 3):2"), ("S5", "(0 1):2")])
+def test_bimodule_takes_no_conjugation_row_once_the_centralizers_exist(
+        spec, ram, monkeypatch):
+    # theta, theta' and the class elements are read off the cosets each
+    # centralizer keeps, so building and verifying conjugate nothing anew
+    g = parse_group(spec)
+    r = parse_ramification(g, ram)
+    rsr = rsr_from_type(g, r, enumerate_types(g, r)[0])
+    for c in conjugacy_classes(g):
+        centralizer_subgroup(g, c)
+    calls, conjugates = [], Group.conjugates
+    monkeypatch.setattr(Group, "conjugates", lambda self, a:
+                        (self is g and calls.append(a)) or conjugates(self, a))
+    report = verify_bimodule(build_bimodule(rsr))
+    assert report.passed, report.to_json()
+    assert calls == []

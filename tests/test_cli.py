@@ -272,6 +272,27 @@ def test_rsr_file_indices_out_of_range_exit_2(capsys, tmp_path, doc, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_rsr_file_values_of_the_wrong_json_type_exit_2(capsys, tmp_path):
+    # each of these was coerced once: 13.9 to 13, true to 1, "1" to 1 and
+    # "10" to the characters 1 and 0
+    path = tmp_path / "rsr.json"
+    path.write_text(json.dumps({"group": "S3", "prime": 13.9, "seed": True,
+                                "rho": [{"class": "1", "irreps": "10"}]}))
+    code, out, err = run_cli(capsys, "yd-verify", "--rsr", str(path))
+    assert (code, out, err) == (2, "", "error: prime must be int, not float\n")
+
+
+def test_non_string_group_spec_is_named(capsys, tmp_path):
+    g = parse_group("S3")
+    doc = make_rsr(g, parse_ramification(g, "(0 1):1"), None, {1: (1,)}).to_json()
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    good.write_text(json.dumps(doc))
+    bad.write_text(json.dumps({**doc, "group": 5}))
+    for argv in (("yd-verify", "--rsr", str(bad)), ("rsr-iso", str(good), str(bad))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: group spec must be a string, not int\n")
+
+
 def test_rsr_iso_prime_mismatch(capsys, tmp_path):
     g = parse_group("S3")
     ram = parse_ramification(g, "e:2")
@@ -382,6 +403,13 @@ def test_nprimes_must_be_positive(capsys):
     assert code == 2 and out == "" and "--nprimes" in err
 
 
+@pytest.mark.parametrize("verb", ["nichols-dims", "hopf-dims", "hopf-verify"])
+def test_negative_max_degree_exits_2(capsys, verb):
+    code, out, err = run_cli(capsys, verb, "--group", "S3", "--ram", "(0 1):1",
+                             "--type-index", "0", "--max-degree", "-1")
+    assert (code, out, err) == (2, "", "error: max_deg must be non-negative\n")
+
+
 def test_samples_must_be_positive(capsys):
     for argv in (("hopf-verify", "--group", "S3", "--ram", "e:1",
                   "--max-degree", "1"),
@@ -458,6 +486,9 @@ def test_a_point_in_two_cycles_exits_2(capsys, argv):
     ("D2", "dihedral groups need n >= 3"),
     ("S0", "bad group size in 'S0'"),
     ("perm:;", "empty generator list"),
+    ("B5", "unknown group name 'B5'"),
+    ("", "empty group spec"),
+    ("  ", "empty group spec"),
     *[(spec, f"empty factor in group spec {spec!r}")
       for spec in ("S3x", "xS3", "S3xxS3", "C2X", "X5")],
 ])

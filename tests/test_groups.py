@@ -23,7 +23,6 @@ from quiverhopf.groups import (
     Group,
     _cycles_of,
     _generated,
-    coset_transversal,
     outer_representatives,
 )
 from quiverhopf.modrep import group_table
@@ -255,10 +254,16 @@ def test_class_counting_identities(spec):
     assert sum(c.size for c in classes) == g.order
     for c in classes:
         centralizer = centralizer_of(g, c.rep)
-        transversal, theta_at = coset_transversal(g, c.rep)
+        z = centralizer_subgroup(g, c)
+        transversal, theta_at = z.transversal.tolist(), z.theta_at
         assert len(centralizer) * c.size == g.order
         assert len(transversal) == c.size
         assert transversal[0] == 0
+        # conj_row is the conjugation row of the representative, and each
+        # transversal entry is the first h conjugating it to its element
+        conj = [g.conj(c.rep, h) for h in range(g.order)]
+        assert z.conj_row.tolist() == conj
+        assert transversal == sorted(conj.index(elt) for elt in c.elements)
         # theta_at inverts the transversal conjugation on the class, and is
         # -1 off it
         assert np.flatnonzero(theta_at >= 0).tolist() == sorted(c.elements)

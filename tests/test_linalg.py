@@ -160,8 +160,11 @@ def test_inverse():
 def test_solve_errors():
     p = 7
     a = np.array([[1, 2], [2, 4]], dtype=np.int64)   # rank 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inconsistent"):
         linalg.solve(a, np.array([1, 1], dtype=np.int64), p)
+    # consistent, but x is not unique
+    with pytest.raises(ValueError, match="full column rank"):
+        linalg.solve(a, np.array([1, 2], dtype=np.int64), p)
 
 
 def test_empty_matrices():

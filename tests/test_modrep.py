@@ -16,6 +16,7 @@ from quiverhopf import (
 from quiverhopf import linalg
 from quiverhopf.modrep import (
     CharTable,
+    FieldPrime,
     _check_right_ideal,
     _class_matrix,
     _eigenspaces,
@@ -67,6 +68,12 @@ def test_validate_prime(s3):
         validate_prime(s3, 11)       # too small
     with pytest.raises(InputError):
         validate_prime(s3, 17)       # not 1 mod 6
+    # a FieldPrime built directly is checked again where it is used: 7 is
+    # 1 mod 6 but not past 2|G| = 12
+    with pytest.raises(InputError, match="not a splitting prime"):
+        character_table(s3, FieldPrime(7))
+    with pytest.raises(InputError, match="character index 99 out of range"):
+        irrep_matrices(s3, validate_prime(s3, 13), 99)
 
 
 def test_character_table_s3(s3, s3_field):

@@ -283,6 +283,27 @@ def test_json_errors(s3):
                        "u": [{"class": 1, "rep": "(0 2)"},
                              {"class": 1, "rep": "(1 2)"}],
                        "rho": [{"class": 1, "irreps": [1]}]})
+    # values of the wrong JSON type are refused, not coerced: "10" is no
+    # list of characters 1 and 0, 13.9 no prime 13, true no seed 1
+    good = {"group": "S3", "prime": 13, "u": [{"class": 1, "rep": "(0 1)"}],
+            "rho": [{"class": 1, "irreps": [1]}]}
+    rsr_from_json(good)
+    for key, value, message in [
+            ("prime", 13.9, "prime must be int, not float"),
+            ("prime", "13", "prime must be int, not str"),
+            ("prime", True, "prime must be int, not bool"),
+            ("seed", True, "seed must be int, not bool"),
+            ("u", {"class": 1, "rep": "(0 1)"}, "u must be list, not dict"),
+            ("u", [{"class": "1", "rep": "(0 1)"}], "class must be int, not str"),
+            ("u", [{"class": 1, "rep": 5}], "rep must be str, not int"),
+            ("rho", {"class": 1, "irreps": [1]}, "rho must be list, not dict"),
+            ("rho", [{"class": "1", "irreps": [1]}], "class must be int, not str"),
+            ("rho", [{"class": 1.0, "irreps": [1]}], "class must be int, not float"),
+            ("rho", [{"class": 1, "irreps": "10"}], "irreps must be list, not str"),
+            ("rho", [{"class": 1, "irreps": [True]}],
+             "character index must be int, not bool")]:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            rsr_from_json({**good, key: value})
 
 
 def test_a4_outer_automorphism_fusion():
@@ -496,3 +517,19 @@ def test_s6_keys_across_the_swapped_classes_are_the_burnside_count():
     for r, key in zip(rsrs, keys):
         assert key == min((oracle_type_along(r, phi) for phi in auts),
                           key=lambda k: k.entries)
+
+
+@pytest.mark.parametrize("spec, ram_spec", [("S4", "(0 1)(2 3):2"), ("S5", "(0 1):2")])
+def test_first_type_takes_no_conjugation_row_once_the_centralizers_exist(
+        spec, ram_spec, monkeypatch):
+    # the plan's conjugators are the centralizers' transversals at theta_at
+    g = parse_group(spec)
+    ram = parse_ramification(g, ram_spec)
+    rsr = rsr_from_type(g, ram, enumerate_types(g, ram)[0])
+    for c in conjugacy_classes(g):
+        centralizer_subgroup(g, c)
+    calls, conjugates = [], Group.conjugates
+    monkeypatch.setattr(Group, "conjugates", lambda self, a:
+                        (self is g and calls.append(a)) or conjugates(self, a))
+    assert rsr_type(rsr) == enumerate_types(g, ram)[0]
+    assert calls == []

@@ -9,6 +9,7 @@ from quiverhopf import (
     YDModule,
     braiding,
     build_bimodule,
+    centralizer_subgroup,
     choose_prime,
     coinvariant_yd,
     conjugacy_classes,
@@ -24,7 +25,6 @@ from quiverhopf import (
     yd_from_rsr,
 )
 from quiverhopf import linalg, yd
-from quiverhopf.groups import coset_transversal
 from quiverhopf.yd import (
     braid_operators,
     insertion_word,
@@ -408,7 +408,8 @@ def test_coinvariant_matches_bimodule():
         g = parse_group(spec)
         r = parse_ramification(g, ram)
         classes = conjugacy_classes(g)
-        transversals = [coset_transversal(g, c.rep) for c in classes]
+        transversals = [(z.transversal, z.theta_at)
+                        for z in (centralizer_subgroup(g, c) for c in classes)]
         every = np.arange(g.order)
         zsets = [set(np.flatnonzero(g.products(every, c.rep) == g.products(c.rep, every)).tolist())
                  for c in classes]
