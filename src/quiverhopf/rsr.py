@@ -366,14 +366,21 @@ def rsr_from_json(doc: dict, group: Optional[Group] = None) -> RSR:
     """Build an RSR from its JSON document (see RSR.to_json).
 
     A class given twice in "u" or in "rho", or a value of the wrong JSON
-    type (`typed`, under which no bool is an int), is an InputError.
+    type (`typed`, under which no bool is an int), is an InputError.  A
+    given group (another RSR's) is used, caches and all, when the
+    document's group has the same elements; otherwise the two use
+    different groups, an InputError too.
     """
     def typed(value, kind: type, what: str):
         if type(value) is not kind:
             raise InputError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
         return value
     try:
-        g = group if group is not None else parse_group(doc["group"])
+        g = parse_group(doc["group"])
+        if group is not None:
+            if not np.array_equal(g.perms, group.perms):
+                raise InputError("the two RSR documents use different groups")
+            g = group
         classes = conjugacy_classes(g)
         field = validate_prime(g, typed(doc["prime"], int, "prime"))
         seed = typed(doc.get("seed", 0), int, "seed")

@@ -33,9 +33,16 @@ multiplication) on bases, so dim B^n = rank Phi.  The rref rows of Phi are
 the basis of B^n and their blocks i the next D_i; a product's entries at
 the pivots are its coordinates, the next R_a.  The recursion starts at
 B^0 = k, and as d_i maps G-degree h to h deg(i)^-1, Phi is ranked one
-G-degree block at a time.  The dense sum over Sym(n) (`quantum_symmetrizer`)
-is the test oracle.  Ranks are computed mod p; `nichols_dims_multiprime`
-reports the maximum over several valid primes and flags disagreement.
+G-degree block at a time.  Each t in G acts on B(V) as a graded algebra
+automorphism mapping B^n_h onto B^n_{tht^-1}, so conjugate blocks have
+equal dimension (Andruskiewitsch-Schneider, MSRI Publ. 43, 2002;
+Heckenberger-Schneider, AMS Surveys 247, 2020).  The last requested degree
+feeds no later one, so there only one block of each conjugacy class is
+ranked and counted once per block of its class; every lower degree keeps
+all its blocks, whose bases the next degree reads.  The dense sum over
+Sym(n) (`quantum_symmetrizer`) is the test oracle.  Ranks are computed mod
+p; `nichols_dims_multiprime` reports the maximum over several valid primes
+and flags disagreement.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import numpy as np
 
 from . import linalg
 from .bimodule import HopfBimodule, Report, build_bimodule, check_all
-from .groups import BudgetError, InputError
+from .groups import BudgetError, InputError, class_of
 from .modrep import next_primes
 from .rsr import RSR, make_rsr
 
@@ -208,7 +215,12 @@ def nichols_dims(v: YDModule, max_deg: int) -> list[int]:
     budget: BudgetError when the blocks of a degree and the zero block, each
     d*m by d*max(m, m0) cells for the largest blocks m, m0 of the two
     degrees below, exceed CELL_CAP.  That bounds every array of the degree
-    and is checked first; a degree past a zero image allocates nothing."""
+    and is checked first; a degree past a zero image allocates nothing.
+
+    At n = max_deg only one block of each conjugacy class of G-degrees is
+    built, ranked and weighted by the number of blocks of its class (module
+    docstring), the budget counts those blocks, and no D_i or R_a is
+    kept."""
     if max_deg < 0:
         raise InputError("max_deg must be non-negative")
     g, d, p = v.group, v.dim, v.p
@@ -225,6 +237,13 @@ def nichols_dims(v: YDModule, max_deg: int) -> list[int]:
             g.products(hs[:, None], letters[None, :]).ravel(), minlength=g.order))
         if not new.size:
             return dims + [0] * (max_deg + 1 - n)
+        if n == max_deg:
+            # t |> B^n_h = B^n_{tht^-1}, and new is a union of classes, as
+            # the nonzero blocks below and the letters' degrees are: one
+            # block of each class is ranked, weighted by the class's blocks
+            _, first, weight = np.unique(class_of(g, new), return_index=True,
+                                         return_counts=True)
+            new = new[first]
         cells = (len(new) + 1) * d * m * d * max(m, m0)
         if cells > CELL_CAP:
             raise BudgetError(f"degree {n} needs {cells} cells, over the cap of {CELL_CAP}")
@@ -238,12 +257,16 @@ def nichols_dims(v: YDModule, max_deg: int) -> list[int]:
         phi = linalg.matmul(dg, dr, p).transpose(0, 1, 3, 2, 4).reshape(len(new), d * m, -1)
         valid = (np.arange(m) < sizes[down][:, :, None]).reshape(len(new), -1)
         phi[:, np.arange(d * m), np.arange(d * m)] += valid
+        subs = ((h, idx, phi[h][np.ix_(idx, idx)])
+                for h, idx in enumerate(map(np.flatnonzero, valid)))
+        if n == max_deg:
+            dims.append(sum(int(w) * linalg.rank(sub, p)
+                            for w, (_, _, sub) in zip(weight, subs)))
+            break
         # the rref rows of a block are its basis, their blocks i its D_i, and
         # a product's entries at the pivots its coordinates, its R_a row
         found = []
-        for h in range(len(new)):
-            idx = np.flatnonzero(valid[h])
-            sub = phi[h][np.ix_(idx, idx)]
+        for h, idx, sub in subs:
             r, piv = linalg.rref(sub, p)
             if piv:
                 found.append((h, idx, r[:len(piv)], sub[:, piv]))

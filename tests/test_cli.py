@@ -351,12 +351,22 @@ def test_hopf_verify_honours_exhaustive_flag(capsys):
 
 def test_budget_error_exit_code(capsys):
     # degree 4 of the 12-dimensional module exceeds the Nichols cell budget
+    # when degree 5 reads its bases
     for verb in ("hopf-dims", "nichols-dims"):
         code, out, err = run_cli(capsys, verb, "--group", "S4",
-                                 "--ram", "(0 1):2", "--max-degree", "4",
+                                 "--ram", "(0 1):2", "--max-degree", "5",
                                  "--type-index", "0")
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: degree 4 needs 21033792 cells, over the cap of 16777216\n"
+
+
+def test_top_degree_within_the_budget_by_classes(capsys):
+    # as the last degree, degree 4 of the same module ranks one block of
+    # each of its 3 classes of G-degrees, not all 12 blocks
+    code, out, _ = run_cli(capsys, "nichols-dims", "--group", "S4", "--ram", "(0 1):2",
+                           "--max-degree", "4", "--type-index", "0", "--nprimes", "1")
+    assert code == 0
+    assert json.loads(out)["results"][0]["dims"] == [1, 12, 118, 1116, 10341]
 
 
 def test_type_index_builds_only_its_type(capsys):
@@ -430,6 +440,17 @@ def test_rsr_iso_rejects_non_object_files(capsys, tmp_path):
     bad.write_text("{}")            # an object without a group
     code, out, err = run_cli(capsys, "rsr-iso", str(good), str(bad))
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_rsr_iso_names_a_missing_group_key_in_either_file(capsys, tmp_path):
+    g = parse_group("S3")
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    good.write_text(json.dumps(make_rsr(g, parse_ramification(g, "e:2"), None,
+                                        {0: (0, 1)}).to_json()))
+    bad.write_text(json.dumps({"prime": 13, "rho": []}))
+    for pair in ((good, bad), (bad, good)):
+        code, out, err = run_cli(capsys, "rsr-iso", *map(str, pair))
+        assert (code, out, err) == (2, "", "error: malformed RSR document: 'group'\n")
 
 
 def test_selftest_honours_samples_and_max_degree(capsys):

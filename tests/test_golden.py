@@ -103,7 +103,7 @@ CASES: dict[str, list[str]] = {
                     "--samples", "100"],
     "error_unknown_group": ["group-info", "--group", "NOPE"],
     "error_budget": ["nichols-dims", "--group", "S4", "--ram", "(0 1):2",
-                     "--type-index", "0", "--max-degree", "4"],
+                     "--type-index", "0", "--max-degree", "5"],
 }
 
 

@@ -518,6 +518,31 @@ def test_recursion_on_non_monomial_braiding():
     assert nichols_dims(v, 3) == dense_dims(v, 3) == [1, 6, 21, 60]
 
 
+@pytest.mark.parametrize("spec, ram, which", [
+    ("S3", "(0 1):1", slice(None)), ("S3", "(0 1 2):1", slice(None)),
+    ("S4", "(0 1):1", slice(None)), ("D4", "(0 1)(2 3):1", slice(None)),
+    ("A4", "(0 1 2):1", slice(None)),
+    ("S4", "(0 1)(2 3):2", slice(10, 11)),     # not monomial
+])
+def test_top_degree_by_classes_matches_all_blocks(spec, ram, which):
+    # degree n is ranked one block per class as the top degree and through
+    # every block when degree n + 1 reads its bases
+    for _, v in _types(spec, ram)[which]:
+        for n in range(1, 4):
+            assert nichols_dims(v, n) == nichols_dims(v, n + 1)[:n + 1]
+
+
+def test_top_degree_ranks_one_block_per_class(monkeypatch):
+    # degree 3 of S4 (0 1):1 has 12 blocks in 2 classes, the odd elements;
+    # the degrees below take rrefs and no rank
+    _, v = _types("S4", "(0 1):1")[0]
+    shapes = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda a, p: shapes.append(a.shape) or rank(a, p))
+    assert nichols_dims(v, 3) == [1, 6, 33, 180]
+    assert len(shapes) == 2
+
+
 @pytest.mark.parametrize("index", [1, 3])
 def test_fomin_kirillov_through_degree_5(index):
     _, v = _types("S4", "(0 1):1")[index]
