@@ -12,13 +12,15 @@ F_p each).  The Krylov stack doubles and is eliminated once per doubling,
 as columns, and its first dependent vector gives the minimal polynomial.
 A simple spectrum takes its eigenvectors from the Krylov quotients, with
 no further elimination; otherwise a nullspace is computed at each root,
-never for every element of F_p.
+never for every element of F_p.  Readers that need only the degrees take
+them from group_degrees, which builds no table for an abelian group.
 
 Irreducible matrix representations are cut out of the regular module by
 the central idempotent of the character, whose rows e*y, with the y
 spread over the group, extend one rref echelon a block at a time, and
 split down to dimension d with seeded random module endomorphisms (right
-multiplications), through the same eigenspace routine as the tables.
+multiplications): from the Krylov roots of one random vector, one nullspace
+per root in ascending order, until the first of dimension d.
 The endomorphisms and the generators' matrices are read at the pivots of
 the rref basis, with no further elimination: an endomorphism is one
 (|G|, m) gather of its coefficients and one m x |G| x m product, with no
@@ -213,11 +215,15 @@ def _eigenspaces(s: np.ndarray, p: int, starts) -> dict[int, np.ndarray]:
     return spaces
 
 
+def _check_splitting(g: Group, f: FieldPrime):
+    if (f.p - 1) % g.exponent != 0 or f.p <= 2 * g.order:
+        raise InputError("field is not a splitting prime for this group")
+
+
 def character_table(g: Group, f: FieldPrime) -> CharTable:
     """Burnside-Dixon character table of g over F_p."""
+    _check_splitting(g, f)
     p = f.p
-    if (p - 1) % g.exponent != 0 or p <= 2 * g.order:
-        raise InputError("field is not a splitting prime for this group")
     classes = conjugacy_classes(g)
     k = len(classes)
     inv_class = class_of(g, g.inverses[[c.rep for c in classes]])
@@ -275,6 +281,16 @@ def group_table(g: Group, f: FieldPrime) -> CharTable:
     if key not in g.caches:
         g.caches[key] = character_table(g, f)
     return g.caches[key]
+
+
+def group_degrees(g: Group, f: FieldPrime) -> tuple[int, ...]:
+    """The degrees of group_table(g, f), in its canonical order.  A group
+    with as many classes as elements is abelian, with |G| linear
+    characters, so its degrees are |G| ones and no table is built."""
+    if len(conjugacy_classes(g)) == g.order:
+        _check_splitting(g, f)
+        return (1,) * g.order
+    return group_table(g, f).degrees
 
 
 class Irrep:
@@ -358,7 +374,12 @@ def _split(g: Group, basis: np.ndarray, pivots: list[int], d: int,
     basis: the smallest proper eigenspace of right multiplication by a
     seeded random element of kG, drawn again while none is proper.  Right
     multiplication is a module map only on a right ideal, checked once per
-    basis, so a split that leaves more than d dimensions is a ValueError."""
+    basis, so a split that leaves more than d dimensions is a ValueError.
+
+    On e*kG = M_d(k) right multiplication commutes with the left action,
+    so every eigenspace is a left submodule and its dimension a multiple
+    of d: the nullspaces are taken at the roots in ascending order and the
+    first of dimension d ends the search, being the smallest."""
     budget = 64
     checked = False
     while len(pivots) > d:
@@ -374,7 +395,13 @@ def _split(g: Group, basis: np.ndarray, pivots: list[int], d: int,
         u = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
         if not u.any():
             u[0] = 1
-        proper = [ker for ker in _eigenspaces(s, p, [u]).values() if 0 < len(ker) < m]
+        proper = []
+        for lam in _poly_roots(_krylov_poly(s, u, p)[0], p):
+            ker = linalg.nullspace(((s - lam * linalg.identity(m)) % p).T, p)
+            if len(ker) < m:
+                proper.append(ker)
+                if len(ker) == d:
+                    break
         if proper:
             sub, pivots = linalg.rref(linalg.matmul(min(proper, key=len), basis, p), p)
             basis = sub[:len(pivots)]

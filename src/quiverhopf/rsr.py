@@ -19,13 +19,20 @@ conjugators and maps of every class, each conjugator the first h taking u to
 its target, read as transversal[theta_at[target]] off the centralizer of u
 (whose row is taken once), so typing an RSR is one list lookup per ramified
 character, with no conjugate search and no table search.
+
+Counting, listing and validating read only the degrees of the centralizers
+(modrep.group_degrees, which builds no table for an abelian one), and a
+plan only their class counts.  On u0 every character map of a type is the
+identity and reads no table, so a table is built only where its rows are
+read: irreducible matrices and the character maps of a twist or of an
+outer automorphism.  A type is a NamedTuple, so == and hash on types and
+keys run in C.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,10 +49,10 @@ from .groups import (
     parse_group,
 )
 from .modrep import (
-    CharTable,
     FieldPrime,
     Irrep,
     choose_prime,
+    group_degrees,
     group_table,
     irrep_matrices,
     validate_prime,
@@ -62,11 +69,11 @@ RAM_CAP = 1 << 12
 class RSR:
     """A validated ramification system with irreducible representations.
 
-    Centralizers, their character tables and irreducible matrices, and the
-    character maps and plans that type it, come from the caches on the
-    group (centralizer_subgroup, group_table, irrep_matrices, _char_map,
-    _plan).  The one cache on the instance is the isomorphism key, filled
-    by rsr_key on first use without locks.
+    Centralizers, their degrees, character tables and irreducible
+    matrices, and the character maps and plans that type it, come from the
+    caches on the group (centralizer_subgroup, group_degrees, group_table,
+    irrep_matrices, _char_map, _plan).  The one cache on the instance is
+    the isomorphism key, filled by rsr_key on first use without locks.
     """
 
     def __init__(self, group: Group, field: FieldPrime, ram: Ramification,
@@ -85,12 +92,9 @@ class RSR:
     def centralizer(self, cls: int) -> Group:
         return centralizer_subgroup(self.group, self.u[cls])
 
-    def ztable(self, cls: int) -> CharTable:
-        return group_table(self.centralizer(cls), self.field)
-
     def slot_degrees(self, cls: int) -> tuple[int, ...]:
-        t = self.ztable(cls)
-        return tuple(t.degrees[i] for i in self.irreps[cls])
+        degrees = group_degrees(self.centralizer(cls), self.field)
+        return tuple(degrees[i] for i in self.irreps[cls])
 
     def irrep(self, cls: int, slot: int) -> Irrep:
         return irrep_matrices(self.centralizer(cls), self.field,
@@ -137,20 +141,20 @@ def make_rsr(group: Group, ram: Ramification,
         irreps[k] = tuple(per_class_irreps[k])
     rsr = RSR(group, field, ram, u, irreps, seed=seed)
     for k in ram.support:
-        table = rsr.ztable(k)
+        degrees = group_degrees(rsr.centralizer(k), field)
         for idx in irreps[k]:
-            if not 0 <= idx < table.nchars:
+            if not 0 <= idx < len(degrees):
                 raise InputError(f"character index {idx} out of range for class {k}")
-        total = sum(table.degrees[i] for i in irreps[k])
+        total = sum(degrees[i] for i in irreps[k])
         if total != ram.r_of(k):
             raise InputError(
                 f"degree sum {total} != r_C = {ram.r_of(k)} for class {k}")
     return rsr
 
 
-@dataclass(frozen=True)
-class RSRType:
-    """Per-class multiplicity vectors against canonical character orders."""
+class RSRType(NamedTuple):
+    """Per-class multiplicity vectors against canonical character orders;
+    a tuple, so that == and hash on types and keys run in C."""
 
     entries: tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -164,7 +168,11 @@ def _char_map(g: Group, field: FieldPrime, u: int, onto: int, h: int,
     table of Z_onto, when pulled back along the ambient map
     z -> h phi(z) h^-1 (phi an automorphism as an index array, by default
     the identity), which must send Z_onto onto Z_u.  Kept in g.caches per
-    (p, u, onto, h, phi), phi by its bytes and None for the identity."""
+    (p, u, onto, h, phi), phi by its bytes and None for the identity.  The
+    identity map (u == onto, h = e, no phi: every plan entry of an RSR on
+    u0) reads no table."""
+    if phi is None and h == 0 and u == onto:
+        return list(range(len(conjugacy_classes(centralizer_subgroup(g, u)))))
     key = ("charmap", field.p, u, onto, h, None if phi is None else phi.tobytes())
     if key not in g.caches:
         z_to = centralizer_subgroup(g, u)
@@ -201,7 +209,8 @@ def _plan(rsr: RSR, phi: Optional[np.ndarray] = None
     along phi, kept in g.caches: for each class C' whose phi(u0(C')) lies in
     a ramified class C, the tuple (C', C, character map along
     z -> h phi(z) h^-1 with h the first conjugator h^-1 u(C) h =
-    phi(u0(C')), the number of characters of Z_u0(C'))."""
+    phi(u0(C')), the number of characters of Z_u0(C'), which is its number
+    of classes)."""
     g = rsr.group
     key = ("rsr-plan", rsr.field.p, tuple((k, rsr.u[k]) for k in rsr.ram.support),
            None if phi is None else phi.tobytes())
@@ -215,8 +224,7 @@ def _plan(rsr: RSR, phi: Optional[np.ndarray] = None
                 h = int(z.transversal[z.theta_at[target]])
                 plan.append((c.class_index, cls,
                              _char_map(g, rsr.field, rsr.u[cls], c.rep, h, phi),
-                             group_table(centralizer_subgroup(g, c.rep),
-                                         rsr.field).nchars))
+                             len(conjugacy_classes(centralizer_subgroup(g, c.rep)))))
         g.caches[key] = plan
     return g.caches[key]
 
@@ -254,8 +262,7 @@ def rsr_key(rsr: RSR) -> RSRType:
     """
     if rsr._key is None:
         outer = outer_representatives(rsr.group)[1:]
-        rsr._key = min([rsr_type(rsr), *(_type_along(rsr, phi) for phi in outer)],
-                       key=lambda t: t.entries)
+        rsr._key = min([rsr_type(rsr), *(_type_along(rsr, phi) for phi in outer)])
     return rsr._key
 
 
@@ -302,7 +309,7 @@ def count_classes(g: Group, ram: Ramification,
         if r > RAM_CAP:
             raise BudgetError(f"r_C = {r} of class {k} exceeds the counting cap of {RAM_CAP}")
         z = centralizer_subgroup(g, classes[k].rep)
-        total *= _tau(group_table(z, field).degrees, r)
+        total *= _tau(group_degrees(z, field), r)
     return total
 
 
@@ -323,8 +330,8 @@ def iter_types(g: Group, ram: Ramification,
     """The types of enumerate_types one at a time, in its order: each
     class's vectors are listed anew under every choice for the classes before."""
     field = field if field is not None else choose_prime(g)
-    per_class = [(k, group_table(centralizer_subgroup(g, conjugacy_classes(g)[k].rep),
-                                 field).degrees, r) for k, r in ram.coeffs]
+    per_class = [(k, group_degrees(centralizer_subgroup(g, conjugacy_classes(g)[k].rep),
+                                   field), r) for k, r in ram.coeffs]
 
     def rec(pos: int, entries: tuple) -> Iterator[RSRType]:
         k, degrees, r = per_class[pos]
@@ -402,11 +409,11 @@ def rsr_from_json(doc: dict, group: Optional[Group] = None) -> RSR:
             if not 0 <= k < len(classes):
                 raise InputError(f"class index {k} out of range")
             z = centralizer_subgroup(g, u_choice.get(k, classes[k].rep))
-            table = group_table(z, field)
+            degrees = group_degrees(z, field)
             for i in idxs:
-                if not 0 <= i < table.nchars:
+                if not 0 <= i < len(degrees):
                     raise InputError(f"character index {i} out of range")
-            ram_coeffs[k] = sum(table.degrees[i] for i in idxs)
+            ram_coeffs[k] = sum(degrees[i] for i in idxs)
         ram = Ramification.from_dict(ram_coeffs)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):

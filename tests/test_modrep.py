@@ -6,6 +6,7 @@ import pytest
 
 from quiverhopf import (
     InputError,
+    centralizer_subgroup,
     choose_prime,
     class_of,
     conjugacy_classes,
@@ -27,6 +28,7 @@ from quiverhopf.modrep import (
     _right_mult,
     _split,
     character_table,
+    group_degrees,
     group_table,
     next_primes,
 )
@@ -74,6 +76,29 @@ def test_validate_prime(s3):
         character_table(s3, FieldPrime(7))
     with pytest.raises(InputError, match="character index 99 out of range"):
         irrep_matrices(s3, validate_prime(s3, 13), 99)
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "S5", "D4", "Q8", "A4", "C2xC2", "S3xC2", "C6"])
+def test_group_degrees_are_the_table_degrees_on_every_centralizer(spec):
+    g = parse_group(spec)
+    f = choose_prime(g)
+    for c in conjugacy_classes(g):
+        z = centralizer_subgroup(g, c.rep)
+        degrees = group_degrees(z, f)
+        # an abelian centralizer's degrees come without its table
+        abelian = len(conjugacy_classes(z)) == z.order
+        assert (("chartab", f.p) in z.caches) is not abelian
+        assert degrees == group_table(z, f).degrees
+
+
+@pytest.mark.parametrize("p", [7, 17])
+def test_group_degrees_refuse_a_non_splitting_prime_on_an_abelian_group(p):
+    # 7 is 1 mod 6 but not past 2|G| = 12; 17 is past it but not 1 mod 6
+    g = parse_group("C6")
+    with pytest.raises(InputError, match="not a splitting prime"):
+        character_table(g, FieldPrime(p))
+    with pytest.raises(InputError, match="not a splitting prime"):
+        group_degrees(g, FieldPrime(p))
 
 
 def test_character_table_s3(s3, s3_field):
@@ -419,6 +444,22 @@ def test_s6_irreps_at_seeds_bit_identical(degree, seed):
     rep = irrep_matrices(g, f, t.degrees.index(degree), seed=seed)
     digest = hashlib.sha256(np.stack(rep.matrices).tobytes()).hexdigest()
     assert digest == S6_IRREP_SEED_SHA256[degree, seed]
+
+
+def test_split_stops_at_the_first_eigenspace_of_the_degree(monkeypatch):
+    # the degree-16 irrep of S6 at seed 21 splits its 256-dim ideal at the
+    # first root whose eigenspace has dimension 16
+    g = parse_group("S6")
+    f = choose_prime(g)
+    index = group_table(g, f).degrees.index(16)
+    calls = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda a, p: calls.append(a.shape) or nullspace(a, p))
+    rep = irrep_matrices(g, f, index, seed=21)
+    digest = hashlib.sha256(np.stack(rep.matrices).tobytes()).hexdigest()
+    assert digest == S6_IRREP_SEED_SHA256[16, 21]
+    assert calls == [(256, 256)]
 
 
 # SHA-256 as above of the degree-6 irrep of S7 at seed 0, frozen before the

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import quiverhopf.modrep
 import quiverhopf.rsr
 from quiverhopf import (
     BudgetError,
@@ -30,7 +31,7 @@ from quiverhopf import (
 )
 from quiverhopf.groups import automorphisms, outer_representatives
 from quiverhopf.modrep import group_table, next_primes
-from quiverhopf.rsr import _type_along
+from quiverhopf.rsr import _char_map, _type_along
 
 
 def oracle_type_along(rsr, phi=None):
@@ -116,6 +117,33 @@ def test_rsr_type_example(s3):
 def test_rsr_type_zero_ramification(s3):
     rsr = make_rsr(s3, parse_ramification(s3, ""), None, {})
     assert rsr_type(rsr).entries == ()
+
+
+def test_rsr_type_is_a_tuple_of_its_entries():
+    a = RSRType(((0, (1, 0)), (2, (0, 1))))
+    b = RSRType(((0, (1, 0)), (2, (0, 1))))
+    c = RSRType(((0, (0, 1)), (2, (0, 1))))
+    assert a == b and hash(a) == hash(b) and a != c
+    assert a == (a.entries,) and hash(a) == hash((a.entries,))
+    assert {a, b, c} == {a, c} and b in {a} and c not in {a}
+    assert min([a, c], key=lambda t: t.entries) is c
+    assert min([b, a]) is b
+    assert a.to_json() == [{"class": 0, "multiplicities": [1, 0]},
+                           {"class": 2, "multiplicities": [0, 1]}]
+    assert RSRType(()).to_json() == []
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "D4", "Q8", "A4", "S3xC2"])
+def test_identity_char_map_equals_the_table_built_map(spec):
+    # phi = the identity as an index array takes the table route
+    g = parse_group(spec)
+    f = choose_prime(g)
+    identity = np.arange(g.order)
+    for c in conjugacy_classes(g):
+        z = centralizer_subgroup(g, c.rep)
+        chars = _char_map(g, f, c.rep, c.rep, 0)
+        assert chars == _char_map(g, f, c.rep, c.rep, 0, identity)
+        assert chars == list(range(group_table(z, f).nchars))
 
 
 def test_isomorphic_example(s3):
@@ -499,6 +527,27 @@ def test_no_conjugate_or_table_search_per_rsr_once_the_plan_exists(
     for r in rsrs[1:] + twisted[1:]:
         rsr_type(r)
         rsr_key(r)
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec,ram_spec", [("S4", "(0 1):1,(0 1 2 3):1"),
+                                           ("S3", "(0 1):2,(0 1 2):3")])
+def test_abelian_centralizers_on_u0_build_no_table(spec, ram_spec, monkeypatch):
+    # counting, listing, validating, typing and keying read only degrees
+    # and class counts, and on u0 every character map is the identity
+    calls, table = [], quiverhopf.modrep.character_table
+    monkeypatch.setattr(quiverhopf.modrep, "character_table",
+                        lambda z, f: calls.append(z) or table(z, f))
+    g = parse_group(spec)
+    ram = parse_ramification(g, ram_spec)
+    types = enumerate_types(g, ram)
+    assert count_classes(g, ram) == len(types) > 1
+    rsrs = [rsr_from_type(g, ram, t) for t in types]
+    assert [rsr_type(r) for r in rsrs] == types
+    assert [rsr_key(r) for r in rsrs] == types
+    assert isomorphic(rsrs[0], rsrs[0], "search-aut")
+    assert not isomorphic(rsrs[0], rsrs[-1], "search-aut")
+    assert rsr_from_json(rsrs[-1].to_json()).irreps == rsrs[-1].irreps
     assert calls == []
 
 
