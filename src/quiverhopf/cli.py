@@ -59,9 +59,11 @@ def _rsrs_for(args) -> list[tuple[dict, RSR]]:
         i = args.type_index
         if i is None:
             types = enumerate_types(g, ram, field)
-        elif not 0 <= i < (count := count_classes(g, ram, field)):
-            raise InputError(f"--type-index out of range (0..{count - 1})")
         else:
+            # counted first, so that a negative index gets the range too
+            count = count_classes(g, ram, field)
+            if not 0 <= i < count:
+                raise InputError(f"--type-index out of range (0..{count - 1})")
             types = itertools.islice(iter_types(g, ram, field), i, i + 1)
         rsrs = [rsr_from_type(g, ram, t, field, seed=args.seed) for t in types]
     return [({"rsr": rsr.to_json()}, rsr) for rsr in rsrs]
@@ -138,7 +140,7 @@ def cmd_rsr_census(args) -> tuple[dict, int]:
         payload.update(count=len(types), types=[t.to_json() for t in types])
     try:
         payload["inner_only_assumed"] = inner_only(g)
-    except BudgetError:             # past the automorphism budget, and not S_n
+    except BudgetError:             # not S_n (n != 6), and past the automorphism budget
         payload["inner_only_assumed"] = None
     return payload, 0
 

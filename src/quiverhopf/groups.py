@@ -32,10 +32,11 @@ keeping it with its cosets for the bimodule and rsr (centralizer_subgroup).
 
 Malformed input raises InputError; work over a budget raises its subclass
 BudgetError, here ORDER_CAP, ROW_CELLS_CAP and AUT_BUDGET, downstream
-rsr.TYPE_CAP, rsr.RAM_CAP, yd.CELL_CAP and typeone.PATH_CAP.  Aut G is
-searched within AUT_BUDGET; past it only the theorem Aut S_n = Inn S_n
-(n != 6) answers, in outer_representatives, for a group of degree n and
-order n!.
+rsr.TYPE_CAP, rsr.RAM_CAP, yd.CELL_CAP and typeone.PATH_CAP.  The cosets
+of Inn G in Aut G (outer_representatives) come first from the theorem
+Aut S_n = Inn S_n (n != 6), for a group of degree n and order n!, with no
+enumeration; every other group is searched by automorphisms within
+AUT_BUDGET.
 """
 
 from __future__ import annotations
@@ -666,24 +667,26 @@ def automorphisms(g: Group) -> np.ndarray:
 
 def outer_representatives(g: Group) -> list[np.ndarray]:
     """The first automorphism of each coset of Inn G in Aut G as an index
-    array, cached on g: phi c_h has phi's generator images conjugated by phi(h).
-    The generators are Group.generator_indices, as in `automorphisms`: an
-    automorphism is fixed by its images on any generating set, so the
-    cosets and their order do not depend on which.
-    The first entry is always the identity: the rows of `automorphisms`
-    ascend and arange is the least permutation row.
+    array, cached on g.  The first entry is always the identity.
 
-    Past the budget of `automorphisms` the theorem Aut S_n = Inn S_n
-    (n != 6) answers with the identity alone a group of degree n and order
-    n!, which is Sym(n) whatever its name; any other group is refused with
-    the BudgetError."""
-    if "outer" not in g.caches:
-        try:
-            auts = automorphisms(g)
-        except BudgetError:
-            if g.degree == 6 or g.order != math.factorial(g.degree):
-                raise
-            auts = np.arange(g.order)[None, :]
+    The theorem Aut S_n = Inn S_n (n != 6) answers first, with the identity
+    alone, for a group of degree n and order n!, which is Sym(n) on its
+    points whatever its name; n! is formed only for a degree within the
+    order (perm:(0 16777215) has degree 2^24 and order 2).  Any other
+    group, S6 among them, is enumerated by `automorphisms`, whose
+    BudgetError it raises: phi c_h has phi's generator images conjugated
+    by phi(h), so the first row of each coset is kept.  The generators are
+    Group.generator_indices, as in `automorphisms`: an automorphism is
+    fixed by its images on any generating set, so the cosets and their
+    order do not depend on which.  The rows of `automorphisms` ascend and
+    arange is the least permutation row, so the identity comes first there
+    too."""
+    if "outer" in g.caches:
+        return g.caches["outer"]
+    if g.degree != 6 and g.degree <= g.order and g.order == math.factorial(g.degree):
+        reps = [np.arange(g.order)]
+    else:
+        auts = automorphisms(g)
         gens = g.generator_indices()
         reps, seen = [], set()
         for images in auts:
@@ -691,8 +694,8 @@ def outer_representatives(g: Group) -> list[np.ndarray]:
                 reps.append(images)
                 conj = np.stack([g.conjugates(x) for x in images[gens]], axis=1)
                 seen.update(map(tuple, conj.tolist()))
-        g.caches["outer"] = reps
-    return g.caches["outer"]
+    g.caches["outer"] = reps
+    return reps
 
 
 def inner_only(g: Group) -> bool:

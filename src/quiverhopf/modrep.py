@@ -302,9 +302,7 @@ class Irrep:
     x_j . a = sum_s rho(a)[j, s] x_s on row vectors.
     """
 
-    def __init__(self, subgroup: Group, p: int, char_index: int,
-                 matrices: np.ndarray):
-        self.subgroup = subgroup
+    def __init__(self, p: int, char_index: int, matrices: np.ndarray):
         self.p = p
         self.char_index = char_index
         self.matrices = matrices
@@ -432,7 +430,7 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
     d = table.degrees[char_index]
     chi = np.array(row, dtype=np.int64)[class_of(g, np.arange(g.order))]
     if d == 1:
-        return Irrep(g, p, char_index, chi.reshape(-1, 1, 1))
+        return Irrep(p, char_index, chi.reshape(-1, 1, 1))
 
     basis, pivots = _ideal(g, chi, d, p)
     rng = random.Random(f"irrep:{seed}:{g.order}:{p}:{char_index}")
@@ -452,7 +450,7 @@ def _irrep_matrices(g: Group, f: FieldPrime, char_index: int, seed: int) -> Irre
     mats[0] = linalg.identity(d)
     for level in levels[1:]:
         mats[level] = linalg.matmul(mats[prev[level]], gen_mats[pos[level]], p)
-    rep = Irrep(g, p, char_index, mats)
+    rep = Irrep(p, char_index, mats)
     assert rep.trace_vector() == tuple(chi.tolist()), \
         "trace of constructed representation does not match its character"
     return rep

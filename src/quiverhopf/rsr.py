@@ -7,9 +7,10 @@ of irreducible characters of the centralizer Z_u(C) whose degrees sum to
 r_C.  The type (per-class multiplicity vector against the canonical
 character order of Z_u0(C)) is a complete isomorphism invariant whenever
 Aut G = Inn G.  The key (rsr_key), the least type of phi*rsr over all phi
-in Aut G, is a complete invariant for every group within the budget of
-groups.automorphisms, and for S_n past it (groups.outer_representatives):
-isomorphic compares keys in both of its modes.
+in Aut G, is a complete invariant for S_n (n != 6), whose key is its type
+by the theorem Aut S_n = Inn S_n, and for every other group within the
+budget of groups.automorphisms (groups.outer_representatives): isomorphic
+compares keys in both of its modes.
 
 twist_rsr, rsr_type and rsr_key all move characters between centralizers
 along ambient maps z -> h phi(z) h^-1 by character maps (_char_map), each
@@ -256,9 +257,10 @@ def rsr_key(rsr: RSR) -> RSRType:
     identity first), whose type is rsr_type.
 
     Two RSRs on one group and prime are isomorphic exactly when their keys
-    are equal, for every group whose automorphisms fit the budget of
-    groups.automorphisms (A5, S5 and S6 among them) and for S_n past it;
-    any other group past it raises BudgetError.
+    are equal, for S_n (n != 6), where the theorem Aut S_n = Inn S_n leaves
+    the identity alone, and for every other group whose automorphisms fit
+    the budget of groups.automorphisms (A5 and S6 among them); any other
+    group past it raises BudgetError.
     """
     if rsr._key is None:
         outer = outer_representatives(rsr.group)[1:]
@@ -271,9 +273,10 @@ def isomorphic(a: RSR, b: RSR, mode: str = "assume-inner") -> bool:
 
     assume-inner first requires Aut G = Inn G (groups.inner_only), where
     the key is the type; search-aut has no precondition.  Both hold for
-    every group within the automorphism budget (groups.AUT_BUDGET) and for
-    S_n past it (groups.outer_representatives), and raise BudgetError
-    otherwise.
+    S_n (n != 6) by the theorem Aut S_n = Inn S_n, with no automorphism
+    listed, and for every other group within the automorphism budget
+    (groups.AUT_BUDGET, groups.outer_representatives), and raise
+    BudgetError otherwise.
     """
     if a.group is not b.group:
         raise InputError("RSRs must live on the same group object")

@@ -383,6 +383,16 @@ def test_type_index_builds_only_its_type(capsys):
     assert err == "error: --type-index out of range (0..47626016969)\n"
 
 
+@pytest.mark.parametrize("verb", ["nichols-dims", "hopf-verify", "yd-verify",
+                                  "bimodule-verify", "hopf-dims"])
+def test_negative_type_index_is_out_of_range(capsys, verb):
+    # S3 on "(0 1):1" has 2 types; -1 is checked against their count like
+    # any other index, not taken from the end of the list
+    code, out, err = run_cli(capsys, verb, "--group", "S3", "--ram", "(0 1):1",
+                             "--type-index", "-1")
+    assert (code, out, err) == (2, "", "error: --type-index out of range (0..1)\n")
+
+
 def test_full_type_listing_over_the_cap_exits_2(capsys):
     # without --type-index both verbs list every type: C12 on "e:40" has
     # 47,626,016,970, counted and refused before any is listed

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -395,6 +396,60 @@ def test_inner_only_named_shortcut():
         automorphisms(unnamed)
     assert inner_only(unnamed)
     assert inner_only(parse_group("S7"))
+
+
+@pytest.fixture
+def aut_calls(monkeypatch):
+    """The specs of the groups `automorphisms` is called on, in order."""
+    calls, enumerate_all = [], groups.automorphisms
+
+    def recording(g):
+        calls.append(g.spec)
+        return enumerate_all(g)
+    monkeypatch.setattr(groups, "automorphisms", recording)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["S1", "S2", "S3", "S4", "S5", "S7", "D3",
+                                  "perm:(0 1);(0 1 2 3 4)"])
+def test_sym_n_is_answered_by_the_theorem_without_enumeration(spec, aut_calls):
+    # degree n and order n! (n != 6) is Sym(n) on its points whatever its
+    # name, and Aut S_n = Inn S_n: the identity alone, with no Aut G listed
+    g = parse_group(spec)
+    reps = outer_representatives(g)
+    assert [r.tolist() for r in reps] == [list(range(g.order))]
+    assert inner_only(g) and outer_representatives(g) is reps
+    assert aut_calls == []
+
+
+@pytest.mark.parametrize("spec, cosets", [("S6", 2), ("A4", 2), ("D4", 2)])
+def test_groups_outside_the_theorem_enumerate_aut(spec, cosets, aut_calls):
+    g = parse_group(spec)
+    assert len(outer_representatives(g)) == cosets
+    assert aut_calls == [spec]
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "S5"])
+def test_the_theorem_equals_the_cosets_of_the_enumeration(spec):
+    g = parse_group(spec)
+    expected = greedy_outer_representatives(g)
+    reps = outer_representatives(g)
+    assert len(reps) == len(expected) == 1
+    assert (reps[0] == expected[0]).all()
+
+
+def test_the_theorem_forms_no_factorial_past_the_order(monkeypatch):
+    # n! is compared with |G| only for a degree n <= |G|: perm:(0 99) has
+    # degree 100 and order 2 (and perm:(0 16777215) degree 2^24, whose 2^24!
+    # would run for minutes)
+    formed, factorial = [], math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: formed.append(n) or factorial(n))
+    for spec, asked in [("perm:(0 99)", []), ("perm:(0 1 2 3 4 5 6 7 8 9 10 11)", [12]),
+                        ("S4", [4])]:
+        formed.clear()
+        g = parse_group(spec)
+        outer_representatives(g)
+        assert formed == asked, spec
 
 
 def test_automorphism_budget_counts_candidate_cells(monkeypatch):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +192,22 @@ def test_irrep_matrices_are_one_read_only_stack(spec, idx):
     with pytest.raises(ValueError):
         m[0, 0, 0] = 0
     assert all(type(t) is int for t in rep.trace_vector())
+
+
+def test_a_group_with_an_irrep_is_freed_without_the_cycle_collector():
+    # an irrep, cached on its group, holds no reference back to the group,
+    # so dropping the group frees it by reference counting alone
+    g = parse_group("S6")
+    f = choose_prime(g)
+    rep = irrep_matrices(g, f, group_table(g, f).degrees.index(5), seed=0)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert rep.degree == 5
 
 
 def test_irrep_deterministic(s4, s4_field):
