@@ -420,8 +420,9 @@ def test_search_aut_on_s5_agrees_with_types():
 
 
 def test_search_aut_on_s7_agrees_with_types():
-    # Aut S7 is past the automorphism budget: outer_representatives answers
-    # it by Aut S_n = Inn S_n, so a twisted u changes neither key nor type
+    # outer_representatives answers S7 by Aut S_n = Inn S_n without listing
+    # Aut S7 (past the automorphism budget), so a twisted u changes neither
+    # key nor type
     g = parse_group("S7")
     ram = parse_ramification(g, "(0 1):1")
     canonical = rsr_from_type(g, ram, enumerate_types(g, ram)[0])
