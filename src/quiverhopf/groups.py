@@ -14,7 +14,9 @@ its points packed into one uint64, past it the row's bytes.  A parsed group
 is built once (_generated): one breadth-first search over its generators
 reaches every element, and that search is also the group's word tree on
 those generators (Group.words) and the order in which its multiplication
-table is filled.
+table is filled.  Each word length is searched in one pass (_first_new):
+an element is numbered where the scan first meets it, with no sort; the
+word tree of any other tuple of generators is searched the same way.
 
 Element orders, and the conjugacy classes of a group without a
 multiplication table, come from whole-array passes: pointer doubling on
@@ -234,20 +236,31 @@ def _check_row_cells(order: int, degree: int) -> None:
                           f"of {ROW_CELLS_CAP}")
 
 
+def _first_new(level: list, seen: set) -> np.ndarray:
+    """The positions in one level of a breadth-first search of the first
+    occurrence of each item not in seen, in the order a scan meets them,
+    found in one pass that adds them to seen."""
+    add = seen.add
+    return np.array([i for i, item in enumerate(level) if item not in seen and not add(item)],
+                    dtype=np.intp)
+
+
 def _generated(degree: int, generators: np.ndarray,
                name: Optional[str] = None, spec: Optional[str] = None) -> "Group":
     """The group generated by image rows (k, degree), closed
     breadth-first on image rows, one word length at a time, within
     ORDER_CAP and ROW_CELLS_CAP; the rows a word length reaches, the
     generators times the rows of the level before, are checked against
-    ROW_CELLS_CAP before they are built.  A level's new rows are the first
-    of each key (_keys) not seen before, in the order an element-major scan
-    meets them.  This search is the word tree of the generators: it is kept
+    ROW_CELLS_CAP before they are built.  A level is searched in one pass
+    (_first_new) over its keys (_keys), taken element-major: its new rows
+    are the first of each key not seen before, by first meeting, with no
+    sort.  This search is the word tree of the generators: it is kept
     on the group as `_search`, and Group.words reads it on first use.
     Element orders come from _orders, _CYCLE_CELLS at a time.  Up to order
     _TABLE_CAP the table is built along the tree: the generators' rows by
-    lookup, then each row of x*s as the column gather T[x*s] = T[x][:, T[s]],
-    one per word length and generator."""
+    lookup, then the rows of x*s as the gather T[x*s] = T[x][:, T[s]] of
+    the parents' rows, then of the generator's columns, one per word length
+    and generator."""
     width = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
     gens = np.asarray(generators, dtype=width)
     # the search numbers the elements as it reaches them, x = prev[x] * gens[pos[x]]
@@ -258,14 +271,10 @@ def _generated(degree: int, generators: np.ndarray,
         _check_row_cells(len(gens) * len(levels[-1]), degree)
         # reached[s, x] = x*s, (x*s)(i) = s(x(i)); keys taken x-major
         reached = gens[:, levels[-1]]
-        keys = _keys(reached).T.reshape(-1)
-        found, first = np.unique(keys, return_index=True)
-        first = np.sort(first[np.array([k not in seen for k in found.tolist()], dtype=bool)])
-        x, s = np.divmod(first, len(gens))
-        prev.append(len(seen) - len(levels[-1]) + x)
+        x, s = np.divmod(_first_new(_keys(reached).T.reshape(-1).tolist(), seen), len(gens))
+        prev.append(ends[-1] - len(levels[-1]) + x)
         pos.append(s)
         levels.append(reached[s, x])
-        seen.update(keys[first].tolist())
         ends.append(len(seen))
         if len(seen) > ORDER_CAP:
             raise BudgetError(f"group order exceeds cap {ORDER_CAP}")
@@ -299,8 +308,7 @@ def _generated(degree: int, generators: np.ndarray,
         by_block = lo + np.argsort(block, kind="stable")
         for part in np.split(by_block, np.flatnonzero(np.diff(block[by_block - lo])) + 1):
             if part.size:
-                table[index[part]] = table[index[parent[part]][:, None],
-                                           table[at[gen[part[0]]]]]
+                table[index[part]] = table[index[parent[part]]][:, table[at[gen[part[0]]]]]
         g._table = table
     return g
 
@@ -457,8 +465,10 @@ class Group:
         word length, in the order a scan of the previous level times each
         generator in turn meets them (level 0 is [0]).  On a parsed group's
         generators this is the closure's own search, renumbered; any other
-        tuple takes a search of its own.  Built once per tuple of generators
-        and kept in `caches`, read-only."""
+        tuple takes a search of its own, one product of the level with the
+        generators and one pass (_first_new) per word length, by first
+        meeting, with no sort.  Built once per tuple of generators and kept
+        in `caches`, read-only."""
         key = ("words", tuple(int(s) for s in gens))
         if key in self.caches:
             return self.caches[key]
@@ -471,11 +481,10 @@ class Group:
             levels = np.split(index, ends[:-1])
         else:
             gens = np.asarray(gens, dtype=np.intp)
-            levels = [np.zeros(1, dtype=np.intp)]
+            levels, seen = [np.zeros(1, dtype=np.intp)], {0}
             while gens.size:
                 reached = self.products(levels[-1][:, None], gens[None, :]).reshape(-1)
-                new, first = np.unique(reached, return_index=True)
-                first = np.sort(first[(pos[new] == -1) & (new != 0)])
+                first = _first_new(reached.tolist(), seen)
                 if not first.size:
                     break
                 new = reached[first]

@@ -580,6 +580,66 @@ def test_closure_search_is_the_word_tree_of_the_parsed_generators(spec, monkeypa
         fresh_words(g, gens)
 
 
+def group_or_centralizer(spec, cycles):
+    """The group of spec, or the centralizer of the element cycles in it."""
+    g = parse_group(spec)
+    if cycles is None:
+        return g
+    return centralizer_subgroup(g, g.find(groups.parse_cycle_string(cycles, g.degree)))
+
+
+def greedy_generators(g):
+    """Independent oracle: each element, in index order, outside the
+    subgroup the earlier picks generate, that subgroup closed on image
+    tuples."""
+    rows = rows_of(g)
+    index = {r: i for i, r in enumerate(rows)}
+    gens, span = [], {0}
+    for e in range(g.order):
+        if e in span:
+            continue
+        gens.append(e)
+        span, todo = {0}, [0]
+        for x in todo:
+            for s in gens:
+                y = index[compose(rows[x], rows[s])]
+                if y not in span:
+                    span.add(y)
+                    todo.append(y)
+    return gens
+
+
+GREEDY_CASES = [("S4", None), ("S5", None), ("D4", None), ("Q8", None), ("A4", None),
+                ("S3xC2", None), ("S4", "(0 1)(2 3)"), ("S7", "(0 1)")]
+
+
+@pytest.mark.parametrize("spec, centralized", GREEDY_CASES)
+def test_generating_sequence_is_the_greedy_one(spec, centralized):
+    g = group_or_centralizer(spec, centralized)
+    assert g.generating_sequence() == greedy_generators(g)
+
+
+@pytest.mark.parametrize("spec, centralized, cycles", [
+    *((spec, centralized, None) for spec, centralized in GREEDY_CASES),
+    # a repeated generator, and tuples that hold e
+    ("S4", None, ["(0 1)", "(0 1)", "(1 2 3)"]),
+    ("S4", None, ["e", "(0 1 2 3)", "(0 1)"]),
+    ("S7", "(0 1)", ["(2 3 4 5 6)", "e", "(2 3)", "(2 3)", "(0 1)"]),
+])
+def test_words_on_other_tuples_are_a_fresh_search(spec, centralized, cycles):
+    # cycles None: the greedy generating sequence
+    g = group_or_centralizer(spec, centralized)
+    if cycles is None:
+        gens = g.generating_sequence()
+    else:
+        gens = [g.find(groups.parse_cycle_string(c, g.degree)) for c in cycles]
+    # a tuple other than the parsed generators takes a search of its own
+    assert g._search is None or gens != g.generator_indices()
+    prev, pos, levels = g.words(gens)
+    assert (prev.tolist(), pos.tolist(), [level.tolist() for level in levels]) == \
+        fresh_words(g, gens)
+
+
 @pytest.mark.parametrize("degree", [1, 2, 15, 16, 17])
 def test_key_order_is_tuple_order(degree):
     # rows of up to 16 points pack into one uint64, wider ones are bytes
@@ -647,7 +707,9 @@ def test_cyclic_alias_and_cache():
 
 
 @pytest.mark.parametrize("spec", [
-    "S6", "S7", "D4", "S3xC2",
+    "S6", "S7", "D4", "S3xC2", "C4xC6xS3", "A5",
+    # a repeated generator
+    "perm:(0 1);(0 1)",
     # degree 18: 18^18 > 2^63, so a mixed-radix code of the images would
     # overflow int64
     "perm:(" + " ".join(str(i) for i in range(18)) + ")",
@@ -667,6 +729,9 @@ def test_products_agree_with_compose(spec):
     assert [g.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == expect
     if g._table is not None:
         assert g._table[a, b].tolist() == expect
+    if g.order <= 144:
+        # every row of the table, not a sample of its cells
+        assert g._table.tolist() == [[index[compose(x, y)] for y in rows] for x in rows]
     # broadcasting: a column of left factors against a row of right factors
     grid = g.products(a[:20, None], b[None, :30])
     assert grid.shape == (20, 30)
