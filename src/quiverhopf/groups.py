@@ -258,8 +258,8 @@ def _generated(degree: int, generators: np.ndarray,
     on the group as `_search`, and Group.words reads it on first use.
     Element orders come from _orders, _CYCLE_CELLS at a time.  Up to order
     _TABLE_CAP the table is built along the tree: the generators' rows by
-    lookup, then the rows of x*s as the gather T[x*s] = T[x][:, T[s]] of
-    the parents' rows, then of the generator's columns, one per word length
+    lookup, then the rows of x*s as T[x*s] = T[x][:, T[s]]: a gather of the
+    parents' rows, then of the generator's columns, once per word length
     and generator."""
     width = np.dtype(">u2") if degree <= 1 << 16 else np.dtype(">u4")
     gens = np.asarray(generators, dtype=width)
